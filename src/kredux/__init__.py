@@ -11,7 +11,7 @@ from .errors import (ClassNotFixed, Degenerate, HypothesisViolated,
                      StepUnstable)
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, TopFormP,
                      contract_v, d_wedge_dc, ddc_m, ddc_p, differentiate,
-                     grad_pair, integrate_m, jv_apply, wedge_pair, wedge_square)
+                     grad_pair, integrate_m, jv_apply, wedge_square)
 from .fixtures import (flat_cylinder, flat_sigma, fs_cylinder, fs_sigma,
                        perturbed_cylinder, perturbed_fs_cylinder,
                        reference_ricci, reference_sigma)
@@ -25,8 +25,7 @@ from .lift import (LiftResult, admissible_taus, calabi_converse_w,
                    roundtrip_check)
 from .reduction import (LevelSet, ReductionResult, check_dcred, check_dertau,
                         default_taus, laplace_reduced, level_set, ma_reduced,
-                        reduce_form, reduce_scalar, reduced_potential,
-                        reduction_sweep)
+                        reduce_form, reduce_scalar, reduced_potential)
 from .reports import ResidualReport
 from .statics import (Profile, StaticEquation, constant_profile, h_canonical,
                       lambda_mean, reparametrize, residual_calabi,

@@ -4,7 +4,6 @@
            [--config FILE] [--out DIR] [--in DIR] [key=value ...]
 
 Exit codes: 0 pass, 2 identity failure, 3 input error, 4 numerical breakdown.
-KREDUX_THREADS caps the number of identity reports computed concurrently.
 """
 
 from __future__ import annotations
@@ -82,21 +81,10 @@ def cmd_verify(cfg: RunConfig) -> int:
     grid = _grid_from(cfg)
     reports, failures = run_verify(grid, seed=cfg.seed, dtau=cfg.dtau)
     os.makedirs(cfg.out, exist_ok=True)
-    workers = int(os.environ.get("KREDUX_THREADS", "1"))
     names = sorted(reports)
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        def _write(name):
-            write_json(os.path.join(cfg.out, f"{name}.json"),
-                       reports[name].to_dict())
-
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            list(ex.map(_write, names))
-    else:
-        for name in names:
-            write_json(os.path.join(cfg.out, f"{name}.json"),
-                       reports[name].to_dict())
+    for name in names:
+        write_json(os.path.join(cfg.out, f"{name}.json"),
+                   reports[name].to_dict())
     _finalize_dir(cfg.out, cfg)
     for name in names:
         rep = reports[name]
@@ -158,9 +146,9 @@ def cmd_lift(cfg: RunConfig, in_dir) -> int:
     path = load_path(in_dir)
     shifted, a_t = concavity_shift(path)
     lift = legendre_lift(shifted, n_l=cfg.n_l, a_t=a_t)
-    save_kahler(lift.data, cfg.out)
     taus = admissible_taus(shifted, lift)
     rep = roundtrip_check(shifted, lift, taus)
+    save_kahler(lift.data, cfg.out)
     write_json(os.path.join(cfg.out, "lift_meta.json"),
                {"a_t": [[float(t), float(a)]
                         for t, a in zip(path.ts, lift.a_t)],
@@ -258,7 +246,7 @@ def main(argv=None) -> int:
     except KreduxError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     return EXIT_INPUT

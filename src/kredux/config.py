@@ -7,8 +7,6 @@ from dataclasses import dataclass, fields, asdict
 
 
 def _fmt(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
@@ -58,7 +56,6 @@ class RunConfig:
 
     def updated(self, pairs: dict) -> "RunConfig":
         kwargs = self.to_dict()
-        types = {f.name: f.type for f in fields(self)}
         for key, raw in pairs.items():
             if key not in kwargs:
                 raise ValueError(f"unknown configuration key {key!r}")
@@ -68,12 +65,6 @@ class RunConfig:
 
 def _coerce(raw, ty):
     raw = raw.strip()
-    if ty is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"not a boolean: {raw!r}")
     if ty is int:
         return int(raw)
     if ty is float:

@@ -8,9 +8,11 @@ raw determinant is differentiated twice without a smooth baseline.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, ddc_m,
+from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
                      d_wedge_dc, ddc_p, interior_norms, jv_apply,
                      trace_against, wedge_square)
 from .fixtures import reference_ricci, reference_sigma
@@ -18,29 +20,36 @@ from .reports import ResidualReport
 from .structure import KahlerData
 
 
-def ricci_m(omega: Form11M, sigma_ref: Form11M | None = None,
-            ricci_ref: Form11M | None = None) -> Form11M:
-    """Ricci form of a base metric:  Ric(ref) - (1/2) dd^c log(H / H_ref).
+@lru_cache(maxsize=8)
+def _reference_arrays(grid):
+    """Read-only (H_ref, Ric(ref)) coefficients of the grid's canonical metric."""
+    out = reference_sigma(grid).h, reference_ricci(grid).h
+    for a in out:
+        a.flags.writeable = False
+    return out
 
-    The reference defaults to the grid's canonical metric, whose Ricci form
-    is supplied in closed form.
+
+def ricci_coefficient(grid, h):
+    """Coefficient of the Ricci form of the base metric with coefficient ``h``.
+
+    Ric = Ric(ref) - (1/2) dd^c log(H / H_ref), relative to the grid's
+    canonical metric, whose Ricci form is supplied in closed form; the
+    coefficient of (1/2) dd^c f is f_{z zbar}.
     """
-    grid = omega.grid
+    sigma_ref, ricci_ref = _reference_arrays(grid)
+    return ricci_ref - grid.dzbar_dz(np.log(h / sigma_ref))
+
+
+def ricci_m(omega: Form11M) -> Form11M:
+    """Ricci form of a positive base metric, see :func:`ricci_coefficient`."""
     if not omega.is_positive():
         raise ValueError("ricci_m needs a positive form")
-    if sigma_ref is None:
-        sigma_ref = reference_sigma(grid)
-        ricci_ref = reference_ricci(grid)
-    elif ricci_ref is None:
-        raise ValueError("an explicit reference needs its analytic Ricci form")
-    log_ratio = np.log(omega.h / sigma_ref.h)
-    return ricci_ref + (-0.5) * ddc_m(log_ratio, grid)
+    return Form11M(omega.grid, ricci_coefficient(omega.grid, omega.h))
 
 
-def scal_m(omega: Form11M, sigma_ref: Form11M | None = None,
-           ricci_ref: Form11M | None = None) -> ScalarFieldM:
+def scal_m(omega: Form11M) -> ScalarFieldM:
     """Scalar curvature: ratio of the Ricci and metric components."""
-    ric = ricci_m(omega, sigma_ref, ricci_ref)
+    ric = ricci_m(omega)
     return ScalarFieldM(omega.grid, ric.h / omega.h)
 
 
@@ -60,12 +69,11 @@ def laplacian_p(f: ScalarFieldP, K: KahlerData) -> ScalarFieldP:
 def ricci_p(K: KahlerData) -> Form11P:
     """Ricci form of omega through the product-reference volume ratio."""
     grid = K.grid
-    sigma_ref = reference_sigma(grid)
-    ric_ref = reference_ricci(grid)
+    sigma_ref, ricci_ref = _reference_arrays(grid)
     density = wedge_square(K.omega).t
-    log_f = ScalarFieldP(grid, np.log(density / (2.0 * sigma_ref.h[..., None])))
+    log_f = ScalarFieldP(grid, np.log(density / (2.0 * sigma_ref[..., None])))
     correction = (-0.5) * ddc_p(log_f)
-    g11 = ric_ref.h[..., None] + correction.g11
+    g11 = ricci_ref[..., None] + correction.g11
     return Form11P(grid, g11, correction.g12, correction.g22)
 
 

@@ -43,7 +43,8 @@ class PositivityLost(KreduxError):
 
 
 class StepUnstable(KreduxError):
-    """Energy monotonicity kept failing after the maximum number of step halvings."""
+    """A flow step went non-finite, or energy monotonicity kept failing after
+    the maximum number of step halvings."""
 
 
 class SolvabilityViolated(KreduxError):

@@ -1,4 +1,4 @@
-"""Invariant fields on the total space and on the base, and their calculus.
+r"""Invariant fields on the total space and on the base, and their calculus.
 
 Conventions (fixed once, enforced by the convention self-test):
 
@@ -288,13 +288,6 @@ def ddc_m(f, grid=None) -> Form11M:
     return Form11M(grid, 2.0 * grid.dzbar_dz(vals))
 
 
-def _ddc_m_fiberwise(grid, values):
-    """Spatial dd^c coefficient applied per fiber node to a P array."""
-    if grid.kind == TORUS:
-        return 2.0 * (0.25 * (grid.d_x(values, 0, 2) + grid.d_x(values, 1, 2)))
-    return 2.0 * grid.d_v(values, 2) / grid.u[:, None]
-
-
 def ddc_p(f: ScalarFieldP, mu_of_f: ScalarFieldP | None = None) -> Form11P:
     """dd^c of an invariant function, in frame components.
 
@@ -304,13 +297,12 @@ def ddc_p(f: ScalarFieldP, mu_of_f: ScalarFieldP | None = None) -> Form11P:
     accurate than differencing JV(f) again.
     """
     g = f.grid
+    g11 = 2.0 * g.dzbar_dz(f.values)
     if mu_of_f is None:
-        g11 = _ddc_m_fiberwise(g, f.values)
         g12 = 2.0 * g.dz_stripped(g.d_l(f.values, 1))
         g22 = 2.0 * g.d_l(f.values, 2)
         return Form11P(g, g11, g12, g22)
     _check_grid(g, mu_of_f.grid)
-    g11 = _ddc_m_fiberwise(g, f.values)
     g12 = -g.dz_stripped(mu_of_f.values)
     g22 = -g.d_l(mu_of_f.values, 1)
     return Form11P(g, g11, g12, g22)
@@ -350,17 +342,6 @@ def wedge_square(theta: Form11P) -> TopFormP:
         wm = theta.grid.mixed_weight[..., None]
         t = t + 2.0 * (theta.b20.real**2 + theta.b20.imag**2) * wm
     return TopFormP(theta.grid, t)
-
-
-def wedge_pair(a: Form11P, b: Form11P) -> TopFormP:
-    """a /\\ b as a top form (symmetric)."""
-    _check_grid(a.grid, b.grid)
-    wm = a.grid.mixed_weight[..., None]
-    t = (a.g11 * b.g22 + a.g22 * b.g11
-         - 2.0 * np.real(a.g12 * np.conj(b.g12)) * wm)
-    if a.b20 is not None or b.b20 is not None:
-        t = t + 2.0 * np.real(a._b() * np.conj(b._b())) * wm
-    return TopFormP(a.grid, t)
 
 
 def trace_against(omega: Form11P, theta: Form11P) -> np.ndarray:

@@ -6,11 +6,15 @@ All flows evolve a potential against a fixed background form sigma:
 * coupled flow:                        solve D_psi psi' = lambda - scal, then step
 * Ricci flow (unnormalized/normalized) psi' = (1/2) log(H_psi/H_sigma) [+ lambda psi]
 
-Stepping is explicit RK4 at desk scale with a stability-derived default step;
-energy monotonicity violations trigger step halving.  Additive constants are
-gauge and fixed by the recorded normalization convention; with these choices
-constant-scalar-curvature and Einstein fixtures are exact fixed points of the
-discrete right-hand sides.
+Each flow is a right-hand side on raw arrays, ``rhs(psi) -> (velocity, h)``
+with h = H_sigma + 2 psi_{z zbar} the metric coefficient of psi, and all flows
+share one integrator: explicit RK4 at desk scale with a stability-derived
+default step.  Every step is checked for finiteness (StepUnstable) and for
+positivity of h (PositivityLost); an optional energy monitor, evaluated on
+the same (velocity, h) pair, halves the step when the energy increases.
+Additive constants are gauge and fixed by the recorded normalization
+convention; with these choices constant-scalar-curvature and Einstein
+fixtures are exact fixed points of the discrete right-hand sides.
 """
 
 from __future__ import annotations
@@ -19,11 +23,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curvature import scal_m
+from .curvature import ricci_coefficient, scal_m
 from .errors import (ClassNotFixed, PositivityLost, SolvabilityViolated,
                      StepUnstable)
 from .fields import Form11M, ScalarFieldM, ddc_m, integrate_m, grad_pair
-from .grids import TORUS, fd_matrix, fd_weights
+from .grids import TORUS, fd_apply, fd_weights
 from .reports import ResidualReport
 from .statics import lambda_mean
 
@@ -66,18 +70,26 @@ class FlowPath:
     def time_derivative(self, order=1):
         """d^order psi / dt^order at every sample (4th-order stencils when
         enough samples exist, 2nd-order otherwise)."""
-        D = time_diff_matrix(self.ts, order)
-        return np.einsum("kj,j...->k...", D, self.psis)
+        return time_derivative(self.ts, self.psis, order)
 
     def potential_field(self, k) -> ScalarFieldM:
         return ScalarFieldM(self.grid, self.psis[k])
 
 
-def time_diff_matrix(ts, order):
+def time_derivative(ts, samples, order):
+    """d^order/dt^order of ``samples`` (first axis indexed by ``ts``).
+
+    Six or more samples must be uniform and use the 4th-order stencils of
+    :func:`~kredux.grids.fd_apply`; shorter paths use the lowest-order
+    weights on the nodes themselves.
+    """
     ts = np.asarray(ts, dtype=float)
     n = len(ts)
     if n >= 6:
-        return fd_matrix(ts, order)
+        h = (ts[-1] - ts[0]) / (n - 1)
+        if np.max(np.abs(np.diff(ts) - h)) > 1e-8 * abs(h):
+            raise ValueError("4th-order time derivatives need uniform samples")
+        return fd_apply(samples, 0, order, h, n)
     if n < order + 1:
         raise ValueError("too few samples for a time derivative")
     width = min(n, order + 1 if n < 3 else 3)
@@ -87,7 +99,7 @@ def time_diff_matrix(ts, order):
         lo = min(max(i - width // 2, 0), n - width)
         idx = np.arange(lo, lo + width)
         D[i, idx] = fd_weights(ts[idx], ts[i], order)
-    return D
+    return np.einsum("kj,j...->k...", D, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +130,29 @@ def stable_dt(sigma: Form11M, kind: str, safety=0.9) -> float:
 # ---------------------------------------------------------------------------
 
 
+# a stage that goes non-finite is reported once, as StepUnstable on the
+# candidate, rather than as a warning from each numpy operation it touches
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_rk4(psi0, sigma, t_end, dt, rhs, kind, save_count=33,
              energy_fn=None, energy_tol=1e-10, max_halvings=10,
-             normalization=None, metric_h=None):
-    """Fixed-step RK4 with positivity and energy monitoring.
+             normalization=None):
+    """Fixed-step RK4 with finiteness, positivity and energy monitoring.
 
-    ``rhs(psi, reuse)`` may exploit ``reuse``, the value it returned for the
-    current accepted state (so the first stage costs nothing); the candidate
-    state's evaluation doubles as the monitor probe.  An energy increase
-    beyond tolerance halves the step (at most ``max_halvings`` times) and
-    retries without accepting.
+    ``rhs(psi)`` returns ``(velocity, h)``, h the metric coefficient of psi.
+    Each candidate state is evaluated once: that evaluation is the monitor
+    probe and, on acceptance, the next step's first stage.  A non-finite
+    candidate raises StepUnstable and an h that is not positive everywhere
+    raises PositivityLost.  An increase of ``energy_fn(velocity, h)`` beyond
+    tolerance halves the step (at most ``max_halvings`` times) and retries
+    without accepting.
     """
-    grid = sigma.grid
-    if metric_h is None:
-        metric_h = lambda p: sigma.h + ddc_m(p, grid).h  # noqa: E731
+
+    def probe(state, t):
+        velocity, h = rhs(state)
+        if not np.all(h > 0.0):
+            raise PositivityLost(f"metric is not positive at t={t:.3e}", t=t)
+        return velocity, h
+
     psi = np.array(psi0, dtype=float, copy=True)
     n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
     dt = t_end / n_steps
@@ -144,25 +165,20 @@ def _run_rk4(psi0, sigma, t_end, dt, rhs, kind, save_count=33,
     samples = [psi.copy()]
     dt_history = [dt]
     halvings = 0
-    k1 = rhs(psi)
-    energy_prev = energy_fn(psi) if energy_fn is not None else None
     t = 0.0
     step = 0
+    k1, h = probe(psi, t)
+    energy_prev = energy_fn(k1, h) if energy_fn is not None else None
     while step < n_steps:
-        k2 = rhs(psi + 0.5 * dt * k1)
-        k3 = rhs(psi + 0.5 * dt * k2)
-        k4 = rhs(psi + dt * k3)
+        k2 = rhs(psi + 0.5 * dt * k1)[0]
+        k3 = rhs(psi + 0.5 * dt * k2)[0]
+        k4 = rhs(psi + dt * k3)[0]
         cand = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-        # the candidate's evaluation doubles as the monitor probe and, on
-        # acceptance, as the next step's first stage
-        k1_cand = rhs(cand)
-        h_cand = rhs.last_metric if hasattr(rhs, "last_metric") else metric_h(cand)
-        if np.min(h_cand) <= 0.0:
-            raise PositivityLost(f"flow left the Kahler cone at t={t + dt:.3e}",
-                                 t=t + dt)
+        if not np.all(np.isfinite(cand)):
+            raise StepUnstable(f"flow step to t={t + dt:.3e} is not finite")
+        k1_cand, h_cand = probe(cand, t + dt)
         if energy_fn is not None:
-            e = energy_fn(cand)
+            e = energy_fn(k1_cand, h_cand)
             if e > energy_prev + energy_tol * (1.0 + abs(energy_prev)):
                 halvings += 1
                 if halvings > max_halvings:
@@ -182,7 +198,7 @@ def _run_rk4(psi0, sigma, t_end, dt, rhs, kind, save_count=33,
         if step % save_stride == 0:
             ts.append(t)
             samples.append(psi.copy())
-    return FlowPath(grid, sigma, kind, np.array(ts), np.array(samples),
+    return FlowPath(sigma.grid, sigma, kind, np.array(ts), np.array(samples),
                     normalization or {}, dt_history)
 
 
@@ -191,35 +207,14 @@ def _run_rk4(psi0, sigma, t_end, dt, rhs, kind, save_count=33,
 # ---------------------------------------------------------------------------
 
 
-class _TorusScal:
-    """Raw spectral scalar-curvature evaluation for tight flow loops."""
+def _potential_values(psi):
+    return np.asarray(psi.values if isinstance(psi, ScalarFieldM) else psi,
+                      dtype=float)
 
-    def __init__(self, sigma: Form11M):
-        grid = sigma.grid
-        n = grid.n_spatial
-        k = 2.0 * np.pi * np.fft.fftfreq(n) * n
-        self.ddbar = -0.25 * (k[:, None] ** 2 + k[None, :n // 2 + 1] ** 2)
-        self.sigma_h = sigma.h
-        from .fixtures import reference_ricci
 
-        self.ric_ref = reference_ricci(grid).h
-        self.quad = grid.spatial_quad_weights
-
-    def metric_h(self, psi):
-        return self.sigma_h + np.fft.irfft2(
-            2.0 * self.ddbar * np.fft.rfft2(psi), s=psi.shape)
-
-    def scal(self, psi, h=None):
-        if h is None:
-            h = self.metric_h(psi)
-        h_ric = self.ric_ref - np.fft.irfft2(
-            self.ddbar * np.fft.rfft2(np.log(h / self.sigma_h)), s=psi.shape)
-        return h_ric / h
-
-    def energy(self, psi, lam):
-        h = self.metric_h(psi)
-        s = self.scal(psi, h)
-        return float(np.sum((s - lam) ** 2 * h * self.quad))
+def _metric_coefficient(sigma: Form11M, psi):
+    """Metric coefficient of sigma + dd^c psi: H_sigma + 2 psi_{z zbar}."""
+    return sigma.h + 2.0 * sigma.grid.dzbar_dz(psi)
 
 
 def calabi_energy(sigma: Form11M, psi_vals) -> float:
@@ -239,59 +234,32 @@ def calabi_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None
     """
     grid = sigma.grid
     lam = lambda_mean(sigma)
-    psi0 = np.asarray(psi0.values if isinstance(psi0, ScalarFieldM) else psi0,
-                      dtype=float)
-    if not (sigma + ddc_m(psi0, grid)).is_positive():
-        raise PositivityLost("initial potential is not Kahler", t=0.0)
+    weights = grid.spatial_quad_weights
     dt = dt if dt is not None else stable_dt(sigma, "calabi")
 
-    if grid.kind == TORUS:
-        fast = _TorusScal(sigma)
+    def rhs(psi):
+        h = _metric_coefficient(sigma, psi)
+        return 0.5 * (ricci_coefficient(grid, h) / h - lam), h
 
-        class _Rhs:
-            last_metric = None
-            last_scal = None
+    def energy_fn(velocity, h):
+        # 2 * velocity = scal - lambda
+        return float(np.sum((2.0 * velocity) ** 2 * h * weights))
 
-            def __call__(self, psi_vals):
-                h = fast.metric_h(psi_vals)
-                s = fast.scal(psi_vals, h)
-                self.last_metric, self.last_scal = h, s
-                return 0.5 * (s - lam)
-
-        rhs = _Rhs()
-
-        def energy_fn(_):
-            # the loop probes the candidate right after evaluating it
-            return float(np.sum((rhs.last_scal - lam) ** 2
-                                * rhs.last_metric * fast.quad))
-    else:
-        def rhs(psi_vals):
-            omega = sigma + ddc_m(psi_vals, grid)
-            return 0.5 * (scal_m(omega).values - lam)
-
-        energy_fn = lambda p: calabi_energy(sigma, p)  # noqa: E731
-
-    return _run_rk4(psi0, sigma, t_end, dt, rhs, "calabi",
+    return _run_rk4(_potential_values(psi0), sigma, t_end, dt, rhs, "calabi",
                     save_count=save_count, energy_fn=energy_fn,
                     normalization={"convention": "psi' = (scal - lambda)/2",
                                    "lambda": lam})
 
 
-def _poisson_solve(sigma: Form11M, rhs_vals):
-    """Solve D_omega f = rhs with zero mean, for omega = sigma here."""
-    grid = sigma.grid
-    target = rhs_vals * sigma.h  # f_{z zbar} = H * rhs
+def _poisson_solve(grid, h, rhs_vals):
+    """Solve H^{-1} f_{z zbar} = rhs with zero mean for the metric coefficient h."""
+    target = rhs_vals * h  # f_{z zbar} = H * rhs
     if grid.kind == TORUS:
-        n = grid.n_spatial
-        k = 2.0 * np.pi * np.fft.fftfreq(n) * n
-        k1 = k[:, None]
-        k2 = k[None, :]
-        sym = -0.25 * (k1 * k1 + k2 * k2)
+        sym = grid.ddbar_symbol.copy()
         sym[0, 0] = 1.0
-        fhat = np.fft.fft2(target)
-        fhat /= sym
+        fhat = np.fft.rfft2(target) / sym
         fhat[0, 0] = 0.0
-        out = np.real(np.fft.ifft2(fhat))
+        out = np.fft.irfft2(fhat, s=grid.spatial_shape)
         return out - np.mean(out)
     # radial: f_vv = u * H * rhs, two spline antiderivatives, Neumann ends
     from scipy.interpolate import CubicSpline
@@ -311,21 +279,20 @@ def pseudo_calabi_integrate(psi0, sigma: Form11M, t_end: float,
     mean-zero velocity v and step psi by it."""
     grid = sigma.grid
     lam = lambda_mean(sigma)
-    psi0 = np.asarray(psi0.values if isinstance(psi0, ScalarFieldM) else psi0,
-                      dtype=float)
+    weights = grid.spatial_quad_weights
     dt = dt if dt is not None else stable_dt(sigma, "pseudo_calabi")
 
-    def rhs(psi_vals):
-        omega = sigma + ddc_m(psi_vals, grid)
-        target = lam - scal_m(omega).values
-        compat = integrate_m(target, omega)
+    def rhs(psi):
+        h = _metric_coefficient(sigma, psi)
+        target = lam - ricci_coefficient(grid, h) / h
+        compat = float(np.sum(target * h * weights))
         if abs(compat) > solvability_tol:
             raise SolvabilityViolated(
                 f"int (lambda - scal) dV = {compat:.3e} is not zero")
-        return _poisson_solve(omega, target)
+        return _poisson_solve(grid, h, target), h
 
-    return _run_rk4(psi0, sigma, t_end, dt, rhs, "pseudo_calabi",
-                    save_count=save_count,
+    return _run_rk4(_potential_values(psi0), sigma, t_end, dt, rhs,
+                    "pseudo_calabi", save_count=save_count,
                     normalization={"convention": "mean-zero velocity",
                                    "lambda": lam})
 
@@ -343,21 +310,20 @@ def kr_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None,
     if not normalized and grid.kind != TORUS:
         raise ClassNotFixed(
             "unnormalized Ricci flow moves the class off the torus testbed")
-    psi0 = np.asarray(psi0.values if isinstance(psi0, ScalarFieldM) else psi0,
-                      dtype=float)
     if lam is None:
         lam = lambda_mean(sigma) if normalized else 0.0
     dt = dt if dt is not None else stable_dt(sigma, "kr")
 
-    def rhs(psi_vals):
-        h = sigma.h + ddc_m(psi_vals, grid).h
+    def rhs(psi):
+        h = _metric_coefficient(sigma, psi)
         v = 0.5 * np.log(h / sigma.h)
         if normalized:
-            v = v + lam * psi_vals
-        return v - np.mean(v)
+            v = v + lam * psi
+        return v - np.mean(v), h
 
     kind = "nkr" if normalized else "kr"
-    return _run_rk4(psi0, sigma, t_end, dt, rhs, kind, save_count=save_count,
+    return _run_rk4(_potential_values(psi0), sigma, t_end, dt, rhs, kind,
+                    save_count=save_count,
                     normalization={"convention": "mean-zero velocity",
                                    "normalized": normalized, "lambda": lam})
 

@@ -52,35 +52,6 @@ def fd_weights(x, x0, m):
     return c[:, m]
 
 
-def fd_matrix(x, order):
-    """Dense differentiation matrix on uniformly spaced nodes x.
-
-    Centered 5-point stencils inside; one-sided stencils of the same
-    (4th) order at the ends.  First derivatives use 5-node windows,
-    second derivatives use 6-node windows near the boundary.  Weights are
-    computed on integer offsets for conditioning, and each row is corrected
-    to annihilate constants exactly.
-    """
-    x = np.asarray(x, dtype=float)
-    n = len(x)
-    if n < 6:
-        raise ValueError("need at least 6 nodes for 4th-order stencils")
-    h = (x[-1] - x[0]) / (n - 1)
-    if np.max(np.abs(np.diff(x) - h)) > 1e-8 * abs(h):
-        raise ValueError("fd_matrix expects a uniform axis")
-    scale = h ** (-order)
-    D = np.zeros((n, n))
-    for i in range(n):
-        centered = 2 <= i <= n - 3
-        width = 5 if (order == 1 or centered) else 6
-        lo = min(max(i - width // 2, 0), n - width)
-        idx = np.arange(lo, lo + width)
-        w = fd_weights((idx - i).astype(float), 0.0, order) * scale
-        w[i - lo] -= w.sum()
-        D[i, idx] = w
-    return D
-
-
 def _boundary_rows(n, order):
     """(row, offsets, weights-without-h) for the one-sided closure rows."""
     width = 5 if order == 1 else 6
@@ -122,13 +93,19 @@ def fd_apply(values, axis, order, h, n):
     return np.moveaxis(out, -1, axis)
 
 
+def _wavenumbers(n, odd):
+    """Angular wavenumbers of a unit-period axis in fft order; odd derivatives
+    drop the Nyquist mode."""
+    k = 2.0 * np.pi * np.fft.fftfreq(n) * n
+    if odd and n % 2 == 0:
+        k[n // 2] = 0.0
+    return k
+
+
 def spectral_derivative(values, axis, order, n):
     """Spectral derivative along a periodic axis of unit period."""
-    k = 2.0 * np.pi * np.fft.fftfreq(n) * n
+    k = _wavenumbers(n, odd=order == 1)
     if order == 1:
-        k = k.copy()
-        if n % 2 == 0:
-            k[n // 2] = 0.0  # drop the Nyquist mode for odd derivatives
         mult = 1j * k
     elif order == 2:
         mult = -(k * k)
@@ -138,6 +115,12 @@ def spectral_derivative(values, axis, order, n):
     shape[axis] = n
     out = np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
     return np.real(out)
+
+
+def _spatial_like(arr, values):
+    """Broadcast a per-spatial-node array against base values or against
+    total-space values, which carry a trailing fiber axis."""
+    return arr if values.ndim == arr.ndim else arr[..., None]
 
 
 class TestbedGrid:
@@ -254,6 +237,19 @@ class TestbedGrid:
 
     # -- spatial complex calculus -----------------------------------------
 
+    @cached_property
+    def _dz_symbol(self):
+        """Torus symbol of d/dz on the fft2 plane."""
+        k = _wavenumbers(self.n_spatial, odd=True)
+        return 0.5 * (1j * k[:, None] + k[None, :])
+
+    @cached_property
+    def ddbar_symbol(self):
+        """Torus symbol of d^2/dz dzbar on the rfft2 half-plane."""
+        n = self.n_spatial
+        k = _wavenumbers(n, odd=False)
+        return -0.25 * (k[:, None] ** 2 + k[None, :n // 2 + 1] ** 2)
+
     def dz_stripped(self, values):
         """Holomorphic spatial derivative in stripped form.
 
@@ -262,21 +258,18 @@ class TestbedGrid:
         through :attr:`mixed_weight` wherever invariant pairings are formed.
         """
         if self.kind == TORUS:
-            return 0.5 * (self.d_x(values, 0, 1) - 1j * self.d_x(values, 1, 1))
+            sym = _spatial_like(self._dz_symbol, values)
+            return np.fft.ifft2(np.fft.fft2(values, axes=(0, 1)) * sym,
+                                axes=(0, 1))
         return self.d_v(values, 1)
 
     def dzbar_dz(self, values):
         """The real density d^2/dz dzbar of a scalar field."""
         if self.kind == TORUS:
-            return 0.25 * (self.d_x(values, 0, 2) + self.d_x(values, 1, 2))
-        out = self.d_v(values, 2)
-        return out / self._u_like(values)
-
-    def _u_like(self, values):
-        u = self.u
-        if values.ndim == 2:
-            return u[:, None]
-        return u
+            sym = _spatial_like(self.ddbar_symbol, values)
+            return np.fft.irfft2(np.fft.rfft2(values, axes=(0, 1)) * sym,
+                                 s=self.spatial_shape, axes=(0, 1))
+        return self.d_v(values, 2) / _spatial_like(self.u, values)
 
     @cached_property
     def mixed_weight(self):

@@ -10,7 +10,8 @@ Two tools, both vectorized over spatial nodes:
   reducing the moment map at a solved level returns the target to root
   tolerance.  It reproduces quintics exactly, hence products of fiber-linear
   fields reduce exactly.
-* :class:`FiberSpline`, cubic splines used for fiberwise antiderivatives.
+* :class:`FiberSpline`, quintic (k=5) splines used for fiberwise
+  antiderivatives.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from scipy.interpolate import CubicSpline
 from .curvature import scal_m
 from .errors import HypothesisViolated, NonConcave, OutOfWindow
 from .fields import ScalarFieldP
-from .flows import FlowPath, time_diff_matrix
+from .flows import FlowPath, time_derivative
 from .grids import TestbedGrid
 from .reduction import reduced_potential
 from .reports import ResidualReport
@@ -65,8 +65,8 @@ def concavity_shift(path: FlowPath, slack=1e-9):
     inner = cumulative_trapezoid(sup, ts, initial=0.0)
     a = -ts * ts - cumulative_trapezoid(inner, ts, initial=0.0)
 
-    D2 = time_diff_matrix(ts, 2)
-    excess = float(np.max(d2 + (D2 @ a).reshape(-1, *([1] * (d2.ndim - 1)))) + 2.0)
+    d2a = time_derivative(ts, a, 2)
+    excess = float(np.max(d2 + d2a.reshape(-1, *([1] * (d2.ndim - 1)))) + 2.0)
     if excess > 0.0:
         # quadratic top-up is differentiated exactly by the same stencils
         a = a - 0.5 * (excess + slack) * ts * ts
@@ -316,8 +316,7 @@ def calabi_converse_w(path: FlowPath, h, C: float):
                       for k in range(path.n_samples)])
     hh = np.asarray(h(path.ts), dtype=float)
     q = scals - hh.reshape(-1, *([1] * (scals.ndim - 1)))
-    D1 = time_diff_matrix(path.ts, 1)
-    dq = np.einsum("kj,j...->k...", D1, q)
+    dq = time_derivative(path.ts, q, 1)
     tiny = 1e-10 * (1.0 + float(np.max(np.abs(scals))))
     bad = (dq >= -tiny)
     if np.any(bad):

@@ -135,11 +135,6 @@ def reduced_potential(K: KahlerData, tau: float, root_tol=1e-12,
                            level.max_residual, mineig)
 
 
-def reduction_sweep(K: KahlerData, taus, require_positive=True):
-    return [reduced_potential(K, t, require_positive=require_positive)
-            for t in taus]
-
-
 def default_taus(K: KahlerData, count=7, shrink=0.25):
     """Levels spanning the interior of the everywhere-admissible tau range."""
     lo, hi = K.mu_range()

@@ -42,11 +42,6 @@ class Profile:
     def __call__(self, x):
         return np.asarray(self._fn(np.asarray(x, dtype=float)))
 
-    def derivative(self, x, order=1):
-        if isinstance(self._fn, CubicSpline):
-            return self._fn(np.asarray(x, dtype=float), nu=order)
-        raise ValueError("analytic profiles do not expose derivatives")
-
 
 def constant_profile(value):
     return Profile.from_callable(lambda x: np.full_like(np.asarray(x, float), value))

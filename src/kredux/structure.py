@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPositive
-from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
-                     _ddc_m_fiberwise, ddc_m, jv_apply)
+from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, ddc_m,
+                     jv_apply)
 from .grids import TestbedGrid
 from .interp import FiberInterp, FiberSpline
 
@@ -77,7 +77,7 @@ def assemble(sigma: Form11M, phi: ScalarFieldP, c: float,
         raise ValueError("sigma and phi live on different grids")
     mu = jv_apply(phi) + c
     vsq = jv_apply(mu)
-    g11 = sigma.h[..., None] + _ddc_m_fiberwise(grid, phi.values)
+    g11 = sigma.h[..., None] + 2.0 * grid.dzbar_dz(phi.values)
     g12 = -grid.dz_stripped(mu.values)
     g22 = 0.5 * vsq.values
     omega = Form11P(grid, g11, g12, g22)

@@ -109,10 +109,39 @@ def test_golden_command(tmp_path):
     assert rep["warnings"]
 
 
-def test_threads_env_respected(tmp_path, monkeypatch):
-    monkeypatch.setenv("KREDUX_THREADS", "2")
-    code = run(["verify"] + small_args(tmp_path))
-    assert code == 0
+def test_flow_blowup_is_numerical_error(tmp_path):
+    # this flow diverges near t = 1.6e-4 on this grid; the step that goes
+    # non-finite is a numerical breakdown, not an input error
+    code = run(["flow"] + small_args(tmp_path, testbed="radial", n=257,
+                                     n_l=129, flow_kind="nkr"))
+    assert code == 4
+
+
+def test_lift_missing_input_is_input_error(tmp_path, capsys):
+    code = run(["lift", "--in", str(tmp_path / "missing"),
+                "--out", str(tmp_path / "lift")])
+    assert code == 3
+    assert "input error:" in capsys.readouterr().err
+    assert not (tmp_path / "lift").exists()
+
+
+def test_failing_lift_writes_nothing(tmp_path, monkeypatch):
+    from kredux.errors import OutOfWindow
+
+    flow_dir = str(tmp_path / "flow")
+    assert run(["flow"] + small_args(tmp_path, n=16, n_l=33, margin=4,
+                                     flow_kind="kr", flow_t_end=0.1,
+                                     flow_dt=5e-4, flow_amplitude=0.01,
+                                     out=flow_dir)) == 0
+
+    def no_taus(*args, **kwargs):
+        raise OutOfWindow("no admissible level")
+
+    monkeypatch.setattr("kredux.cli.admissible_taus", no_taus)
+    lift_dir = tmp_path / "lift"
+    assert run(["lift", "--in", flow_dir, "--out", str(lift_dir),
+                "n_l=129"]) == 4
+    assert not lift_dir.exists()
 
 
 def test_verify_outputs_bit_identical(tmp_path):

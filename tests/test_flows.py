@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import kredux as kx
-from kredux.errors import ClassNotFixed, PositivityLost
-from kredux.flows import FlowPath
+from kredux.errors import ClassNotFixed, PositivityLost, StepUnstable
+from kredux.flows import FlowPath, time_derivative
 
 
 def test_flat_torus_stationary_under_every_flow(tg):
@@ -72,6 +72,37 @@ def test_positivity_loss_detected(tg):
     bad = 0.2 * np.cos(2 * np.pi * tg.x1)[:, None] * np.ones((1, tg.n_spatial))
     with pytest.raises(PositivityLost):
         kx.calabi_integrate(bad, sigma, 0.01, dt=1e-4)
+
+
+def test_calabi_flow_sees_background_curvature(tg):
+    # the same metric written as (flat + dd^c u, psi) or (flat, u + psi): the
+    # flow is gauge equivariant, so the background's own curvature must drive it
+    flat = kx.flat_sigma(tg)
+    u = 0.01 * np.cos(2 * np.pi * tg.x1)[:, None] * np.ones((1, tg.n_spatial))
+    moved = kx.calabi_integrate(np.zeros(tg.spatial_shape),
+                                flat + kx.ddc_m(u, tg), 1e-5, dt=1e-7)
+    ref = kx.calabi_integrate(u, flat, 1e-5, dt=1e-7)
+    np.testing.assert_array_equal(moved.ts, ref.ts)
+    assert np.max(np.abs(moved.psis[-1])) > 1e-6
+    assert np.max(np.abs(moved.psis - (ref.psis - u))) <= 1e-12
+
+
+def test_kr_blowup_is_step_unstable(tg):
+    u = 0.01 * np.cos(2 * np.pi * tg.x1)[:, None] * np.ones((1, tg.n_spatial))
+    with pytest.raises(StepUnstable):
+        kx.kr_integrate(u, kx.flat_sigma(tg), 0.5, dt=0.01)
+
+
+def test_time_derivative_exact_on_quartics():
+    # the 4th-order stencils, one-sided rows included, are exact on quartics
+    ts = np.linspace(0.3, 1.1, 9)
+    p = np.polynomial.Polynomial([0.7, -1.3, 0.4, 2.1, -0.8])
+    samples = np.outer(p(ts), [1.0, -2.0])
+    for order in (1, 2):
+        exact = np.outer(p.deriv(order)(ts), [1.0, -2.0])
+        assert np.max(np.abs(time_derivative(ts, samples, order) - exact)) < 1e-10
+    with pytest.raises(ValueError):
+        time_derivative(ts ** 2, samples, 1)
 
 
 def test_flow_path_validation(tg):

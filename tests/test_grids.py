@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from kredux.grids import TestbedGrid as Grid
-from kredux.grids import (fd_apply, fd_matrix, fd_weights, radial_grid,
+from kredux.grids import (fd_apply, fd_weights, radial_grid,
                           spectral_derivative, torus_grid)
 
 
@@ -42,19 +42,29 @@ def test_fd_apply_fourth_order_convergence():
     assert np.log2(errs[0] / errs[1]) > 3.5
 
 
-def test_fd_matrix_matches_apply():
-    x = np.linspace(0.0, 1.0, 33)
-    f = np.sin(3 * x)
-    D = fd_matrix(x, 2)
-    assert np.allclose(D @ f, fd_apply(f, 0, 2, x[1] - x[0], 33), atol=1e-11)
-
-
 def test_spectral_derivative_resolved_mode():
     n = 32
     x = np.arange(n) / n
     f = np.sin(2 * np.pi * 3 * x)
     out = spectral_derivative(f, 0, 1, n)
     assert np.max(np.abs(out - 6 * np.pi * np.cos(6 * np.pi * x))) < 1e-10
+
+
+@pytest.mark.parametrize("n", [16, 17])
+def test_torus_complex_calculus_matches_per_axis_spectral(n):
+    # the batched 2-D transforms against d/dz = (d1 - i d2)/2 and
+    # d^2/dz dzbar = (d1^2 + d2^2)/4 composed from per-axis derivatives
+    g = torus_grid(n=n, n_l=9, margin=2)
+    rng = np.random.default_rng(n)
+    for shape in (g.spatial_shape, g.p_shape):
+        f = rng.standard_normal(shape)
+        dz = 0.5 * (spectral_derivative(f, 0, 1, n)
+                    - 1j * spectral_derivative(f, 1, 1, n))
+        ddbar = 0.25 * (spectral_derivative(f, 0, 2, n)
+                        + spectral_derivative(f, 1, 2, n))
+        for ours, ref in ((g.dz_stripped(f), dz), (g.dzbar_dz(f), ddbar)):
+            assert ours.shape == shape
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_grid_validation():
