@@ -6,9 +6,9 @@ from .curvature import (check_moment_ricci_identity, descending_ricci,
                         descending_scalar, laplacian_m, laplacian_p, ricci_m,
                         ricci_p, scal_m, scal_p)
 from .errors import (ClassNotFixed, Degenerate, HypothesisViolated,
-                     KreduxError, NonConcave, NotPositive, OutOfRange,
-                     OutOfWindow, PositivityLost, SolvabilityViolated,
-                     StepUnstable)
+                     KreduxError, NonConcave, NotConverged, NotPositive,
+                     OutOfRange, OutOfWindow, PositivityLost,
+                     SolvabilityViolated, StepUnstable)
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, TopFormP,
                      contract_v, d_wedge_dc, ddc_m, ddc_p, differentiate,
                      grad_pair, integrate_m, jv_apply, wedge_square)

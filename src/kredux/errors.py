@@ -59,6 +59,10 @@ class NonConcave(KreduxError):
     """The fiberwise inversion needs a strictly concave-in-time path."""
 
 
+class NotConverged(KreduxError):
+    """An iterative solve stayed above its tolerance after its iteration limit."""
+
+
 class OutOfWindow(KreduxError):
     """A requested fiber coordinate lies outside the realized lift window."""
 

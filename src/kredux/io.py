@@ -7,12 +7,16 @@ Field dump (CSV, decimal text at 17 significant digits):
 
 Radial grids use rows ``i,k,v,l,value``; base fields set ``Nl=0`` and drop
 the fiber columns.  Writes are atomic (write to a temporary file, then
-rename).
+rename).  Field dumps and ``path.csv`` are streamed in slabs, one per first
+index (spatial index or sample), so a file is never held whole in memory; the
+format is unchanged, byte for byte.  Loads check that the index columns run
+in ``np.indices`` order and that the row count matches the header.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import tempfile
@@ -25,13 +29,16 @@ from .structure import KahlerData, assemble
 from .flows import FlowPath
 
 
-def atomic_write(path, text):
+def atomic_write(path, chunks):
+    """Write ``chunks`` (a string, or an iterable of strings) to ``path``."""
+    if isinstance(chunks, str):
+        chunks = (chunks,)
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", text=True)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -63,6 +70,31 @@ def _header(grid: TestbedGrid, on_base: bool):
             f"lu={grid.l_u:.17g}, margin={grid.margin}")
 
 
+_FMT = "{:.17g}".format
+
+
+def _fmt(a):
+    """Each entry of ``a`` as decimal text at 17 significant digits."""
+    return list(map(_FMT, np.ravel(a).tolist()))
+
+
+def _rows(prefixes, values):
+    """CSV rows ``prefix + value``, one per entry of ``values``."""
+    return "\n".join(map(str.__add__, prefixes, _fmt(values))) + "\n"
+
+
+def _field_slabs(axes, values):
+    """Rows ``i,j,..,x_i,x_j,..,value`` of ``values`` over the coordinate
+    axes, yielded one slab per first index."""
+    idx, crd = [""], [""]
+    for ax in axes[1:]:
+        idx = [p + f"{n}," for p in idx for n in range(len(ax))]
+        crd = [p + c + "," for p in crd for c in _fmt(ax)]
+    for i, x in enumerate(_fmt(axes[0])):
+        head, mid = f"{i},", x + ","
+        yield _rows([head + a + mid + b for a, b in zip(idx, crd)], values[i])
+
+
 def dump_field(field, path):
     """Write a scalar field or base (1,1)-form component to CSV."""
     if isinstance(field, Form11M):
@@ -73,34 +105,11 @@ def dump_field(field, path):
         grid, values, on_base = field.grid, field.values, False
     else:
         raise TypeError(f"cannot dump {type(field).__name__}")
-    lines = [_header(grid, on_base)]
-    if grid.kind == TORUS:
-        n = grid.n_spatial
-        if on_base:
-            for i in range(n):
-                x1 = grid.x1[i]
-                for j in range(n):
-                    lines.append(f"{i},{j},{x1:.17g},{grid.x2[j]:.17g},"
-                                 f"{values[i, j]:.17g}")
-        else:
-            for i in range(n):
-                x1 = grid.x1[i]
-                for j in range(n):
-                    x2 = grid.x2[j]
-                    for k in range(grid.n_l):
-                        lines.append(f"{i},{j},{k},{x1:.17g},{x2:.17g},"
-                                     f"{grid.l[k]:.17g},{values[i, j, k]:.17g}")
-    else:
-        if on_base:
-            for i in range(grid.n_spatial):
-                lines.append(f"{i},{grid.v[i]:.17g},{values[i]:.17g}")
-        else:
-            for i in range(grid.n_spatial):
-                v = grid.v[i]
-                for k in range(grid.n_l):
-                    lines.append(f"{i},{k},{v:.17g},{grid.l[k]:.17g},"
-                                 f"{values[i, k]:.17g}")
-    atomic_write(path, "\n".join(lines) + "\n")
+    axes = [grid.x1, grid.x2] if grid.kind == TORUS else [grid.v]
+    if not on_base:
+        axes.append(grid.l)
+    atomic_write(path, itertools.chain([_header(grid, on_base) + "\n"],
+                                       _field_slabs(axes, values)))
 
 
 def _parse_header(line):
@@ -111,6 +120,19 @@ def _parse_header(line):
         key, _, val = part.strip().partition("=")
         meta[key] = val
     return meta
+
+
+def _check_index_columns(body, columns, shape, ncols, path):
+    """Raise ValueError unless ``body`` has one row of ``ncols`` columns per
+    entry of ``shape`` and its ``columns`` hold the indices of each row in
+    ``np.indices`` order."""
+    expected = (int(np.prod(shape)), ncols)
+    if body.shape != expected:
+        raise ValueError(f"{path}: {body.shape[0]} rows of {body.shape[1]} "
+                         f"columns, expected {expected[0]} of {ncols}")
+    for col, index in zip(columns, np.indices(shape, sparse=True)):
+        if not np.all(body[:, col].reshape(shape) == index):
+            raise ValueError(f"{path}: index column {col} is out of order")
 
 
 def load_field(path):
@@ -126,12 +148,13 @@ def load_field(path):
     grid = TestbedGrid(kind, n, max(grid_nl, 9), float(header["lmin"]),
                        float(header["lmax"]), l_u=float(header["lu"]),
                        margin=int(header["margin"]))
-    vals = body[:, -1]
     if kind == TORUS:
         shape = (n, n) if on_base else (n, n, nl)
     else:
         shape = (n,) if on_base else (n, nl)
-    return grid, vals.reshape(shape), on_base
+    _check_index_columns(body, range(len(shape)), shape, 2 * len(shape) + 1,
+                         path)
+    return grid, body[:, -1].reshape(shape), on_base
 
 
 # ---------------------------------------------------------------------------
@@ -180,18 +203,15 @@ def save_path(path_obj: FlowPath, outdir, extra_meta=None):
     os.makedirs(outdir, exist_ok=True)
     grid = path_obj.grid
     dump_field(path_obj.sigma, os.path.join(outdir, "sigma.csv"))
-    lines = [f"# kredux-path v1, kind={path_obj.kind}, sigma=sigma.csv, "
-             f"N={grid.n_spatial}"]
-    for k, t in enumerate(path_obj.ts):
-        psi = path_obj.psis[k]
-        if grid.kind == TORUS:
-            for i in range(grid.n_spatial):
-                for j in range(grid.n_spatial):
-                    lines.append(f"{k},{t:.17g},{i},{j},{psi[i, j]:.17g}")
-        else:
-            for i in range(grid.n_spatial):
-                lines.append(f"{k},{t:.17g},{i},{psi[i]:.17g}")
-    atomic_write(os.path.join(outdir, "path.csv"), "\n".join(lines) + "\n")
+    header = (f"# kredux-path v1, kind={path_obj.kind}, sigma=sigma.csv, "
+              f"N={grid.n_spatial}\n")
+    nodes = [",".join(map(str, ix)) + ","
+             for ix in np.ndindex(grid.spatial_shape)]
+    slabs = (_rows([f"{k},{t}," + a for a in nodes], psi)
+             for k, (t, psi) in enumerate(zip(_fmt(path_obj.ts),
+                                              path_obj.psis)))
+    atomic_write(os.path.join(outdir, "path.csv"),
+                 itertools.chain([header], slabs))
     meta = {"kind": path_obj.kind, "grid": grid.meta(),
             "normalization": path_obj.normalization,
             "dt_history": list(path_obj.dt_history),
@@ -209,11 +229,15 @@ def load_path(outdir) -> FlowPath:
     grid = TestbedGrid(g["kind"], g["n_spatial"], g["n_l"], g["l_min"],
                        g["l_max"], l_u=g["l_u"], margin=g["margin"])
     _, sig_vals, _ = load_field(os.path.join(outdir, "sigma.csv"))
-    with open(os.path.join(outdir, "path.csv"), "r", encoding="utf-8") as fh:
+    csv_path = os.path.join(outdir, "path.csv")
+    with open(csv_path, "r", encoding="utf-8") as fh:
         fh.readline()
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
     ts = np.array(meta["ts"], dtype=float)
-    psis = body[:, -1].reshape((len(ts),) + grid.spatial_shape)
+    shape = (len(ts),) + grid.spatial_shape
+    _check_index_columns(body, [0] + list(range(2, 1 + len(shape))), shape,
+                         len(shape) + 2, csv_path)
+    psis = body[:, -1].reshape(shape)
     return FlowPath(grid, Form11M(grid, sig_vals), meta["kind"], ts, psis,
                     meta.get("normalization", {}), meta.get("dt_history", []))
 

@@ -22,7 +22,8 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
 from .curvature import scal_m
-from .errors import HypothesisViolated, NonConcave, OutOfWindow
+from .errors import (HypothesisViolated, NonConcave, NotConverged,
+                     OutOfWindow)
 from .fields import ScalarFieldP
 from .flows import FlowPath, time_derivative
 from .grids import TestbedGrid
@@ -84,97 +85,118 @@ def concavity_shift(path: FlowPath, slack=1e-9):
 
 class _TimeSplines:
     """Per-node cubic splines of a shifted path in t, with the quadratic
-    constant-concavity extension beyond the sampled range."""
+    constant-concavity extension beyond the sampled range.
+
+    Row ``s * nspace + node`` of one coefficient table holds segment s of a
+    node as a cubic in t - origin[s]; the first and last segments are the
+    quadratic extensions before t_0 and from t_end on, so any array of times
+    (nodes on its first axis) is evaluated with one gather.
+    """
+
+    _BLOCK = 8192  # (node, level) pairs per Newton block
 
     def __init__(self, path: FlowPath):
-        self.ts = path.ts
-        self.shape = path.grid.spatial_shape
+        ts = self.ts = path.ts
         y = path.psis.reshape(path.n_samples, -1)
-        self._cs = CubicSpline(self.ts, y, axis=0)
-        self._c = self._cs.c  # (4, nseg, nspace)
+        c = CubicSpline(ts, y, axis=0).c  # (4, nseg, nspace)
         self._n = y.shape[1]
-        t0, t1 = self.ts[0], self.ts[-1]
-        self.v0 = self._eval_in(np.full(self._n, t0), 1)
-        self.v1 = self._eval_in(np.full(self._n, t1), 1)
-        self.k0 = self._eval_in(np.full(self._n, t0), 2)
-        self.k1 = self._eval_in(np.full(self._n, t1), 2)
-        self.y0 = self._eval_in(np.full(self._n, t0), 0)
-        self.y1 = self._eval_in(np.full(self._n, t1), 0)
+        d = ts[-1] - ts[-2]
+        self.v0, self.k0 = c[2, 0], 2 * c[1, 0]
+        self.v1 = (3 * c[0, -1] * d + 2 * c[1, -1]) * d + c[2, -1]
+        self.k1 = 6 * c[0, -1] * d + 2 * c[1, -1]
+        y1 = ((c[0, -1] * d + c[1, -1]) * d + c[2, -1]) * d + c[3, -1]
+        zero = np.zeros(self._n)
+        left = np.stack([zero, c[1, 0], self.v0, c[3, 0]])[:, None]
+        right = np.stack([zero, 0.5 * self.k1, self.v1, y1])[:, None]
+        coef = np.concatenate([left, c, right], axis=1)  # (4, nseg + 2, nspace)
+        self._table = np.ascontiguousarray(coef.transpose(1, 2, 0)).reshape(-1, 4)
+        self._origin = np.concatenate([ts[:1], ts[:-1], ts[-1:]])
 
-    def _eval_in(self, t, deriv):
-        seg = np.clip(np.searchsorted(self.ts, t, side="right") - 1,
-                      0, len(self.ts) - 2)
-        dx = t - self.ts[seg]
-        c = self._c
-        cols = np.arange(self._n)
+    def _local(self, t, node):
+        """Coefficient rows and local offsets for times ``t`` at ``node``."""
+        seg = np.searchsorted(self.ts, t, side="right")
+        return self._table[seg * self._n + node], t - self._origin[seg]
+
+    @staticmethod
+    def _poly(rows, d, deriv):
+        a, b, c, e = np.moveaxis(rows, -1, 0)
         if deriv == 0:
-            return ((c[0, seg, cols] * dx + c[1, seg, cols]) * dx
-                    + c[2, seg, cols]) * dx + c[3, seg, cols]
+            return ((a * d + b) * d + c) * d + e
         if deriv == 1:
-            return (3 * c[0, seg, cols] * dx + 2 * c[1, seg, cols]) * dx \
-                + c[2, seg, cols]
-        return 6 * c[0, seg, cols] * dx + 2 * c[1, seg, cols]
+            return (3 * a * d + 2 * b) * d + c
+        return 6 * a * d + 2 * b
+
+    def _at(self, t, deriv):
+        t = np.asarray(t, dtype=float)
+        node = np.arange(self._n).reshape((-1,) + (1,) * (t.ndim - 1))
+        return self._poly(*self._local(t, node), deriv)
 
     def value(self, t):
-        t0, t1 = self.ts[0], self.ts[-1]
-        tc = np.clip(t, t0, t1)
-        out = self._eval_in(tc, 0)
-        lo = t < t0
-        hi = t > t1
-        if np.any(lo):
-            d = (t - t0)[lo]
-            out[lo] = self.y0[lo] + self.v0[lo] * d + 0.5 * self.k0[lo] * d * d
-        if np.any(hi):
-            d = (t - t1)[hi]
-            out[hi] = self.y1[hi] + self.v1[hi] * d + 0.5 * self.k1[hi] * d * d
-        return out
+        return self._at(t, 0)
 
     def velocity(self, t):
-        t0, t1 = self.ts[0], self.ts[-1]
-        tc = np.clip(t, t0, t1)
-        out = self._eval_in(tc, 1)
-        lo = t < t0
-        hi = t > t1
-        if np.any(lo):
-            out[lo] = self.v0[lo] + self.k0[lo] * (t - t0)[lo]
-        if np.any(hi):
-            out[hi] = self.v1[hi] + self.k1[hi] * (t - t1)[hi]
-        return out
+        return self._at(t, 1)
 
     def curvature(self, t):
-        t0, t1 = self.ts[0], self.ts[-1]
-        tc = np.clip(t, t0, t1)
-        out = self._eval_in(tc, 2)
-        out[t < t0] = self.k0[t < t0]
-        out[t > t1] = self.k1[t > t1]
-        return out
+        return self._at(t, 2)
 
     def solve_velocity(self, target, tol=1e-13, max_iter=120):
-        """Root of velocity(t) = target per node; velocity is strictly
-        decreasing, so the root is unique on the extended line."""
+        """Roots t of velocity(t) = target[j] for every node and level j.
+
+        velocity is strictly decreasing, so each root is unique on the
+        extended line.  Every (node, level) pair runs its own guarded Newton
+        iteration: its bracket is the sampled range, stretched through the
+        linear extensions where the target lies beyond the end velocities,
+        and a step that leaves the bracket bisects it instead.  A pair stops
+        as soon as |velocity - target| <= tol * max(1, |target|).  Pairs are
+        solved in fixed blocks, so temporaries stay small.
+
+        Returns the (nodes, levels) roots and the largest |velocity - target|;
+        raises NotConverged if a pair is above its tolerance after
+        ``max_iter`` Newton steps.
+        """
+        target = np.atleast_1d(np.asarray(target, dtype=float))
         t0, t1 = self.ts[0], self.ts[-1]
-        lo = np.full(self._n, t0)
-        hi = np.full(self._n, t1)
-        # expand brackets through the linear extensions where needed
-        need_lo = self.v0 < target
-        if np.any(need_lo):
-            lo[need_lo] = t0 + (target - self.v0[need_lo]) / self.k0[need_lo] - 1e-3
-        need_hi = self.v1 > target
-        if np.any(need_hi):
-            hi[need_hi] = t1 + (target - self.v1[need_hi]) / self.k1[need_hi] + 1e-3
-        x = 0.5 * (lo + hi)
-        for _ in range(max_iter):
-            r = self.velocity(x) - target
-            if np.all(np.abs(r) <= tol * max(1.0, abs(target))):
-                break
-            lo = np.where(r > 0, np.maximum(lo, x), lo)
-            hi = np.where(r < 0, np.minimum(hi, x), hi)
-            d = self.curvature(x)
-            x_new = x - r / d
-            bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
-            x = np.where(bad, 0.5 * (lo + hi), x_new)
-        resid = float(np.max(np.abs(self.velocity(x) - target)))
-        return x, resid
+        roots = np.empty(self._n * target.size)
+        worst = 0.0
+        for start in range(0, roots.size, self._BLOCK):
+            pos = np.arange(start, min(start + self._BLOCK, roots.size))
+            node, lev = np.divmod(pos, target.size)
+            tgt = target[lev]
+            tol_p = tol * np.maximum(1.0, np.abs(tgt))
+            lo = np.full(pos.size, t0)
+            hi = np.full(pos.size, t1)
+            need = self.v0[node] < tgt
+            lo[need] = t0 + (tgt[need] - self.v0[node[need]]) \
+                / self.k0[node[need]] - 1e-3
+            need = self.v1[node] > tgt
+            hi[need] = t1 + (tgt[need] - self.v1[node[need]]) \
+                / self.k1[node[need]] + 1e-3
+            x = 0.5 * (lo + hi)
+            for it in range(max_iter + 1):
+                rows, d = self._local(x, node)
+                r = self._poly(rows, d, 1) - tgt
+                done = np.abs(r) <= tol_p
+                if np.any(done):
+                    roots[pos[done]] = x[done]
+                    worst = max(worst, float(np.max(np.abs(r[done]))))
+                    keep = ~done
+                    x, lo, hi, r, node, tgt, tol_p, pos, rows, d = (
+                        a[keep] for a in (x, lo, hi, r, node, tgt, tol_p, pos,
+                                          rows, d))
+                if not pos.size:
+                    break
+                if it == max_iter:
+                    raise NotConverged(
+                        f"Legendre inversion: {pos.size} (node, level) pairs "
+                        f"above tolerance after {max_iter} Newton steps "
+                        f"(worst residual {np.max(np.abs(r)):.3e})")
+                lo = np.where(r > 0, np.maximum(lo, x), lo)
+                hi = np.where(r < 0, np.minimum(hi, x), hi)
+                x_new = x - r / self._poly(rows, d, 2)
+                bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
+                x = np.where(bad, 0.5 * (lo + hi), x_new)
+        return roots.reshape(self._n, target.size), worst
 
 
 def realized_window(path: FlowPath, band=(0.15, 0.85), pad=0.02):
@@ -223,25 +245,15 @@ def legendre_lift(path: FlowPath, n_l=129, window=None, margin=4,
                        l_u=grid0.l_u, margin=margin)
 
     splines = _TimeSplines(path)
-    nspace = int(np.prod(grid.spatial_shape))
-    mu = np.empty((nspace, n_l))
-    phi = np.empty((nspace, n_l))
-    worst = 0.0
-    for j, l_val in enumerate(grid.l):
-        t_j, resid = splines.solve_velocity(0.5 * l_val)
-        worst = max(worst, resid)
-        mu[:, j] = t_j
-        phi[:, j] = splines.value(t_j) - 0.5 * t_j * l_val
-    mu = mu.reshape(grid.spatial_shape + (n_l,))
-    phi = phi.reshape(grid.spatial_shape + (n_l,))
+    mu, worst = splines.solve_velocity(0.5 * grid.l)
+    phi = splines.value(mu) - 0.5 * mu * grid.l
+    curv = splines.curvature(mu)
+    mu = mu.reshape(grid.p_shape)
 
     K = assemble(
         (type(path.sigma))(grid, path.sigma.h),
-        ScalarFieldP(grid, phi), 0.0)
+        ScalarFieldP(grid, phi.reshape(grid.p_shape)), 0.0)
 
-    curv = np.empty((nspace, n_l))
-    for j in range(n_l):
-        curv[:, j] = splines.curvature(mu.reshape(nspace, n_l)[:, j])
     concavity_ok = bool(np.all(curv < 0.0))
     agrees = concavity_ok == K.certificate.positive
     return LiftResult(K, (lo, hi),

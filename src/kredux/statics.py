@@ -232,7 +232,8 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     log_v = K.log_v()
     drift = laplacian_p(K.mu, K) - jv_apply(log_v)
     g = (drift + 1.0) / K.vsq
-    theta = ricci_p(K) + ddc_p(log_v) + d_wedge_dc(g, K.mu)
+    ric = ricci_p(K)
+    theta = ric + ddc_p(log_v) + d_wedge_dc(g, K.mu)
     linf, l2 = _form_norms(K, theta)
 
     grid = K.grid
@@ -244,7 +245,7 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
         by_tau.append([float(tau), float(np.max(np.abs(lhs.h[mask])))])
     rep = ResidualReport("kr_unnormalized", grid.meta(), linf, l2,
                          reduced_by_tau=by_tau)
-    rep.extra["dominant"] = _form_norms(K, ricci_p(K) + d_wedge_dc(
+    rep.extra["dominant"] = _form_norms(K, ric + d_wedge_dc(
         ScalarFieldP(grid, np.ones(grid.p_shape)) / K.vsq, K.mu))[0]
     return rep
 
@@ -256,12 +257,13 @@ def residual_v_soliton(K: KahlerData, f_profile: Profile) -> ResidualReport:
     """
     lam = lambda_mean(K.sigma)
     combo = K.log_v() + ScalarFieldP(K.grid, f_profile(K.mu.values))
-    theta = ricci_p(K) + ddc_p(combo) - lam * K.omega
+    ric = ricci_p(K)
+    theta = ric + ddc_p(combo) - lam * K.omega
     linf, l2 = _form_norms(K, theta)
     rep = ResidualReport("v_soliton", K.grid.meta(), linf, l2)
     rep.extra["lambda"] = lam
     rep.extra["dominant"] = max(_form_norms(K, lam * K.omega)[0],
-                                _form_norms(K, ricci_p(K))[0])
+                                _form_norms(K, ric)[0])
     return rep
 
 

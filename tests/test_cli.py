@@ -167,3 +167,33 @@ def test_static_equation_registry(tmp_path):
     K = kx.flat_cylinder(kx.torus_grid(n=16, n_l=33, margin=4))
     rep = kx.StaticEquation("kr_unnormalized").residual(K)
     assert rep.linf < 1e-7
+
+
+def test_unconverged_inversion_is_numerical_error(tmp_path, monkeypatch):
+    from kredux.lift import _TimeSplines
+
+    flow_dir = str(tmp_path / "flow")
+    assert run(["flow"] + small_args(tmp_path, n=16, n_l=33, margin=4,
+                                     flow_kind="kr", flow_t_end=0.1,
+                                     flow_dt=5e-4, flow_amplitude=0.01,
+                                     out=flow_dir)) == 0
+    solve = _TimeSplines.solve_velocity
+    monkeypatch.setattr(_TimeSplines, "solve_velocity",
+                        lambda self, target: solve(self, target, max_iter=1))
+    lift_dir = tmp_path / "lift"
+    assert run(["lift", "--in", flow_dir, "--out", str(lift_dir),
+                "n_l=129"]) == 4
+    assert not lift_dir.exists()
+
+
+def test_truncated_path_is_input_error(tmp_path, capsys):
+    flow_dir = tmp_path / "flow"
+    assert run(["flow"] + small_args(tmp_path, n=16, n_l=33, margin=4,
+                                     flow_kind="kr", flow_t_end=0.1,
+                                     flow_dt=5e-4, flow_amplitude=0.01,
+                                     out=str(flow_dir))) == 0
+    csv = flow_dir / "path.csv"
+    csv.write_text("".join(csv.read_text().splitlines(keepends=True)[:-1]))
+    code = run(["lift", "--in", str(flow_dir), "--out", str(tmp_path / "lift")])
+    assert code == 3
+    assert "rows" in capsys.readouterr().err

@@ -1,11 +1,13 @@
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
 
 import kredux as kx
 from kredux.config import RunConfig, load_config
+from kredux.fields import Form11M, ScalarFieldM, ScalarFieldP
 from kredux.io import (dump_field, load_field, load_kahler, load_path,
                        save_kahler, save_path, save_reduction, sha256_of)
 
@@ -110,3 +112,82 @@ def test_deterministic_outputs(tmp_path):
     dump_field(f1, str(p1))
     dump_field(f2, str(p2))
     assert sha256_of(str(p1)) == sha256_of(str(p2))
+
+
+# -- golden dumps -------------------------------------------------------------
+# The files under tests/data were written by the row-by-row f-string writer
+# that the slab writer replaced; loading each and writing it again must give
+# the same bytes.  They hold -0.0, subnormals and values near 1e+-300.
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def _read(path):
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("torus_p.csv", ScalarFieldP), ("torus_base.csv", Form11M),
+    ("radial_p.csv", ScalarFieldP), ("radial_base.csv", ScalarFieldM)])
+def test_golden_field_dump_is_byte_identical(tmp_path, name, kind):
+    golden = os.path.join(DATA, name)
+    grid, vals, on_base = load_field(golden)
+    assert on_base == (kind is not ScalarFieldP)
+    out = tmp_path / name
+    dump_field(kind(grid, vals), str(out))
+    assert _read(out) == _read(golden)
+
+
+def test_golden_dumps_cover_special_values():
+    text = b"".join(_read(os.path.join(DATA, name)) for name in
+                    ("torus_p.csv", "torus_base.csv", "radial_p.csv",
+                     "radial_base.csv", "path/path.csv", "path/sigma.csv"))
+    for token in (b",-0\n", b"4.9406564584124654e-324\n", b"e-320\n",
+                  b"1e-300\n", b"e+300\n", b"1.7976931348623157e+308\n"):
+        assert token in text
+
+
+def test_golden_path_is_byte_identical(tmp_path):
+    golden = os.path.join(DATA, "path")
+    out = tmp_path / "path"
+    save_path(load_path(golden), str(out))
+    for name in ("path.csv", "sigma.csv", "path_meta.json"):
+        assert _read(out / name) == _read(os.path.join(golden, name))
+
+
+# -- index columns --------------------------------------------------------------
+
+
+def _rewrite_rows(src, dst, edit):
+    lines = _read(src).decode().splitlines(keepends=True)
+    dst.write_text(lines[0] + "".join(edit(lines[1:])))
+
+
+def _swap_two(rows):
+    rows = list(rows)
+    rows[3], rows[10] = rows[10], rows[3]
+    return rows
+
+
+BAD_ROWS = pytest.mark.parametrize("edit, message", [
+    (_swap_two, "out of order"), (lambda rows: rows[:-1], "rows")],
+    ids=["shuffled", "missing_row"])
+
+
+@BAD_ROWS
+def test_load_field_checks_index_columns(tmp_path, edit, message):
+    bad = tmp_path / "bad.csv"
+    _rewrite_rows(os.path.join(DATA, "torus_p.csv"), bad, edit)
+    with pytest.raises(ValueError, match=message):
+        load_field(str(bad))
+
+
+@BAD_ROWS
+def test_load_path_checks_index_columns(tmp_path, edit, message):
+    bad = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), bad)
+    _rewrite_rows(os.path.join(DATA, "path", "path.csv"), bad / "path.csv",
+                  edit)
+    with pytest.raises(ValueError, match=message):
+        load_path(str(bad))

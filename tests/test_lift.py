@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.optimize import brentq
 
 import kredux as kx
-from kredux.errors import HypothesisViolated, NonConcave
+from kredux.errors import HypothesisViolated, NonConcave, NotConverged
 from kredux.flows import FlowPath
+from kredux.lift import _TimeSplines
 from kredux.statics import constant_profile
 
 
@@ -172,3 +175,50 @@ def test_converse_w_sign_flip_fails(calabi_path):
     h = constant_profile(0.0)
     with pytest.raises(HypothesisViolated):
         kx.calabi_converse_w(calabi_path, h, -1.0)
+
+
+# -- all-pairs inversion ---------------------------------------------------------
+
+
+def concave_path(grid, n=11, seed=0):
+    # psi_t = c t - (1 + a) t^2 - b e^t: strictly concave in t at every node
+    rng = np.random.default_rng(seed)
+    a, b, c = (1e-3 * rng.random(grid.spatial_shape) for _ in range(3))
+    ts = np.linspace(0.0, 1.0, n)
+    psis = np.array([c * t - (1 + a) * t * t - b * np.exp(t) for t in ts])
+    return FlowPath(grid, kx.flat_sigma(grid), "concave", ts, psis)
+
+
+def test_inversion_matches_brentq_per_pair():
+    grid = kx.TestbedGrid("torus", 9, 9, -1.0, 1.0, margin=2)
+    path = concave_path(grid)
+    splines = _TimeSplines(path)
+    # velocities span about [-2.003, 0]; the levels reach beyond both ends, and
+    # 81 nodes x 129 levels is more than one block of pairs
+    targets = np.linspace(-4.0, 2.0, 129)
+    roots, worst = splines.solve_velocity(targets)
+    assert roots.shape == (81, 129)
+    resid = np.abs(splines.velocity(roots) - targets)
+    assert np.all(resid <= 1e-13 * np.maximum(1.0, np.abs(targets)))
+    assert worst == np.max(resid)
+    ts = path.ts
+    psis = path.psis.reshape(len(ts), -1)
+    for node in (0, 40, _TimeSplines._BLOCK // 129, 80):
+        cs = CubicSpline(ts, psis[:, node])
+
+        def velocity(t):
+            end = min(max(t, ts[0]), ts[-1])
+            return float(cs(end, 1) + cs(end, 2) * (t - end))
+
+        for target, root in zip(targets, roots[node]):
+            ref = brentq(lambda t: velocity(t) - target, -50.0, 50.0,
+                         xtol=1e-15)
+            assert abs(root - ref) <= 1e-12
+
+
+def test_inversion_raises_when_not_converged():
+    grid = kx.TestbedGrid("torus", 9, 9, -1.0, 1.0, margin=2)
+    splines = _TimeSplines(concave_path(grid))
+    with pytest.raises(NotConverged):
+        splines.solve_velocity(np.linspace(-3.0, 1.0, 5), max_iter=1)
+    assert issubclass(NotConverged, kx.KreduxError)
