@@ -63,7 +63,8 @@ def laplacian_m(f: ScalarFieldM, omega: Form11M) -> ScalarFieldM:
 
 def laplacian_p(f: ScalarFieldP, K: KahlerData) -> ScalarFieldP:
     """Metric-trace Laplacian on the total space: (1/2) tr(G^{-1} dd^c f)."""
-    return ScalarFieldP(f.grid, 0.5 * trace_against(K.omega, ddc_p(f)))
+    return ScalarFieldP(f.grid, 0.5 * trace_against(K.omega, ddc_p(f),
+                                                    K.omega_det()))
 
 
 def ricci_p(K: KahlerData) -> Form11P:
@@ -72,21 +73,32 @@ def ricci_p(K: KahlerData) -> Form11P:
     sigma_ref, ricci_ref = _reference_arrays(grid)
     density = wedge_square(K.omega).t
     log_f = ScalarFieldP(grid, np.log(density / (2.0 * sigma_ref[..., None])))
-    correction = (-0.5) * ddc_p(log_f)
-    g11 = ricci_ref[..., None] + correction.g11
-    return Form11P(grid, g11, correction.g12, correction.g22)
+    ddc = ddc_p(log_f)
+    return Form11P(grid, ricci_ref[..., None] + ddc.g11 * -0.5,
+                   ddc.g12 * -0.5, ddc.g22 * -0.5)
+
+
+def cached_ricci_p(K: KahlerData) -> Form11P:
+    """:func:`ricci_p`, computed once per structure."""
+    return K.cached("ricci_p", lambda: ricci_p(K))
 
 
 def scal_p(K: KahlerData) -> ScalarFieldP:
     """Scalar curvature of the total-space metric."""
-    return ScalarFieldP(K.grid, trace_against(K.omega, ricci_p(K)))
+    return ScalarFieldP(K.grid, trace_against(K.omega, cached_ricci_p(K),
+                                              K.omega_det()))
 
 
-def _descent_pieces(K: KahlerData):
-    log_v = K.log_v()
-    delta_mu = laplacian_p(K.mu, K)
-    jv_log_v = jv_apply(log_v)
-    return log_v, delta_mu - jv_log_v
+def moment_laplacian(K: KahlerData) -> ScalarFieldP:
+    """D mu, computed once per structure."""
+    return K.cached("laplacian_mu", lambda: laplacian_p(K.mu, K))
+
+
+def descent_drift(K: KahlerData) -> ScalarFieldP:
+    """The drift D mu - JV log|V| of the descending forms, computed once per
+    structure."""
+    return K.cached("drift",
+                    lambda: moment_laplacian(K) - jv_apply(K.log_v()))
 
 
 def descending_ricci(K: KahlerData) -> Form11P:
@@ -95,9 +107,8 @@ def descending_ricci(K: KahlerData) -> Form11P:
 
         Ric(omega) + dd^c log|V| + d( ((D mu - JV log|V|) / |V|^2) d^c mu ).
     """
-    log_v, drift = _descent_pieces(K)
-    g = drift / K.vsq
-    return ricci_p(K) + ddc_p(log_v) + d_wedge_dc(g, K.mu)
+    g = descent_drift(K) / K.vsq
+    return cached_ricci_p(K) + ddc_p(K.log_v()) + d_wedge_dc(g, K.mu)
 
 
 def descending_scalar(K: KahlerData) -> ScalarFieldP:
@@ -106,9 +117,9 @@ def descending_scalar(K: KahlerData) -> ScalarFieldP:
         scal(g) + 2 D log|V| + (2/|V|^2) (D mu - JV log|V|)^2
                 + JV(D mu - JV log|V|) / |V|^2.
     """
-    log_v, drift = _descent_pieces(K)
+    drift = descent_drift(K)
     return (scal_p(K)
-            + 2.0 * laplacian_p(log_v, K)
+            + 2.0 * laplacian_p(K.log_v(), K)
             + 2.0 * drift * drift / K.vsq
             + jv_apply(drift) / K.vsq)
 
@@ -118,8 +129,8 @@ def check_moment_ricci_identity(K: KahlerData) -> ResidualReport:
     from .fields import contract_v
 
     grid = K.grid
-    ric = ricci_p(K)
-    dmu = laplacian_p(K.mu, K)
+    ric = cached_ricci_p(K)
+    dmu = moment_laplacian(K)
     cv = contract_v(ric)
     res_z = cv.z + grid.dz_stripped(dmu.values)
     res_l = cv.l + grid.d_l(dmu.values, 1)

@@ -143,6 +143,17 @@ class Form11M:
         return bool(np.all(self.h > 0))
 
 
+def _component(grid, name, arr, dtype):
+    """A form component as a contiguous array of the grid's P shape, with
+    finite entries."""
+    a = np.ascontiguousarray(arr, dtype=dtype)
+    if a.shape != grid.p_shape:
+        raise ValueError(f"{name} shape does not match grid")
+    if not np.isfinite(a).all():
+        raise ValueError(f"{name} has non-finite components")
+    return a
+
+
 @dataclass(frozen=True)
 class Form11P:
     """Invariant real 2-form on P in the Hermitian frame (dz, dzeta).
@@ -163,15 +174,11 @@ class Form11P:
         for name, arr, dtype in (("g11", self.g11, float),
                                  ("g12", self.g12, complex),
                                  ("g22", self.g22, float)):
-            a = np.ascontiguousarray(arr, dtype=dtype)
-            if a.shape != self.grid.p_shape:
-                raise ValueError(f"{name} shape does not match grid")
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _component(self.grid, name, arr,
+                                                      dtype))
         if self.b20 is not None:
-            b = np.ascontiguousarray(self.b20, dtype=complex)
-            if b.shape != self.grid.p_shape:
-                raise ValueError("b20 shape does not match grid")
-            object.__setattr__(self, "b20", b)
+            object.__setattr__(self, "b20", _component(self.grid, "b20",
+                                                       self.b20, complex))
 
     def _b(self):
         if self.b20 is None:
@@ -230,6 +237,10 @@ class TopFormP:
 
     grid: TestbedGrid
     t: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "t",
+                           _component(self.grid, "t", self.t, float))
 
 
 @dataclass(frozen=True)
@@ -344,11 +355,15 @@ def wedge_square(theta: Form11P) -> TopFormP:
     return TopFormP(theta.grid, t)
 
 
-def trace_against(omega: Form11P, theta: Form11P) -> np.ndarray:
-    """Metric trace of theta's (1,1)-part against the Hermitian form omega."""
+def trace_against(omega: Form11P, theta: Form11P, det=None) -> np.ndarray:
+    """Metric trace of theta's (1,1)-part against the Hermitian form omega.
+
+    ``det`` may supply ``omega.det()`` when the caller already holds it.
+    """
     _check_grid(omega.grid, theta.grid)
     wm = omega.grid.mixed_weight[..., None]
-    det = omega.det()
+    if det is None:
+        det = omega.det()
     num = (omega.g22 * theta.g11 + omega.g11 * theta.g22
            - 2.0 * np.real(np.conj(omega.g12) * theta.g12) * wm)
     return num / det

@@ -14,7 +14,7 @@ nodes, 4th-order finite differences with one-sided closures of matching order.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -52,16 +52,22 @@ def fd_weights(x, x0, m):
     return c[:, m]
 
 
-def _boundary_rows(n, order):
-    """(row, offsets, weights-without-h) for the one-sided closure rows."""
+@lru_cache(maxsize=None)
+def _stencil(n, order):
+    """Weights, without the 1/h^order scale, of the 4th-order stencil on n
+    uniform nodes: the centred interior row and the one-sided closure rows
+    ``(row, node indices, weights)``."""
+    interior = fd_weights(np.arange(-2.0, 3.0), 0.0, order)
+    interior.flags.writeable = False
     width = 5 if order == 1 else 6
     rows = []
     for i in (0, 1, n - 2, n - 1):
         lo = min(max(i - width // 2, 0), n - width)
         idx = np.arange(lo, lo + width)
         w = fd_weights((idx - i).astype(float), 0.0, order)
+        idx.flags.writeable = w.flags.writeable = False
         rows.append((i, idx, w))
-    return rows
+    return interior, tuple(rows)
 
 
 def fd_apply(values, axis, order, h, n):
@@ -74,7 +80,8 @@ def fd_apply(values, axis, order, h, n):
     v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
     out = np.empty_like(v)
     scale = h ** (-order)
-    w_int = fd_weights(np.arange(-2.0, 3.0), 0.0, order) * scale
+    interior, rows = _stencil(n, order)
+    w_int = interior * scale
     core = v[..., 2:n - 2]
     acc = np.zeros_like(core)
     for k, w in zip(range(-2, 3), w_int):
@@ -82,7 +89,7 @@ def fd_apply(values, axis, order, h, n):
             continue
         acc += w * (v[..., 2 + k:n - 2 + k] - core)
     out[..., 2:n - 2] = acc
-    for i, idx, w in _boundary_rows(n, order):
+    for i, idx, w in rows:
         fi = v[..., i]
         s = np.zeros_like(fi)
         for j, wj in zip(idx, w * scale):

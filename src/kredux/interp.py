@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import NotConverged
+
 _BARY6 = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
 _WIDTH = 6
 
@@ -87,8 +89,11 @@ class FiberInterp:
         """Per-node root of interp(l) = target for fiberwise decreasing data.
 
         Safeguarded Newton inside a bisection bracket refreshed from the
-        residual sign.  Returns ``(roots, missing, max_residual)``; missing
-        marks nodes whose endpoint values do not bracket the target.
+        residual sign.  Returns ``(roots, missing, max_residual, iterations)``;
+        missing marks nodes whose endpoint values do not bracket the target,
+        and iterations counts the Newton updates taken.  Raises NotConverged
+        when a bracketed node is still above tolerance after ``max_iter``
+        updates.
         """
         nspace = self._vals.shape[0]
         f_lo = self._vals[:, 0]
@@ -98,10 +103,11 @@ class FiberInterp:
         hi = np.full(nspace, self.l[-1])
         x = 0.5 * (lo + hi)
         tol = tol_scale * max(1.0, abs(target))
-        for _ in range(max_iter):
+        iterations = 0
+        while True:
             r = self._eval(x) - target
             done = np.abs(r) <= tol
-            if np.all(done | missing):
+            if np.all(done | missing) or iterations == max_iter:
                 break
             lo = np.where(r > 0, np.maximum(lo, x), lo)
             hi = np.where(r < 0, np.minimum(hi, x), hi)
@@ -112,11 +118,18 @@ class FiberInterp:
             bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
             x_new = np.where(bad, 0.5 * (lo + hi), x_new)
             x = np.where(done, x, x_new)
-        resid = np.abs(self._eval(x) - target)
+            iterations += 1
+        stalled = ~done & ~missing
+        if np.any(stalled):
+            raise NotConverged(
+                f"level solve at {target:.6g}: {int(np.sum(stalled))} nodes "
+                f"above tolerance {tol:.1e} after {max_iter} iterations "
+                f"(max residual {float(np.max(np.abs(r[stalled]))):.2e})")
+        resid = np.abs(r)
         resid[missing] = np.nan
         max_resid = float(np.nanmax(resid)) if not np.all(missing) else np.nan
         return (x.reshape(self.spatial_shape),
-                missing.reshape(self.spatial_shape), max_resid)
+                missing.reshape(self.spatial_shape), max_resid, iterations)
 
 
 class FiberSpline:

@@ -5,6 +5,12 @@ at the unique l_tau(x) with mu(x, l_tau(x)) = tau; the moment map is
 fiberwise strictly decreasing on positive data, so the level always brackets.
 Scalars, spatial 1-form components and 2-forms all reduce through the same
 shared fiber interpolant.
+
+Level sets and reduced potentials of assembled data are solved once per
+(tau, root_tol) and kept with the structure.  The identity checks take a
+sequence of levels (a scalar is one level): each builds its tau-independent
+total-space arrays once, evaluates every level, and returns one report with
+the worst norms and each level's sup norm in ``reduced_by_tau``.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .curvature import descent_drift, laplacian_m, laplacian_p
 from .errors import Degenerate, NotPositive, OutOfRange
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, ddc_m,
                      d_wedge_dc, ddc_p, interior_norms, jv_apply, wedge_square)
@@ -46,6 +53,17 @@ class ReductionResult:
     min_eigenvalue: float
 
 
+def _solve_level(spline, grid, tau, root_tol) -> LevelSet:
+    roots, missing, resid, iterations = spline.solve_decreasing(
+        tau, tol_scale=root_tol)
+    if np.any(missing):
+        roots = np.where(missing, grid.l[0], roots)
+        return LevelSet(float(tau), ScalarFieldM(grid, roots), float("nan"),
+                        iterations, missing)
+    return LevelSet(float(tau), ScalarFieldM(grid, roots), resid, iterations,
+                    None)
+
+
 def level_set(K: KahlerData | ScalarFieldP, tau: float, root_tol=1e-12,
               raise_on_miss=True) -> LevelSet:
     """Fiber level of the moment map at tau.
@@ -53,24 +71,21 @@ def level_set(K: KahlerData | ScalarFieldP, tau: float, root_tol=1e-12,
     Accepts assembled data or a bare moment-map field.  Nodes whose fiber
     range does not contain tau are reported through OutOfRange (or returned
     as a mask when ``raise_on_miss`` is off); the miss set itself is the
-    topology diagnostic used by the golden example.
+    topology diagnostic used by the golden example.  Raises NotConverged when
+    the root solve stalls.
     """
     if isinstance(K, KahlerData):
-        grid = K.grid
-        spline = K.mu_interp()
+        level = K.cached(("level_set", float(tau), float(root_tol)),
+                         lambda: _solve_level(K.mu_interp(), K.grid, tau,
+                                              root_tol))
     else:
-        grid = K.grid
-        spline = K.interp()
-    roots, missing, resid = spline.solve_decreasing(tau, tol_scale=root_tol)
-    if np.any(missing):
-        if raise_on_miss:
-            raise OutOfRange(
-                f"tau={tau} outside the fiber range at {int(np.sum(missing))} "
-                "spatial nodes", missing=missing)
-        roots = np.where(missing, grid.l[0], roots)
-        return LevelSet(float(tau), ScalarFieldM(grid, roots), float("nan"),
-                        0, missing)
-    return LevelSet(float(tau), ScalarFieldM(grid, roots), resid, 0, None)
+        level = _solve_level(K.interp(), K.grid, tau, root_tol)
+    if raise_on_miss and not level.complete:
+        raise OutOfRange(
+            f"tau={tau} outside the fiber range at "
+            f"{int(np.sum(level.missing))} spatial nodes",
+            missing=level.missing)
+    return level
 
 
 def reduce_scalar(f: ScalarFieldP, level) -> ScalarFieldM:
@@ -120,19 +135,23 @@ def reduced_potential(K: KahlerData, tau: float, root_tol=1e-12,
 
     psi is the invariant field phi + ((mu - c)/2) l.
     """
-    grid = K.grid
-    level = level_set(K, tau, root_tol=root_tol)
-    psi_p = ScalarFieldP(
-        grid, K.phi.values + 0.5 * (K.mu.values - K.c) * grid.l)
-    psi_tau = reduce_scalar(psi_p, level)
-    omega_tau = K.sigma + ddc_m(psi_tau)
-    mineig = float(np.min(omega_tau.h))
-    if require_positive and mineig <= 0.0:
+    def build():
+        grid = K.grid
+        level = level_set(K, tau, root_tol=root_tol)
+        psi_p = ScalarFieldP(
+            grid, K.phi.values + 0.5 * (K.mu.values - K.c) * grid.l)
+        psi_tau = reduce_scalar(psi_p, level)
+        omega_tau = K.sigma + ddc_m(psi_tau)
+        return ReductionResult(float(tau), level.l_tau, psi_tau, omega_tau,
+                               level.max_residual, float(np.min(omega_tau.h)))
+
+    red = K.cached(("reduced_potential", float(tau), float(root_tol)), build)
+    if require_positive and red.min_eigenvalue <= 0.0:
         raise NotPositive(
-            f"omega_tau degenerates at tau={tau} (min component {mineig:.3e})",
-            eigenvalue=mineig)
-    return ReductionResult(float(tau), level.l_tau, psi_tau, omega_tau,
-                           level.max_residual, mineig)
+            f"omega_tau degenerates at tau={tau} "
+            f"(min component {red.min_eigenvalue:.3e})",
+            eigenvalue=red.min_eigenvalue)
+    return red
 
 
 def default_taus(K: KahlerData, count=7, shrink=0.25):
@@ -151,72 +170,91 @@ def _m_norms(grid, values):
     return interior_norms(values, grid.interior_m())
 
 
-def check_dertau(K: KahlerData, f: ScalarFieldP, tau: float,
+def _levels(taus):
+    """The levels of a check as a 1-d array; a scalar is one level."""
+    return np.atleast_1d(np.asarray(taus, dtype=float))
+
+
+def merge_levels(name, grid, taus, norms) -> ResidualReport:
+    """One report for a check evaluated at several levels.
+
+    ``norms`` holds one (linf, l2) pair per level; the report carries the
+    worst of each and every level's linf in ``reduced_by_tau``.
+    """
+    by_tau = [[float(t), linf] for t, (linf, _) in zip(taus, norms)]
+    return ResidualReport(name, grid.meta(), max(n[0] for n in norms),
+                          max(n[1] for n in norms), reduced_by_tau=by_tau)
+
+
+def check_dertau(K: KahlerData, f: ScalarFieldP, taus,
                  dtau: float = 1e-4) -> ResidualReport:
-    """d(f_tau)/dtau against the reduction of JV(f)/|V|^2."""
+    """d(f_tau)/dtau against the reduction of JV(f)/|V|^2, at each level."""
     grid = K.grid
-    up = reduce_scalar(f, level_set(K, tau + dtau))
-    dn = reduce_scalar(f, level_set(K, tau - dtau))
-    lhs = (up.values - dn.values) / (2.0 * dtau)
-    rhs = reduce_scalar(jv_apply(f) / K.vsq, level_set(K, tau))
-    linf, l2 = _m_norms(grid, lhs - rhs.values)
-    return ResidualReport("dertau", grid.meta(), linf, l2,
-                          extra={"tau": tau, "dtau": dtau})
+    taus = _levels(taus)
+    g = jv_apply(f) / K.vsq
+    norms = []
+    for tau in taus:
+        up = reduce_scalar(f, level_set(K, tau + dtau))
+        dn = reduce_scalar(f, level_set(K, tau - dtau))
+        lhs = (up.values - dn.values) / (2.0 * dtau)
+        rhs = reduce_scalar(g, level_set(K, tau))
+        norms.append(_m_norms(grid, lhs - rhs.values))
+    return merge_levels("dertau", grid, taus, norms)
 
 
-def check_dcred(K: KahlerData, f: ScalarFieldP, tau: float) -> ResidualReport:
+def check_dcred(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     """Spatial differential of f_tau against the reduced combination
-    d^c f - (JV(f)/|V|^2) d^c mu, compared through holomorphic components."""
+    d^c f - (JV(f)/|V|^2) d^c mu, compared through holomorphic components,
+    at each level."""
     grid = K.grid
-    level = level_set(K, tau)
-    f_tau = reduce_scalar(f, level)
-    lhs = grid.dz_stripped(f_tau.values)
+    taus = _levels(taus)
     g = jv_apply(f) / K.vsq
     combo = grid.dz_stripped(f.values) - g.values * grid.dz_stripped(K.mu.values)
-    rhs = _reduce_array(grid, combo, level.l_tau.values)
-    gap = np.abs(lhs - rhs) * np.sqrt(grid.mixed_weight)
-    linf, l2 = _m_norms(grid, gap)
-    return ResidualReport("dcred", grid.meta(), linf, l2, extra={"tau": tau})
+    norms = []
+    for tau in taus:
+        level = level_set(K, tau)
+        lhs = grid.dz_stripped(reduce_scalar(f, level).values)
+        rhs = _reduce_array(grid, combo, level.l_tau.values)
+        gap = np.abs(lhs - rhs) * np.sqrt(grid.mixed_weight)
+        norms.append(_m_norms(grid, gap))
+    return merge_levels("dcred", grid, taus, norms)
 
 
-def ma_reduced(K: KahlerData, f: ScalarFieldP, tau: float) -> ResidualReport:
-    """Monge-Ampere ratio on the base against the reduced total-space ratio."""
+def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
+    """Monge-Ampere ratio on the base against the reduced total-space ratio,
+    at each level."""
     grid = K.grid
-    level = level_set(K, tau)
-    red = reduced_potential(K, tau)
-    f_tau = reduce_scalar(f, level)
-    num_m = red.omega_tau + ddc_m(f_tau)
-    lhs = num_m.h / red.omega_tau.h
-
+    taus = _levels(taus)
     g = jv_apply(f) / K.vsq
     xi = K.omega + ddc_p(f) - d_wedge_dc(g, K.mu)
     num_p = wedge_square(xi).t
     den_p = wedge_square(K.omega).t
     if np.any(np.abs(den_p) < 1e-14):
         raise Degenerate("total-space volume density vanishes")
-    rhs = _reduce_array(grid, num_p / den_p, level.l_tau.values)
-    linf, l2 = _m_norms(grid, lhs - rhs)
-    return ResidualReport("ma_reduced", grid.meta(), linf, l2,
-                          extra={"tau": tau})
+    ratio = num_p / den_p
+    norms = []
+    for tau in taus:
+        red = reduced_potential(K, tau)
+        num_m = red.omega_tau + ddc_m(reduce_scalar(f, red.l_tau))
+        lhs = num_m.h / red.omega_tau.h
+        rhs = _reduce_array(grid, ratio, red.l_tau.values)
+        norms.append(_m_norms(grid, lhs - rhs))
+    return merge_levels("ma_reduced", grid, taus, norms)
 
 
-def laplace_reduced(K: KahlerData, f: ScalarFieldP, tau: float) -> ResidualReport:
+def laplace_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     """Laplacian of f_tau on the reduced metric against the reduction of the
-    descended second-order operator on the total space."""
-    from .curvature import laplacian_m, laplacian_p
-
+    descended second-order operator on the total space, at each level."""
     grid = K.grid
-    level = level_set(K, tau)
-    red = reduced_potential(K, tau)
-    f_tau = reduce_scalar(f, level)
-    lhs = laplacian_m(f_tau, red.omega_tau).values
-
+    taus = _levels(taus)
     jvf = jv_apply(f)
-    corr = laplacian_p(K.mu, K) - jv_apply(K.log_v())
     rhs_p = (laplacian_p(f, K)
-             - corr * jvf / K.vsq
+             - descent_drift(K) * jvf / K.vsq
              - jv_apply(jvf) / (2.0 * K.vsq))
-    rhs = reduce_scalar(rhs_p, level)
-    linf, l2 = _m_norms(grid, lhs - rhs.values)
-    return ResidualReport("laplace_reduced", grid.meta(), linf, l2,
-                          extra={"tau": tau})
+    norms = []
+    for tau in taus:
+        red = reduced_potential(K, tau)
+        lhs = laplacian_m(reduce_scalar(f, red.l_tau), red.omega_tau).values
+        rhs = reduce_scalar(rhs_p, red.l_tau)
+        norms.append(_m_norms(grid, lhs - rhs.values))
+    return merge_levels("laplace_reduced", grid, taus, norms)

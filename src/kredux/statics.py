@@ -12,10 +12,10 @@ from __future__ import annotations
 import numpy as np
 from scipy.interpolate import CubicSpline
 
-from .curvature import (descending_scalar, laplacian_p, ricci_m, ricci_p,
-                        scal_m)
+from .curvature import (cached_ricci_p, descending_scalar, descent_drift,
+                        laplacian_p, ricci_m, scal_m)
 from .fields import (Form11P, ScalarFieldP, ddc_m, d_wedge_dc, ddc_p,
-                     integrate_m, interior_norms, jv_apply)
+                     integrate_m, interior_norms)
 from .interp import FiberSpline
 from .reports import ResidualReport
 from .reduction import default_taus, level_set, reduce_scalar, reduced_potential
@@ -196,7 +196,7 @@ def residual_pseudo_calabi(K: KahlerData, taus=None) -> ResidualReport:
     taus = default_taus(K) if taus is None else taus
     lam = lambda_mean(K.sigma)
     R = descending_scalar(K)
-    drift = laplacian_p(K.mu, K) - jv_apply(K.log_v())
+    drift = descent_drift(K)
     resid = R.values + 2.0 * drift.values / K.vsq.values - lam
     linf, l2 = _p_norms(K, resid)
 
@@ -229,11 +229,9 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     Reduced equivalence: || (1/2) dd^c log s_tau + Ric(omega_tau) ||_inf.
     """
     taus = default_taus(K) if taus is None else taus
-    log_v = K.log_v()
-    drift = laplacian_p(K.mu, K) - jv_apply(log_v)
-    g = (drift + 1.0) / K.vsq
-    ric = ricci_p(K)
-    theta = ric + ddc_p(log_v) + d_wedge_dc(g, K.mu)
+    g = (descent_drift(K) + 1.0) / K.vsq
+    ric = cached_ricci_p(K)
+    theta = ric + ddc_p(K.log_v()) + d_wedge_dc(g, K.mu)
     linf, l2 = _form_norms(K, theta)
 
     grid = K.grid
@@ -257,7 +255,7 @@ def residual_v_soliton(K: KahlerData, f_profile: Profile) -> ResidualReport:
     """
     lam = lambda_mean(K.sigma)
     combo = K.log_v() + ScalarFieldP(K.grid, f_profile(K.mu.values))
-    ric = ricci_p(K)
+    ric = cached_ricci_p(K)
     theta = ric + ddc_p(combo) - lam * K.omega
     linf, l2 = _form_norms(K, theta)
     rep = ResidualReport("v_soliton", K.grid.meta(), linf, l2)

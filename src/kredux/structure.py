@@ -14,6 +14,7 @@ Hermitian component matrix over the grid.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +36,26 @@ class PositivityCertificate:
         return self.min_eigenvalue > 0.0
 
 
+def _read_only(value):
+    """Mark every array a derived value is made of read-only; returns it."""
+    if isinstance(value, np.ndarray):
+        value.flags.writeable = False
+    elif isinstance(value, (ScalarFieldP, ScalarFieldM)):
+        value.values.flags.writeable = False
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            _read_only(getattr(value, f.name))
+    return value
+
+
 @dataclass(frozen=True)
 class KahlerData:
-    """Immutable bundle (sigma, phi, c) with derived omega, mu, |V|^2."""
+    """Immutable bundle (sigma, phi, c) with derived omega, mu, |V|^2.
+
+    Geometry derived from the structure alone (curvature, the moment-map
+    Laplacian, level sets, ...) is computed on first use and kept, read-only,
+    in ``_cache``; quantities that also depend on another field are not.
+    """
 
     grid: TestbedGrid
     sigma: Form11M
@@ -47,16 +65,29 @@ class KahlerData:
     mu: ScalarFieldP
     vsq: ScalarFieldP
     certificate: PositivityCertificate
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False,
+                         compare=False)
+
+    def cached(self, key, build):
+        """``build()``, computed on the first request for ``key`` and stored
+        with its arrays read-only."""
+        try:
+            return self._cache[key]
+        except KeyError:
+            value = self._cache[key] = _read_only(build())
+            return value
 
     def mu_interp(self) -> FiberInterp:
-        if "mu_interp" not in self._cache:
-            self._cache["mu_interp"] = self.mu.interp()
-        return self._cache["mu_interp"]
+        return self.cached("mu_interp", self.mu.interp)
 
     def log_v(self) -> ScalarFieldP:
         """log |V| = log(vsq)/2."""
-        return ScalarFieldP(self.grid, 0.5 * np.log(self.vsq.values))
+        return self.cached("log_v", lambda: ScalarFieldP(
+            self.grid, 0.5 * np.log(self.vsq.values)))
+
+    def omega_det(self) -> np.ndarray:
+        """Determinant of omega's Hermitian component matrix."""
+        return self.cached("omega_det", self.omega.det)
 
     def mu_range(self):
         """Largest tau-interval reachable at every spatial node."""

@@ -17,8 +17,8 @@ from .fixtures import (flat_cylinder, fs_cylinder, perturbed_cylinder,
                        random_resolved_p)
 from .grids import TORUS, TestbedGrid, torus_grid
 from .reduction import (check_dcred, check_dertau, default_taus, laplace_reduced,
-                        level_set, ma_reduced, reduce_form, reduce_scalar,
-                        reduced_potential)
+                        level_set, ma_reduced, merge_levels, reduce_form,
+                        reduce_scalar, reduced_potential)
 from .reports import ResidualReport, attach_slope
 from .structure import gauge
 
@@ -117,13 +117,6 @@ def closed_form_reductions(grid: TestbedGrid | None = None) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def _merge(name, grid, taus, per_tau_reports):
-    by_tau = [[float(t), r.linf] for t, r in zip(taus, per_tau_reports)]
-    linf = max(r.linf for r in per_tau_reports)
-    l2 = max(r.l2 for r in per_tau_reports)
-    return ResidualReport(name, grid.meta(), linf, l2, reduced_by_tau=by_tau)
-
-
 def battery_once(grid: TestbedGrid, seed=0, dtau=1e-4, n_taus=3) -> dict:
     """One pass of the reduced-identity battery on the randomized fixture."""
     rng = np.random.default_rng(seed)
@@ -131,35 +124,25 @@ def battery_once(grid: TestbedGrid, seed=0, dtau=1e-4, n_taus=3) -> dict:
     f = random_resolved_p(grid, rng, amplitude=0.3)
     taus = default_taus(K, count=n_taus, shrink=0.3)
 
-    out = {}
-    out["dertau"] = _merge("dertau", grid, taus,
-                           [check_dertau(K, f, t, dtau) for t in taus])
-    out["dcred"] = _merge("dcred", grid, taus,
-                          [check_dcred(K, f, t) for t in taus])
-    out["ma_reduced"] = _merge("ma_reduced", grid, taus,
-                               [ma_reduced(K, 0.3 * f, t) for t in taus])
-    out["laplace_reduced"] = _merge("laplace_reduced", grid, taus,
-                                    [laplace_reduced(K, f, t) for t in taus])
+    out = {"dertau": check_dertau(K, f, taus, dtau),
+           "dcred": check_dcred(K, f, taus),
+           "ma_reduced": ma_reduced(K, 0.3 * f, taus),
+           "laplace_reduced": laplace_reduced(K, f, taus)}
 
     rho = descending_ricci(K)
     big_r = descending_scalar(K)
     mask = grid.interior_m()
-    ric_reports, scal_reports = [], []
+    ric_norms, scal_norms = [], []
     for tau in taus:
         red = reduced_potential(K, tau)
-        level = level_set(K, tau)
-        rho_tau, ang = reduce_form(rho, level)
+        rho_tau, _ = reduce_form(rho, level_set(K, tau))
         gap_ric = np.abs(rho_tau.h - ricci_m(red.omega_tau).h)
-        linf, l2 = interior_norms(gap_ric, mask)
-        rep = ResidualReport("ricci_descent", grid.meta(), linf, l2)
-        rep.extra["angular_leftover"] = ang
-        ric_reports.append(rep)
-        gap_scal = np.abs(reduce_scalar(big_r, level).values
+        ric_norms.append(interior_norms(gap_ric, mask))
+        gap_scal = np.abs(reduce_scalar(big_r, red.l_tau).values
                           - scal_m(red.omega_tau).values)
-        linf, l2 = interior_norms(gap_scal, mask)
-        scal_reports.append(ResidualReport("scal_descent", grid.meta(), linf, l2))
-    out["ricci_descent"] = _merge("ricci_descent", grid, taus, ric_reports)
-    out["scal_descent"] = _merge("scal_descent", grid, taus, scal_reports)
+        scal_norms.append(interior_norms(gap_scal, mask))
+    out["ricci_descent"] = merge_levels("ricci_descent", grid, taus, ric_norms)
+    out["scal_descent"] = merge_levels("scal_descent", grid, taus, scal_norms)
     out["moment_ricci"] = check_moment_ricci_identity(K)
     return out
 

@@ -228,3 +228,23 @@ def test_linearity_of_operators(g):
         gap = op(combo) - (a * op(f) + b * op(h))
         in_sup = max(np.max(np.abs(f.values)), np.max(np.abs(h.values)))
         assert np.max(np.abs(gap)) < max(1e-12, floor * in_sup)
+
+
+@pytest.mark.parametrize("component", ["g11", "g12", "g22", "b20"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_form11p_rejects_non_finite(g, component, bad):
+    parts = {"g11": np.ones(g.p_shape), "g12": np.zeros(g.p_shape, complex),
+             "g22": np.ones(g.p_shape), "b20": np.zeros(g.p_shape, complex)}
+    parts[component][1, 0, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        kx.Form11P(g, **parts)
+
+
+def test_top_form_rejects_non_finite(g):
+    t = np.ones(g.p_shape)
+    assert kx.TopFormP(g, t).t.flags.c_contiguous
+    t[0, 1, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        kx.TopFormP(g, t)
+    with pytest.raises(ValueError, match="shape"):
+        kx.TopFormP(g, np.ones(g.spatial_shape))

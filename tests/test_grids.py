@@ -42,6 +42,40 @@ def test_fd_apply_fourth_order_convergence():
     assert np.log2(errs[0] / errs[1]) > 3.5
 
 
+def _fd_apply_fresh_weights(v, order, h, n):
+    """fd_apply along the last axis with every weight recomputed."""
+    out = np.empty_like(v)
+    for i in range(n):
+        if 2 <= i < n - 2:
+            idx = np.arange(i - 2, i + 3)
+        else:
+            width = 5 if order == 1 else 6
+            lo = min(max(i - width // 2, 0), n - width)
+            idx = np.arange(lo, lo + width)
+        w = fd_weights((idx - i).astype(float), 0.0, order) * h ** (-order)
+        s = np.zeros_like(v[..., i])
+        for j, wj in zip(idx, w):
+            if j != i:
+                s += wj * (v[..., j] - v[..., i])
+        out[..., i] = s
+    return out
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fd_apply_cached_weights_bit_identical(order):
+    from kredux.grids import _stencil
+
+    n, h = 33, 0.0731
+    v = np.random.default_rng(order).standard_normal((3, 4, n))
+    got = fd_apply(v, -1, order, h, n)
+    assert np.array_equal(got, _fd_apply_fresh_weights(v, order, h, n))
+    assert np.array_equal(fd_apply(v, -1, order, h, n), got)
+    interior, rows = _stencil(n, order)
+    assert _stencil(n, order) is _stencil(n, order)
+    assert not interior.flags.writeable
+    assert all(not w.flags.writeable for _, _, w in rows)
+
+
 def test_spectral_derivative_resolved_mode():
     n = 32
     x = np.arange(n) / n

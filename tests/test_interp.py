@@ -1,5 +1,8 @@
 import numpy as np
+import pytest
 
+import kredux as kx
+from kredux.errors import NotConverged
 from kredux.interp import FiberInterp, FiberSpline
 
 
@@ -43,7 +46,7 @@ def test_solve_decreasing_roots():
     slopes = np.array([1.0, 2.0, 0.3])
     vals = -slopes[:, None] * l  # root of -a*l = tau at l = -tau/a
     fi = FiberInterp(l, vals)
-    roots, missing, resid = fi.solve_decreasing(0.5)
+    roots, missing, resid, _ = fi.solve_decreasing(0.5)
     assert not missing.any()
     assert np.max(np.abs(roots + 0.5 / slopes)) < 1e-12
     assert resid < 1e-12
@@ -54,14 +57,14 @@ def test_solve_decreasing_missing_mask():
     slopes = np.array([1.0, 2.0, 0.3])
     fi = FiberInterp(l, -slopes[:, None] * l)
     # ranges are [-2, 2], [-4, 4], [-0.6, 0.6]; only the last misses 0.7
-    roots, missing, resid = fi.solve_decreasing(0.7)
+    roots, missing, resid, _ = fi.solve_decreasing(0.7)
     assert list(missing) == [False, False, True]
 
 
 def test_solve_transcendental():
     l = np.linspace(-1.5, 1.5, 129)
     fi = FiberInterp(l, (-np.sinh(l))[None, :])
-    roots, missing, resid = fi.solve_decreasing(0.8)
+    roots, missing, resid, _ = fi.solve_decreasing(0.8)
     assert not missing.any()
     assert abs(roots[0] + np.arcsinh(0.8)) < 1e-9
     assert resid < 1e-12
@@ -74,3 +77,19 @@ def test_antiderivative():
     assert np.max(np.abs(vals[0] - l ** 3)) < 1e-9
     from_end = fs.antiderivative_from_end()
     assert np.max(np.abs(from_end[0] - (1 - l ** 3))) < 1e-9
+
+
+def test_solve_decreasing_raises_when_not_converged():
+    l = np.linspace(-1.5, 1.5, 129)
+    fi = FiberInterp(l, np.stack([-np.sinh(l), -l]))
+    with pytest.raises(NotConverged):
+        fi.solve_decreasing(0.8, max_iter=2)
+    roots, missing, resid, iterations = fi.solve_decreasing(0.8)
+    assert 2 < iterations < 120
+    assert resid < 1e-12
+
+
+def test_level_set_reports_iterations(perturbed):
+    level = kx.level_set(perturbed, 0.3)
+    assert level.iterations > 0
+    assert level.max_residual < 1e-12

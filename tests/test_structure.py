@@ -138,3 +138,103 @@ def test_roundtrip_reassembly_transcendental_fiber(perturbed):
     coarse = kx.perturbed_cylinder(kx.torus_grid(n=32, n_l=65), amplitude=0.02)
     fd2, re2 = _roundtrip_gaps(coarse)
     assert np.log2(re2 / reassembly) > 2.0
+
+
+# -- derived-geometry cache ---------------------------------------------------
+
+
+@pytest.fixture
+def small():
+    grid = kx.torus_grid(n=16, n_l=33, margin=4)
+    return kx.perturbed_cylinder(grid, amplitude=0.02)
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        return [value]
+    if isinstance(value, (ScalarFieldM, ScalarFieldP)):
+        return [value.values]
+    if isinstance(value, kx.Form11P):
+        return [a for a in (value.g11, value.g12, value.g22, value.b20)
+                if a is not None]
+    if isinstance(value, kx.Form11M):
+        return [value.h]
+    if isinstance(value, kx.LevelSet):
+        return [value.l_tau.values]
+    return (_arrays(value.l_tau) + _arrays(value.psi_tau)
+            + _arrays(value.omega_tau))
+
+
+def test_cached_geometry_is_read_only(small):
+    from kredux.curvature import cached_ricci_p, descent_drift, moment_laplacian
+
+    derived = [cached_ricci_p(small), moment_laplacian(small), small.log_v(),
+               descent_drift(small), small.omega_det(),
+               kx.level_set(small, 0.2), kx.reduced_potential(small, 0.2)]
+    for value in derived:
+        arrays = _arrays(value)
+        assert arrays
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+    # asking again returns the stored object, not a recomputation
+    assert cached_ricci_p(small) is derived[0]
+    assert kx.level_set(small, 0.2) is derived[5]
+    assert kx.reduced_potential(small, 0.2).l_tau is derived[5].l_tau
+    # the public operator still hands out a fresh, writable form
+    fresh = kx.ricci_p(small)
+    assert fresh is not derived[0] and fresh.g11.flags.writeable
+    assert np.array_equal(fresh.g11, derived[0].g11)
+
+
+def test_ricci_p_computed_once_per_structure(small, monkeypatch):
+    import kredux.curvature as curvature
+
+    calls = []
+    real = curvature.ricci_p
+
+    def counting(K):
+        calls.append(K)
+        return real(K)
+
+    monkeypatch.setattr(curvature, "ricci_p", counting)
+    kx.descending_ricci(small)
+    kx.descending_scalar(small)
+    kx.check_moment_ricci_identity(small)
+    kx.residual_kr(small, taus=[0.1])
+    kx.residual_v_soliton(small, kx.constant_profile(0.0))
+    assert calls == [small]
+
+
+def test_level_set_solved_once_per_level(small, monkeypatch):
+    from kredux.interp import FiberInterp
+
+    solves = []
+    real = FiberInterp.solve_decreasing
+
+    def counting(self, target, **kw):
+        solves.append(target)
+        return real(self, target, **kw)
+
+    monkeypatch.setattr(FiberInterp, "solve_decreasing", counting)
+    for _ in range(3):
+        kx.level_set(small, 0.2)
+        kx.reduced_potential(small, 0.2)
+    kx.level_set(small, 0.2, root_tol=1e-10)
+    assert solves == [0.2, 0.2]
+    assert kx.level_set(small, 0.2).iterations > 0
+
+
+def test_gauge_starts_with_fresh_cache(small):
+    from kredux.curvature import cached_ricci_p
+
+    ric = cached_ricci_p(small)
+    kx.level_set(small, 0.2)
+    u = ScalarFieldM(small.grid, np.zeros(small.grid.spatial_shape))
+    K2 = kx.gauge(small, u, 1.0, small.c)
+    assert K2._cache == {}
+    ric2 = cached_ricci_p(K2)
+    assert ric2 is not ric
+    assert np.max(np.abs(ric2.g11 - ric.g11)) < 1e-9
+    assert cached_ricci_p(small) is ric
