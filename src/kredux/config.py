@@ -27,7 +27,7 @@ class RunConfig:
     flow_dt: float = 0.0          # 0 means stability-derived
     flow_t_end: float = 0.01
     flow_amplitude: float = 0.005
-    fixture: str = "auto"         # auto | cyl | fscyl | singquot | perturbed
+    fixture: str = "auto"         # auto | cyl | fscyl | perturbed
     tau: float = 0.5
     seed: int = 0
     out: str = "out"

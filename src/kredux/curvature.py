@@ -90,8 +90,9 @@ def scal_p(K: KahlerData) -> ScalarFieldP:
 
 
 def moment_laplacian(K: KahlerData) -> ScalarFieldP:
-    """D mu, computed once per structure."""
-    return K.cached("laplacian_mu", lambda: laplacian_p(K.mu, K))
+    """D mu, from the structure's dd^c mu, computed once per structure."""
+    return K.cached("laplacian_mu", lambda: ScalarFieldP(
+        K.grid, 0.5 * trace_against(K.omega, K.ddc_mu(), K.omega_det())))
 
 
 def descent_drift(K: KahlerData) -> ScalarFieldP:
@@ -108,7 +109,7 @@ def descending_ricci(K: KahlerData) -> Form11P:
         Ric(omega) + dd^c log|V| + d( ((D mu - JV log|V|) / |V|^2) d^c mu ).
     """
     g = descent_drift(K) / K.vsq
-    return cached_ricci_p(K) + ddc_p(K.log_v()) + d_wedge_dc(g, K.mu)
+    return cached_ricci_p(K) + ddc_p(K.log_v()) + d_wedge_dc(g, K)
 
 
 def descending_scalar(K: KahlerData) -> ScalarFieldP:

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import TORUS, TestbedGrid
-from .interp import FiberInterp
 
 
 def _check_grid(a, b):
@@ -99,9 +98,6 @@ class ScalarFieldP(_FieldBase):
 
     def _shape(self, grid):
         return grid.p_shape
-
-    def interp(self):
-        return FiberInterp(self.grid.l, self.values)
 
 
 class ScalarFieldM(_FieldBase):
@@ -299,40 +295,32 @@ def ddc_m(f, grid=None) -> Form11M:
     return Form11M(grid, 2.0 * grid.dzbar_dz(vals))
 
 
-def ddc_p(f: ScalarFieldP, mu_of_f: ScalarFieldP | None = None) -> Form11P:
-    """dd^c of an invariant function, in frame components.
-
-    ``mu_of_f`` may supply JV(f) (plus any constant) so that assembled data
-    stays algebraically consistent with its stored moment map; by default the
-    fiber block uses the dedicated second-derivative stencil, which is more
-    accurate than differencing JV(f) again.
-    """
+def ddc_p(f: ScalarFieldP) -> Form11P:
+    """dd^c of an invariant function, in frame components; the fiber block
+    uses the dedicated second-derivative stencil."""
     g = f.grid
     g11 = 2.0 * g.dzbar_dz(f.values)
-    if mu_of_f is None:
-        g12 = 2.0 * g.dz_stripped(g.d_l(f.values, 1))
-        g22 = 2.0 * g.d_l(f.values, 2)
-        return Form11P(g, g11, g12, g22)
-    _check_grid(g, mu_of_f.grid)
-    g12 = -g.dz_stripped(mu_of_f.values)
-    g22 = -g.d_l(mu_of_f.values, 1)
+    g12 = 2.0 * g.dz_stripped(g.d_l(f.values, 1))
+    g22 = 2.0 * g.d_l(f.values, 2)
     return Form11P(g, g11, g12, g22)
 
 
-def d_wedge_dc(g_field: ScalarFieldP, mu: ScalarFieldP) -> Form11P:
-    """The 2-form d(g d^c mu) = dg /\\ d^c mu + g dd^c mu for invariant g, mu.
+def d_wedge_dc(g_field: ScalarFieldP, K) -> Form11P:
+    """The 2-form d(g d^c mu) = dg /\\ d^c mu + g dd^c mu for an invariant g
+    and the moment map mu of the structure K, whose dd^c mu is kept.
 
     Carries a (2,0) part whenever the fiber and spatial gradients of g and mu
     fail to be proportional.
     """
     grid = g_field.grid
+    mu = K.mu
     _check_grid(grid, mu.grid)
     dzg = grid.dz_stripped(g_field.values)
     dzmu = grid.dz_stripped(mu.values)
     dlg = grid.d_l(g_field.values, 1)
     dlmu = grid.d_l(mu.values, 1)
     wm = grid.mixed_weight[..., None]
-    ddc_mu = ddc_p(mu)
+    ddc_mu = K.ddc_mu()
     gv = g_field.values
     g11 = 2.0 * np.real(dzg * np.conj(dzmu)) * wm + gv * ddc_mu.g11
     g12 = dzg * dlmu + dzmu * dlg + gv * ddc_mu.g12

@@ -72,9 +72,6 @@ class FlowPath:
         enough samples exist, 2nd-order otherwise)."""
         return time_derivative(self.ts, self.psis, order)
 
-    def potential_field(self, k) -> ScalarFieldM:
-        return ScalarFieldM(self.grid, self.psis[k])
-
 
 def time_derivative(ts, samples, order):
     """d^order/dt^order of ``samples`` (first axis indexed by ``ts``).

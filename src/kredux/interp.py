@@ -1,15 +1,18 @@
-"""Fiberwise interpolation and the monotone level-set solve.
+"""Fiberwise interpolation and the one guarded Newton solver.
 
-Two tools, both vectorized over spatial nodes:
-
-* :class:`FiberInterp`, a piecewise 6-point Lagrange evaluator (barycentric
+* :class:`FiberInterp`, a piecewise 6-point Lagrange interpolant (barycentric
   form, windows anchored to the containing segment so evaluation is
-  continuous across nodes).  Sixth-order accuracy keeps spatial spectral
-  derivatives of reduced fields at full stencil order, and the same
-  interpolant backs both scalar reduction and the level-set root solve, so
-  reducing the moment map at a solved level returns the target to root
-  tolerance.  It reproduces quintics exactly, hence products of fiber-linear
-  fields reduce exactly.
+  continuous across nodes).  Evaluation is two steps: :class:`FiberWeights`
+  at one point per spatial node, then those weights applied to any number of
+  fields; a solved level keeps its weights, so every reduction at that level
+  reuses them.  Sixth-order accuracy keeps spatial spectral derivatives of
+  reduced fields at full stencil order, and the same interpolant backs both
+  reduction and the level-set root solve, so reducing the moment map at a
+  solved level returns the target to root tolerance.  It reproduces quintics
+  exactly, hence products of fiber-linear fields reduce exactly.
+* :func:`newton_decreasing`, the bracketed Newton iteration behind every root
+  solve of a decreasing function: the level sets here and the Legendre
+  inversion of :mod:`kredux.lift`.
 * :class:`FiberSpline`, quintic (k=5) splines used for fiberwise
   antiderivatives.
 """
@@ -24,6 +27,81 @@ _BARY6 = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
 _WIDTH = 6
 
 
+def newton_decreasing(fun, lo, hi, tol, max_iter, what):
+    """Roots of decreasing functions, one per item, by guarded Newton steps.
+
+    ``fun(x, items)`` returns the residuals and slopes of the indexed items
+    at ``x``.  Each item starts mid-bracket [lo, hi] and retires once
+    |r| <= tol (scalar or per item); the bracket follows the residual's sign,
+    and a step that leaves it or is not finite bisects it.  Returns the
+    roots, the residuals at retirement and the step count; raises
+    NotConverged, naming ``what``, if an item is left after ``max_iter``.
+    """
+    roots, resid = np.empty(lo.size), np.empty(lo.size)
+    items = np.arange(lo.size)
+    tol = np.broadcast_to(tol, lo.shape)
+    x = 0.5 * (lo + hi)
+    for step in range(max_iter + 1):
+        r, slope = fun(x, items)
+        done = np.abs(r) <= tol
+        roots[items[done]], resid[items[done]] = x[done], r[done]
+        if done.all():
+            return roots, resid, step
+        if step == max_iter:
+            raise NotConverged(
+                f"{what}: {int(np.sum(~done))} of {lo.size} roots above "
+                f"tolerance after {max_iter} Newton steps (worst residual "
+                f"{float(np.max(np.abs(r[~done]))):.3e})")
+        keep = ~done
+        items, x, lo, hi, r, slope, tol = (
+            a[keep] for a in (items, x, lo, hi, r, slope, tol))
+        lo = np.where(r > 0, np.maximum(lo, x), lo)
+        hi = np.where(r < 0, np.minimum(hi, x), hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x_new = x - r / slope
+        bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
+        x = np.where(bad, 0.5 * (lo + hi), x_new)
+
+
+class FiberWeights:
+    """Barycentric weights of the 6-point fiber interpolant at one point per
+    spatial node (the nodes ``rows`` of a flattened field, all by default).
+
+    They depend only on the points, so one set evaluates any field there.
+    """
+
+    def __init__(self, l_nodes, pts, rows=None):
+        n = len(l_nodes)
+        self.shape = np.shape(pts)
+        pts = np.reshape(pts, -1)
+        seg = np.clip(np.searchsorted(l_nodes, pts, side="right") - 1, 0, n - 2)
+        self.idx = np.clip(seg - 2, 0, n - _WIDTH)[:, None] + np.arange(_WIDTH)
+        d = pts[:, None] - l_nodes[self.idx]
+        h = (l_nodes[-1] - l_nodes[0]) / (n - 1)
+        self.hit = np.abs(d) < 1e-13 * max(h, 1e-30)
+        self.on_node = self.hit.any(axis=1)
+        self.d = np.where(self.hit, 1.0, d)
+        self.c = np.where(self.hit, 0.0, _BARY6 / self.d)
+        self.denom = np.where(self.on_node, 1.0, np.sum(self.c, axis=1))
+        self.rows = (np.arange(pts.size) if rows is None else rows)[:, None]
+
+    def window_and_value(self, values):
+        """Each node's window of ``values`` and its interpolant there."""
+        fj = values.reshape(-1, values.shape[-1])[self.rows, self.idx]
+        val = np.sum(self.c * fj, axis=1) / self.denom
+        val[self.on_node] = fj[self.hit]
+        return fj, val
+
+    def apply(self, values):
+        """Each node's interpolant of a real or complex array (fiber axis
+        last) at that node's point."""
+        if np.iscomplexobj(values):
+            # dividing a complex sum by the real denominator is not
+            # bit-identical to dividing its two parts
+            return self.apply(values.real) + 1j * self.apply(values.imag)
+        return self.window_and_value(values)[1].reshape(self.shape)
+
+
 class FiberInterp:
     """Order-6 local Lagrange interpolation of ``values`` along the last axis."""
 
@@ -35,100 +113,62 @@ class FiberInterp:
         values = np.asarray(values)
         self.spatial_shape = values.shape[:-1]
         self._vals = values.reshape(-1, n)
-        self._rows = np.arange(self._vals.shape[0])[:, None]
-        self._n = n
         self._h = (self.l[-1] - self.l[0]) / (n - 1)
 
-    def _window(self, pts):
-        seg = np.searchsorted(self.l, pts, side="right") - 1
-        seg = np.clip(seg, 0, self._n - 2)
-        start = np.clip(seg - 2, 0, self._n - _WIDTH)
-        return start[:, None] + np.arange(_WIDTH)
-
-    def _eval(self, pts_flat, deriv=0):
-        idx = self._window(pts_flat)
-        xj = self.l[idx]
-        fj = self._vals[self._rows, idx]
-        d = pts_flat[:, None] - xj
-        hit = np.abs(d) < 1e-13 * max(self._h, 1e-30)
-        d_safe = np.where(hit, 1.0, d)
-        c = _BARY6 / d_safe
-        c = np.where(hit, 0.0, c)
-        denom = np.sum(c, axis=1)
-        on_node = hit.any(axis=1)
-        denom = np.where(on_node, 1.0, denom)
-        val = np.sum(c * fj, axis=1) / denom
-        if np.any(on_node):
-            node_val = fj[hit.cumsum(axis=1).astype(bool) & hit]
-            val = np.where(on_node, 0.0, val)
-            val[on_node] = node_val
-        if deriv == 0:
-            return val
-        # barycentric derivative; nudge exact node hits off the node
-        if np.any(on_node):
-            pts2 = pts_flat + np.where(on_node, 1e-8 * self._h, 0.0)
-            return self._eval(pts2, deriv=1)
-        num = np.sum(c * (val[:, None] - fj) / d_safe, axis=1)
-        return num / denom
-
-    def at(self, pts):
-        """Evaluate each node's interpolant at that node's point."""
+    def weights(self, pts) -> FiberWeights:
+        """Weights at one point per node, checked to lie in the fiber window."""
         if np.shape(pts) != self.spatial_shape:
             raise ValueError("points must match the spatial shape")
-        p = np.asarray(pts, dtype=float).reshape(-1)
+        p = np.asarray(pts, dtype=float)
         lo, hi = self.l[0], self.l[-1]
         if np.any(p < lo - 1e-12) or np.any(p > hi + 1e-12):
             raise ValueError("fiber interpolation point outside the grid window")
-        return self._eval(np.clip(p, lo, hi)).reshape(self.spatial_shape)
+        return FiberWeights(self.l, np.clip(p, lo, hi))
+
+    def at(self, pts):
+        """Evaluate each node's interpolant at that node's point."""
+        return self.weights(pts).apply(self._vals)
+
+    def _value_slope(self, x, rows=None):
+        """Value and slope at one point per row (all rows by default); a
+        point on a node takes the slope just above it."""
+        w = FiberWeights(self.l, x, rows)
+        fj, val = w.window_and_value(self._vals)
+        slope = np.sum(w.c * (val[:, None] - fj) / w.d, axis=1) / w.denom
+        on = w.on_node
+        if on.any():
+            slope[on] = self._value_slope(x[on] + 1e-8 * self._h,
+                                          w.rows[on, 0])[1]
+        return val, slope
 
     def deriv_at(self, pts):
         p = np.clip(np.asarray(pts, dtype=float).reshape(-1), self.l[0], self.l[-1])
-        return self._eval(p, deriv=1).reshape(self.spatial_shape)
+        return self._value_slope(p)[1].reshape(self.spatial_shape)
 
     def solve_decreasing(self, target, tol_scale=1e-12, max_iter=120):
-        """Per-node root of interp(l) = target for fiberwise decreasing data.
+        """Per-node root of interp(l) = target for fiberwise decreasing data,
+        by :func:`newton_decreasing` on the nodes whose end values bracket
+        the target.
 
-        Safeguarded Newton inside a bisection bracket refreshed from the
-        residual sign.  Returns ``(roots, missing, max_residual, iterations)``;
-        missing marks nodes whose endpoint values do not bracket the target,
-        and iterations counts the Newton updates taken.  Raises NotConverged
-        when a bracketed node is still above tolerance after ``max_iter``
-        updates.
+        Returns ``(roots, missing, max_residual, iterations)``; missing marks
+        the other nodes, whose roots are set to the first fiber node, and
+        iterations counts the Newton updates taken.
         """
-        nspace = self._vals.shape[0]
-        f_lo = self._vals[:, 0]
-        f_hi = self._vals[:, -1]
-        missing = ~((f_lo >= target) & (f_hi <= target))
-        lo = np.full(nspace, self.l[0])
-        hi = np.full(nspace, self.l[-1])
-        x = 0.5 * (lo + hi)
-        tol = tol_scale * max(1.0, abs(target))
-        iterations = 0
-        while True:
-            r = self._eval(x) - target
-            done = np.abs(r) <= tol
-            if np.all(done | missing) or iterations == max_iter:
-                break
-            lo = np.where(r > 0, np.maximum(lo, x), lo)
-            hi = np.where(r < 0, np.minimum(hi, x), hi)
-            d = self._eval(x, deriv=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                step = np.where(np.abs(d) > 0, r / d, 0.0)
-            x_new = x - step
-            bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
-            x_new = np.where(bad, 0.5 * (lo + hi), x_new)
-            x = np.where(done, x, x_new)
-            iterations += 1
-        stalled = ~done & ~missing
-        if np.any(stalled):
-            raise NotConverged(
-                f"level solve at {target:.6g}: {int(np.sum(stalled))} nodes "
-                f"above tolerance {tol:.1e} after {max_iter} iterations "
-                f"(max residual {float(np.max(np.abs(r[stalled]))):.2e})")
-        resid = np.abs(r)
-        resid[missing] = np.nan
-        max_resid = float(np.nanmax(resid)) if not np.all(missing) else np.nan
-        return (x.reshape(self.spatial_shape),
+        missing = ~((self._vals[:, 0] >= target) & (self._vals[:, -1] <= target))
+        rows = np.flatnonzero(~missing)
+
+        def residual(x, items):
+            val, slope = self._value_slope(x, rows[items])
+            return val - target, slope
+
+        found, resid, iterations = newton_decreasing(
+            residual, np.full(rows.size, self.l[0]),
+            np.full(rows.size, self.l[-1]), tol_scale * max(1.0, abs(target)),
+            max_iter, f"level solve at {target:.6g}")
+        roots = np.full(missing.size, self.l[0])
+        roots[rows] = found
+        max_resid = float(np.max(np.abs(resid))) if rows.size else np.nan
+        return (roots.reshape(self.spatial_shape),
                 missing.reshape(self.spatial_shape), max_resid, iterations)
 
 

@@ -162,14 +162,12 @@ def load_field(path):
 # ---------------------------------------------------------------------------
 
 
-def save_kahler(K: KahlerData, outdir, extra_meta=None):
+def save_kahler(K: KahlerData, outdir):
     os.makedirs(outdir, exist_ok=True)
     dump_field(K.sigma, os.path.join(outdir, "sigma.csv"))
     dump_field(K.phi, os.path.join(outdir, "phi.csv"))
     meta = {"c": K.c, "grid": K.grid.meta(),
             "positivity_min_eig": K.certificate.min_eigenvalue}
-    if extra_meta:
-        meta.update(extra_meta)
     write_json(os.path.join(outdir, "meta.json"), meta)
     return outdir
 
@@ -186,20 +184,18 @@ def load_kahler(outdir, require_positive=True) -> KahlerData:
                     float(meta["c"]), require_positive=require_positive)
 
 
-def save_reduction(red, outdir, extra_meta=None):
+def save_reduction(red, outdir):
     os.makedirs(outdir, exist_ok=True)
     dump_field(red.l_tau, os.path.join(outdir, "ltau.csv"))
     dump_field(red.psi_tau, os.path.join(outdir, "psitau.csv"))
     dump_field(red.omega_tau, os.path.join(outdir, "omegatau.csv"))
     meta = {"tau": red.tau, "max_root_residual": red.max_root_residual,
             "min_eigenvalue": red.min_eigenvalue}
-    if extra_meta:
-        meta.update(extra_meta)
     write_json(os.path.join(outdir, "meta.json"), meta)
     return outdir
 
 
-def save_path(path_obj: FlowPath, outdir, extra_meta=None):
+def save_path(path_obj: FlowPath, outdir):
     os.makedirs(outdir, exist_ok=True)
     grid = path_obj.grid
     dump_field(path_obj.sigma, os.path.join(outdir, "sigma.csv"))
@@ -216,8 +212,6 @@ def save_path(path_obj: FlowPath, outdir, extra_meta=None):
             "normalization": path_obj.normalization,
             "dt_history": list(path_obj.dt_history),
             "ts": [float(t) for t in path_obj.ts]}
-    if extra_meta:
-        meta.update(extra_meta)
     write_json(os.path.join(outdir, "path_meta.json"), meta)
     return outdir
 

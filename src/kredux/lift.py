@@ -22,11 +22,11 @@ from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import CubicSpline
 
 from .curvature import scal_m
-from .errors import (HypothesisViolated, NonConcave, NotConverged,
-                     OutOfWindow)
+from .errors import HypothesisViolated, NonConcave, OutOfWindow
 from .fields import ScalarFieldP
 from .flows import FlowPath, time_derivative
 from .grids import TestbedGrid
+from .interp import newton_decreasing
 from .reduction import reduced_potential
 from .reports import ResidualReport
 from .structure import KahlerData, assemble
@@ -144,12 +144,11 @@ class _TimeSplines:
         """Roots t of velocity(t) = target[j] for every node and level j.
 
         velocity is strictly decreasing, so each root is unique on the
-        extended line.  Every (node, level) pair runs its own guarded Newton
-        iteration: its bracket is the sampled range, stretched through the
-        linear extensions where the target lies beyond the end velocities,
-        and a step that leaves the bracket bisects it instead.  A pair stops
-        as soon as |velocity - target| <= tol * max(1, |target|).  Pairs are
-        solved in fixed blocks, so temporaries stay small.
+        extended line.  Every (node, level) pair is one item of
+        :func:`newton_decreasing`, bracketed by the sampled range stretched
+        through the linear extensions where the target lies beyond the end
+        velocities, with tolerance tol * max(1, |target|).  Pairs are solved
+        in fixed blocks, so temporaries stay small.
 
         Returns the (nodes, levels) roots and the largest |velocity - target|;
         raises NotConverged if a pair is above its tolerance after
@@ -163,7 +162,6 @@ class _TimeSplines:
             pos = np.arange(start, min(start + self._BLOCK, roots.size))
             node, lev = np.divmod(pos, target.size)
             tgt = target[lev]
-            tol_p = tol * np.maximum(1.0, np.abs(tgt))
             lo = np.full(pos.size, t0)
             hi = np.full(pos.size, t1)
             need = self.v0[node] < tgt
@@ -172,30 +170,16 @@ class _TimeSplines:
             need = self.v1[node] > tgt
             hi[need] = t1 + (tgt[need] - self.v1[node[need]]) \
                 / self.k1[node[need]] + 1e-3
-            x = 0.5 * (lo + hi)
-            for it in range(max_iter + 1):
-                rows, d = self._local(x, node)
-                r = self._poly(rows, d, 1) - tgt
-                done = np.abs(r) <= tol_p
-                if np.any(done):
-                    roots[pos[done]] = x[done]
-                    worst = max(worst, float(np.max(np.abs(r[done]))))
-                    keep = ~done
-                    x, lo, hi, r, node, tgt, tol_p, pos, rows, d = (
-                        a[keep] for a in (x, lo, hi, r, node, tgt, tol_p, pos,
-                                          rows, d))
-                if not pos.size:
-                    break
-                if it == max_iter:
-                    raise NotConverged(
-                        f"Legendre inversion: {pos.size} (node, level) pairs "
-                        f"above tolerance after {max_iter} Newton steps "
-                        f"(worst residual {np.max(np.abs(r)):.3e})")
-                lo = np.where(r > 0, np.maximum(lo, x), lo)
-                hi = np.where(r < 0, np.minimum(hi, x), hi)
-                x_new = x - r / self._poly(rows, d, 2)
-                bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
-                x = np.where(bad, 0.5 * (lo + hi), x_new)
+
+            def residual(x, items):
+                rows, d = self._local(x, node[items])
+                return (self._poly(rows, d, 1) - tgt[items],
+                        self._poly(rows, d, 2))
+
+            roots[pos], r, _ = newton_decreasing(
+                residual, lo, hi, tol * np.maximum(1.0, np.abs(tgt)), max_iter,
+                "Legendre inversion")
+            worst = max(worst, float(np.max(np.abs(r))))
         return roots.reshape(self._n, target.size), worst
 
 
@@ -221,8 +205,7 @@ def realized_window(path: FlowPath, band=(0.15, 0.85), pad=0.02):
     return lo, hi
 
 
-def legendre_lift(path: FlowPath, n_l=129, window=None, margin=4,
-                  a_t=None) -> LiftResult:
+def legendre_lift(path: FlowPath, n_l=129, margin=4, a_t=None) -> LiftResult:
     """Invert a strictly concave path into an invariant structure upstairs.
 
     Requires d^2 psi/dt^2 < 0 at every sample (run :func:`concavity_shift`
@@ -238,9 +221,9 @@ def legendre_lift(path: FlowPath, n_l=129, window=None, margin=4,
         raise NonConcave(f"path is not strictly concave (max psi'' = {cmax:.3e})")
 
     grid0 = path.grid
-    lo, hi = window if window is not None else realized_window(path)
+    lo, hi = realized_window(path)
     if not lo < hi:
-        raise OutOfWindow("requested fiber window is empty")
+        raise OutOfWindow("realized fiber window is empty")
     grid = TestbedGrid(grid0.kind, grid0.n_spatial, n_l, lo, hi,
                        l_u=grid0.l_u, margin=margin)
 

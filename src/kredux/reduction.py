@@ -3,8 +3,9 @@
 Reduction of an invariant scalar f at level tau evaluates f along the fiber
 at the unique l_tau(x) with mu(x, l_tau(x)) = tau; the moment map is
 fiberwise strictly decreasing on positive data, so the level always brackets.
-Scalars, spatial 1-form components and 2-forms all reduce through the same
-shared fiber interpolant.
+The level is solved by the one fiber Newton solver of :mod:`kredux.interp`
+and keeps the interpolation weights at l_tau: scalars, spatial 1-form
+components and 2-forms, real or complex, all reduce through those weights.
 
 Level sets and reduced potentials of assembled data are solved once per
 (tau, root_tol) and kept with the structure.  The identity checks take a
@@ -15,7 +16,7 @@ the worst norms and each level's sup norm in ``reduced_by_tau``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,17 +24,18 @@ from .curvature import descent_drift, laplacian_m, laplacian_p
 from .errors import Degenerate, NotPositive, OutOfRange
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, ddc_m,
                      d_wedge_dc, ddc_p, interior_norms, jv_apply, wedge_square)
-from .interp import FiberInterp
+from .interp import FiberInterp, FiberWeights
 from .reports import ResidualReport
 from .structure import KahlerData
 
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Solved fiber level l_tau(x) with root diagnostics."""
+    """Solved fiber level l_tau(x), its fiber weights and root diagnostics."""
 
     tau: float
     l_tau: ScalarFieldM
+    weights: FiberWeights = field(repr=False)
     max_residual: float
     iterations: int
     missing: np.ndarray | None = None
@@ -51,17 +53,16 @@ class ReductionResult:
     omega_tau: Form11M
     max_root_residual: float
     min_eigenvalue: float
+    level: LevelSet
 
 
-def _solve_level(spline, grid, tau, root_tol) -> LevelSet:
-    roots, missing, resid, iterations = spline.solve_decreasing(
+def _solve_level(interp, grid, tau, root_tol) -> LevelSet:
+    roots, missing, resid, iterations = interp.solve_decreasing(
         tau, tol_scale=root_tol)
-    if np.any(missing):
-        roots = np.where(missing, grid.l[0], roots)
-        return LevelSet(float(tau), ScalarFieldM(grid, roots), float("nan"),
-                        iterations, missing)
-    return LevelSet(float(tau), ScalarFieldM(grid, roots), resid, iterations,
-                    None)
+    complete = not missing.any()
+    return LevelSet(float(tau), ScalarFieldM(grid, roots),
+                    interp.weights(roots), resid if complete else float("nan"),
+                    iterations, None if complete else missing)
 
 
 def level_set(K: KahlerData | ScalarFieldP, tau: float, root_tol=1e-12,
@@ -79,7 +80,8 @@ def level_set(K: KahlerData | ScalarFieldP, tau: float, root_tol=1e-12,
                          lambda: _solve_level(K.mu_interp(), K.grid, tau,
                                               root_tol))
     else:
-        level = _solve_level(K.interp(), K.grid, tau, root_tol)
+        level = _solve_level(FiberInterp(K.grid.l, K.values), K.grid, tau,
+                             root_tol)
     if raise_on_miss and not level.complete:
         raise OutOfRange(
             f"tau={tau} outside the fiber range at "
@@ -88,20 +90,9 @@ def level_set(K: KahlerData | ScalarFieldP, tau: float, root_tol=1e-12,
     return level
 
 
-def reduce_scalar(f: ScalarFieldP, level) -> ScalarFieldM:
-    """f_tau(x) = f(x, l_tau(x)) through the shared fiber interpolant."""
-    l_tau = level.l_tau if isinstance(level, LevelSet) else level
-    vals = f.interp().at(l_tau.values)
-    return ScalarFieldM(f.grid, vals)
-
-
-def _reduce_array(grid, values, l_tau):
-    """Reduce a raw (possibly complex) P-array at l_tau."""
-    if np.iscomplexobj(values):
-        re = FiberInterp(grid.l, values.real).at(l_tau)
-        im = FiberInterp(grid.l, values.imag).at(l_tau)
-        return re + 1j * im
-    return FiberInterp(grid.l, values).at(l_tau)
+def reduce_scalar(f: ScalarFieldP, level: LevelSet) -> ScalarFieldM:
+    """f_tau(x) = f(x, l_tau(x)) through the level's fiber weights."""
+    return ScalarFieldM(f.grid, level.weights.apply(f.values))
 
 
 def reduce_form(theta: Form11P, level: LevelSet):
@@ -113,16 +104,13 @@ def reduce_form(theta: Form11P, level: LevelSet):
     the form is reducible at this level).
     """
     grid = theta.grid
-    lt = level.l_tau.values
-    L = grid.dz_stripped(lt)
+    L = grid.dz_stripped(level.l_tau.values)
     wm = grid.mixed_weight
-    g11 = _reduce_array(grid, theta.g11, lt)
-    g12 = _reduce_array(grid, theta.g12, lt)
-    g22 = _reduce_array(grid, theta.g22, lt)
+    g11, g12, g22 = map(level.weights.apply, (theta.g11, theta.g12, theta.g22))
     h = g11 + np.real(g12 * np.conj(L)) * wm
     angular = g12 + g22 * L
     if theta.b20 is not None:
-        b = _reduce_array(grid, theta.b20, lt)
+        b = level.weights.apply(theta.b20)
         h = h + np.imag(b * np.conj(L)) * wm
         angular = angular + 1j * b
     ang_sup = float(np.max(np.abs(angular) * np.sqrt(wm)))
@@ -143,7 +131,8 @@ def reduced_potential(K: KahlerData, tau: float, root_tol=1e-12,
         psi_tau = reduce_scalar(psi_p, level)
         omega_tau = K.sigma + ddc_m(psi_tau)
         return ReductionResult(float(tau), level.l_tau, psi_tau, omega_tau,
-                               level.max_residual, float(np.min(omega_tau.h)))
+                               level.max_residual, float(np.min(omega_tau.h)),
+                               level)
 
     red = K.cached(("reduced_potential", float(tau), float(root_tol)), build)
     if require_positive and red.min_eigenvalue <= 0.0:
@@ -214,7 +203,7 @@ def check_dcred(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     for tau in taus:
         level = level_set(K, tau)
         lhs = grid.dz_stripped(reduce_scalar(f, level).values)
-        rhs = _reduce_array(grid, combo, level.l_tau.values)
+        rhs = level.weights.apply(combo)
         gap = np.abs(lhs - rhs) * np.sqrt(grid.mixed_weight)
         norms.append(_m_norms(grid, gap))
     return merge_levels("dcred", grid, taus, norms)
@@ -226,7 +215,7 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     grid = K.grid
     taus = _levels(taus)
     g = jv_apply(f) / K.vsq
-    xi = K.omega + ddc_p(f) - d_wedge_dc(g, K.mu)
+    xi = K.omega + ddc_p(f) - d_wedge_dc(g, K)
     num_p = wedge_square(xi).t
     den_p = wedge_square(K.omega).t
     if np.any(np.abs(den_p) < 1e-14):
@@ -235,9 +224,9 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     norms = []
     for tau in taus:
         red = reduced_potential(K, tau)
-        num_m = red.omega_tau + ddc_m(reduce_scalar(f, red.l_tau))
+        num_m = red.omega_tau + ddc_m(reduce_scalar(f, red.level))
         lhs = num_m.h / red.omega_tau.h
-        rhs = _reduce_array(grid, ratio, red.l_tau.values)
+        rhs = red.level.weights.apply(ratio)
         norms.append(_m_norms(grid, lhs - rhs))
     return merge_levels("ma_reduced", grid, taus, norms)
 
@@ -254,7 +243,7 @@ def laplace_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     norms = []
     for tau in taus:
         red = reduced_potential(K, tau)
-        lhs = laplacian_m(reduce_scalar(f, red.l_tau), red.omega_tau).values
-        rhs = reduce_scalar(rhs_p, red.l_tau)
+        lhs = laplacian_m(reduce_scalar(f, red.level), red.omega_tau).values
+        rhs = reduce_scalar(rhs_p, red.level)
         norms.append(_m_norms(grid, lhs - rhs.values))
     return merge_levels("laplace_reduced", grid, taus, norms)

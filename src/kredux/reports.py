@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 
@@ -34,9 +33,6 @@ class ResidualReport:
             "slope": self.slope,
             "extra": self.extra,
         }
-
-    def to_json(self, indent=2):
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     @property
     def reduced_linf(self):

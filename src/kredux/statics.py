@@ -231,7 +231,7 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     taus = default_taus(K) if taus is None else taus
     g = (descent_drift(K) + 1.0) / K.vsq
     ric = cached_ricci_p(K)
-    theta = ric + ddc_p(K.log_v()) + d_wedge_dc(g, K.mu)
+    theta = ric + ddc_p(K.log_v()) + d_wedge_dc(g, K)
     linf, l2 = _form_norms(K, theta)
 
     grid = K.grid
@@ -244,7 +244,7 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     rep = ResidualReport("kr_unnormalized", grid.meta(), linf, l2,
                          reduced_by_tau=by_tau)
     rep.extra["dominant"] = _form_norms(K, ric + d_wedge_dc(
-        ScalarFieldP(grid, np.ones(grid.p_shape)) / K.vsq, K.mu))[0]
+        ScalarFieldP(grid, np.ones(grid.p_shape)) / K.vsq, K))[0]
     return rep
 
 
@@ -278,8 +278,7 @@ def reparametrize(K: KahlerData, f, require_positive=True) -> KahlerData:
     reassembles; the new moment map is f(mu) pointwise.
     """
     grid = K.grid
-    fmu = f(K.mu.values) if not isinstance(f, Profile) else f(K.mu.values)
-    integrand = fmu - K.mu.values
+    integrand = f(K.mu.values) - K.mu.values
     psi_vals = 0.5 * FiberSpline(grid.l, integrand).antiderivative_from_end()
     phi_new = ScalarFieldP(grid, K.phi.values + psi_vals)
     return assemble(K.sigma, phi_new, K.c, require_positive=require_positive)

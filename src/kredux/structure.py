@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import NotPositive
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, ddc_m,
-                     jv_apply)
+                     ddc_p, jv_apply)
 from .grids import TestbedGrid
 from .interp import FiberInterp, FiberSpline
 
@@ -78,12 +78,17 @@ class KahlerData:
             return value
 
     def mu_interp(self) -> FiberInterp:
-        return self.cached("mu_interp", self.mu.interp)
+        return self.cached("mu_interp",
+                           lambda: FiberInterp(self.grid.l, self.mu.values))
 
     def log_v(self) -> ScalarFieldP:
         """log |V| = log(vsq)/2."""
         return self.cached("log_v", lambda: ScalarFieldP(
             self.grid, 0.5 * np.log(self.vsq.values)))
+
+    def ddc_mu(self) -> Form11P:
+        """dd^c mu, kept for the descending forms and D mu."""
+        return self.cached("ddc_mu", lambda: ddc_p(self.mu))
 
     def omega_det(self) -> np.ndarray:
         """Determinant of omega's Hermitian component matrix."""

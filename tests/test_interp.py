@@ -59,6 +59,10 @@ def test_solve_decreasing_missing_mask():
     # ranges are [-2, 2], [-4, 4], [-0.6, 0.6]; only the last misses 0.7
     roots, missing, resid, _ = fi.solve_decreasing(0.7)
     assert list(missing) == [False, False, True]
+    # the missing node is left out of the solve and set to the first node
+    assert roots[2] == l[0]
+    assert np.max(np.abs(roots[:2] + 0.7 / slopes[:2])) < 1e-12
+    assert resid < 1e-12
 
 
 def test_solve_transcendental():

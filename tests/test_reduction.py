@@ -4,7 +4,6 @@ import pytest
 import kredux as kx
 from kredux.errors import OutOfRange
 from kredux.fields import ScalarFieldM, ScalarFieldP
-from kredux.reduction import _reduce_array
 
 
 def p_field(grid, vals):
@@ -256,5 +255,9 @@ def test_reduce_complex_array(cyl):
     level = kx.level_set(cyl, 0.4)
     grid = cyl.grid
     arr = (grid.l + 1j * grid.l ** 2) * np.ones(grid.p_shape)
-    out = _reduce_array(grid, arr, level.l_tau.values)
+    out = level.weights.apply(arr)
+    assert out.shape == grid.spatial_shape
     assert np.max(np.abs(out - (-0.4 + 1j * 0.16))) < 1e-11
+    # the two parts reduce exactly as real arrays do
+    assert np.array_equal(out.real, level.weights.apply(arr.real))
+    assert np.array_equal(out.imag, level.weights.apply(arr.imag))

@@ -170,7 +170,8 @@ def test_cached_geometry_is_read_only(small):
 
     derived = [cached_ricci_p(small), moment_laplacian(small), small.log_v(),
                descent_drift(small), small.omega_det(),
-               kx.level_set(small, 0.2), kx.reduced_potential(small, 0.2)]
+               kx.level_set(small, 0.2), kx.reduced_potential(small, 0.2),
+               small.ddc_mu()]
     for value in derived:
         arrays = _arrays(value)
         assert arrays
@@ -205,6 +206,27 @@ def test_ricci_p_computed_once_per_structure(small, monkeypatch):
     kx.residual_kr(small, taus=[0.1])
     kx.residual_v_soliton(small, kx.constant_profile(0.0))
     assert calls == [small]
+
+
+def test_ddc_mu_computed_once_per_structure(small, monkeypatch):
+    import kredux.structure as structure
+
+    calls = []
+    real = structure.ddc_p
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(structure, "ddc_p", counting)
+    g = ScalarFieldP(small.grid, np.ones(small.grid.p_shape)) / small.vsq
+    kx.descending_ricci(small)
+    kx.check_moment_ricci_identity(small)
+    kx.ma_reduced(small, g, 0.1)
+    kx.residual_kr(small, taus=[0.1])
+    kx.d_wedge_dc(g, small)
+    assert calls == [small.mu]
+    assert np.array_equal(small.ddc_mu().g12, kx.ddc_p(small.mu).g12)
 
 
 def test_level_set_solved_once_per_level(small, monkeypatch):

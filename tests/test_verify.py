@@ -47,6 +47,17 @@ def test_verify_reports_match_golden(small_reports):
             assert _close(t, wt) and _close(r, wr), (name, t, r, wt, wr)
 
 
+def test_ricci_descent_reports_angular_leftover(small_reports):
+    grid = kx.torus_grid(n=16, n_l=33, margin=4)
+    K = kx.perturbed_cylinder(grid, amplitude=0.02)
+    rho = kx.descending_ricci(K)
+    per_level = [kx.reduce_form(rho, kx.level_set(K, tau))[1]
+                 for tau in kx.default_taus(K, count=3, shrink=0.3)]
+    extra = small_reports["ricci_descent"].extra
+    assert extra["angular_leftover"] == max(per_level)
+    assert 0.0 < extra["angular_leftover"] < 1e-3
+
+
 @pytest.mark.parametrize("check", ["check_dertau", "check_dcred",
                                    "ma_reduced", "laplace_reduced"])
 def test_check_over_levels_matches_each_level(check):
