@@ -10,7 +10,7 @@ deliberately wrong profiles give order-one residuals.
 import numpy as np
 
 import kredux as kx
-from kredux.statics import Profile, constant_profile
+from kredux.statics import constant_profile
 
 tg = kx.torus_grid(n=16, n_l=129)
 rgr = kx.radial_grid(n_u=129, n_l=129)
@@ -23,13 +23,13 @@ print(f"mean scalar curvature: flat torus {kx.lambda_mean(cyl.sigma):.1f}, "
 print("\nstatic residuals on the cylinder fixtures:")
 rep = kx.residual_geodesic(cyl, constant_profile(1.0))
 print(f"  geodesic,  h = 1      : {rep.linf:.2e}")
-rep = kx.residual_calabi(cyl, Profile.from_callable(lambda m: m))
+rep = kx.residual_calabi(cyl, lambda m: m)
 print(f"  scalar flow, h = tau  : {rep.linf:.2e}")
 rep = kx.residual_pseudo_calabi(fscyl)
 print(f"  coupled flow (round)  : {rep.linf:.2e}")
 rep = kx.residual_kr(cyl)
 print(f"  Ricci flow (flat)     : {rep.linf:.2e}")
-rep = kx.residual_v_soliton(fscyl, Profile.from_callable(lambda m: lam * m * m / 4))
+rep = kx.residual_v_soliton(fscyl, lambda m: lam * m * m / 4)
 print(f"  soliton, f = lam u^2/4: {rep.linf:.2e}")
 
 print("\nnegative controls (wrong profile or wrong fixture):")

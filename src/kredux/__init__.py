@@ -10,8 +10,8 @@ from .errors import (ClassNotFixed, Degenerate, HypothesisViolated,
                      OutOfRange, OutOfWindow, PositivityLost,
                      SolvabilityViolated, StepUnstable)
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, TopFormP,
-                     contract_v, d_wedge_dc, ddc_m, ddc_p, differentiate,
-                     grad_pair, integrate_m, jv_apply, wedge_square)
+                     contract_v, d_wedge_dc, ddc_m, ddc_p, grad_pair,
+                     integrate_m, jv_apply, wedge_square)
 from .fixtures import (flat_cylinder, flat_sigma, fs_cylinder, fs_sigma,
                        perturbed_cylinder, perturbed_fs_cylinder,
                        reference_ricci, reference_sigma)
@@ -27,10 +27,9 @@ from .reduction import (LevelSet, ReductionResult, check_dcred, check_dertau,
                         default_taus, laplace_reduced, level_set, ma_reduced,
                         reduce_form, reduce_scalar, reduced_potential)
 from .reports import ResidualReport
-from .statics import (Profile, StaticEquation, constant_profile, h_canonical,
-                      lambda_mean, reparametrize, residual_calabi,
-                      residual_geodesic, residual_kr, residual_pseudo_calabi,
-                      residual_v_soliton)
+from .statics import (constant_profile, h_canonical, lambda_mean,
+                      reparametrize, residual_calabi, residual_geodesic,
+                      residual_kr, residual_pseudo_calabi, residual_v_soliton)
 from .structure import (KahlerData, PositivityCertificate, assemble, gauge,
                         potential_from_moment)
 

@@ -25,7 +25,7 @@ from .io import (dir_hashes, load_kahler, load_path, save_kahler, save_path,
                  save_reduction, write_json)
 from .lift import admissible_taus, concavity_shift, legendre_lift, roundtrip_check
 from .reduction import reduced_potential
-from .statics import StaticEquation
+from .statics import RESIDUALS
 from .verify import run_verify
 
 EXIT_OK = 0
@@ -173,8 +173,7 @@ def cmd_residual(cfg: RunConfig, in_dir, eq) -> int:
         if os.path.exists(lift_meta):
             with open(lift_meta, "r", encoding="utf-8") as fh:
                 taus = np.array(json.load(fh)["admissible_taus"])
-    eq_id = "kr_unnormalized" if eq == "kr" else eq
-    rep = StaticEquation(eq_id).residual(K, taus=taus)
+    rep = RESIDUALS[eq](K, taus=taus)
     os.makedirs(cfg.out, exist_ok=True)
     write_json(os.path.join(cfg.out, f"residual_{eq}.json"), rep.to_dict())
     _finalize_dir(cfg.out, cfg)
@@ -210,9 +209,7 @@ def _build_parser():
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--in", dest="in_dir", default=None)
-    p.add_argument("--eq", default="kr",
-                   choices=["geodesic", "calabi", "pseudo_calabi", "kr",
-                            "v_soliton"])
+    p.add_argument("--eq", default="kr", choices=list(RESIDUALS))
     return p
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grids import TORUS, TestbedGrid
+from .grids import TestbedGrid
 
 
 def _check_grid(a, b):
@@ -257,27 +257,6 @@ class VContraction:
 # ---------------------------------------------------------------------------
 # derivative operators
 # ---------------------------------------------------------------------------
-
-
-def differentiate(f, axis, order=1):
-    """Differentiate a field along a named axis.
-
-    Periodic torus axes ("x1", "x2") are spectral; "v" and "l" use the
-    grid's 4th-order stencils.  order must be 1 or 2.
-    """
-    if order not in (1, 2):
-        raise ValueError("order must be 1 or 2")
-    g = f.grid
-    if axis == "l":
-        if not isinstance(f, ScalarFieldP):
-            raise ValueError("fiber axis only exists for fields on P")
-        return f._wrap(g.d_l(f.values, order))
-    if axis not in g.spatial_axes:
-        raise ValueError(f"axis {axis!r} not valid on a {g.kind} grid")
-    if g.kind == TORUS:
-        ax = 0 if axis == "x1" else 1
-        return f._wrap(g.d_x(f.values, ax, order))
-    return f._wrap(g.d_v(f.values, order))
 
 
 def jv_apply(f: ScalarFieldP) -> ScalarFieldP:

@@ -14,6 +14,7 @@ nodes, 4th-order finite differences with one-sided closures of matching order.
 
 from __future__ import annotations
 
+from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -130,6 +131,7 @@ def _spatial_like(arr, values):
     return arr if values.ndim == arr.ndim else arr[..., None]
 
 
+@dataclass(frozen=True)
 class TestbedGrid:
     """Discretized product of a spatial testbed with a log-fiber axis.
 
@@ -144,44 +146,31 @@ class TestbedGrid:
         residual norms
     """
 
-    def __init__(self, kind, n_spatial, n_l, l_min, l_max, l_u=8.0, margin=4):
-        if kind not in (TORUS, RADIAL):
-            raise ValueError(f"unknown grid kind {kind!r}")
-        if n_spatial < 9 or n_l < 9:
+    kind: str
+    n_spatial: int
+    n_l: int
+    l_min: float
+    l_max: float
+    l_u: float = 8.0
+    margin: int = 4
+
+    def __post_init__(self):
+        if self.kind not in (TORUS, RADIAL):
+            raise ValueError(f"unknown grid kind {self.kind!r}")
+        if self.n_spatial < 9 or self.n_l < 9:
             raise ValueError("resolutions must be at least 9")
-        if not l_min < l_max:
+        if not self.l_min < self.l_max:
             raise ValueError("need l_min < l_max")
-        if margin < 2:
+        if self.margin < 2:
             raise ValueError("margin must be at least 2")
-        self.kind = kind
-        self.n_spatial = int(n_spatial)
-        self.n_l = int(n_l)
-        self.l_min = float(l_min)
-        self.l_max = float(l_max)
-        self.l_u = float(l_u)
-        self.margin = int(margin)
-
-    # -- identity ---------------------------------------------------------
-
-    def _key(self):
-        return (self.kind, self.n_spatial, self.n_l, self.l_min, self.l_max,
-                self.l_u, self.margin)
-
-    def __eq__(self, other):
-        return isinstance(other, TestbedGrid) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"TestbedGrid(kind={self.kind!r}, n_spatial={self.n_spatial}, "
-                f"n_l={self.n_l}, l=[{self.l_min}, {self.l_max}], "
-                f"l_u={self.l_u}, margin={self.margin})")
+        # plain Python numbers: every report writes meta() as its grid block
+        for name in ("n_spatial", "n_l", "margin"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("l_min", "l_max", "l_u"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     def meta(self):
-        return {"kind": self.kind, "n_spatial": self.n_spatial, "n_l": self.n_l,
-                "l_min": self.l_min, "l_max": self.l_max, "l_u": self.l_u,
-                "margin": self.margin}
+        return asdict(self)
 
     # -- axes -------------------------------------------------------------
 
@@ -224,10 +213,6 @@ class TestbedGrid:
     def p_shape(self):
         return self.spatial_shape + (self.n_l,)
 
-    @property
-    def spatial_axes(self):
-        return ("x1", "x2") if self.kind == TORUS else ("v",)
-
     # -- differentiation engines ------------------------------------------
 
     def d_l(self, values, order=1):
@@ -237,10 +222,6 @@ class TestbedGrid:
     def d_v(self, values, order=1):
         """Radial-chart derivative along the first axis."""
         return fd_apply(values, 0, order, self.h_v, self.n_spatial)
-
-    def d_x(self, values, axis, order=1):
-        """Torus spectral derivative along spatial axis 0 or 1."""
-        return spectral_derivative(values, axis, order, self.n_spatial)
 
     # -- spatial complex calculus -----------------------------------------
 
@@ -317,11 +298,6 @@ class TestbedGrid:
         else:
             mask[m:self.n_spatial - m] = True
         return mask
-
-    def refined_fiber(self):
-        """Same grid with the fiber resolution doubled (nodes preserved)."""
-        return TestbedGrid(self.kind, self.n_spatial, 2 * (self.n_l - 1) + 1,
-                           self.l_min, self.l_max, self.l_u, self.margin)
 
 
 def torus_grid(n=32, n_l=129, l_min=-1.2, l_max=1.2, margin=8):

@@ -20,6 +20,7 @@ import itertools
 import json
 import os
 import tempfile
+from dataclasses import fields
 
 import numpy as np
 
@@ -162,6 +163,19 @@ def load_field(path):
 # ---------------------------------------------------------------------------
 
 
+def _read_meta(path):
+    """The JSON object in ``path`` and the grid its ``grid`` block names;
+    ValueError unless that block has exactly the grid's keys."""
+    with open(path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    keys = [f.name for f in fields(TestbedGrid)]
+    g = meta.get("grid") if isinstance(meta, dict) else None
+    if not isinstance(g, dict) or sorted(g) != sorted(keys):
+        raise ValueError(f"{path}: grid block must have exactly the keys "
+                         f"{', '.join(keys)}")
+    return meta, TestbedGrid(**g)
+
+
 def save_kahler(K: KahlerData, outdir):
     os.makedirs(outdir, exist_ok=True)
     dump_field(K.sigma, os.path.join(outdir, "sigma.csv"))
@@ -173,11 +187,7 @@ def save_kahler(K: KahlerData, outdir):
 
 
 def load_kahler(outdir, require_positive=True) -> KahlerData:
-    with open(os.path.join(outdir, "meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    g = meta["grid"]
-    grid = TestbedGrid(g["kind"], g["n_spatial"], g["n_l"], g["l_min"],
-                       g["l_max"], l_u=g["l_u"], margin=g["margin"])
+    meta, grid = _read_meta(os.path.join(outdir, "meta.json"))
     _, sig_vals, _ = load_field(os.path.join(outdir, "sigma.csv"))
     _, phi_vals, _ = load_field(os.path.join(outdir, "phi.csv"))
     return assemble(Form11M(grid, sig_vals), ScalarFieldP(grid, phi_vals),
@@ -217,11 +227,7 @@ def save_path(path_obj: FlowPath, outdir):
 
 
 def load_path(outdir) -> FlowPath:
-    with open(os.path.join(outdir, "path_meta.json"), "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
-    g = meta["grid"]
-    grid = TestbedGrid(g["kind"], g["n_spatial"], g["n_l"], g["l_min"],
-                       g["l_max"], l_u=g["l_u"], margin=g["margin"])
+    meta, grid = _read_meta(os.path.join(outdir, "path_meta.json"))
     _, sig_vals, _ = load_field(os.path.join(outdir, "sigma.csv"))
     csv_path = os.path.join(outdir, "path.csv")
     with open(csv_path, "r", encoding="utf-8") as fh:

@@ -15,7 +15,7 @@ concavity sign, and both are certified.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
@@ -25,7 +25,6 @@ from .curvature import scal_m
 from .errors import HypothesisViolated, NonConcave, OutOfWindow
 from .fields import ScalarFieldP
 from .flows import FlowPath, time_derivative
-from .grids import TestbedGrid
 from .interp import newton_decreasing
 from .reduction import reduced_potential
 from .reports import ResidualReport
@@ -220,12 +219,10 @@ def legendre_lift(path: FlowPath, n_l=129, margin=4, a_t=None) -> LiftResult:
     if cmax >= 0.0:
         raise NonConcave(f"path is not strictly concave (max psi'' = {cmax:.3e})")
 
-    grid0 = path.grid
     lo, hi = realized_window(path)
     if not lo < hi:
         raise OutOfWindow("realized fiber window is empty")
-    grid = TestbedGrid(grid0.kind, grid0.n_spatial, n_l, lo, hi,
-                       l_u=grid0.l_u, margin=margin)
+    grid = replace(path.grid, n_l=n_l, l_min=lo, l_max=hi, margin=margin)
 
     splines = _TimeSplines(path)
     mu, worst = splines.solve_velocity(0.5 * grid.l)

@@ -4,7 +4,9 @@ Each ``residual_*`` evaluator returns interior norms of the pointwise
 residual of one static equation on given data, together with the matching
 reduced-equivalence residual: the quantity on reductions that vanishes
 exactly when the corresponding flow holds for the family of reduced metrics,
-whatever invariant structure produced them.
+whatever invariant structure produced them.  A level profile h(mu) is any
+callable of an array of levels.  ``RESIDUALS`` runs each equation with its
+default profile, keyed by the command-line name.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .curvature import (cached_ricci_p, descending_scalar, descent_drift,
-                        laplacian_p, ricci_m, scal_m)
+                        laplacian_m, laplacian_p, ricci_m, scal_m)
 from .fields import (Form11P, ScalarFieldP, ddc_m, d_wedge_dc, ddc_p,
                      integrate_m, interior_norms)
 from .interp import FiberSpline
@@ -22,58 +24,8 @@ from .reduction import default_taus, level_set, reduce_scalar, reduced_potential
 from .structure import KahlerData, assemble
 
 
-class Profile:
-    """A function of the reduction level: tabulated with cubic interpolation,
-    or wrapping an analytic callable directly."""
-
-    def __init__(self, taus, values):
-        self.taus = np.asarray(taus, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        self._fn = CubicSpline(self.taus, self.values)
-
-    @classmethod
-    def from_callable(cls, fn, taus=None):
-        p = cls.__new__(cls)
-        p.taus = None if taus is None else np.asarray(taus, dtype=float)
-        p.values = None
-        p._fn = fn
-        return p
-
-    def __call__(self, x):
-        return np.asarray(self._fn(np.asarray(x, dtype=float)))
-
-
 def constant_profile(value):
-    return Profile.from_callable(lambda x: np.full_like(np.asarray(x, float), value))
-
-
-EQUATION_IDS = ("geodesic", "calabi", "pseudo_calabi", "kr_unnormalized",
-                "v_soliton")
-
-
-class StaticEquation:
-    """One of the five static equations, with its optional level profile."""
-
-    def __init__(self, equation_id, profile: Profile | None = None):
-        if equation_id not in EQUATION_IDS:
-            raise ValueError(f"unknown static equation {equation_id!r}")
-        self.equation_id = equation_id
-        self.profile = profile
-
-    def residual(self, K, taus=None) -> "ResidualReport":
-        if self.equation_id == "geodesic":
-            return residual_geodesic(K, self.profile or constant_profile(1.0),
-                                     taus=taus)
-        if self.equation_id == "calabi":
-            h = self.profile or h_canonical(K, taus)
-            return residual_calabi(K, h, taus=taus)
-        if self.equation_id == "pseudo_calabi":
-            return residual_pseudo_calabi(K, taus=taus)
-        if self.equation_id == "kr_unnormalized":
-            return residual_kr(K, taus=taus)
-        lam = lambda_mean(K.sigma)
-        f = self.profile or Profile.from_callable(lambda m: lam * m * m / 4.0)
-        return residual_v_soliton(K, f)
+    return lambda x: np.full_like(np.asarray(x, float), value)
 
 
 # ---------------------------------------------------------------------------
@@ -87,7 +39,7 @@ def lambda_mean(sigma) -> float:
     return integrate_m(s, sigma) / integrate_m(np.ones(sigma.grid.spatial_shape), sigma)
 
 
-def h_canonical(K: KahlerData, taus=None) -> Profile:
+def h_canonical(K: KahlerData, taus=None) -> CubicSpline:
     """The unique level profile compatible with the scalar-curvature flow
     equation on reductions:
 
@@ -100,7 +52,7 @@ def h_canonical(K: KahlerData, taus=None) -> Profile:
         red = reduced_potential(K, tau)
         vol = integrate_m(np.ones(K.grid.spatial_shape), red.omega_tau)
         vals.append(lam - integrate_m(red.l_tau, red.omega_tau) / vol)
-    return Profile(taus, vals)
+    return CubicSpline(taus, vals)
 
 
 # ---------------------------------------------------------------------------
@@ -118,15 +70,16 @@ def _form_norms(K, theta: Form11P):
     return _p_norms(K, stack)
 
 
-def _spatial_constancy(K, field_p: ScalarFieldP, taus):
-    """[tau, sup deviation from the spatial mean of the reduction] pairs."""
-    grid = K.grid
-    mask = grid.interior_m()
+def _sweep(K, taus, at, quantity, centred=False):
+    """[tau, sup |quantity(at(K, tau))| over interior base nodes] pairs;
+    ``centred`` takes the deviation from the interior mean instead."""
+    mask = K.grid.interior_m()
     out = []
     for tau in taus:
-        red = reduce_scalar(field_p, level_set(K, tau)).values
-        dev = red - np.mean(red[mask])
-        out.append([float(tau), float(np.max(np.abs(dev[mask])))])
+        q = quantity(at(K, tau))[mask]
+        if centred:
+            q = q - np.mean(q)
+        out.append([float(tau), float(np.max(np.abs(q)))])
     return out
 
 
@@ -139,7 +92,7 @@ def _s_field(K) -> ScalarFieldP:
 # ---------------------------------------------------------------------------
 
 
-def residual_geodesic(K: KahlerData, h: Profile, taus=None) -> ResidualReport:
+def residual_geodesic(K: KahlerData, h, taus=None) -> ResidualReport:
     """Residual of  D s = h(mu) s.
 
     Reduced equivalence: the reduction of D s / s must be spatially constant
@@ -151,13 +104,16 @@ def residual_geodesic(K: KahlerData, h: Profile, taus=None) -> ResidualReport:
     ds = laplacian_p(s, K)
     resid = ds.values - h(K.mu.values) * s.values
     linf, l2 = _p_norms(K, resid)
+    ratio = ds / s
+    by_tau = _sweep(K, taus, level_set,
+                    lambda lv: reduce_scalar(ratio, lv).values, centred=True)
     rep = ResidualReport("geodesic", K.grid.meta(), linf, l2,
-                         reduced_by_tau=_spatial_constancy(K, ds / s, taus))
+                         reduced_by_tau=by_tau)
     rep.extra["dominant"] = _p_norms(K, s.values)[0]
     return rep
 
 
-def residual_calabi(K: KahlerData, h: Profile, taus=None) -> ResidualReport:
+def residual_calabi(K: KahlerData, h, taus=None) -> ResidualReport:
     """Residual of  R = log s + h(mu)  with R the descending scalar.
 
     Reduced equivalence: (log s - R) reduced must be spatially constant,
@@ -172,14 +128,9 @@ def residual_calabi(K: KahlerData, h: Profile, taus=None) -> ResidualReport:
     ell = ScalarFieldP(grid, np.broadcast_to(grid.l, grid.p_shape).copy())
     resid = R.values - ell.values - h(K.mu.values)
     linf, l2 = _p_norms(K, resid)
-
-    mask = grid.interior_m()
-    by_tau = []
-    for tau in taus:
-        red = reduced_potential(K, tau)
-        q = red.l_tau.values - scal_m(red.omega_tau).values
-        dev = q - np.mean(q[mask])
-        by_tau.append([float(tau), float(np.max(np.abs(dev[mask])))])
+    by_tau = _sweep(K, taus, reduced_potential,
+                    lambda red: red.l_tau.values - scal_m(red.omega_tau).values,
+                    centred=True)
     rep = ResidualReport("calabi", grid.meta(), linf, l2, reduced_by_tau=by_tau)
     rep.extra["dominant"] = max(_p_norms(K, ell.values)[0], _p_norms(K, R.values)[0])
     return rep
@@ -203,17 +154,10 @@ def residual_pseudo_calabi(K: KahlerData, taus=None) -> ResidualReport:
     # reduced identity, evaluated downstairs: the level velocity of the
     # reduced potentials is (1/2) l_tau, so the coupled-flow statement is
     # scal(g_tau) + D_tau((1/2) l_tau) = lambda.
-    from .curvature import laplacian_m
-
-    grid = K.grid
-    mask = grid.interior_m()
-    by_tau = []
-    for tau in taus:
-        red = reduced_potential(K, tau)
-        q = (scal_m(red.omega_tau).values
-             + 0.5 * laplacian_m(red.l_tau, red.omega_tau).values)
-        by_tau.append([float(tau), float(np.max(np.abs(q[mask] - lam)))])
-    rep = ResidualReport("pseudo_calabi", grid.meta(), linf, l2,
+    by_tau = _sweep(K, taus, reduced_potential, lambda red: (
+        scal_m(red.omega_tau).values
+        + 0.5 * laplacian_m(red.l_tau, red.omega_tau).values - lam))
+    rep = ResidualReport("pseudo_calabi", K.grid.meta(), linf, l2,
                          reduced_by_tau=by_tau)
     rep.extra["lambda"] = lam
     rep.extra["dominant"] = max(_p_norms(K, R.values)[0], abs(lam))
@@ -233,14 +177,9 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     ric = cached_ricci_p(K)
     theta = ric + ddc_p(K.log_v()) + d_wedge_dc(g, K)
     linf, l2 = _form_norms(K, theta)
-
+    by_tau = _sweep(K, taus, reduced_potential, lambda red: (
+        0.5 * ddc_m(red.l_tau) + ricci_m(red.omega_tau)).h)
     grid = K.grid
-    mask = grid.interior_m()
-    by_tau = []
-    for tau in taus:
-        red = reduced_potential(K, tau)
-        lhs = 0.5 * ddc_m(red.l_tau) + ricci_m(red.omega_tau)
-        by_tau.append([float(tau), float(np.max(np.abs(lhs.h[mask])))])
     rep = ResidualReport("kr_unnormalized", grid.meta(), linf, l2,
                          reduced_by_tau=by_tau)
     rep.extra["dominant"] = _form_norms(K, ric + d_wedge_dc(
@@ -248,7 +187,7 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     return rep
 
 
-def residual_v_soliton(K: KahlerData, f_profile: Profile) -> ResidualReport:
+def residual_v_soliton(K: KahlerData, f_profile) -> ResidualReport:
     """Frame-component residual of the soliton-type static equation
 
         Ric(omega) + dd^c( log|V| + f(mu) ) = lambda omega.
@@ -263,6 +202,27 @@ def residual_v_soliton(K: KahlerData, f_profile: Profile) -> ResidualReport:
     rep.extra["dominant"] = max(_form_norms(K, lam * K.omega)[0],
                                 _form_norms(K, ric)[0])
     return rep
+
+
+def _soliton_profile(K):
+    """f(mu) = lambda mu^2 / 4, the profile of the round-sphere soliton."""
+    lam = lambda_mean(K.sigma)
+    return lambda m: lam * m * m / 4.0
+
+
+# Each equation at its default profile, called as RESIDUALS[name](K, taus).
+# The entries look the evaluators up by name when called, so a wrapper
+# installed on the module attribute sees every call.
+RESIDUALS = {
+    "geodesic": lambda K, taus=None: residual_geodesic(
+        K, constant_profile(1.0), taus=taus),
+    "calabi": lambda K, taus=None: residual_calabi(
+        K, h_canonical(K, taus), taus=taus),
+    "pseudo_calabi": lambda K, taus=None: residual_pseudo_calabi(K, taus=taus),
+    "kr": lambda K, taus=None: residual_kr(K, taus=taus),
+    "v_soliton": lambda K, taus=None: residual_v_soliton(
+        K, _soliton_profile(K)),
+}
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ Shared by the command-line ``verify`` driver and the acceptance suite.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .curvature import (check_moment_ricci_identity, descending_ricci,
@@ -162,9 +164,7 @@ def battery_with_slopes(grid: TestbedGrid, seed=0, dtau=1e-4) -> dict:
     fine = battery_once(grid, seed=seed, dtau=dtau)
     if half < 9 or half <= 2 * grid.margin:
         return fine
-    coarse_grid = TestbedGrid(grid.kind, grid.n_spatial, half, grid.l_min,
-                              grid.l_max, grid.l_u, grid.margin)
-    coarse = battery_once(coarse_grid, seed=seed, dtau=2.0 * dtau)
+    coarse = battery_once(replace(grid, n_l=half), seed=seed, dtau=2.0 * dtau)
     return {name: attach_slope(coarse[name], fine[name]) for name in fine}
 
 
@@ -187,9 +187,7 @@ def run_verify(grid: TestbedGrid, seed=0, dtau=1e-4):
     """All checks; returns (reports, failures) with failures ordered by name."""
     reports = {
         "convention_gate": convention_gate(
-            TestbedGrid(grid.kind, grid.n_spatial, min(grid.n_l, 65),
-                        grid.l_min, grid.l_max, grid.l_u, grid.margin),
-            seed=seed),
+            replace(grid, n_l=min(grid.n_l, 65)), seed=seed),
         "gauge_invariance": gauge_invariance(grid, seed=seed),
         "closed_form_reductions": closed_form_reductions(grid),
     }

@@ -10,7 +10,7 @@ import pytest
 
 import kredux as kx
 from kredux.fields import ScalarFieldM, ScalarFieldP, interior_norms
-from kredux.statics import Profile, constant_profile
+from kredux.statics import constant_profile
 from kredux.verify import (battery_with_slopes, closed_form_reductions,
                            convention_gate, gauge_invariance)
 
@@ -56,13 +56,13 @@ def test_c05_static_fixtures(cyl, fscyl):
     h_can = kx.h_canonical(cyl, taus)
     vals = {
         "geodesic(cyl, h=1)": (kx.residual_geodesic(cyl, constant_profile(1.0)).linf, 1e-8),
-        "calabi(cyl, h=tau)": (kx.residual_calabi(cyl, Profile.from_callable(lambda m: m)).linf, 1e-8),
+        "calabi(cyl, h=tau)": (kx.residual_calabi(cyl, lambda m: m).linf, 1e-8),
         "h_canonical(cyl)=tau": (float(np.max(np.abs(h_can(taus) - taus))), 1e-8),
         "pseudo(cyl)": (kx.residual_pseudo_calabi(cyl).linf, 1e-8),
         "pseudo(fscyl)": (kx.residual_pseudo_calabi(fscyl).linf, 1e-8),
         "kr(cyl)": (kx.residual_kr(cyl).linf, 1e-8),
         "v_soliton(fscyl)": (kx.residual_v_soliton(
-            fscyl, Profile.from_callable(lambda m: lam * m * m / 4.0)).linf, 1e-7),
+            fscyl, lambda m: lam * m * m / 4.0).linf, 1e-7),
     }
     controls = [
         kx.residual_geodesic(cyl, constant_profile(0.0)),

@@ -160,12 +160,16 @@ def test_verify_outputs_bit_identical(tmp_path):
 
 def test_static_equation_registry(tmp_path):
     import kredux as kx
-    import pytest as _pytest
+    from kredux.statics import RESIDUALS
 
-    with _pytest.raises(ValueError):
-        kx.StaticEquation("heat")
+    assert list(RESIDUALS) == ["geodesic", "calabi", "pseudo_calabi", "kr",
+                               "v_soliton"]
+    with pytest.raises(SystemExit) as exc:
+        run(["residual", "--eq", "heat", "--out", str(tmp_path)])
+    assert exc.value.code == 2
     K = kx.flat_cylinder(kx.torus_grid(n=16, n_l=33, margin=4))
-    rep = kx.StaticEquation("kr_unnormalized").residual(K)
+    rep = RESIDUALS["kr"](K)
+    assert rep.equation == "kr_unnormalized"
     assert rep.linf < 1e-7
 
 

@@ -22,20 +22,11 @@ def g():
     return kx.torus_grid(n=32, n_l=65)
 
 
-# -- differentiate ----------------------------------------------------------
-
-def test_differentiate_spatial_mode(g):
-    f = p_field(g, lambda x1, x2, l: np.sin(2 * np.pi * x1))
-    out = kx.differentiate(f, "x1", 1)
-    x1 = g.x1[:, None, None]
-    expect = 2 * np.pi * np.cos(2 * np.pi * x1)
-    assert np.max(np.abs(out.values - expect)) < 1e-10
-
+# -- fiber stencil -----------------------------------------------------------
 
 def test_differentiate_fiber_quadratic(g):
     f = p_field(g, lambda x1, x2, l: l * l)
-    out = kx.differentiate(f, "l", 2)
-    assert np.max(np.abs(out.values - 2.0)) < 1e-8
+    assert np.max(np.abs(g.d_l(f.values, 2) - 2.0)) < 1e-8
 
 
 def test_differentiate_fiber_exponential_order():
@@ -43,18 +34,9 @@ def test_differentiate_fiber_exponential_order():
     for n_l in (65, 129):
         grid = kx.torus_grid(n=9, n_l=n_l)
         f = p_field(grid, lambda x1, x2, l: np.exp(l))
-        out = kx.differentiate(f, "l", 1)
-        gap = np.abs(out.values - f.values)
+        gap = np.abs(grid.d_l(f.values, 1) - f.values)
         errs.append(interior_norms(gap, grid.interior_p())[0])
     assert np.log2(errs[0] / errs[1]) >= 3.5
-
-
-def test_differentiate_rejects_bad_args(g):
-    f = p_field(g, lambda x1, x2, l: l)
-    with pytest.raises(ValueError):
-        kx.differentiate(f, "l", 3)
-    with pytest.raises(ValueError):
-        kx.differentiate(f, "v", 1)
 
 
 # -- jv_apply ---------------------------------------------------------------
@@ -221,7 +203,7 @@ def test_linearity_of_operators(g):
     amp = 6.0 / g.h_l ** 2 + (np.pi * g.n_spatial) ** 2
     floor = 30 * np.finfo(float).eps * (1 + abs(a) + abs(b)) * amp
 
-    for op in (lambda q: kx.differentiate(q, "l", 1).values,
+    for op in (lambda q: g.d_l(q.values, 1),
                lambda q: kx.jv_apply(q).values,
                lambda q: kx.ddc_p(q).g22,
                lambda q: kx.ddc_p(q).g11):

@@ -137,7 +137,42 @@ def test_geodesic_residual_reduction_family(tg, cyl):
     assert rep.linf < 1e-10  # spatially constant residual
     means = rep.extra["residual_mean_by_t"]
     assert max(abs(m + 0.5) for m in means) < 1e-10
-    assert rep.extra["forms_agreement"] < 1e-10
+
+
+def toric_geodesic(grid, amplitude, ts):
+    """Samples of the exact geodesic from psi_0 = 0 to psi_1 = A cos(2 pi x1).
+
+    The Legendre transform of x1^2/2 + psi/2 is linear in t along a geodesic
+    of toric data.  Per node, s solves s - (1 - t) pi A sin(2 pi s) = x1 by
+    Newton; then y = s - pi A sin(2 pi s) is the dual point and
+    F = x1 y - (1 - t) y^2/2 - t (s y - F_1(s)) with
+    F_1(s) = s^2/2 + (A/2) cos(2 pi s) gives psi_t = 2 F - x1^2.
+    """
+    x, a = grid.x1, amplitude
+    psis = []
+    for t in ts:
+        s = x.copy()
+        for _ in range(50):
+            r = s - (1 - t) * np.pi * a * np.sin(2 * np.pi * s) - x
+            if np.max(np.abs(r)) < 1e-15:
+                break
+            s = s - r / (1 - (1 - t) * 2 * np.pi ** 2 * a * np.cos(2 * np.pi * s))
+        else:
+            raise AssertionError("Newton solve for the dual point did not converge")
+        y = s - np.pi * a * np.sin(2 * np.pi * s)
+        f1 = s * s / 2 + a / 2 * np.cos(2 * np.pi * s)
+        f = x * y - (1 - t) * y * y / 2 - t * (s * y - f1)
+        psis.append(np.broadcast_to((2 * f - x * x)[:, None], grid.spatial_shape))
+    return np.array(psis)
+
+
+def test_geodesic_residual_exact_toric_geodesic(tg):
+    ts = np.linspace(0.0, 1.0, 81)
+    psis = toric_geodesic(tg, 0.02, ts)
+    assert np.max(np.abs(psis[0])) < 1e-15
+    assert np.max(np.abs(psis[-1] - 0.02 * np.cos(2 * np.pi * tg.x1)[:, None])) < 1e-15
+    path = FlowPath(tg, kx.flat_sigma(tg), "geodesic", ts, psis)
+    assert kx.geodesic_residual_path(path).linf < 1e-7
 
 
 def test_geodesic_residual_negative_control(tg):

@@ -191,3 +191,45 @@ def test_load_path_checks_index_columns(tmp_path, edit, message):
                   edit)
     with pytest.raises(ValueError, match=message):
         load_path(str(bad))
+
+
+def _edit_grid(meta_path, edit):
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    edit(meta["grid"])
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+
+
+BAD_GRID = pytest.mark.parametrize("edit", [
+    lambda g: g.pop("margin"), lambda g: g.update(spacing=0.1)],
+    ids=["missing_key", "unknown_key"])
+
+
+@BAD_GRID
+def test_load_kahler_rejects_malformed_grid(tmp_path, edit):
+    d = tmp_path / "kdir"
+    save_kahler(kx.flat_cylinder(small_torus()), str(d))
+    _edit_grid(d / "meta.json", edit)
+    with pytest.raises(ValueError, match="meta.json: grid block"):
+        load_kahler(str(d))
+
+
+@BAD_GRID
+def test_load_path_rejects_malformed_grid(tmp_path, edit):
+    from kredux.cli import main
+
+    bad = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), bad)
+    _edit_grid(bad / "path_meta.json", edit)
+    with pytest.raises(ValueError, match="path_meta.json: grid block"):
+        load_path(str(bad))
+    assert main(["lift", "--in", str(bad), "--out", str(tmp_path / "lift")]) == 3
+
+
+def test_load_path_rejects_meta_that_is_not_an_object(tmp_path):
+    bad = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), bad)
+    (bad / "path_meta.json").write_text("[]\n")
+    with pytest.raises(ValueError, match="path_meta.json: grid block"):
+        load_path(str(bad))

@@ -166,7 +166,7 @@ def test_converse_w_positive_on_flow(calabi_path):
     from kredux.curvature import scal_m
 
     rate = np.max(np.abs(scal_m(calabi_path.metric_at(0)).values)) * 200.0
-    h = kx.Profile.from_callable(lambda t: rate * np.asarray(t))
+    h = lambda t: rate * np.asarray(t)
     w, rep = kx.calabi_converse_w(calabi_path, h, 1.0)
     assert rep.extra["min_w"] > 0.0
 

@@ -1,5 +1,10 @@
-"""Randomized properties of the fiber interpolant, the level solve and the
-shared Newton solver (hypothesis, derandomized so the suite is repeatable)."""
+"""Randomized properties of the fiber interpolant, the level solve, the
+shared Newton solver, gauge moves and the round trips of configurations,
+field dumps and grids (hypothesis, derandomized so the suite is
+repeatable)."""
+
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -9,9 +14,12 @@ from hypothesis.extra.numpy import arrays
 from scipy.optimize import brentq
 
 import kredux as kx
+from kredux.config import RunConfig
 from kredux.errors import NotConverged
-from kredux.fields import ScalarFieldP
+from kredux.fields import ScalarFieldM, ScalarFieldP
+from kredux.fixtures import random_resolved_m
 from kredux.interp import FiberInterp, newton_decreasing
+from kredux.io import dump_field, load_field
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=60)
@@ -124,3 +132,88 @@ def test_newton_decreasing_matches_brentq(items):
     if steps > 0:
         with pytest.raises(NotConverged):
             newton_decreasing(fun, lo, hi, 1e-13, steps - 1, "cubics")
+
+
+GAUGE_K = kx.perturbed_cylinder(kx.torus_grid(n=12, n_l=17, margin=2),
+                                amplitude=0.02)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), amplitude=st.floats(0.0, 0.002),
+       b=st.floats(-10.0, 10.0), c_tilde=st.floats(-2.0, 2.0))
+def test_gauge_move_keeps_omega_and_mu(seed, amplitude, b, c_tilde):
+    K = GAUGE_K
+    u = random_resolved_m(K.grid, np.random.default_rng(seed), modes=2,
+                          amplitude=amplitude)
+    Kt = kx.gauge(K, u, b, c_tilde)
+    for name in ("g11", "g12", "g22"):
+        gap = getattr(Kt.omega, name) - getattr(K.omega, name)
+        assert np.max(np.abs(gap)) < 1e-10
+    assert np.max(np.abs(Kt.mu.values - K.mu.values)) < 1e-10
+
+
+words = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", max_size=12)
+reals = st.floats(allow_nan=False)
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+configs = st.builds(
+    RunConfig, testbed=st.sampled_from(["torus", "radial"]),
+    n=st.integers(9, 10 ** 6), n_l=st.integers(9, 10 ** 6),
+    l_min=reals, l_max=reals, l_u=reals, margin=st.integers(-10 ** 6, 10 ** 6),
+    root_tol=positive, dtau=positive, flow_kind=words, flow_dt=reals,
+    flow_t_end=reals, flow_amplitude=reals, fixture=words, tau=reals,
+    seed=st.integers(-10 ** 9, 10 ** 9), out=words)
+
+
+@SETTINGS
+@given(cfg=configs)
+def test_run_config_text_roundtrip(cfg):
+    text = cfg.to_text()
+    back = RunConfig.from_text(text)
+    assert back == cfg
+    assert back.to_text() == text  # keeps the sign of -0.0 as well
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+SPECIAL = (-0.0, 5e-324, -2.225073858507201e-308, 1e-310)
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["torus", "radial"]), base=st.booleans(),
+       data=st.data())
+def test_field_dump_roundtrip_is_bit_exact(kind, base, data):
+    grid = kx.TestbedGrid(kind, 9, 9, -1.0, 1.0, margin=2)
+    shape = grid.spatial_shape if base else grid.p_shape
+    vals = data.draw(arrays(float, shape, elements=st.floats(
+        allow_nan=False, allow_infinity=False)))
+    vals.flat[:len(SPECIAL)] = SPECIAL
+    field = (ScalarFieldM if base else ScalarFieldP)(grid, vals)
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "field.csv")
+        dump_field(field, path)
+        _, back, on_base = load_field(path)
+    assert on_base == base
+    assert np.array_equal(_bits(back), _bits(vals))
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["torus", "radial"]),
+       n=st.integers(9, 4096), n_l=st.integers(9, 4096),
+       l_min=st.floats(-50.0, 50.0), width=st.floats(1e-3, 50.0),
+       l_u=st.floats(0.1, 50.0), margin=st.integers(2, 64),
+       numpy_scalars=st.booleans())
+def test_grid_rebuilds_from_its_meta(kind, n, n_l, l_min, width, l_u, margin,
+                                     numpy_scalars):
+    args = (n, n_l, l_min, l_min + width, l_u, margin)
+    if numpy_scalars:
+        args = (np.int64(n), np.int32(n_l), np.float64(l_min),
+                np.float32(l_min + width), np.float64(l_u), np.int16(margin))
+    g = kx.TestbedGrid(kind, *args)
+    meta = g.meta()
+    assert [type(v) for v in meta.values()] == [str, int, int, float, float,
+                                                float, int]
+    back = kx.TestbedGrid(**meta)
+    assert back == g
+    assert hash(back) == hash(g)

@@ -3,7 +3,7 @@ import pytest
 
 import kredux as kx
 from kredux.fields import ScalarFieldM
-from kredux.statics import Profile, constant_profile
+from kredux.statics import constant_profile
 
 
 def test_lambda_mean_flat_and_round(tg, rg):
@@ -55,11 +55,11 @@ def test_geodesic_fixture_and_control(cyl, fscyl):
 
 
 def test_calabi_fixture_and_control(cyl, fscyl):
-    rep = kx.residual_calabi(cyl, Profile.from_callable(lambda m: m))
+    rep = kx.residual_calabi(cyl, lambda m: m)
     assert rep.linf < 1e-8
     assert rep.reduced_linf < 1e-8
     lam = kx.lambda_mean(fscyl.sigma)
-    rep2 = kx.residual_calabi(fscyl, Profile.from_callable(lambda m: lam + m))
+    rep2 = kx.residual_calabi(fscyl, lambda m: lam + m)
     assert rep2.linf < 1e-8
     ctrl = kx.residual_calabi(cyl, constant_profile(0.0))
     assert ctrl.linf > 0.1 * ctrl.extra["dominant"]
@@ -83,9 +83,9 @@ def test_kr_fixture_and_control(cyl, fscyl):
 def test_v_soliton_fixture_and_controls(cyl, fscyl):
     lam = kx.lambda_mean(fscyl.sigma)
     rep = kx.residual_v_soliton(
-        fscyl, Profile.from_callable(lambda m: lam * m * m / 4.0))
+        fscyl, lambda m: lam * m * m / 4.0)
     assert rep.linf < 1e-7
-    rep2 = kx.residual_v_soliton(cyl, Profile.from_callable(lambda m: 0.3 * m))
+    rep2 = kx.residual_v_soliton(cyl, lambda m: 0.3 * m)
     assert rep2.linf < 1e-8
     ctrl = kx.residual_v_soliton(fscyl, constant_profile(0.0))
     assert ctrl.linf > 0.1 * ctrl.extra["dominant"]
