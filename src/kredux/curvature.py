@@ -61,10 +61,15 @@ def laplacian_m(f: ScalarFieldM, omega: Form11M) -> ScalarFieldM:
     return ScalarFieldM(grid, grid.dzbar_dz(f.values) / omega.h)
 
 
+def _trace_laplacian(K: KahlerData, ddc_f: Form11P) -> ScalarFieldP:
+    """(1/2) tr(G^{-1} dd^c f), from a given dd^c f."""
+    return ScalarFieldP(K.grid, 0.5 * trace_against(K.omega, ddc_f,
+                                                    K.omega_det()))
+
+
 def laplacian_p(f: ScalarFieldP, K: KahlerData) -> ScalarFieldP:
     """Metric-trace Laplacian on the total space: (1/2) tr(G^{-1} dd^c f)."""
-    return ScalarFieldP(f.grid, 0.5 * trace_against(K.omega, ddc_p(f),
-                                                    K.omega_det()))
+    return _trace_laplacian(K, ddc_p(f))
 
 
 def ricci_p(K: KahlerData) -> Form11P:
@@ -91,8 +96,7 @@ def scal_p(K: KahlerData) -> ScalarFieldP:
 
 def moment_laplacian(K: KahlerData) -> ScalarFieldP:
     """D mu, from the structure's dd^c mu, computed once per structure."""
-    return K.cached("laplacian_mu", lambda: ScalarFieldP(
-        K.grid, 0.5 * trace_against(K.omega, K.ddc_mu(), K.omega_det())))
+    return K.cached("laplacian_mu", lambda: _trace_laplacian(K, K.ddc_mu()))
 
 
 def descent_drift(K: KahlerData) -> ScalarFieldP:
@@ -102,6 +106,11 @@ def descent_drift(K: KahlerData) -> ScalarFieldP:
                     lambda: moment_laplacian(K) - jv_apply(K.log_v()))
 
 
+def ddc_log_v(K: KahlerData) -> Form11P:
+    """dd^c log|V|, computed once per structure."""
+    return K.cached("ddc_log_v", lambda: ddc_p(K.log_v()))
+
+
 def descending_ricci(K: KahlerData) -> Form11P:
     """The 2-form upstairs whose reduction is the Ricci form of every
     reduced metric:
@@ -109,7 +118,7 @@ def descending_ricci(K: KahlerData) -> Form11P:
         Ric(omega) + dd^c log|V| + d( ((D mu - JV log|V|) / |V|^2) d^c mu ).
     """
     g = descent_drift(K) / K.vsq
-    return cached_ricci_p(K) + ddc_p(K.log_v()) + d_wedge_dc(g, K)
+    return cached_ricci_p(K) + ddc_log_v(K) + d_wedge_dc(g, K)
 
 
 def descending_scalar(K: KahlerData) -> ScalarFieldP:
@@ -120,7 +129,7 @@ def descending_scalar(K: KahlerData) -> ScalarFieldP:
     """
     drift = descent_drift(K)
     return (scal_p(K)
-            + 2.0 * laplacian_p(K.log_v(), K)
+            + 2.0 * _trace_laplacian(K, ddc_log_v(K))
             + 2.0 * drift * drift / K.vsq
             + jv_apply(drift) / K.vsq)
 

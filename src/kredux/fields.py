@@ -288,16 +288,18 @@ def d_wedge_dc(g_field: ScalarFieldP, K) -> Form11P:
     """The 2-form d(g d^c mu) = dg /\\ d^c mu + g dd^c mu for an invariant g
     and the moment map mu of the structure K, whose dd^c mu is kept.
 
+    The gradient of mu is read off the structure: omega's mixed component is
+    -dz mu and |V|^2 = -2 d_l mu, exactly as ``assemble`` builds them.
+
     Carries a (2,0) part whenever the fiber and spatial gradients of g and mu
     fail to be proportional.
     """
     grid = g_field.grid
-    mu = K.mu
-    _check_grid(grid, mu.grid)
+    _check_grid(grid, K.mu.grid)
     dzg = grid.dz_stripped(g_field.values)
-    dzmu = grid.dz_stripped(mu.values)
+    dzmu = -K.omega.g12
     dlg = grid.d_l(g_field.values, 1)
-    dlmu = grid.d_l(mu.values, 1)
+    dlmu = -0.5 * K.vsq.values
     wm = grid.mixed_weight[..., None]
     ddc_mu = K.ddc_mu()
     gv = g_field.values

@@ -141,10 +141,6 @@ class FiberInterp:
                                           w.rows[on, 0])[1]
         return val, slope
 
-    def deriv_at(self, pts):
-        p = np.clip(np.asarray(pts, dtype=float).reshape(-1), self.l[0], self.l[-1])
-        return self._value_slope(p)[1].reshape(self.spatial_shape)
-
     def solve_decreasing(self, target, tol_scale=1e-12, max_iter=120):
         """Per-node root of interp(l) = target for fiberwise decreasing data,
         by :func:`newton_decreasing` on the nodes whose end values bracket

@@ -136,10 +136,16 @@ def _check_index_columns(body, columns, shape, ncols, path):
             raise ValueError(f"{path}: index column {col} is out of order")
 
 
+_HEADER_KEYS = ("kind", "N", "Nl", "lmin", "lmax", "lu", "margin")
+
+
 def load_field(path):
     """Load a dumped field; returns (grid, values, on_base)."""
     with open(path, "r", encoding="utf-8") as fh:
         header = _parse_header(fh.readline().strip())
+        missing = [k for k in _HEADER_KEYS if k not in header]
+        if missing:
+            raise ValueError(f"{path}: header lacks {', '.join(missing)}")
         body = np.loadtxt(fh, delimiter=",", ndmin=2)
     kind = header["kind"]
     n = int(header["N"])
@@ -165,7 +171,8 @@ def load_field(path):
 
 def _read_meta(path):
     """The JSON object in ``path`` and the grid its ``grid`` block names;
-    ValueError unless that block has exactly the grid's keys."""
+    ValueError unless that block has exactly the grid's keys and a number
+    (not a bool) for each of them but ``kind``."""
     with open(path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     keys = [f.name for f in fields(TestbedGrid)]
@@ -173,6 +180,11 @@ def _read_meta(path):
     if not isinstance(g, dict) or sorted(g) != sorted(keys):
         raise ValueError(f"{path}: grid block must have exactly the keys "
                          f"{', '.join(keys)}")
+    for key in keys:
+        if key != "kind" and (isinstance(g[key], bool)
+                              or not isinstance(g[key], (int, float))):
+            raise ValueError(f"{path}: grid block value {key}={g[key]!r} "
+                             "is not a number")
     return meta, TestbedGrid(**g)
 
 

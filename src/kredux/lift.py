@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import CubicSpline
 
 from .curvature import scal_m
 from .errors import HypothesisViolated, NonConcave, OutOfWindow
@@ -48,6 +46,12 @@ class LiftResult:
 # ---------------------------------------------------------------------------
 
 
+def _cumulative_trapezoid(y, x):
+    """Running trapezoid integral of ``y`` over ``x``, starting at 0; the
+    same floating-point operations as scipy's ``cumulative_trapezoid``."""
+    return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
+
+
 def concavity_shift(path: FlowPath, slack=1e-9):
     """Shift the path by a_t so its discrete second time derivative is <= -2.
 
@@ -62,8 +66,8 @@ def concavity_shift(path: FlowPath, slack=1e-9):
     ts = path.ts
     d2 = path.time_derivative(2)
     sup = np.max(d2.reshape(path.n_samples, -1), axis=1)
-    inner = cumulative_trapezoid(sup, ts, initial=0.0)
-    a = -ts * ts - cumulative_trapezoid(inner, ts, initial=0.0)
+    inner = _cumulative_trapezoid(sup, ts)
+    a = -ts * ts - _cumulative_trapezoid(inner, ts)
 
     d2a = time_derivative(ts, a, 2)
     excess = float(np.max(d2 + d2a.reshape(-1, *([1] * (d2.ndim - 1)))) + 2.0)
@@ -95,6 +99,8 @@ class _TimeSplines:
     _BLOCK = 8192  # (node, level) pairs per Newton block
 
     def __init__(self, path: FlowPath):
+        from scipy.interpolate import CubicSpline
+
         ts = self.ts = path.ts
         y = path.psis.reshape(path.n_samples, -1)
         c = CubicSpline(ts, y, axis=0).c  # (4, nseg, nspace)

@@ -198,7 +198,7 @@ def check_dcred(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     grid = K.grid
     taus = _levels(taus)
     g = jv_apply(f) / K.vsq
-    combo = grid.dz_stripped(f.values) - g.values * grid.dz_stripped(K.mu.values)
+    combo = grid.dz_stripped(f.values) + g.values * K.omega.g12  # g12 = -dz mu
     norms = []
     for tau in taus:
         level = level_set(K, tau)

@@ -12,7 +12,6 @@ default profile, keyed by the command-line name.
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .curvature import (cached_ricci_p, descending_scalar, descent_drift,
                         laplacian_m, laplacian_p, ricci_m, scal_m)
@@ -39,12 +38,14 @@ def lambda_mean(sigma) -> float:
     return integrate_m(s, sigma) / integrate_m(np.ones(sigma.grid.spatial_shape), sigma)
 
 
-def h_canonical(K: KahlerData, taus=None) -> CubicSpline:
+def h_canonical(K: KahlerData, taus=None):
     """The unique level profile compatible with the scalar-curvature flow
-    equation on reductions:
+    equation on reductions, as a cubic spline through its values at ``taus``:
 
         h(tau) = lambda - (integral of log s_tau dV_tau) / vol.
     """
+    from scipy.interpolate import CubicSpline
+
     taus = default_taus(K) if taus is None else np.asarray(taus, dtype=float)
     lam = lambda_mean(K.sigma)
     vals = []

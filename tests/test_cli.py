@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,6 +35,28 @@ def test_verify_passes_and_writes_reports(tmp_path):
     with open(out / "meta.json") as fh:
         meta = json.load(fh)
     assert "config" in meta and "hashes" in meta
+
+
+def test_verify_does_not_import_scipy(tmp_path):
+    # scipy.interpolate is most of the start-up cost of a command, so only
+    # the commands that build splines import it; a fresh interpreter is
+    # needed because this one has imported scipy already
+    argv = ["verify"] + small_args(tmp_path, n=16, n_l=33, margin=4)
+    probe = ("import sys\n"
+             "from kredux.cli import main\n"
+             f"code = main({argv!r})\n"
+             "print(code, 'scipy' in sys.modules)\n")
+    src = os.path.normpath(os.path.join(os.path.dirname(
+        os.path.abspath(__file__)), "..", "src"))
+    extra = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + extra if extra else src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    code, scipy_loaded = out.stdout.splitlines()[-1].split()
+    assert code in ("0", "2")
+    assert scipy_loaded == "False"
 
 
 def test_verify_low_resolution_reports_failure(tmp_path):

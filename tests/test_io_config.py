@@ -202,8 +202,9 @@ def _edit_grid(meta_path, edit):
 
 
 BAD_GRID = pytest.mark.parametrize("edit", [
-    lambda g: g.pop("margin"), lambda g: g.update(spacing=0.1)],
-    ids=["missing_key", "unknown_key"])
+    lambda g: g.pop("margin"), lambda g: g.update(spacing=0.1),
+    lambda g: g.update(n_l=str(g["n_l"])), lambda g: g.update(margin=True)],
+    ids=["missing_key", "unknown_key", "string_value", "bool_value"])
 
 
 @BAD_GRID
@@ -233,3 +234,15 @@ def test_load_path_rejects_meta_that_is_not_an_object(tmp_path):
     (bad / "path_meta.json").write_text("[]\n")
     with pytest.raises(ValueError, match="path_meta.json: grid block"):
         load_path(str(bad))
+
+
+def test_load_field_rejects_header_missing_a_key(tmp_path):
+    from kredux.cli import main
+
+    bad = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), bad)
+    text = (bad / "sigma.csv").read_text()
+    (bad / "sigma.csv").write_text(text.replace(", N=", ", M=", 1))
+    with pytest.raises(ValueError, match="sigma.csv: header lacks N"):
+        load_field(str(bad / "sigma.csv"))
+    assert main(["lift", "--in", str(bad), "--out", str(tmp_path / "lift")]) == 3

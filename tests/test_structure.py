@@ -229,6 +229,24 @@ def test_ddc_mu_computed_once_per_structure(small, monkeypatch):
     assert np.array_equal(small.ddc_mu().g12, kx.ddc_p(small.mu).g12)
 
 
+def test_ddc_log_v_computed_once_per_structure(small, monkeypatch):
+    import kredux.curvature as curvature
+
+    log_v = small.log_v()
+    calls = []
+    real = curvature.ddc_p
+
+    def counting(f):
+        calls.append(f is log_v)
+        return real(f)
+
+    monkeypatch.setattr(curvature, "ddc_p", counting)
+    kx.descending_ricci(small)
+    kx.descending_scalar(small)
+    kx.descending_ricci(small)
+    assert calls.count(True) == 1
+
+
 def test_level_set_solved_once_per_level(small, monkeypatch):
     from kredux.interp import FiberInterp
 
