@@ -7,10 +7,19 @@ Field dump (CSV, decimal text at 17 significant digits):
 
 Radial grids use rows ``i,k,v,l,value``; base fields set ``Nl=0`` and drop
 the fiber columns.  Writes are atomic (write to a temporary file, then
-rename).  Field dumps and ``path.csv`` are streamed in slabs, one per first
-index (spatial index or sample), so a file is never held whole in memory; the
-format is unchanged, byte for byte.  Loads check that the index columns run
-in ``np.indices`` order and that the row count matches the header.
+rename).  Field dumps and ``path.csv`` (rows ``k,t,i[,j],value``) are
+written in slabs, one per first index (spatial index or sample): one row
+template per file, filled per slab with the slab's index and first
+coordinate (or ``t``) and ``%``-formatted values, so a file is never held
+whole in memory and its bytes are those of the row-by-row format.
+
+Loads parse whole slabs at a time with ``np.loadtxt`` into one owned array.
+Index columns are read as integers and must run in ``np.indices`` order;
+coordinate columns, and ``path.csv``'s ``t``, must be exactly the text the
+writer gives for the header grid (for ``t``: the ``ts`` of
+``path_meta.json``).  Each row has exactly the format's columns, each slab
+its row count, and nothing follows the last slab; anything else is a
+``ValueError`` that names the file.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import tempfile
 from dataclasses import fields
@@ -79,21 +89,40 @@ def _fmt(a):
     return list(map(_FMT, np.ravel(a).tolist()))
 
 
-def _rows(prefixes, values):
-    """CSV rows ``prefix + value``, one per entry of ``values``."""
-    return "\n".join(map(str.__add__, prefixes, _fmt(values))) + "\n"
+def _dump_axes(grid, on_base):
+    """The coordinate axes of a dump, one per index column."""
+    axes = [grid.x1, grid.x2] if grid.kind == TORUS else [grid.v]
+    return axes if on_base else axes + [grid.l]
 
 
-def _field_slabs(axes, values):
-    """Rows ``i,j,..,x_i,x_j,..,value`` of ``values`` over the coordinate
-    axes, yielded one slab per first index."""
-    idx, crd = [""], [""]
-    for ax in axes[1:]:
-        idx = [p + f"{n}," for p in idx for n in range(len(ax))]
-        crd = [p + c + "," for p in crd for c in _fmt(ax)]
-    for i, x in enumerate(_fmt(axes[0])):
-        head, mid = f"{i},", x + ","
-        yield _rows([head + a + mid + b for a, b in zip(idx, crd)], values[i])
+def _slab_columns(axes):
+    """The columns that every slab over ``axes`` (the dump axes after the
+    first) carries, rows in ``np.indices`` order: an index array per axis,
+    then the coordinate text per axis.  Writer and reader both take their
+    text from here, so a load can compare it exactly."""
+    ix = [i.ravel() for i in np.indices([len(a) for a in axes])]
+    text = [[t[k] for k in i.tolist()] for t, i in zip(map(_fmt, axes), ix)]
+    return ix, text
+
+
+def _row_template(*cols):
+    """The rows of one slab: ``cols`` joined by commas, then a ``%.17g``
+    value field.  A column is an index array, a list of texts, or a mark
+    that each slab fills with ``str.replace``: ``"\\0"`` for the slab
+    index, ``"\\1"`` for the slab's own text."""
+    n = max((len(c) for c in cols if not isinstance(c, str)), default=1)
+    cols = [[c] * n if isinstance(c, str) else
+            list(map(str, c.tolist())) if isinstance(c, np.ndarray) else c
+            for c in cols]
+    return "".join(",".join(r) + ",%.17g\n" for r in zip(*cols))
+
+
+def _slabs(template, heads, values):
+    """The text of each slab: ``template`` with index ``k``, ``heads[k]``
+    and the entries of ``values[k]``."""
+    for k, head in enumerate(heads):
+        yield (template.replace("\0", str(k)).replace("\1", head)
+               % tuple(values[k].ravel().tolist()))
 
 
 def dump_field(field, path):
@@ -106,11 +135,12 @@ def dump_field(field, path):
         grid, values, on_base = field.grid, field.values, False
     else:
         raise TypeError(f"cannot dump {type(field).__name__}")
-    axes = [grid.x1, grid.x2] if grid.kind == TORUS else [grid.v]
-    if not on_base:
-        axes.append(grid.l)
+    axes = _dump_axes(grid, on_base)
+    ix, text = _slab_columns(axes[1:])
+    template = _row_template("\0", *ix, "\1", *text)
     atomic_write(path, itertools.chain([_header(grid, on_base) + "\n"],
-                                       _field_slabs(axes, values)))
+                                       _slabs(template, _fmt(axes[0]),
+                                              values)))
 
 
 def _parse_header(line):
@@ -123,17 +153,64 @@ def _parse_header(line):
     return meta
 
 
-def _check_index_columns(body, columns, shape, ncols, path):
-    """Raise ValueError unless ``body`` has one row of ``ncols`` columns per
-    entry of ``shape`` and its ``columns`` hold the indices of each row in
-    ``np.indices`` order."""
-    expected = (int(np.prod(shape)), ncols)
-    if body.shape != expected:
-        raise ValueError(f"{path}: {body.shape[0]} rows of {body.shape[1]} "
-                         f"columns, expected {expected[0]} of {ncols}")
-    for col, index in zip(columns, np.indices(shape, sparse=True)):
-        if not np.all(body[:, col].reshape(shape) == index):
-            raise ValueError(f"{path}: index column {col} is out of order")
+# A double at 17 significant digits is at most 24 characters, so text read
+# into 25 bytes is never cut to something that matches.
+_TEXT = "S25"
+# Rows per np.loadtxt call: as many whole slabs as fit, and at least one.
+_READ_ROWS = 8192
+
+
+def _check_length(fh, path, shape, ncols):
+    """ValueError unless ``fh`` is long enough to hold a row of ``ncols``
+    columns per entry of ``shape``, so that a header cannot make a load
+    build more than its file could fill."""
+    if math.prod(shape) * 2 * ncols > os.fstat(fh.fileno()).st_size:
+        raise ValueError(f"{path}: fewer rows than the header gives")
+
+
+def _read_slabs(fh, path, out, columns, source):
+    """Fill ``out``, one slab of rows per entry of its first axis, from the
+    lines of ``fh``, parsing whole slabs at a time.  ``columns(ks)`` lists
+    what the columns before the value must hold in the slabs ``ks``, each
+    broadcast against a ``(len(ks), rows)`` block: ints for an index column,
+    bytes for a text column.  ValueError naming ``path`` unless every row
+    parses and matches exactly, and the file ends after the last slab."""
+    flat = out.reshape(len(out), -1)
+    rows = flat.shape[1]
+    if not flat.size:
+        raise ValueError(f"{path}: no rows to read")
+    dtype = np.dtype([(f"c{c}", _TEXT if np.asarray(e).dtype.kind == "S"
+                       else "i8")
+                      for c, e in enumerate(columns(np.arange(0)))]
+                     + [("value", "f8")])
+    step = max(1, _READ_ROWS // rows)
+    for k in range(0, len(out), step):
+        stop = min(k + step, len(out))
+        n = (stop - k) * rows
+        where = f"{path}, lines {2 + k * rows}-{1 + k * rows + n}"
+        lines = list(itertools.islice(fh, n))
+        # np.loadtxt skips blank lines, and warns on a block of nothing else
+        if len(lines) < n or not lines[0].strip():
+            raise ValueError(f"{where}: fewer rows than the header gives")
+        try:
+            block = np.loadtxt(lines, dtype=dtype, delimiter=",",
+                               comments=None, ndmin=1)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from None
+        if len(block) != n:
+            raise ValueError(f"{where}: {len(block)} rows, expected {n}")
+        block = block.reshape(stop - k, rows)
+        for c, expected in enumerate(columns(np.arange(k, stop))):
+            column = block[f"c{c}"]
+            if not np.all(column == expected):
+                what = ("index column {} is out of order"
+                        if column.dtype.kind == "i"
+                        else "column {} does not match " + source)
+                raise ValueError(f"{where}: {what.format(c)}")
+        flat[k:stop] = block["value"]
+    if fh.readline():
+        raise ValueError(f"{path}: more rows than the header gives")
+    return out
 
 
 _HEADER_KEYS = ("kind", "N", "Nl", "lmin", "lmax", "lu", "margin")
@@ -146,22 +223,24 @@ def load_field(path):
         missing = [k for k in _HEADER_KEYS if k not in header]
         if missing:
             raise ValueError(f"{path}: header lacks {', '.join(missing)}")
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
-    kind = header["kind"]
-    n = int(header["N"])
-    nl = int(header["Nl"])
-    on_base = nl == 0
-    grid_nl = nl if nl else 9  # base dumps carry no fiber resolution
-    grid = TestbedGrid(kind, n, max(grid_nl, 9), float(header["lmin"]),
-                       float(header["lmax"]), l_u=float(header["lu"]),
-                       margin=int(header["margin"]))
-    if kind == TORUS:
-        shape = (n, n) if on_base else (n, n, nl)
-    else:
-        shape = (n,) if on_base else (n, nl)
-    _check_index_columns(body, range(len(shape)), shape, 2 * len(shape) + 1,
-                         path)
-    return grid, body[:, -1].reshape(shape), on_base
+        nl = int(header["Nl"])
+        on_base = nl == 0
+        # base dumps carry no fiber resolution
+        grid = TestbedGrid(header["kind"], int(header["N"]), nl or 9,
+                           float(header["lmin"]), float(header["lmax"]),
+                           l_u=float(header["lu"]),
+                           margin=int(header["margin"]))
+        shape = grid.spatial_shape if on_base else grid.p_shape
+        _check_length(fh, path, shape, 2 * len(shape) + 1)
+        axes = _dump_axes(grid, on_base)
+        heads = np.array(_fmt(axes[0]), dtype=bytes)
+        ix, text = _slab_columns(axes[1:])
+        text = [np.array(t, dtype=bytes) for t in text]
+        values = _read_slabs(fh, path, np.empty(shape),
+                             lambda ks: [ks[:, None], *ix,
+                                        heads[ks, None], *text],
+                             "the header grid")
+    return grid, values, on_base
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +251,7 @@ def load_field(path):
 def _read_meta(path):
     """The JSON object in ``path`` and the grid its ``grid`` block names;
     ValueError unless that block has exactly the grid's keys and a number
-    (not a bool) for each of them but ``kind``."""
+    (not a bool) for each of them but ``kind``, integral for the counts."""
     with open(path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     keys = [f.name for f in fields(TestbedGrid)]
@@ -185,6 +264,10 @@ def _read_meta(path):
                               or not isinstance(g[key], (int, float))):
             raise ValueError(f"{path}: grid block value {key}={g[key]!r} "
                              "is not a number")
+        if (key in ("n_spatial", "n_l", "margin")
+                and isinstance(g[key], float) and not g[key].is_integer()):
+            raise ValueError(f"{path}: grid block value {key}={g[key]!r} "
+                             "is not an integer")
     return meta, TestbedGrid(**g)
 
 
@@ -223,13 +306,11 @@ def save_path(path_obj: FlowPath, outdir):
     dump_field(path_obj.sigma, os.path.join(outdir, "sigma.csv"))
     header = (f"# kredux-path v1, kind={path_obj.kind}, sigma=sigma.csv, "
               f"N={grid.n_spatial}\n")
-    nodes = [",".join(map(str, ix)) + ","
-             for ix in np.ndindex(grid.spatial_shape)]
-    slabs = (_rows([f"{k},{t}," + a for a in nodes], psi)
-             for k, (t, psi) in enumerate(zip(_fmt(path_obj.ts),
-                                              path_obj.psis)))
+    ix, _ = _slab_columns(_dump_axes(grid, True))
+    template = _row_template("\0", "\1", *ix)
     atomic_write(os.path.join(outdir, "path.csv"),
-                 itertools.chain([header], slabs))
+                 itertools.chain([header], _slabs(template, _fmt(path_obj.ts),
+                                                  path_obj.psis)))
     meta = {"kind": path_obj.kind, "grid": grid.meta(),
             "normalization": path_obj.normalization,
             "dt_history": list(path_obj.dt_history),
@@ -242,14 +323,16 @@ def load_path(outdir) -> FlowPath:
     meta, grid = _read_meta(os.path.join(outdir, "path_meta.json"))
     _, sig_vals, _ = load_field(os.path.join(outdir, "sigma.csv"))
     csv_path = os.path.join(outdir, "path.csv")
-    with open(csv_path, "r", encoding="utf-8") as fh:
-        fh.readline()
-        body = np.loadtxt(fh, delimiter=",", ndmin=2)
     ts = np.array(meta["ts"], dtype=float)
     shape = (len(ts),) + grid.spatial_shape
-    _check_index_columns(body, [0] + list(range(2, 1 + len(shape))), shape,
-                         len(shape) + 2, csv_path)
-    psis = body[:, -1].reshape(shape)
+    with open(csv_path, "r", encoding="utf-8") as fh:
+        fh.readline()
+        _check_length(fh, csv_path, shape, len(shape) + 2)
+        heads = np.array(_fmt(ts), dtype=bytes)
+        ix, _ = _slab_columns(_dump_axes(grid, True))
+        psis = _read_slabs(fh, csv_path, np.empty(shape),
+                           lambda ks: [ks[:, None], heads[ks, None], *ix],
+                           "the ts in path_meta.json")
     return FlowPath(grid, Form11M(grid, sig_vals), meta["kind"], ts, psis,
                     meta.get("normalization", {}), meta.get("dt_history", []))
 

@@ -203,8 +203,10 @@ def _edit_grid(meta_path, edit):
 
 BAD_GRID = pytest.mark.parametrize("edit", [
     lambda g: g.pop("margin"), lambda g: g.update(spacing=0.1),
-    lambda g: g.update(n_l=str(g["n_l"])), lambda g: g.update(margin=True)],
-    ids=["missing_key", "unknown_key", "string_value", "bool_value"])
+    lambda g: g.update(n_l=str(g["n_l"])), lambda g: g.update(margin=True),
+    lambda g: g.update(n_l=9.7)],
+    ids=["missing_key", "unknown_key", "string_value", "bool_value",
+         "non_integral_value"])
 
 
 @BAD_GRID
@@ -228,6 +230,16 @@ def test_load_path_rejects_malformed_grid(tmp_path, edit):
     assert main(["lift", "--in", str(bad), "--out", str(tmp_path / "lift")]) == 3
 
 
+def test_load_path_accepts_integral_float_counts(tmp_path):
+    d = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), d)
+    _edit_grid(d / "path_meta.json",
+               lambda g: g.update(n_l=9.0, n_spatial=9.0, margin=2.0))
+    grid = load_path(str(d)).grid
+    assert (grid.n_spatial, grid.n_l, grid.margin) == (9, 9, 2)
+    assert type(grid.n_l) is int
+
+
 def test_load_path_rejects_meta_that_is_not_an_object(tmp_path):
     bad = tmp_path / "path"
     shutil.copytree(os.path.join(DATA, "path"), bad)
@@ -246,3 +258,93 @@ def test_load_field_rejects_header_missing_a_key(tmp_path):
     with pytest.raises(ValueError, match="sigma.csv: header lacks N"):
         load_field(str(bad / "sigma.csv"))
     assert main(["lift", "--in", str(bad), "--out", str(tmp_path / "lift")]) == 3
+
+
+# -- exact columns --------------------------------------------------------------
+# A load compares every index and text column with what the writer would
+# produce from the header grid (or from the ts of path_meta.json), so a row
+# the writer could not have written is rejected, naming the file, and the CLI
+# exits 3.
+
+
+def _edit_cell(col, new, row=5):
+    """An edit that replaces column ``col`` of body row ``row`` by
+    ``new(old text)``."""
+    def edit(rows):
+        rows = list(rows)
+        cells = rows[row].rstrip("\n").split(",")
+        cells[col] = new(cells[col])
+        rows[row] = ",".join(cells) + "\n"
+        return rows
+    return edit
+
+
+def _shifted(text):
+    return repr(float(text) + 0.25)
+
+
+_EXTRA_COLUMN = _edit_cell(-1, lambda s: s + ",0")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_EXTRA_COLUMN, "8 were found"),
+    (_edit_cell(5, lambda s: "abc"), "column 5 does not match the header"),
+    (_edit_cell(5, _shifted), "column 5 does not match the header grid"),
+    (_edit_cell(3, _shifted), "column 3 does not match the header grid"),
+    (_edit_cell(0, lambda s: s + ".0"), "'0.0' to int64")],
+    ids=["extra_column", "non_numeric_coordinate", "fiber_coordinate",
+         "first_coordinate", "float_index"])
+def test_load_field_checks_every_column(tmp_path, edit, message):
+    from kredux.cli import main
+
+    d = tmp_path / "kdir"
+    save_kahler(kx.flat_cylinder(small_torus()), str(d))
+    _rewrite_rows(str(d / "phi.csv"), d / "phi.csv", edit)
+    with pytest.raises(ValueError, match="phi.csv, lines 2-.*" + message):
+        load_field(str(d / "phi.csv"))
+    assert main(["residual", "--eq", "kr", "--in", str(d),
+                 "--out", str(tmp_path / "res")]) == 3
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_EXTRA_COLUMN, "6 were found"),
+    (_edit_cell(1, lambda s: "abc", row=90),
+     "column 1 does not match the ts in path_meta.json"),
+    (_edit_cell(1, _shifted, row=90),
+     "column 1 does not match the ts in path_meta.json"),
+    (_edit_cell(2, lambda s: s + ".0"), "'0.0' to int64")],
+    ids=["extra_column", "non_numeric_time", "time", "float_index"])
+def test_load_path_checks_every_column(tmp_path, edit, message):
+    from kredux.cli import main
+
+    bad = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), bad)
+    _rewrite_rows(os.path.join(DATA, "path", "path.csv"), bad / "path.csv",
+                  edit)
+    with pytest.raises(ValueError, match="path.csv, lines 2-.*" + message):
+        load_path(str(bad))
+    assert main(["lift", "--in", str(bad), "--out", str(tmp_path / "lift")]) == 3
+
+
+def test_loaders_reject_rows_after_the_last_slab(tmp_path):
+    bad = tmp_path / "bad.csv"
+    _rewrite_rows(os.path.join(DATA, "torus_p.csv"), bad,
+                  lambda rows: list(rows) + [rows[-1]])
+    with pytest.raises(ValueError, match="bad.csv: more rows"):
+        load_field(str(bad))
+
+
+def test_load_field_rejects_a_header_larger_than_its_file(tmp_path):
+    bad = tmp_path / "bad.csv"
+    text = _read(os.path.join(DATA, "torus_p.csv")).decode()
+    bad.write_text(text.replace(" N=9,", " N=100000,", 1))
+    with pytest.raises(ValueError, match="bad.csv: fewer rows"):
+        load_field(str(bad))
+
+
+def test_loaders_return_owned_arrays():
+    for name in ("torus_p.csv", "torus_base.csv", "radial_p.csv",
+                 "radial_base.csv"):
+        _, vals, _ = load_field(os.path.join(DATA, name))
+        assert vals.flags.owndata
+    assert load_path(os.path.join(DATA, "path")).psis.flags.owndata

@@ -5,6 +5,7 @@ repeatable)."""
 
 import os
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -182,9 +183,12 @@ SPECIAL = (-0.0, 5e-324, -2.225073858507201e-308, 1e-310)
 
 @SETTINGS
 @given(kind=st.sampled_from(["torus", "radial"]), base=st.booleans(),
-       data=st.data())
-def test_field_dump_roundtrip_is_bit_exact(kind, base, data):
-    grid = kx.TestbedGrid(kind, 9, 9, -1.0, 1.0, margin=2)
+       n=st.integers(9, 12), n_l=st.integers(9, 12),
+       l_min=st.floats(-50.0, 50.0), width=st.floats(1e-3, 50.0),
+       l_u=st.floats(0.1, 50.0), data=st.data())
+def test_field_dump_roundtrip_is_bit_exact(kind, base, n, n_l, l_min, width,
+                                           l_u, data):
+    grid = kx.TestbedGrid(kind, n, n_l, l_min, l_min + width, l_u, margin=2)
     shape = grid.spatial_shape if base else grid.p_shape
     vals = data.draw(arrays(float, shape, elements=st.floats(
         allow_nan=False, allow_infinity=False)))
@@ -193,9 +197,11 @@ def test_field_dump_roundtrip_is_bit_exact(kind, base, data):
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "field.csv")
         dump_field(field, path)
-        _, back, on_base = load_field(path)
+        back_grid, back, on_base = load_field(path)
     assert on_base == base
     assert np.array_equal(_bits(back), _bits(vals))
+    # a base dump carries no fiber resolution; its grid gets the least one
+    assert back_grid == (replace(grid, n_l=9) if base else grid)
 
 
 @SETTINGS
