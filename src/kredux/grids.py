@@ -14,6 +14,7 @@ nodes, 4th-order finite differences with one-sided closures of matching order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
@@ -56,19 +57,29 @@ def fd_weights(x, x0, m):
 @lru_cache(maxsize=None)
 def _stencil(n, order):
     """Weights, without the 1/h^order scale, of the 4th-order stencil on n
-    uniform nodes: the centred interior row and the one-sided closure rows
-    ``(row, node indices, weights)``."""
+    uniform nodes: the centred interior row, and the one-sided closure rows
+    as ``(rows, nodes, weights)``: row ``rows[r]`` sums ``weights[r, m]``
+    times the difference at node ``nodes[r, m]``, every node but its own, in
+    increasing order."""
     interior = fd_weights(np.arange(-2.0, 3.0), 0.0, order)
-    interior.flags.writeable = False
     width = 5 if order == 1 else 6
-    rows = []
-    for i in (0, 1, n - 2, n - 1):
+    rows = np.array([0, 1, n - 2, n - 1])
+    nodes, weights = [], []
+    for i in rows:
         lo = min(max(i - width // 2, 0), n - width)
         idx = np.arange(lo, lo + width)
         w = fd_weights((idx - i).astype(float), 0.0, order)
-        idx.flags.writeable = w.flags.writeable = False
-        rows.append((i, idx, w))
-    return interior, tuple(rows)
+        nodes.append(idx[idx != i])
+        weights.append(w[idx != i])
+    ends = (rows, np.array(nodes), np.array(weights))
+    for a in (interior, *ends):
+        a.flags.writeable = False
+    return interior, ends
+
+
+# Bytes per stencil block: small enough that a block's fiber-major copy and
+# buffers stay in cache and reuse freed heap memory, not fresh pages.
+_BLOCK_BYTES = 1 << 17
 
 
 def fd_apply(values, axis, order, h, n):
@@ -76,29 +87,45 @@ def fd_apply(values, axis, order, h, n):
 
     Each row is evaluated as sum_k w_k (f_{i+k} - f_i), so constants are
     annihilated exactly in floating point; this matters wherever chart
-    factors later amplify small residues.
+    factors later amplify small residues.  Every row sums from zero (so a
+    sum of ``-0.0`` terms is ``+0.0``) through one reused buffer.
+
+    The array is viewed as (before, axis, after).  Interior rows run on
+    blocks of about ``_BLOCK_BYTES`` laid out fiber-major (stencil axis
+    first), so each shift is one contiguous run; a block is copied into that
+    layout unless it has it already.
     """
-    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
-    out = np.empty_like(v)
+    vals = np.asarray(values, dtype=float)
+    axis = axis % vals.ndim
+    v = np.ascontiguousarray(vals).reshape(math.prod(vals.shape[:axis]), n, -1)
+    out = np.zeros(v.shape)
     scale = h ** (-order)
-    interior, rows = _stencil(n, order)
-    w_int = interior * scale
-    core = v[..., 2:n - 2]
-    acc = np.zeros_like(core)
-    for k, w in zip(range(-2, 3), w_int):
-        if k == 0:
-            continue
-        acc += w * (v[..., 2 + k:n - 2 + k] - core)
-    out[..., 2:n - 2] = acc
-    for i, idx, w in rows:
-        fi = v[..., i]
-        s = np.zeros_like(fi)
-        for j, wj in zip(idx, w * scale):
-            if j == i:
-                continue
-            s += wj * (v[..., j] - fi)
-        out[..., i] = s
-    return np.moveaxis(out, -1, axis)
+    interior, ends = _stencil(n, order)
+    blocks = max(1, math.ceil(v.nbytes / _BLOCK_BYTES))
+    step = max(1, math.ceil(len(v) / blocks))
+    for p in range(0, len(v), step):
+        f = np.ascontiguousarray(v[p:p + step].transpose(1, 0, 2))
+        dst = out[p:p + step].transpose(1, 0, 2)[2:n - 2]
+        acc = dst if dst.flags.c_contiguous else np.zeros(dst.shape)
+        core = f[2:n - 2]
+        tmp = np.empty_like(core)
+        for k, w in zip(range(-2, 3), interior * scale):
+            if k:
+                np.subtract(f[2 + k:n - 2 + k], core, out=tmp)
+                tmp *= w
+                acc += tmp
+        if acc is not dst:
+            dst[...] = acc
+    rows, nodes, weights = ends
+    f = v[:, rows]
+    acc = np.zeros(f.shape)
+    tmp = np.empty(f.shape)
+    for m, w in enumerate((weights * scale).T):
+        np.subtract(v[:, nodes[:, m]], f, out=tmp)
+        tmp *= w[:, None]
+        acc += tmp
+    out[:, rows] = acc
+    return out.reshape(vals.shape)
 
 
 def _wavenumbers(n, odd):
@@ -108,21 +135,6 @@ def _wavenumbers(n, odd):
     if odd and n % 2 == 0:
         k[n // 2] = 0.0
     return k
-
-
-def spectral_derivative(values, axis, order, n):
-    """Spectral derivative along a periodic axis of unit period."""
-    k = _wavenumbers(n, odd=order == 1)
-    if order == 1:
-        mult = 1j * k
-    elif order == 2:
-        mult = -(k * k)
-    else:
-        raise ValueError("order must be 1 or 2")
-    shape = [1] * values.ndim
-    shape[axis] = n
-    out = np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape), axis=axis)
-    return np.real(out)
 
 
 def _spatial_like(arr, values):
@@ -246,17 +258,25 @@ class TestbedGrid:
         through :attr:`mixed_weight` wherever invariant pairings are formed.
         """
         if self.kind == TORUS:
-            sym = _spatial_like(self._dz_symbol, values)
-            return np.fft.ifft2(np.fft.fft2(values, axes=(0, 1)) * sym,
-                                axes=(0, 1))
+            # fft2's 1-D passes in place on one copy: numpy's ifft2 drops out=
+            f = np.array(values, dtype=complex)
+            for ax in (1, 0):
+                np.fft.fft(f, axis=ax, out=f)
+            f *= _spatial_like(self._dz_symbol, values)
+            for ax in (1, 0):
+                np.fft.ifft(f, axis=ax, out=f)
+            return f
         return self.d_v(values, 1)
 
     def dzbar_dz(self, values):
         """The real density d^2/dz dzbar of a scalar field."""
         if self.kind == TORUS:
-            sym = _spatial_like(self.ddbar_symbol, values)
-            return np.fft.irfft2(np.fft.rfft2(values, axes=(0, 1)) * sym,
-                                 s=self.spatial_shape, axes=(0, 1))
+            # rfft2's and irfft2's 1-D passes, the complex ones in place
+            f = np.fft.rfft(values, axis=1)
+            np.fft.fft(f, axis=0, out=f)
+            f *= _spatial_like(self.ddbar_symbol, values)
+            np.fft.ifft(f, axis=0, out=f)
+            return np.fft.irfft(f, n=self.n_spatial, axis=1)
         return self.d_v(values, 2) / _spatial_like(self.u, values)
 
     @cached_property

@@ -14,10 +14,12 @@ coordinate (or ``t``) and ``%``-formatted values, so a file is never held
 whole in memory and its bytes are those of the row-by-row format.
 
 Loads parse whole slabs at a time with ``np.loadtxt`` into one owned array.
-Index columns are read as integers and must run in ``np.indices`` order;
-coordinate columns, and ``path.csv``'s ``t``, must be exactly the text the
-writer gives for the header grid (for ``t``: the ``ts`` of
-``path_meta.json``).  Each row has exactly the format's columns, each slab
+A field header must give integer counts and a grid ``TestbedGrid`` accepts;
+``path.csv``'s header must be the one written for ``path_meta.json`` (its
+``kind`` and ``N``).  Index columns are read as integers and must run in
+``np.indices`` order; coordinate columns, and ``path.csv``'s ``t``, must be
+exactly the text the writer gives for the header grid (for ``t``: the ``ts``
+of ``path_meta.json``).  Each row has exactly the format's columns, each slab
 its row count, and nothing follows the last slab; anything else is a
 ``ValueError`` that names the file.
 """
@@ -74,9 +76,13 @@ def write_json(path, obj):
 # ---------------------------------------------------------------------------
 
 
+_FIELD_MAGIC = "# kredux-field v1"
+_PATH_MAGIC = "# kredux-path v1"
+
+
 def _header(grid: TestbedGrid, on_base: bool):
     nl = 0 if on_base else grid.n_l
-    return (f"# kredux-field v1, kind={grid.kind}, N={grid.n_spatial}, "
+    return (f"{_FIELD_MAGIC}, kind={grid.kind}, N={grid.n_spatial}, "
             f"Nl={nl}, lmin={grid.l_min:.17g}, lmax={grid.l_max:.17g}, "
             f"lu={grid.l_u:.17g}, margin={grid.margin}")
 
@@ -143,9 +149,10 @@ def dump_field(field, path):
                                               values)))
 
 
-def _parse_header(line):
-    if not line.startswith("# kredux-field v1"):
-        raise ValueError("not a kredux field dump")
+def _parse_header(line, path, magic):
+    """The ``key=value`` pairs of a header line that opens with ``magic``."""
+    if not line.startswith(magic):
+        raise ValueError(f"{path}: header does not open with {magic!r}")
     meta = {}
     for part in line.split(",")[1:]:
         key, _, val = part.strip().partition("=")
@@ -219,17 +226,20 @@ _HEADER_KEYS = ("kind", "N", "Nl", "lmin", "lmax", "lu", "margin")
 def load_field(path):
     """Load a dumped field; returns (grid, values, on_base)."""
     with open(path, "r", encoding="utf-8") as fh:
-        header = _parse_header(fh.readline().strip())
+        header = _parse_header(fh.readline().strip(), path, _FIELD_MAGIC)
         missing = [k for k in _HEADER_KEYS if k not in header]
         if missing:
             raise ValueError(f"{path}: header lacks {', '.join(missing)}")
-        nl = int(header["Nl"])
-        on_base = nl == 0
-        # base dumps carry no fiber resolution
-        grid = TestbedGrid(header["kind"], int(header["N"]), nl or 9,
-                           float(header["lmin"]), float(header["lmax"]),
-                           l_u=float(header["lu"]),
-                           margin=int(header["margin"]))
+        try:
+            nl = int(header["Nl"])
+            on_base = nl == 0
+            # base dumps carry no fiber resolution
+            grid = TestbedGrid(header["kind"], int(header["N"]), nl or 9,
+                               float(header["lmin"]), float(header["lmax"]),
+                               l_u=float(header["lu"]),
+                               margin=int(header["margin"]))
+        except ValueError as exc:
+            raise ValueError(f"{path}: header grid: {exc}") from None
         shape = grid.spatial_shape if on_base else grid.p_shape
         _check_length(fh, path, shape, 2 * len(shape) + 1)
         axes = _dump_axes(grid, on_base)
@@ -304,7 +314,7 @@ def save_path(path_obj: FlowPath, outdir):
     os.makedirs(outdir, exist_ok=True)
     grid = path_obj.grid
     dump_field(path_obj.sigma, os.path.join(outdir, "sigma.csv"))
-    header = (f"# kredux-path v1, kind={path_obj.kind}, sigma=sigma.csv, "
+    header = (f"{_PATH_MAGIC}, kind={path_obj.kind}, sigma=sigma.csv, "
               f"N={grid.n_spatial}\n")
     ix, _ = _slab_columns(_dump_axes(grid, True))
     template = _row_template("\0", "\1", *ix)
@@ -320,13 +330,29 @@ def save_path(path_obj: FlowPath, outdir):
 
 
 def load_path(outdir) -> FlowPath:
-    meta, grid = _read_meta(os.path.join(outdir, "path_meta.json"))
+    meta_path = os.path.join(outdir, "path_meta.json")
+    meta, grid = _read_meta(meta_path)
+    missing = [k for k in ("kind", "ts") if k not in meta]
+    if missing:
+        raise ValueError(f"{meta_path}: lacks {', '.join(missing)}")
+    try:
+        ts = np.array(meta["ts"], dtype=float)
+    except (TypeError, ValueError):
+        ts = None
+    if ts is None or ts.ndim != 1:
+        raise ValueError(f"{meta_path}: ts is not a list of numbers")
     _, sig_vals, _ = load_field(os.path.join(outdir, "sigma.csv"))
     csv_path = os.path.join(outdir, "path.csv")
-    ts = np.array(meta["ts"], dtype=float)
     shape = (len(ts),) + grid.spatial_shape
     with open(csv_path, "r", encoding="utf-8") as fh:
-        fh.readline()
+        # the header must be the one save_path writes for path_meta.json
+        header = _parse_header(fh.readline().strip(), csv_path, _PATH_MAGIC)
+        for key, want in (("kind", meta["kind"]), ("sigma", "sigma.csv"),
+                          ("N", str(grid.n_spatial))):
+            if header.get(key) != want:
+                raise ValueError(f"{csv_path}: header {key}="
+                                 f"{header.get(key)!r}, path_meta.json "
+                                 f"gives {want!r}")
         _check_length(fh, csv_path, shape, len(shape) + 2)
         heads = np.array(_fmt(ts), dtype=bytes)
         ix, _ = _slab_columns(_dump_axes(grid, True))

@@ -4,8 +4,87 @@ import numpy as np
 import pytest
 
 from kredux.grids import TestbedGrid as Grid
-from kredux.grids import (fd_apply, fd_weights, radial_grid,
-                          spectral_derivative, torus_grid)
+from kredux.grids import (_spatial_like, _wavenumbers, fd_apply, fd_weights,
+                          radial_grid, torus_grid)
+
+
+# -- references -----------------------------------------------------------------
+# Plain formulas the kernels must reproduce bit for bit: the stencil on a
+# moveaxis view with fresh temporaries, and the torus operators as one
+# 2-D transform pair.
+
+
+def spectral_derivative(values, axis, order, n):
+    """Spectral derivative along a periodic axis of unit period."""
+    k = _wavenumbers(n, odd=order == 1)
+    if order == 1:
+        mult = 1j * k
+    elif order == 2:
+        mult = -(k * k)
+    else:
+        raise ValueError("order must be 1 or 2")
+    shape = [1] * values.ndim
+    shape[axis] = n
+    out = np.fft.ifft(np.fft.fft(values, axis=axis) * mult.reshape(shape),
+                      axis=axis)
+    return np.real(out)
+
+
+def _fd_apply_moveaxis(values, axis, order, h, n):
+    v = np.moveaxis(np.asarray(values, dtype=float), axis, -1)
+    out = np.empty_like(v)
+    scale = h ** (-order)
+    core = v[..., 2:n - 2]
+    acc = np.zeros_like(core)
+    interior = fd_weights(np.arange(-2.0, 3.0), 0.0, order)
+    for k, w in zip(range(-2, 3), interior * scale):
+        if k != 0:
+            acc += w * (v[..., 2 + k:n - 2 + k] - core)
+    out[..., 2:n - 2] = acc
+    width = 5 if order == 1 else 6
+    for i in (0, 1, n - 2, n - 1):
+        lo = min(max(i - width // 2, 0), n - width)
+        idx = np.arange(lo, lo + width)
+        w = fd_weights((idx - i).astype(float), 0.0, order)
+        fi = v[..., i]
+        s = np.zeros_like(fi)
+        for j, wj in zip(idx, w * scale):
+            if j != i:
+                s += wj * (v[..., j] - fi)
+        out[..., i] = s
+    return np.moveaxis(out, -1, axis)
+
+
+def _dz_fft2(grid, values):
+    sym = _spatial_like(grid._dz_symbol, values)
+    return np.fft.ifft2(np.fft.fft2(values, axes=(0, 1)) * sym, axes=(0, 1))
+
+
+def _dzbar_dz_rfft2(grid, values):
+    sym = _spatial_like(grid.ddbar_symbol, values)
+    return np.fft.irfft2(np.fft.rfft2(values, axes=(0, 1)) * sym,
+                         s=grid.spatial_shape, axes=(0, 1))
+
+
+def _read_only_sample(shape, seed):
+    """Random values with signed zeros and a constant run, read-only like
+    the arrays :class:`KahlerData` caches."""
+    v = np.random.default_rng(seed).standard_normal(shape)
+    flat = v.reshape(-1)
+    flat[::7] = -0.0
+    flat[3::11] = 0.0
+    flat[: flat.size // 5] = -0.0
+    v.flags.writeable = False
+    return v
+
+
+def _assert_same_bits(got, ref, values):
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.array_equal(got, ref)
+    for part in (np.real, np.imag):
+        assert np.array_equal(np.signbit(part(got)), np.signbit(part(ref)))
+    assert got.flags.writeable
+    assert not np.shares_memory(got, values)
 
 
 def test_fd_weights_centered_first():
@@ -63,19 +142,39 @@ def _fd_apply_fresh_weights(v, order, h, n):
     return out
 
 
+FD_CASES = [(shape, axis)
+            for shape in [(32, 32), (32, 32, 65), (32, 32, 129),
+                          (32, 32, 257), (257,), (257, 129)]
+            for axis in (0, -1)] + [((3, 4, 33), -1)]
+
+
 @pytest.mark.parametrize("order", [1, 2])
 def test_fd_apply_cached_weights_bit_identical(order):
     from kredux.grids import _stencil
 
-    n, h = 33, 0.0731
-    v = np.random.default_rng(order).standard_normal((3, 4, n))
-    got = fd_apply(v, -1, order, h, n)
-    assert np.array_equal(got, _fd_apply_fresh_weights(v, order, h, n))
-    assert np.array_equal(fd_apply(v, -1, order, h, n), got)
-    interior, rows = _stencil(n, order)
-    assert _stencil(n, order) is _stencil(n, order)
-    assert not interior.flags.writeable
-    assert all(not w.flags.writeable for _, _, w in rows)
+    h = 0.0731
+    for shape, axis in FD_CASES:
+        n = shape[axis]
+        v = _read_only_sample(shape, order)
+        got = fd_apply(v, axis, order, h, n)
+        _assert_same_bits(got, _fd_apply_moveaxis(v, axis, order, h, n), v)
+        if axis == -1:
+            _assert_same_bits(got, _fd_apply_fresh_weights(v, order, h, n), v)
+        assert np.array_equal(fd_apply(v, axis, order, h, n), got)
+        interior, ends = _stencil(n, order)
+        assert _stencil(n, order) is _stencil(n, order)
+        assert not any(a.flags.writeable for a in (interior, *ends))
+
+
+@pytest.mark.parametrize("shape", [(32, 32), (32, 32, 65), (32, 32, 129),
+                                   (32, 32, 257), (17, 17), (17, 17, 9)],
+                         ids=str)
+def test_torus_kernels_bit_identical_to_2d_transforms(shape):
+    g = torus_grid(n=shape[0], n_l=shape[2] if len(shape) == 3 else 9,
+                   margin=2)
+    v = _read_only_sample(shape, shape[0])
+    _assert_same_bits(g.dz_stripped(v), _dz_fft2(g, v), v)
+    _assert_same_bits(g.dzbar_dz(v), _dzbar_dz_rfft2(g, v), v)
 
 
 def test_spectral_derivative_resolved_mode():

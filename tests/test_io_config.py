@@ -260,6 +260,65 @@ def test_load_field_rejects_header_missing_a_key(tmp_path):
     assert main(["lift", "--in", str(bad), "--out", str(tmp_path / "lift")]) == 3
 
 
+# -- headers and path metadata ---------------------------------------------------
+# A header the writer could not have produced for its file, or a
+# path_meta.json without a key the loader needs, is a ValueError that names
+# the file, and the CLI exits 3.
+
+
+def _edit_first_line(path, old, new):
+    text = path.read_text()
+    head, _, body = text.partition("\n")
+    assert old in head
+    path.write_text(head.replace(old, new, 1) + "\n" + body)
+
+
+@pytest.mark.parametrize("name, old, new, message", [
+    ("sigma.csv", "Nl=0,", "Nl=0.0,", "sigma.csv: header grid: .*'0.0'"),
+    ("sigma.csv", "margin=2", "margin=2.5", "sigma.csv: header grid: .*'2.5'"),
+    ("sigma.csv", "N=9,", "N=5,", "sigma.csv: header grid: .*at least 9"),
+    ("sigma.csv", "kind=torus", "kind=plane", "sigma.csv: header grid: .*plane"),
+    ("path.csv", "kind=kr", "kind=calabi",
+     "path.csv: header kind='calabi', path_meta.json gives 'kr'"),
+    ("path.csv", "N=9", "N=99",
+     "path.csv: header N='99', path_meta.json gives '9'"),
+    ("path.csv", "sigma=sigma.csv, ", "",
+     "path.csv: header sigma=None, path_meta.json gives 'sigma.csv'"),
+    ("path.csv", "kredux-path", "kredux-field",
+     "path.csv: header does not open with '# kredux-path v1'")],
+    ids=["non_integer_count", "non_integer_margin", "grid_too_small",
+         "unknown_kind", "path_kind", "path_n", "path_sigma", "path_magic"])
+def test_loaders_reject_headers_their_writer_could_not_give(
+        tmp_path, name, old, new, message):
+    from kredux.cli import main
+
+    bad = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), bad)
+    _edit_first_line(bad / name, old, new)
+    with pytest.raises(ValueError, match=message):
+        load_path(str(bad))
+    assert main(["lift", "--in", str(bad), "--out", str(tmp_path / "lift")]) == 3
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.pop("ts"), "path_meta.json: lacks ts"),
+    (lambda m: m.pop("kind"), "path_meta.json: lacks kind"),
+    (lambda m: m.update(ts="0.1"), "path_meta.json: ts is not a list"),
+    (lambda m: m.update(ts=[{"t": 0.0}]), "path_meta.json: ts is not a list")],
+    ids=["missing_ts", "missing_kind", "string_ts", "object_ts"])
+def test_load_path_rejects_meta_without_ts_or_kind(tmp_path, edit, message):
+    from kredux.cli import main
+
+    bad = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), bad)
+    meta = json.loads((bad / "path_meta.json").read_text())
+    edit(meta)
+    (bad / "path_meta.json").write_text(json.dumps(meta))
+    with pytest.raises(ValueError, match=message):
+        load_path(str(bad))
+    assert main(["lift", "--in", str(bad), "--out", str(tmp_path / "lift")]) == 3
+
+
 # -- exact columns --------------------------------------------------------------
 # A load compares every index and text column with what the writer would
 # produce from the header grid (or from the ts of path_meta.json), so a row
