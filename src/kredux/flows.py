@@ -28,6 +28,7 @@ from .errors import (ClassNotFixed, PositivityLost, SolvabilityViolated,
                      StepUnstable)
 from .fields import Form11M, ScalarFieldM, ddc_m, integrate_m, grad_pair
 from .grids import TORUS, fd_apply, fd_weights
+from .interp import NotAKnotSpline
 from .reports import ResidualReport
 from .statics import lambda_mean
 
@@ -259,12 +260,8 @@ def _poisson_solve(grid, h, rhs_vals):
         out = np.fft.irfft2(fhat, s=grid.spatial_shape)
         return out - np.mean(out)
     # radial: f_vv = u * H * rhs, two spline antiderivatives, Neumann ends
-    from scipy.interpolate import CubicSpline
-
-    g = grid.u * target
-    a1 = CubicSpline(grid.v, g).antiderivative()(grid.v)
-    a1 -= a1[0]
-    out = CubicSpline(grid.v, a1).antiderivative()(grid.v)
+    a1 = NotAKnotSpline(grid.v, grid.u * target).integral_at_knots()
+    out = NotAKnotSpline(grid.v, a1).integral_at_knots()
     w = grid.spatial_quad_weights / (np.pi * grid.u)
     return out - np.sum(out * w) / np.sum(w)
 

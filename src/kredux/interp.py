@@ -1,4 +1,5 @@
-"""Fiberwise interpolation and the one guarded Newton solver.
+"""Fiberwise interpolation, the one guarded Newton solver and the cubic
+spline.
 
 * :class:`FiberInterp`, a piecewise 6-point Lagrange interpolant (barycentric
   form, windows anchored to the containing segment so evaluation is
@@ -10,9 +11,12 @@
   reduction and the level-set root solve, so reducing the moment map at a
   solved level returns the target to root tolerance.  It reproduces quintics
   exactly, hence products of fiber-linear fields reduce exactly.
-* :func:`newton_decreasing`, the bracketed Newton iteration behind every root
-  solve of a decreasing function: the level sets here and the Legendre
-  inversion of :mod:`kredux.lift`.
+* :func:`newton_decreasing`, the bracketed Newton iteration behind the level
+  solve of :meth:`FiberInterp.solve_decreasing`.
+* :class:`NotAKnotSpline`, the not-a-knot cubic spline in numpy, with
+  scipy's ``CubicSpline`` coefficient layout: the time splines of
+  :mod:`kredux.lift`, the level profile ``h_canonical`` and the radial
+  Poisson solve.
 * :class:`FiberSpline`, quintic (k=5) splines used for fiberwise
   antiderivatives.
 """
@@ -168,6 +172,80 @@ class FiberInterp:
                 missing.reshape(self.spatial_shape), max_resid, iterations)
 
 
+class NotAKnotSpline:
+    """The not-a-knot cubic spline through ``(x, y)``, knots on axis 0 of
+    ``y`` and any trailing shape.
+
+    ``c`` has scipy's ``CubicSpline`` layout, (4, n - 1) + trailing shape:
+    piece i is ``((c[0] d + c[1]) d + c[2]) d + c[3]`` in d = t - x[i].  The
+    knot slopes solve one tridiagonal system, held as a dense n x n matrix
+    (n is at most a few hundred samples).  As in scipy, three samples give
+    the parabola through them and two the line.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.size < 2 or y.shape[:1] != x.shape:
+            raise ValueError("need at least 2 knots, one per row of y")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValueError("spline samples must be finite")
+        dx = np.diff(x)
+        if np.any(dx <= 0):
+            raise ValueError("spline knots must be strictly increasing")
+        self.x = x
+        ys = y.reshape(x.size, -1)
+        slope = np.diff(ys, axis=0) / dx[:, None]
+        s = self._knot_slopes(x, dx, slope)
+        t = (s[:-1] + s[1:] - 2 * slope) / dx[:, None]
+        c = np.stack([t / dx[:, None], (slope - s[:-1]) / dx[:, None] - t,
+                      s[:-1], ys[:-1]])
+        self.c = c.reshape((4, x.size - 1) + y.shape[1:])
+
+    @staticmethod
+    def _knot_slopes(x, dx, slope):
+        n = x.size
+        if n == 2:
+            return np.concatenate([slope, slope])
+        A = np.zeros((n, n))
+        b = np.empty((n, slope.shape[1]))
+        i = np.arange(1, n - 1)
+        A[i, i - 1] = dx[1:]
+        A[i, i] = 2 * (dx[:-1] + dx[1:])
+        A[i, i + 1] = dx[:-1]
+        b[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
+        if n == 3:
+            # the two not-a-knot conditions coincide: the parabola
+            A[0, :2] = A[2, 1:] = 1.0
+            b[0], b[2] = 2 * slope[0], 2 * slope[1]
+        else:
+            d0, d1 = x[2] - x[0], x[-1] - x[-3]
+            A[0, :2] = dx[1], d0
+            A[-1, -2:] = d1, dx[-2]
+            b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0]
+                    + dx[0] ** 2 * slope[1]) / d0
+            b[-1] = (dx[-1] ** 2 * slope[-2]
+                     + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+        return np.linalg.solve(A, b)
+
+    def __call__(self, t):
+        """Values at ``t``; beyond the knots the end pieces extrapolate."""
+        t = np.asarray(t, dtype=float)
+        seg = np.clip(np.searchsorted(self.x, t, side="right") - 1,
+                      0, self.x.size - 2)
+        d = (t - self.x[seg]).reshape(t.shape + (1,) * (self.c.ndim - 2))
+        a, b, c, e = self.c[:, seg]
+        return ((a * d + b) * d + c) * d + e
+
+    def integral_at_knots(self):
+        """Integral from x[0] to each knot, exact on every piece."""
+        h = np.diff(self.x).reshape((-1,) + (1,) * (self.c.ndim - 2))
+        a, b, c, e = self.c
+        pieces = h * (e + h * (c / 2 + h * (b / 3 + h * a / 4)))
+        return np.concatenate([np.zeros_like(pieces[:1]),
+                               np.cumsum(pieces, axis=0)])
+
+
 class FiberSpline:
     """Quintic splines along the last axis; used for fiber antiderivatives
     (evaluated at the nodes, so the vectorized spline call applies)."""
@@ -185,7 +263,8 @@ class FiberSpline:
         """Antiderivative sampled on the fiber nodes (zero at the first node)."""
         vals = self._sp.antiderivative()(self.l)
         vals = vals - vals[0]
-        return np.moveaxis(vals, 0, -1).reshape(self.spatial_shape + (len(self.l),))
+        return np.ascontiguousarray(np.moveaxis(vals, 0, -1)).reshape(
+            self.spatial_shape + (len(self.l),))
 
     def antiderivative_from_end(self):
         """Integral from l to l_max, sampled on the nodes."""

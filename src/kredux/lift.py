@@ -5,7 +5,8 @@ Given a uniformly sampled path psi_t with sigma + dd^c psi_t > 0, the lift
 * shifts the path by a profile a_t so that the second time derivative is
   everywhere at most -2 (strict concavity),
 * inverts  d psi_t / dt = l/2  fiberwise for t = mu(x, l) on a realized
-  window of the log-fiber coordinate, and
+  window of the log-fiber coordinate, in closed form on the pieces of the
+  path's cubic spline in time, and
 * assembles phi(x, l) = psi_mu(x) - (mu/2) l with c = 0.
 
 Reductions of the lifted structure reproduce the (shifted) path up to a
@@ -20,10 +21,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curvature import scal_m
-from .errors import HypothesisViolated, NonConcave, OutOfWindow
+from .errors import HypothesisViolated, NonConcave, NotConverged, OutOfWindow
 from .fields import ScalarFieldP
 from .flows import FlowPath, time_derivative
-from .interp import newton_decreasing
+from .interp import NotAKnotSpline
 from .reduction import reduced_potential
 from .reports import ResidualReport
 from .structure import KahlerData, assemble
@@ -96,26 +97,23 @@ class _TimeSplines:
     (nodes on its first axis) is evaluated with one gather.
     """
 
-    _BLOCK = 8192  # (node, level) pairs per Newton block
-
     def __init__(self, path: FlowPath):
-        from scipy.interpolate import CubicSpline
-
         ts = self.ts = path.ts
         y = path.psis.reshape(path.n_samples, -1)
-        c = CubicSpline(ts, y, axis=0).c  # (4, nseg, nspace)
+        c = NotAKnotSpline(ts, y).c  # (4, nseg, nspace)
         self._n = y.shape[1]
         d = ts[-1] - ts[-2]
-        self.v0, self.k0 = c[2, 0], 2 * c[1, 0]
-        self.v1 = (3 * c[0, -1] * d + 2 * c[1, -1]) * d + c[2, -1]
-        self.k1 = 6 * c[0, -1] * d + 2 * c[1, -1]
+        v1 = (3 * c[0, -1] * d + 2 * c[1, -1]) * d + c[2, -1]
+        k1 = 6 * c[0, -1] * d + 2 * c[1, -1]
         y1 = ((c[0, -1] * d + c[1, -1]) * d + c[2, -1]) * d + c[3, -1]
         zero = np.zeros(self._n)
-        left = np.stack([zero, c[1, 0], self.v0, c[3, 0]])[:, None]
-        right = np.stack([zero, 0.5 * self.k1, self.v1, y1])[:, None]
+        left = np.stack([zero, c[1, 0], c[2, 0], c[3, 0]])[:, None]
+        right = np.stack([zero, 0.5 * k1, v1, y1])[:, None]
         coef = np.concatenate([left, c, right], axis=1)  # (4, nseg + 2, nspace)
         self._table = np.ascontiguousarray(coef.transpose(1, 2, 0)).reshape(-1, 4)
         self._origin = np.concatenate([ts[:1], ts[:-1], ts[-1:]])
+        # (nspace, nknots) velocities at the knots, decreasing along a row
+        self._knot_velocity = np.concatenate([c[2], v1[None]]).T
 
     def _local(self, t, node):
         """Coefficient rows and local offsets for times ``t`` at ``node``."""
@@ -131,61 +129,55 @@ class _TimeSplines:
             return (3 * a * d + 2 * b) * d + c
         return 6 * a * d + 2 * b
 
-    def _at(self, t, deriv):
+    def _at(self, t, *derivs):
         t = np.asarray(t, dtype=float)
         node = np.arange(self._n).reshape((-1,) + (1,) * (t.ndim - 1))
-        return self._poly(*self._local(t, node), deriv)
+        rows, d = self._local(t, node)
+        return tuple(self._poly(rows, d, k) for k in derivs)
 
     def value(self, t):
-        return self._at(t, 0)
+        return self._at(t, 0)[0]
 
     def velocity(self, t):
-        return self._at(t, 1)
+        return self._at(t, 1)[0]
 
-    def curvature(self, t):
-        return self._at(t, 2)
+    def value_and_curvature(self, t):
+        """Value and second derivative, from one gather of the table."""
+        return self._at(t, 0, 2)
 
-    def solve_velocity(self, target, tol=1e-13, max_iter=120):
+    def solve_velocity(self, target, tol=1e-13):
         """Roots t of velocity(t) = target[j] for every node and level j.
 
         velocity is strictly decreasing, so each root is unique on the
-        extended line.  Every (node, level) pair is one item of
-        :func:`newton_decreasing`, bracketed by the sampled range stretched
-        through the linear extensions where the target lies beyond the end
-        velocities, with tolerance tol * max(1, |target|).  Pairs are solved
-        in fixed blocks, so temporaries stay small.
+        extended line and lies on the segment whose knot velocities bracket
+        the target.  There the velocity is a quadratic A d^2 + B d + C in
+        the local offset (linear on the extensions), and the root is its
+        decreasing one, taken in the form d = 2C / (sqrt(B^2 - 4AC) - B),
+        which has no cancellation.  Every root is checked through
+        :meth:`velocity` against tol * max(1, |target|).
 
         Returns the (nodes, levels) roots and the largest |velocity - target|;
-        raises NotConverged if a pair is above its tolerance after
-        ``max_iter`` Newton steps.
+        raises NotConverged if a root is above its tolerance, which happens
+        where the velocity does not decrease.
         """
         target = np.atleast_1d(np.asarray(target, dtype=float))
-        t0, t1 = self.ts[0], self.ts[-1]
-        roots = np.empty(self._n * target.size)
-        worst = 0.0
-        for start in range(0, roots.size, self._BLOCK):
-            pos = np.arange(start, min(start + self._BLOCK, roots.size))
-            node, lev = np.divmod(pos, target.size)
-            tgt = target[lev]
-            lo = np.full(pos.size, t0)
-            hi = np.full(pos.size, t1)
-            need = self.v0[node] < tgt
-            lo[need] = t0 + (tgt[need] - self.v0[node[need]]) \
-                / self.k0[node[need]] - 1e-3
-            need = self.v1[node] > tgt
-            hi[need] = t1 + (tgt[need] - self.v1[node[need]]) \
-                / self.k1[node[need]] + 1e-3
-
-            def residual(x, items):
-                rows, d = self._local(x, node[items])
-                return (self._poly(rows, d, 1) - tgt[items],
-                        self._poly(rows, d, 2))
-
-            roots[pos], r, _ = newton_decreasing(
-                residual, lo, hi, tol * np.maximum(1.0, np.abs(tgt)), max_iter,
-                "Legendre inversion")
-            worst = max(worst, float(np.max(np.abs(r))))
-        return roots.reshape(self._n, target.size), worst
+        # per node, the knots whose velocity exceeds the target: the table
+        # segment that brackets it (0 and nknots are the extensions)
+        seg = np.stack([np.searchsorted(-v, -target)
+                        for v in self._knot_velocity])
+        node = np.arange(self._n)[:, None]
+        a, b, c, _ = np.moveaxis(self._table[seg * self._n + node], -1, 0)
+        A, B, C = 3 * a, 2 * b, c - target
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            d = 2 * C / (np.sqrt(np.maximum(B * B - 4 * A * C, 0.0)) - B)
+            roots = self._origin[seg] + d
+            resid = np.abs(self.velocity(roots) - target)
+        bad = ~(resid <= tol * np.maximum(1.0, np.abs(target)))
+        if bad.any():
+            raise NotConverged(
+                f"Legendre inversion: {int(np.sum(bad))} of {bad.size} roots "
+                f"above tolerance (worst residual {float(np.max(resid)):.3e})")
+        return roots, float(np.max(resid))
 
 
 def realized_window(path: FlowPath, band=(0.15, 0.85), pad=0.02):
@@ -232,8 +224,8 @@ def legendre_lift(path: FlowPath, n_l=129, margin=4, a_t=None) -> LiftResult:
 
     splines = _TimeSplines(path)
     mu, worst = splines.solve_velocity(0.5 * grid.l)
-    phi = splines.value(mu) - 0.5 * mu * grid.l
-    curv = splines.curvature(mu)
+    psi, curv = splines.value_and_curvature(mu)
+    phi = psi - 0.5 * mu * grid.l
     mu = mu.reshape(grid.p_shape)
 
     K = assemble(

@@ -1,7 +1,7 @@
 """Randomized properties of the fiber interpolant, the level solve, the
-shared Newton solver, gauge moves and the round trips of configurations,
-field dumps and grids (hypothesis, derandomized so the suite is
-repeatable)."""
+shared Newton solver, the cubic spline, gauge moves and the round trips of
+configurations, field dumps and grids (hypothesis, derandomized so the suite
+is repeatable)."""
 
 import os
 import tempfile
@@ -9,9 +9,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 import kredux as kx
@@ -19,7 +20,7 @@ from kredux.config import RunConfig
 from kredux.errors import NotConverged
 from kredux.fields import ScalarFieldM, ScalarFieldP
 from kredux.fixtures import random_resolved_m
-from kredux.interp import FiberInterp, newton_decreasing
+from kredux.interp import FiberInterp, NotAKnotSpline, newton_decreasing
 from kredux.io import dump_field, load_field
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
@@ -133,6 +134,31 @@ def test_newton_decreasing_matches_brentq(items):
     if steps > 0:
         with pytest.raises(NotConverged):
             newton_decreasing(fun, lo, hi, 1e-13, steps - 1, "cubics")
+
+
+splines = st.integers(3, 60).flatmap(lambda n: st.tuples(
+    st.floats(-2.0, 2.0),
+    arrays(float, n - 1, elements=st.floats(0.1, 1.0)),
+    arrays(float, (n, 3), elements=unit)))
+
+
+@SETTINGS
+@given(spline=splines)
+@example(spline=(0.0, np.array([0.5, 0.25]),  # three knots: the parabola
+                 np.array([[1.0, -0.5, 0.2], [0.3, 0.9, -1.0],
+                           [-0.7, 0.1, 0.4]])))
+def test_not_a_knot_spline_matches_scipy(spline):
+    start, gaps, y = spline
+    x = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    ref, spl = CubicSpline(x, y), NotAKnotSpline(x, y)
+    assert spl.c.shape == ref.c.shape
+    # scipy solves the slopes by banded LU, the numpy spline by dense LU
+    scale = 1.0 + np.max(np.abs(ref.c), axis=(1, 2), keepdims=True)
+    assert np.all(np.abs(spl.c - ref.c) <= 1e-12 * scale)
+    # both end pieces extrapolate
+    t = np.linspace(x[0] - 1.0, x[-1] + 1.0, 17)
+    _assert_reproduces(spl(t), ref(t))
+    _assert_reproduces(spl.integral_at_knots(), ref.antiderivative()(x))
 
 
 GAUGE_K = kx.perturbed_cylinder(kx.torus_grid(n=12, n_l=17, margin=2),

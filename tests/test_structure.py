@@ -106,6 +106,13 @@ def test_potential_from_moment_roundtrip_quotient_fixture():
     assert interior_norms(gap, grid.interior_p())[0] < 1e-8
 
 
+def test_potential_from_moment_is_c_ordered():
+    # fd_apply copies a field that is not C-ordered on every call
+    phi = kx.potential_from_moment(
+        kx.singquot_moment(kx.golden_grid(65, 33)), 0.0)
+    assert phi.values.flags.c_contiguous
+
+
 def _roundtrip_gaps(K):
     phi2 = kx.potential_from_moment(K.mu, K.c)
     diff = K.phi.values - phi2.values
