@@ -1,5 +1,5 @@
-"""Fiberwise interpolation, the one guarded Newton solver and the cubic
-spline.
+"""Fiberwise interpolation and quadrature, the one guarded Newton solver and
+the cubic spline.
 
 * :class:`FiberInterp`, a piecewise 6-point Lagrange interpolant (barycentric
   form, windows anchored to the containing segment so evaluation is
@@ -11,14 +11,15 @@ spline.
   reduction and the level-set root solve, so reducing the moment map at a
   solved level returns the target to root tolerance.  It reproduces quintics
   exactly, hence products of fiber-linear fields reduce exactly.
+  :meth:`FiberInterp.antiderivative` integrates the same interpolant exactly
+  over each fiber segment: the fiber quadrature of ``potential_from_moment``
+  and ``reparametrize``.
 * :func:`newton_decreasing`, the bracketed Newton iteration behind the level
   solve of :meth:`FiberInterp.solve_decreasing`.
 * :class:`NotAKnotSpline`, the not-a-knot cubic spline in numpy, with
   scipy's ``CubicSpline`` coefficient layout: the time splines of
   :mod:`kredux.lift`, the level profile ``h_canonical`` and the radial
   Poisson solve.
-* :class:`FiberSpline`, quintic (k=5) splines used for fiberwise
-  antiderivatives.
 """
 
 from __future__ import annotations
@@ -29,6 +30,13 @@ from .errors import NotConverged
 
 _BARY6 = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
 _WIDTH = 6
+# Row p, over 1440: the integrals over [p, p + 1] of the Lagrange basis on the
+# local nodes 0..5.  A fiber segment takes the row of its place in its window.
+_SEGMENT_ROWS = np.array([[475, 1427, -798, 482, -173, 27],
+                          [-27, 637, 1022, -258, 77, -11],
+                          [11, -93, 802, 802, -93, 11],
+                          [-11, 77, -258, 1022, 637, -27],
+                          [27, -173, 482, -798, 1427, 475]]) / 1440.0
 
 
 def newton_decreasing(fun, lo, hi, tol, max_iter, what):
@@ -132,6 +140,19 @@ class FiberInterp:
     def at(self, pts):
         """Evaluate each node's interpolant at that node's point."""
         return self.weights(pts).apply(self._vals)
+
+    def antiderivative(self):
+        """Integral of the interpolant from the first fiber node to each node,
+        exact on every segment, in C order."""
+        n = self.l.size
+        seg = np.arange(n - 1)
+        start = np.clip(seg - 2, 0, n - _WIDTH)
+        windows = self._vals[:, start[:, None] + np.arange(_WIDTH)]
+        pieces = self._h * np.einsum("fsj,sj->fs", windows,
+                                     _SEGMENT_ROWS[seg - start])
+        out = np.zeros(self._vals.shape, dtype=pieces.dtype)
+        np.cumsum(pieces, axis=1, out=out[:, 1:])
+        return out.reshape(self.spatial_shape + (n,))
 
     def _value_slope(self, x, rows=None):
         """Value and slope at one point per row (all rows by default); a
@@ -244,29 +265,3 @@ class NotAKnotSpline:
         pieces = h * (e + h * (c / 2 + h * (b / 3 + h * a / 4)))
         return np.concatenate([np.zeros_like(pieces[:1]),
                                np.cumsum(pieces, axis=0)])
-
-
-class FiberSpline:
-    """Quintic splines along the last axis; used for fiber antiderivatives
-    (evaluated at the nodes, so the vectorized spline call applies)."""
-
-    def __init__(self, l_nodes, values):
-        from scipy.interpolate import make_interp_spline
-
-        values = np.asarray(values)
-        self.l = np.asarray(l_nodes, dtype=float)
-        self.spatial_shape = values.shape[:-1]
-        y = np.moveaxis(values, -1, 0).reshape(len(self.l), -1)
-        self._sp = make_interp_spline(self.l, y, k=5, axis=0)
-
-    def antiderivative_values(self):
-        """Antiderivative sampled on the fiber nodes (zero at the first node)."""
-        vals = self._sp.antiderivative()(self.l)
-        vals = vals - vals[0]
-        return np.ascontiguousarray(np.moveaxis(vals, 0, -1)).reshape(
-            self.spatial_shape + (len(self.l),))
-
-    def antiderivative_from_end(self):
-        """Integral from l to l_max, sampled on the nodes."""
-        vals = self.antiderivative_values()
-        return vals[..., -1:] - vals

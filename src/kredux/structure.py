@@ -23,7 +23,7 @@ from .errors import NotPositive
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, ddc_m,
                      ddc_p, jv_apply)
 from .grids import TestbedGrid
-from .interp import FiberInterp, FiberSpline
+from .interp import FiberInterp
 
 
 @dataclass(frozen=True)
@@ -154,11 +154,10 @@ def gauge(K: KahlerData, u: ScalarFieldM, b: float, c_tilde: float,
 def potential_from_moment(mu: ScalarFieldP, c: float) -> ScalarFieldP:
     """Invariant potential with JV(phi) + c = mu, vanishing at l_min.
 
-    phi(x, l) = (1/2) * integral_{l_min}^{l} (c - mu(x, lam)) dlam, by
-    fiberwise spline quadrature; jv_apply(phi) + c reproduces mu to the
-    accuracy of the fiber stencils.
+    phi(x, l) = (1/2) * integral_{l_min}^{l} (c - mu(x, lam)) dlam, by the
+    exact quadrature of the fiber interpolant; jv_apply(phi) + c reproduces
+    mu to the accuracy of the fiber stencils.
     """
     grid = mu.grid
     integrand = 0.5 * (c - mu.values)
-    vals = FiberSpline(grid.l, integrand).antiderivative_values()
-    return ScalarFieldP(grid, vals)
+    return ScalarFieldP(grid, FiberInterp(grid.l, integrand).antiderivative())

@@ -38,9 +38,9 @@ def test_verify_passes_and_writes_reports(tmp_path):
 
 
 def test_no_command_imports_scipy(tmp_path):
-    # scipy.interpolate is most of the start-up cost of a command, and no
-    # command needs it; one fresh interpreter runs every command, since this
-    # one has imported scipy already
+    # kredux needs only numpy at run time, and scipy.interpolate would be most
+    # of the start-up cost of a command; one fresh interpreter runs every
+    # command, since this one has imported scipy already
     torus = ["testbed=torus", "n=16", "n_l=33", "margin=4"]
     radial = ["testbed=radial", "n=33", "n_l=33", "margin=4"]
     work = str(tmp_path)
@@ -65,9 +65,21 @@ def test_no_command_imports_scipy(tmp_path):
                   "--out", f"{work}/reduce"])
     argvs.append(["golden", *radial, "fixture=fscyl",
                   "--out", f"{work}/golden"])
+    # scipy is made unimportable before kredux loads, so any import of it
+    # fails the run; the two library fiber quadratures run as well
     probe = ("import sys\n"
+             "class NoScipy:\n"
+             "    def find_spec(self, name, path=None, target=None):\n"
+             "        if name.split('.')[0] == 'scipy':\n"
+             "            raise ImportError(f'{name} is blocked')\n"
+             "sys.meta_path.insert(0, NoScipy())\n"
+             "import kredux as kx\n"
              "from kredux.cli import main\n"
              f"codes = [main(argv) for argv in {argvs!r}]\n"
+             "kx.potential_from_moment(\n"
+             "    kx.singquot_moment(kx.golden_grid(65, 33)), 0.0)\n"
+             "cyl = kx.flat_cylinder(kx.torus_grid(n=12, n_l=33, margin=4))\n"
+             "kx.reparametrize(cyl, lambda m: kx.kr_time_map(0.1, 0.1, 0.5, m))\n"
              "print(*codes, 'scipy' in sys.modules)\n")
     src = os.path.normpath(os.path.join(os.path.dirname(
         os.path.abspath(__file__)), "..", "src"))

@@ -1,7 +1,7 @@
-"""Randomized properties of the fiber interpolant, the level solve, the
-shared Newton solver, the cubic spline, gauge moves and the round trips of
-configurations, field dumps and grids (hypothesis, derandomized so the suite
-is repeatable)."""
+"""Randomized properties of the fiber interpolant and its antiderivative, the
+level solve, the shared Newton solver, the cubic spline, gauge moves, the
+fixed points of the flows and the round trips of configurations, field dumps
+and grids (hypothesis, derandomized so the suite is repeatable)."""
 
 import os
 import tempfile
@@ -20,6 +20,7 @@ from kredux.config import RunConfig
 from kredux.errors import NotConverged
 from kredux.fields import ScalarFieldM, ScalarFieldP
 from kredux.fixtures import random_resolved_m
+from kredux.flows import stable_dt
 from kredux.interp import FiberInterp, NotAKnotSpline, newton_decreasing
 from kredux.io import dump_field, load_field
 
@@ -63,6 +64,17 @@ def test_fiber_interp_reproduces_quintics(window, coeffs, frac):
     pts = grid.l_min + frac * (grid.l_max - grid.l_min)
     fi = FiberInterp(grid.l, _poly_at(coeffs, [grid.l] * N_SPACE))
     _assert_reproduces(fi.at(pts), _poly_at(coeffs, pts))
+
+
+@SETTINGS
+@given(window=windows, coeffs=quintics)
+def test_fiber_antiderivative_integrates_quintics(window, coeffs):
+    grid = _grid(window)
+    F = FiberInterp(grid.l, _poly_at(coeffs, [grid.l] * N_SPACE)).antiderivative()
+    prims = np.array([np.polyint(c) for c in coeffs])
+    want = (_poly_at(prims, [grid.l] * N_SPACE)
+            - _poly_at(prims, [grid.l_min] * N_SPACE)[:, None])
+    _assert_reproduces(F, want)
 
 
 @SETTINGS
@@ -177,6 +189,36 @@ def test_gauge_move_keeps_omega_and_mu(seed, amplitude, b, c_tilde):
         gap = getattr(Kt.omega, name) - getattr(K.omega, name)
         assert np.max(np.abs(gap)) < 1e-10
     assert np.max(np.abs(Kt.mu.values - K.mu.values)) < 1e-10
+
+
+def _moves(run, kind, sigma, const, **kw):
+    """How far one step of a flow moves a constant potential; the step is
+    1e-4, or the flow's stable step where that is shorter, since explicit
+    RK4 beyond it amplifies the FFT's rounding of a constant (calabi on a
+    37 x 37 torus at 1e-4 moves it by more than 1e-12 or raises
+    StepUnstable)."""
+    psi0 = np.full(sigma.grid.spatial_shape, const)
+    dt = min(1e-4, stable_dt(sigma, kind))
+    return np.max(np.abs(run(psi0, sigma, dt, dt=dt, **kw).psis[-1] - psi0))
+
+
+# every flow runs on both testbeds, so fewer examples keep the time down
+@settings(SETTINGS, max_examples=12)
+@given(n=st.integers(9, 40), n_u=st.integers(33, 257), l_u=st.floats(3.0, 8.0),
+       const=st.floats(-10.0, 10.0))
+def test_reference_metrics_stationary_under_every_flow(n, n_u, l_u, const):
+    flat = kx.flat_sigma(kx.torus_grid(n=n, n_l=9))
+    for run, kind, kw in ((kx.calabi_integrate, "calabi", {}),
+                          (kx.pseudo_calabi_integrate, "pseudo_calabi", {}),
+                          (kx.kr_integrate, "kr", {}),
+                          (kx.kr_integrate, "nkr", {"normalized": True})):
+        assert _moves(run, kind, flat, const, **kw) < 1e-12
+    fs = kx.fs_sigma(kx.radial_grid(n_u=n_u, n_l=9, l_u=l_u))
+    for run, kind, kw in ((kx.calabi_integrate, "calabi", {}),
+                          (kx.pseudo_calabi_integrate, "pseudo_calabi", {}),
+                          (kx.kr_integrate, "nkr",
+                           {"normalized": True, "lam": kx.lambda_mean(fs)})):
+        assert _moves(run, kind, fs, const, **kw) < 1e-12
 
 
 words = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", max_size=12)
