@@ -74,13 +74,16 @@ def laplacian_p(f: ScalarFieldP, K: KahlerData) -> ScalarFieldP:
 
 def ricci_p(K: KahlerData) -> Form11P:
     """Ricci form of omega through the product-reference volume ratio."""
-    grid = K.grid
-    sigma_ref, ricci_ref = _reference_arrays(grid)
-    density = wedge_square(K.omega).t
-    log_f = ScalarFieldP(grid, np.log(density / (2.0 * sigma_ref[..., None])))
-    ddc = ddc_p(log_f)
-    return Form11P(grid, ricci_ref[..., None] + ddc.g11 * -0.5,
-                   ddc.g12 * -0.5, ddc.g22 * -0.5)
+    sigma_ref, ricci_ref = _reference_arrays(K.grid)
+    log_f = wedge_square(K.omega).t
+    log_f /= 2.0 * sigma_ref[..., None]
+    np.log(log_f, out=log_f)
+    ric = ddc_p(ScalarFieldP(K.grid, log_f))
+    del log_f
+    for comp in ric.g11, ric.g12, ric.g22:
+        comp *= -0.5
+    np.add(ricci_ref[..., None], ric.g11, out=ric.g11)
+    return ric
 
 
 def cached_ricci_p(K: KahlerData) -> Form11P:
@@ -118,7 +121,9 @@ def descending_ricci(K: KahlerData) -> Form11P:
         Ric(omega) + dd^c log|V| + d( ((D mu - JV log|V|) / |V|^2) d^c mu ).
     """
     g = descent_drift(K) / K.vsq
-    return cached_ricci_p(K) + ddc_log_v(K) + d_wedge_dc(g, K)
+    rho = cached_ricci_p(K) + ddc_log_v(K)
+    rho += d_wedge_dc(g, K)
+    return rho
 
 
 def descending_scalar(K: KahlerData) -> ScalarFieldP:

@@ -18,6 +18,13 @@ Mixed (dz /\ dzetabar) and (2,0) (dz /\ dzeta) components are stored in
 "stripped" form: on the torus they are the honest coefficients, on the radial
 chart the 1/z phase is removed and restored through the grid's mixed weight
 whenever two such components are paired.
+
+Ownership: an operator writes only into arrays it allocated itself.  It
+allocates each output component once and accumulates into it in place, with
+the same operands in the same order as the plain expression, so the numbers
+do not depend on how the work is staged.  It never writes into its arguments,
+and arrays a structure keeps (``KahlerData.cached``) are read-only.  In-place
+sums ``theta += other`` are for forms the caller has just built.
 """
 
 from __future__ import annotations
@@ -176,26 +183,39 @@ class Form11P:
             object.__setattr__(self, "b20", _component(self.grid, "b20",
                                                        self.b20, complex))
 
-    def _b(self):
-        if self.b20 is None:
-            return np.zeros(self.grid.p_shape, dtype=complex)
-        return self.b20
-
     def __add__(self, other):
         _check_grid(self.grid, other.grid)
-        b = None
-        if self.b20 is not None or other.b20 is not None:
-            b = self._b() + other._b()
         return Form11P(self.grid, self.g11 + other.g11, self.g12 + other.g12,
-                       self.g22 + other.g22, b)
+                       self.g22 + other.g22, _b20_sum(self.b20, other.b20))
 
     def __sub__(self, other):
         _check_grid(self.grid, other.grid)
-        b = None
-        if self.b20 is not None or other.b20 is not None:
-            b = self._b() - other._b()
         return Form11P(self.grid, self.g11 - other.g11, self.g12 - other.g12,
-                       self.g22 - other.g22, b)
+                       self.g22 - other.g22, _b20_diff(self.b20, other.b20))
+
+    def __iadd__(self, other):
+        """Add ``other`` into this form's g11, g12 and g22, which must be
+        arrays the caller allocated, never cached ones.  A b20 is never
+        written in place: the result takes a new sum, or either side's."""
+        _check_grid(self.grid, other.grid)
+        for mine, theirs in zip(self._pure(), other._pure()):
+            mine += theirs
+        return self._with_b20(_b20_sum(self.b20, other.b20))
+
+    def __isub__(self, other):
+        """Subtract ``other`` in place, as ``__iadd__`` adds it."""
+        _check_grid(self.grid, other.grid)
+        for mine, theirs in zip(self._pure(), other._pure()):
+            mine -= theirs
+        return self._with_b20(_b20_diff(self.b20, other.b20))
+
+    def _pure(self):
+        return self.g11, self.g12, self.g22
+
+    def _with_b20(self, b20):
+        if b20 is self.b20:
+            return self
+        return Form11P(self.grid, self.g11, self.g12, self.g22, b20)
 
     def __mul__(self, a):
         b = None if self.b20 is None else self.b20 * a
@@ -205,26 +225,70 @@ class Form11P:
 
     def mixed_sq(self):
         """|g12|^2 in invariant units."""
-        wm = self.grid.mixed_weight[..., None]
-        return (self.g12.real**2 + self.g12.imag**2) * wm
+        sq = _abs_sq(self.g12)
+        sq *= self.grid.mixed_weight[..., None]
+        return sq
 
     def det(self):
         """Determinant of the Hermitian component matrix (pure-type part)."""
-        return self.g11 * self.g22 - self.mixed_sq()
+        msq = self.mixed_sq()
+        d = self.g11 * self.g22
+        d -= msq
+        return d
 
     def min_eigenvalue(self):
-        """Smallest eigenvalue of the 2x2 Hermitian component matrix, per node."""
-        half_tr = 0.5 * (self.g11 + self.g22)
-        gap = np.sqrt(0.25 * (self.g11 - self.g22) ** 2 + self.mixed_sq())
-        return half_tr - gap
+        """Smallest eigenvalue of the 2x2 Hermitian component matrix, per node:
+        (g11 + g22)/2 - sqrt((g11 - g22)^2/4 + |g12|^2)."""
+        gap = self.mixed_sq()
+        half_diff_sq = self.g11 - self.g22
+        np.square(half_diff_sq, out=half_diff_sq)
+        half_diff_sq *= 0.25
+        gap += half_diff_sq
+        del half_diff_sq
+        np.sqrt(gap, out=gap)
+        ev = self.g11 + self.g22
+        ev *= 0.5
+        ev -= gap
+        return ev
 
-    def component_magnitudes(self):
-        """Real magnitude fields of all frame components, invariant units."""
-        wm = np.sqrt(self.grid.mixed_weight)[..., None]
-        mags = [np.abs(self.g11), np.abs(self.g12) * wm, np.abs(self.g22)]
-        if self.b20 is not None:
-            mags.append(np.abs(self.b20) * wm)
-        return mags
+    def max_magnitude(self):
+        """Largest magnitude over all frame components, per node, in invariant
+        units."""
+        sw = np.sqrt(self.grid.mixed_weight)[..., None]
+        out = np.abs(self.g11)
+        mag = np.abs(self.g22)
+        np.maximum(out, mag, out=out)
+        for z in (self.g12, self.b20):
+            if z is not None:
+                np.abs(z, out=mag)
+                mag *= sw
+                np.maximum(out, mag, out=out)
+        return out
+
+
+def _abs_sq(z):
+    """Re(z)^2 + Im(z)^2, in one new array."""
+    sq = z.real ** 2
+    sq += z.imag ** 2
+    return sq
+
+
+def _b20_sum(a, b):
+    """(2,0) part of a sum; a side without one adds nothing."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a + b
+
+
+def _b20_diff(a, b):
+    """(2,0) part of a difference; a side without one adds nothing."""
+    if b is None:
+        return a
+    if a is None:
+        return -b
+    return a - b
 
 
 @dataclass(frozen=True)
@@ -261,7 +325,9 @@ class VContraction:
 
 def jv_apply(f: ScalarFieldP) -> ScalarFieldP:
     """Action of the rotated circle generator on invariant fields: -2 df/dl."""
-    return f._wrap(-2.0 * f.grid.d_l(f.values, 1))
+    d = f.grid.d_l(f.values, 1)
+    d *= -2.0
+    return f._wrap(d)
 
 
 def ddc_m(f, grid=None) -> Form11M:
@@ -278,9 +344,12 @@ def ddc_p(f: ScalarFieldP) -> Form11P:
     """dd^c of an invariant function, in frame components; the fiber block
     uses the dedicated second-derivative stencil."""
     g = f.grid
-    g11 = 2.0 * g.dzbar_dz(f.values)
-    g12 = 2.0 * g.dz_stripped(g.d_l(f.values, 1))
-    g22 = 2.0 * g.d_l(f.values, 2)
+    g11 = g.dzbar_dz(f.values)
+    g11 *= 2.0
+    g12 = g.dz_stripped(g.d_l(f.values, 1))
+    g12 *= 2.0
+    g22 = g.d_l(f.values, 2)
+    g22 *= 2.0
     return Form11P(g, g11, g12, g22)
 
 
@@ -296,17 +365,34 @@ def d_wedge_dc(g_field: ScalarFieldP, K) -> Form11P:
     """
     grid = g_field.grid
     _check_grid(grid, K.mu.grid)
-    dzg = grid.dz_stripped(g_field.values)
-    dzmu = -K.omega.g12
-    dlg = grid.d_l(g_field.values, 1)
-    dlmu = -0.5 * K.vsq.values
-    wm = grid.mixed_weight[..., None]
-    ddc_mu = K.ddc_mu()
     gv = g_field.values
-    g11 = 2.0 * np.real(dzg * np.conj(dzmu)) * wm + gv * ddc_mu.g11
-    g12 = dzg * dlmu + dzmu * dlg + gv * ddc_mu.g12
-    g22 = 2.0 * dlg * dlmu + gv * ddc_mu.g22
-    b20 = -1j * (dzg * dlmu - dlg * dzmu)
+    neg_dzmu = K.omega.g12
+    dlmu = -0.5 * K.vsq.values
+    ddc_mu = K.ddc_mu()
+    dzg = np.asarray(grid.dz_stripped(gv), dtype=complex)  # real on radial
+    dlg = grid.d_l(gv, 1)
+    # g11 = 2 Re(dzg conj(dzmu)) wm + g ddc_mu.g11, scratch in ``tmp``
+    tmp = np.conjugate(neg_dzmu)
+    np.multiply(dzg, tmp, out=tmp)
+    g11 = np.multiply(-2.0, tmp.real)
+    g11 *= grid.mixed_weight[..., None]
+    np.multiply(gv, ddc_mu.g11, out=tmp.real)
+    g11 += tmp.real
+    # g22 = 2 dlg dlmu + g ddc_mu.g22
+    g22 = np.multiply(2.0, dlg)
+    g22 *= dlmu
+    np.multiply(gv, ddc_mu.g22, out=tmp.real)
+    g22 += tmp.real
+    # g12 = dzg dlmu + dzmu dlg + g ddc_mu.g12 and
+    # b20 = -i (dzg dlmu - dlg dzmu), built in dzg's array
+    dzg *= dlmu
+    np.multiply(neg_dzmu, dlg, out=tmp)
+    del dlmu, dlg
+    g12 = dzg - tmp
+    dzg += tmp
+    np.multiply(gv, ddc_mu.g12, out=tmp)
+    g12 += tmp
+    b20 = np.multiply(-1j, dzg, out=dzg)
     return Form11P(grid, g11, g12, g22, b20)
 
 
@@ -317,10 +403,13 @@ def d_wedge_dc(g_field: ScalarFieldP, K) -> Form11P:
 
 def wedge_square(theta: Form11P) -> TopFormP:
     """theta /\\ theta as a top form."""
-    t = 2.0 * theta.det()
+    t = theta.det()
+    t *= 2.0
     if theta.b20 is not None:
-        wm = theta.grid.mixed_weight[..., None]
-        t = t + 2.0 * (theta.b20.real**2 + theta.b20.imag**2) * wm
+        b = _abs_sq(theta.b20)
+        b *= 2.0
+        b *= theta.grid.mixed_weight[..., None]
+        t += b
     return TopFormP(theta.grid, t)
 
 
@@ -330,12 +419,18 @@ def trace_against(omega: Form11P, theta: Form11P, det=None) -> np.ndarray:
     ``det`` may supply ``omega.det()`` when the caller already holds it.
     """
     _check_grid(omega.grid, theta.grid)
-    wm = omega.grid.mixed_weight[..., None]
     if det is None:
         det = omega.det()
-    num = (omega.g22 * theta.g11 + omega.g11 * theta.g22
-           - 2.0 * np.real(np.conj(omega.g12) * theta.g12) * wm)
-    return num / det
+    num = omega.g22 * theta.g11
+    num += omega.g11 * theta.g22
+    # the mixed pairing 2 Re(conj(omega.g12) theta.g12) wm
+    cross = np.conjugate(omega.g12)
+    cross *= theta.g12
+    cross = np.multiply(2.0, cross.real, out=cross.real)
+    cross *= omega.grid.mixed_weight[..., None]
+    num -= cross
+    num /= det
+    return num
 
 
 def contract_v(theta):

@@ -300,23 +300,31 @@ class TestbedGrid:
 
     # -- interior masks ----------------------------------------------------
 
+    def _interior(self, axis, n):
+        """Slice of the nodes at least ``margin`` away from both ends of an
+        axis of ``n`` nodes; a margin that leaves none is an input error."""
+        m = self.margin
+        if n <= 2 * m:
+            raise ValueError(f"margin={m} leaves no interior nodes on the "
+                             f"{axis} axis of {n} nodes")
+        return slice(m, n - m)
+
     def interior_p(self):
         """Boolean mask over P nodes away from one-sided stencil boundaries."""
-        m = self.margin
+        fiber = self._interior("fiber", self.n_l)
         mask = np.zeros(self.p_shape, dtype=bool)
         if self.kind == TORUS:
-            mask[:, :, m:self.n_l - m] = True
+            mask[:, :, fiber] = True
         else:
-            mask[m:self.n_spatial - m, m:self.n_l - m] = True
+            mask[self._interior("radial", self.n_spatial), fiber] = True
         return mask
 
     def interior_m(self):
-        m = self.margin
         mask = np.zeros(self.spatial_shape, dtype=bool)
         if self.kind == TORUS:
             mask[:, :] = True
         else:
-            mask[m:self.n_spatial - m] = True
+            mask[self._interior("radial", self.n_spatial)] = True
         return mask
 
 

@@ -215,12 +215,17 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     grid = K.grid
     taus = _levels(taus)
     g = jv_apply(f) / K.vsq
-    xi = K.omega + ddc_p(f) - d_wedge_dc(g, K)
-    num_p = wedge_square(xi).t
+    xi = ddc_p(f)
+    xi += K.omega
+    xi -= d_wedge_dc(g, K)
+    ratio = wedge_square(xi).t
+    del xi
     den_p = wedge_square(K.omega).t
-    if np.any(np.abs(den_p) < 1e-14):
+    # relative to the density's own scale, which a uniform rescaling of the
+    # structure moves
+    if np.any(np.abs(den_p) <= 1e-14 * np.max(np.abs(den_p))):
         raise Degenerate("total-space volume density vanishes")
-    ratio = num_p / den_p
+    ratio /= den_p
     norms = []
     for tau in taus:
         red = reduced_potential(K, tau)

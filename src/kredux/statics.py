@@ -65,9 +65,7 @@ def _p_norms(K, values):
 
 
 def _form_norms(K, theta: Form11P):
-    mags = theta.component_magnitudes()
-    stack = np.maximum.reduce(mags)
-    return _p_norms(K, stack)
+    return _p_norms(K, theta.max_magnitude())
 
 
 def _sweep(K, taus, at, quantity, centred=False):
@@ -148,8 +146,12 @@ def residual_pseudo_calabi(K: KahlerData, taus=None) -> ResidualReport:
     lam = lambda_mean(K.sigma)
     R = descending_scalar(K)
     drift = descent_drift(K)
-    resid = R.values + 2.0 * drift.values / K.vsq.values - lam
+    resid = np.multiply(2.0, drift.values)
+    resid /= K.vsq.values
+    np.add(R.values, resid, out=resid)
+    resid -= lam
     linf, l2 = _p_norms(K, resid)
+    del resid
 
     # reduced identity, evaluated downstairs: the level velocity of the
     # reduced potentials is (1/2) l_tau, so the coupled-flow statement is
@@ -173,18 +175,24 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     Reduced equivalence: || (1/2) dd^c log s_tau + Ric(omega_tau) ||_inf.
     """
     taus = default_taus(K) if taus is None else taus
-    g = (descent_drift(K) + 1.0) / K.vsq
+    g = descent_drift(K) + 1.0
+    g.values /= K.vsq.values
     ric = cached_ricci_p(K)
     # not ddc_log_v: keeping this form cached adds 8-9 MB to lift-kr peak RSS
-    theta = ric + ddc_p(K.log_v()) + d_wedge_dc(g, K)
+    theta = ddc_p(K.log_v())
+    theta += ric
+    theta += d_wedge_dc(g, K)
+    del g
     linf, l2 = _form_norms(K, theta)
+    del theta
     by_tau = _sweep(K, taus, reduced_potential, lambda red: (
         0.5 * ddc_m(red.l_tau) + ricci_m(red.omega_tau)).h)
     grid = K.grid
     rep = ResidualReport("kr_unnormalized", grid.meta(), linf, l2,
                          reduced_by_tau=by_tau)
-    rep.extra["dominant"] = _form_norms(K, ric + d_wedge_dc(
-        ScalarFieldP(grid, np.ones(grid.p_shape)) / K.vsq, K))[0]
+    dominant = d_wedge_dc(ScalarFieldP(grid, 1.0 / K.vsq.values), K)
+    dominant += ric
+    rep.extra["dominant"] = _form_norms(K, dominant)[0]
     return rep
 
 
@@ -196,8 +204,12 @@ def residual_v_soliton(K: KahlerData, f_profile) -> ResidualReport:
     lam = lambda_mean(K.sigma)
     combo = K.log_v() + ScalarFieldP(K.grid, f_profile(K.mu.values))
     ric = cached_ricci_p(K)
-    theta = ric + ddc_p(combo) - lam * K.omega
+    theta = ddc_p(combo)
+    del combo
+    theta += ric
+    theta -= lam * K.omega
     linf, l2 = _form_norms(K, theta)
+    del theta
     rep = ResidualReport("v_soliton", K.grid.meta(), linf, l2)
     rep.extra["lambda"] = lam
     rep.extra["dominant"] = max(_form_norms(K, lam * K.omega)[0],

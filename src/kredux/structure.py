@@ -111,12 +111,15 @@ def assemble(sigma: Form11M, phi: ScalarFieldP, c: float,
     grid = phi.grid
     if sigma.grid != grid:
         raise ValueError("sigma and phi live on different grids")
-    mu = jv_apply(phi) + c
+    mu = jv_apply(phi)
+    mu.values += c
     vsq = jv_apply(mu)
-    g11 = sigma.h[..., None] + 2.0 * grid.dzbar_dz(phi.values)
-    g12 = -grid.dz_stripped(mu.values)
-    g22 = 0.5 * vsq.values
-    omega = Form11P(grid, g11, g12, g22)
+    g11 = grid.dzbar_dz(phi.values)
+    g11 *= 2.0
+    np.add(sigma.h[..., None], g11, out=g11)
+    g12 = grid.dz_stripped(mu.values)
+    np.negative(g12, out=g12)
+    omega = Form11P(grid, g11, g12, np.multiply(0.5, vsq.values))
     mineig = omega.min_eigenvalue()
     worst = np.unravel_index(int(np.argmin(mineig)), mineig.shape)
     cert = PositivityCertificate(float(mineig[worst]), tuple(int(i) for i in worst))

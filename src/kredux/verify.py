@@ -49,8 +49,7 @@ def convention_gate(grid: TestbedGrid | None = None, seed=0,
 
     ell = ScalarFieldP(grid, np.broadcast_to(grid.l, grid.p_shape).copy())
     ddc_ell = ddc_p(ell)
-    part_a = interior_norms(np.maximum.reduce(ddc_ell.component_magnitudes()),
-                            mask_p)[0]
+    part_a = interior_norms(ddc_ell.max_magnitude(), mask_p)[0]
 
     cv = contract_v(K.omega)
     jv_mu = jv_apply(K.mu)

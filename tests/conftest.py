@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,17 @@ def kr_lift(kr_path):
 @pytest.fixture(scope="session")
 def pc_lift(pc_path):
     return _lift(pc_path)
+
+
+def traced_peak(fn, *args):
+    """(result, bytes): ``fn(*args)`` and the peak of traced allocations,
+    numpy buffers included, above what was allocated at its entry."""
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak - entry

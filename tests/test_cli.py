@@ -178,6 +178,19 @@ def test_flow_blowup_is_numerical_error(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("argv", [
+    ["--eq", "geodesic", "n=16", "n_l=9", "margin=5"],
+    ["--eq", "kr", "n=16", "n_l=17", "margin=9"],
+])
+def test_margin_without_interior_is_input_error(tmp_path, capsys, argv):
+    code = run(["residual", *argv, "--out", str(tmp_path / "out")])
+    assert code == 3
+    err = capsys.readouterr().err
+    margin = argv[-1]
+    assert f"input error: {margin} leaves no interior nodes" in err
+    assert "fiber axis" in err
+
+
 def test_lift_missing_input_is_input_error(tmp_path, capsys):
     code = run(["lift", "--in", str(tmp_path / "missing"),
                 "--out", str(tmp_path / "lift")])

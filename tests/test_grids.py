@@ -225,3 +225,16 @@ def test_refined_fiber_preserves_nodes():
     g2 = replace(g, n_l=2 * (g.n_l - 1) + 1)
     assert g2.n_l == 65
     assert np.allclose(g2.l[::2], g.l)
+
+
+def test_margin_without_interior_raises_on_use():
+    # the grid itself is valid: base-field dumps load with a placeholder n_l
+    g = Grid("radial", 17, 9, -1.0, 1.0, margin=9)
+    with pytest.raises(ValueError, match="margin=9 leaves no interior nodes "
+                                         "on the radial axis of 17 nodes"):
+        g.interior_m()
+    with pytest.raises(ValueError, match="on the fiber axis of 9 nodes"):
+        g.interior_p()
+    t = torus_grid(n=16, n_l=9, margin=4)
+    assert t.interior_m().all()
+    assert t.interior_p().sum() == 16 * 16

@@ -1,0 +1,298 @@
+"""The total-space form operators accumulate in place.  Each is checked bit
+for bit against the one-expression form it replaced (kept here as the
+reference), for not writing into its arguments or a structure's arrays, and
+for the peak memory the in-place forms keep."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import kredux as kx
+from kredux.curvature import _reference_arrays
+from kredux.fields import Form11P, ScalarFieldM, ScalarFieldP, trace_against
+from kredux.fixtures import random_resolved_p
+
+from conftest import cos1, traced_peak
+
+
+# -- the one-expression references ---------------------------------------------
+
+
+def _b(form):
+    if form.b20 is None:
+        return np.zeros(form.grid.p_shape, dtype=complex)
+    return form.b20
+
+
+def ref_add(a, b):
+    b20 = None
+    if a.b20 is not None or b.b20 is not None:
+        b20 = _b(a) + _b(b)
+    return Form11P(a.grid, a.g11 + b.g11, a.g12 + b.g12, a.g22 + b.g22, b20)
+
+
+def ref_sub(a, b):
+    b20 = None
+    if a.b20 is not None or b.b20 is not None:
+        b20 = _b(a) - _b(b)
+    return Form11P(a.grid, a.g11 - b.g11, a.g12 - b.g12, a.g22 - b.g22, b20)
+
+
+def ref_mixed_sq(form):
+    wm = form.grid.mixed_weight[..., None]
+    return (form.g12.real**2 + form.g12.imag**2) * wm
+
+
+def ref_det(form):
+    return form.g11 * form.g22 - ref_mixed_sq(form)
+
+
+def ref_min_eigenvalue(form):
+    half_tr = 0.5 * (form.g11 + form.g22)
+    gap = np.sqrt(0.25 * (form.g11 - form.g22) ** 2 + ref_mixed_sq(form))
+    return half_tr - gap
+
+
+def ref_max_magnitude(form):
+    wm = np.sqrt(form.grid.mixed_weight)[..., None]
+    mags = [np.abs(form.g11), np.abs(form.g12) * wm, np.abs(form.g22)]
+    if form.b20 is not None:
+        mags.append(np.abs(form.b20) * wm)
+    return np.maximum.reduce(mags)
+
+
+def ref_wedge_square(form):
+    t = 2.0 * ref_det(form)
+    if form.b20 is not None:
+        wm = form.grid.mixed_weight[..., None]
+        t = t + 2.0 * (form.b20.real**2 + form.b20.imag**2) * wm
+    return t
+
+
+def ref_trace_against(omega, theta):
+    wm = omega.grid.mixed_weight[..., None]
+    num = (omega.g22 * theta.g11 + omega.g11 * theta.g22
+           - 2.0 * np.real(np.conj(omega.g12) * theta.g12) * wm)
+    return num / ref_det(omega)
+
+
+def ref_ddc_p(f):
+    g = f.grid
+    return Form11P(g, 2.0 * g.dzbar_dz(f.values),
+                   2.0 * g.dz_stripped(g.d_l(f.values, 1)),
+                   2.0 * g.d_l(f.values, 2))
+
+
+def ref_d_wedge_dc(g_field, K):
+    grid = g_field.grid
+    dzg = grid.dz_stripped(g_field.values)
+    dzmu = -K.omega.g12
+    dlg = grid.d_l(g_field.values, 1)
+    dlmu = -0.5 * K.vsq.values
+    wm = grid.mixed_weight[..., None]
+    ddc_mu = ref_ddc_p(K.mu)
+    gv = g_field.values
+    g11 = 2.0 * np.real(dzg * np.conj(dzmu)) * wm + gv * ddc_mu.g11
+    g12 = dzg * dlmu + dzmu * dlg + gv * ddc_mu.g12
+    g22 = 2.0 * dlg * dlmu + gv * ddc_mu.g22
+    b20 = -1j * (dzg * dlmu - dlg * dzmu)
+    return Form11P(grid, g11, g12, g22, b20)
+
+
+def ref_ricci_p(K):
+    grid = K.grid
+    sigma_ref, ricci_ref = _reference_arrays(grid)
+    density = ref_wedge_square(K.omega)
+    log_f = ScalarFieldP(grid, np.log(density / (2.0 * sigma_ref[..., None])))
+    ddc = ref_ddc_p(log_f)
+    return Form11P(grid, ricci_ref[..., None] + ddc.g11 * -0.5,
+                   ddc.g12 * -0.5, ddc.g22 * -0.5)
+
+
+def ref_descending_ricci(K):
+    log_v = ScalarFieldP(K.grid, 0.5 * np.log(K.vsq.values))
+    d_mu = 0.5 * ref_trace_against(K.omega, ref_ddc_p(K.mu))
+    drift = d_mu - -2.0 * K.grid.d_l(log_v.values, 1)
+    g = ScalarFieldP(K.grid, drift / K.vsq.values)
+    return ref_add(ref_add(ref_ricci_p(K), ref_ddc_p(log_v)),
+                   ref_d_wedge_dc(g, K))
+
+
+# -- fixtures --------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module", params=["torus", "radial"])
+def K(request):
+    if request.param == "torus":
+        grid = kx.torus_grid(n=16, n_l=33, margin=4)
+        return kx.perturbed_cylinder(grid, amplitude=0.02)
+    grid = kx.radial_grid(n_u=65, n_l=33, margin=4)
+    return kx.perturbed_fs_cylinder(grid, amplitude=0.01)
+
+
+@pytest.fixture(scope="module")
+def fields(K):
+    rng = np.random.default_rng(5)
+    return [random_resolved_p(K.grid, rng, amplitude=0.3) for _ in range(2)]
+
+
+@pytest.fixture(scope="module")
+def forms(K, fields):
+    """Two forms without a (2,0) part and two with one."""
+    f, h = fields
+    return {"pure": kx.ddc_p(f), "pure2": kx.ddc_p(h),
+            "mixed": kx.d_wedge_dc(f, K), "mixed2": kx.d_wedge_dc(h, K)}
+
+
+def assert_forms_equal(got, want):
+    for name in ("g11", "g12", "g22"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    assert (got.b20 is None) == (want.b20 is None)
+    if want.b20 is not None:
+        assert np.array_equal(got.b20, want.b20)
+
+
+def _copy(form):
+    return Form11P(form.grid, *(None if a is None else a.copy()
+                                for a in (form.g11, form.g12, form.g22,
+                                          form.b20)))
+
+
+def _arrays(value, path):
+    """(path, array) for every array reachable from ``value``."""
+    if isinstance(value, np.ndarray):
+        yield path, value
+    elif isinstance(value, (ScalarFieldM, ScalarFieldP)):
+        yield path, value.values
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            yield from _arrays(getattr(value, f.name), f"{path}.{f.name}")
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _arrays(item, f"{path}[{key!r}]")
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            yield from _arrays(item, f"{path}[{i}]")
+    elif hasattr(value, "__dict__"):
+        yield from _arrays(vars(value), path)
+
+
+def _snapshot(*values):
+    return {path: a.copy() for i, v in enumerate(values)
+            for path, a in _arrays(v, f"arg{i}")}
+
+
+def assert_unchanged(snapshot, *values):
+    now = {path: a for i, v in enumerate(values)
+           for path, a in _arrays(v, f"arg{i}")}
+    for path, saved in snapshot.items():
+        assert np.array_equal(now[path], saved), path
+
+
+# -- bit-for-bit against the references -------------------------------------------
+
+
+PAIRS = [("pure", "pure2"), ("pure", "mixed"), ("mixed", "pure"),
+         ("mixed", "mixed2")]
+
+
+@pytest.mark.parametrize("left,right", PAIRS)
+def test_sum_and_difference_match_reference(forms, left, right):
+    a, b = forms[left], forms[right]
+    before = _snapshot(a, b)
+    assert_forms_equal(a + b, ref_add(a, b))
+    assert_forms_equal(a - b, ref_sub(a, b))
+    acc = _copy(a)
+    acc += b
+    assert_forms_equal(acc, ref_add(a, b))
+    acc = _copy(a)
+    acc -= b
+    assert_forms_equal(acc, ref_sub(a, b))
+    assert_unchanged(before, a, b)
+
+
+def test_in_place_sum_refuses_a_read_only_form(K, forms):
+    cached = K.ddc_mu()
+    with pytest.raises(ValueError):
+        cached += forms["pure"]
+
+
+@pytest.mark.parametrize("name", ["pure", "mixed", "omega"])
+def test_pointwise_algebra_matches_reference(K, forms, name):
+    form = K.omega if name == "omega" else forms[name]
+    before = _snapshot(form)
+    assert np.array_equal(form.mixed_sq(), ref_mixed_sq(form))
+    assert np.array_equal(form.det(), ref_det(form))
+    assert np.array_equal(form.min_eigenvalue(), ref_min_eigenvalue(form))
+    assert np.array_equal(form.max_magnitude(), ref_max_magnitude(form))
+    assert np.array_equal(kx.wedge_square(form).t, ref_wedge_square(form))
+    want = ref_trace_against(K.omega, form)
+    assert np.array_equal(trace_against(K.omega, form), want)
+    assert np.array_equal(trace_against(K.omega, form, K.omega_det()), want)
+    assert_unchanged(before, form)
+
+
+def test_derivative_forms_match_reference(K, fields):
+    f, h = fields
+    before = _snapshot(K, f, h)
+    assert_forms_equal(kx.ddc_p(f), ref_ddc_p(f))
+    assert_forms_equal(kx.d_wedge_dc(h, K), ref_d_wedge_dc(h, K))
+    assert_forms_equal(kx.ricci_p(K), ref_ricci_p(K))
+    assert_unchanged(before, K, f, h)
+
+
+def test_descending_ricci_matches_reference():
+    for K in (kx.perturbed_cylinder(kx.torus_grid(16, 33, margin=4), 0.02),
+              kx.perturbed_fs_cylinder(kx.radial_grid(65, 33, margin=4))):
+        assert_forms_equal(kx.descending_ricci(K), ref_descending_ricci(K))
+
+
+@pytest.mark.parametrize("kind", ["torus", "radial"])
+def test_residual_kr_and_descent_write_no_input(kind):
+    if kind == "torus":
+        K = kx.perturbed_cylinder(kx.torus_grid(16, 33, margin=4), 0.02)
+    else:
+        K = kx.perturbed_fs_cylinder(kx.radial_grid(65, 33, margin=4))
+    taus = kx.default_taus(K)
+    before = _snapshot(K, taus)
+    first = kx.residual_kr(K, taus).to_dict()
+    assert_unchanged(before, K, taus)
+    # now with every cache the two fill: neither touches the other's
+    before = _snapshot(K, taus)
+    rho = kx.descending_ricci(K)
+    assert_unchanged(before, K, taus)
+    before = _snapshot(K, taus, rho)
+    assert kx.residual_kr(K, taus).to_dict() == first
+    assert_forms_equal(kx.descending_ricci(K), rho)
+    assert_unchanged(before, K, taus, rho)
+
+
+# -- peak memory ------------------------------------------------------------------
+
+
+def _field_bytes(grid):
+    return np.zeros(grid.p_shape).nbytes
+
+
+def test_residual_kr_peak_memory():
+    # a fixed 16x16x65 lift of the kr flow.  Measured on numpy 2.4: the peak
+    # above entry, caches included, is 26.1 real fields (37.9 before the
+    # operators accumulated in place); the bound leaves about 15 %
+    grid = kx.torus_grid(n=16, n_l=33, margin=4)
+    path = kx.kr_integrate(cos1(grid, 0.01), kx.flat_sigma(grid), 0.1,
+                           dt=5e-4)
+    shifted, a_t = kx.concavity_shift(path)
+    lift = kx.legendre_lift(shifted, n_l=65, a_t=a_t)
+    taus = kx.admissible_taus(shifted, lift)
+    K = kx.assemble(lift.data.sigma, lift.data.phi, lift.data.c)
+    _, peak = traced_peak(kx.residual_kr, K, taus)
+    assert peak < 30 * _field_bytes(K.grid)
+
+
+def test_descending_ricci_peak_memory(tg):
+    # the verify fixture at 32x32x129.  Measured on numpy 2.4: 29.1 real
+    # fields above entry, caches included (35.1 before); about 10 % margin
+    K = kx.perturbed_cylinder(tg, amplitude=0.02)
+    _, peak = traced_peak(kx.descending_ricci, K)
+    assert peak < 32 * _field_bytes(K.grid)

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import kredux as kx
-from kredux.errors import OutOfRange
-from kredux.fields import ScalarFieldM, ScalarFieldP
+from kredux.errors import Degenerate, OutOfRange
+from kredux.fields import Form11M, Form11P, ScalarFieldM, ScalarFieldP
 
 
 def p_field(grid, vals):
@@ -213,6 +215,34 @@ def test_ma_convergence(tg, cyl):
     f2 = ScalarFieldP(coarse_grid, np.broadcast_to(vals2, coarse_grid.p_shape).copy())
     rep2 = kx.ma_reduced(K2, f2, 0.3)
     assert np.log2(rep2.linf / rep.linf) > 2.0 or rep.linf < 1e-11
+
+
+def test_ma_degeneracy_is_relative_to_scale():
+    # rescaling sigma, phi and c by s scales omega by s and its volume
+    # density by s^2: below 1e-14 everywhere at s = 1e-8, yet no less
+    # positive relative to its own size
+    grid = kx.torus_grid(n=16, n_l=33, margin=4)
+    K = kx.perturbed_cylinder(grid, amplitude=0.02)
+    s = 1e-8
+    Ks = kx.assemble(Form11M(grid, s * K.sigma.h),
+                     ScalarFieldP(grid, s * K.phi.values), s * K.c)
+    assert Ks.certificate.positive
+    assert np.max(kx.wedge_square(Ks.omega).t) < 1e-14
+    f = kx.fixtures.random_resolved_p(grid, np.random.default_rng(3),
+                                      amplitude=0.3)
+    rep = kx.ma_reduced(Ks, s * f, s * 0.1)
+    assert [t for t, _ in rep.reduced_by_tau] == [s * 0.1]
+    assert np.isfinite(rep.linf)
+
+
+def test_ma_vanishing_density_is_degenerate(perturbed):
+    # one node where omega's volume density is exactly zero
+    om = perturbed.omega
+    g11, g12 = om.g11.copy(), om.g12.copy()
+    g11[3, 4, 60] = g12[3, 4, 60] = 0.0
+    K = replace(perturbed, omega=Form11P(om.grid, g11, g12, om.g22))
+    with pytest.raises(Degenerate):
+        kx.ma_reduced(K, perturbed.mu * perturbed.mu, 0.25)
 
 
 # -- reduced Laplacian --------------------------------------------------------------

@@ -1,7 +1,11 @@
+import json
+import os
+
 import numpy as np
 import pytest
 
 import kredux as kx
+from kredux.cli import main
 from kredux.fields import ScalarFieldM
 from kredux.statics import constant_profile
 
@@ -136,3 +140,61 @@ def test_h_canonical_reparametrization_covariance(cyl):
     h2 = kx.h_canonical(K2, taus + k)
     h1 = kx.h_canonical(cyl, taus)
     assert np.max(np.abs(h2(taus + k) - h1(taus))) < 1e-8
+
+
+# Reports of `kredux residual --eq E` written before the total-space form
+# operators accumulated in place; the numbers must not move.
+RESIDUAL_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "residuals")
+EQUATIONS = ("geodesic", "calabi", "pseudo_calabi", "kr", "v_soliton")
+REL = 1e-13
+
+
+def _assert_report_matches(got, want):
+    def close(a, b):
+        return abs(a - b) <= REL * abs(b)
+
+    assert got["equation"] == want["equation"]
+    assert got["grid"] == want["grid"]
+    for key in ("linf", "l2"):
+        assert close(got[key], want[key]), (key, got[key], want[key])
+    assert sorted(got["extra"]) == sorted(want["extra"])
+    for key, value in want["extra"].items():
+        assert close(got["extra"][key], value), (key, got["extra"][key], value)
+    pairs = got["reduced_linf_by_tau"]
+    assert len(pairs) == len(want["reduced_linf_by_tau"])
+    for (t, r), (wt, wr) in zip(pairs, want["reduced_linf_by_tau"]):
+        assert close(t, wt) and close(r, wr), (t, r, wt, wr)
+
+
+def _check_residual_dir(out, golden_dir, eq):
+    with open(os.path.join(out, f"residual_{eq}.json"), encoding="utf-8") as fh:
+        got = json.load(fh)
+    with open(os.path.join(golden_dir, f"residual_{eq}.json"),
+              encoding="utf-8") as fh:
+        want = json.load(fh)
+    _assert_report_matches(got, want)
+
+
+@pytest.mark.parametrize("testbed,grid_args", [
+    ("torus", ["testbed=torus", "n=16", "n_l=33", "margin=4"]),
+    ("radial", ["testbed=radial", "n=65", "n_l=33", "margin=4"]),
+])
+def test_residual_reports_match_golden(tmp_path, testbed, grid_args):
+    for eq in EQUATIONS:
+        out = str(tmp_path / eq)
+        assert main(["residual", "--eq", eq, "fixture=perturbed", *grid_args,
+                     "--out", out]) == 0
+        _check_residual_dir(out, os.path.join(RESIDUAL_GOLDEN, testbed), eq)
+
+
+def test_lifted_kr_residual_matches_golden(tmp_path):
+    work = str(tmp_path)
+    assert main(["flow", "flow_kind=kr", "n=16", "flow_t_end=0.1",
+                 "flow_dt=5e-4", "flow_amplitude=0.01",
+                 "--out", f"{work}/flow"]) == 0
+    assert main(["lift", "n_l=65", "--in", f"{work}/flow",
+                 "--out", f"{work}/lift"]) == 0
+    assert main(["residual", "--eq", "kr", "--in", f"{work}/lift",
+                 "--out", f"{work}/res"]) == 0
+    _check_residual_dir(f"{work}/res", os.path.join(RESIDUAL_GOLDEN, "lift_kr"),
+                        "kr")
