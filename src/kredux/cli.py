@@ -21,8 +21,8 @@ from .fixtures import (flat_cylinder, flat_sigma, fs_cylinder, fs_sigma,
 from .flows import calabi_integrate, kr_integrate, pseudo_calabi_integrate
 from .golden import golden_grid, run_golden
 from .grids import TORUS, TestbedGrid
-from .io import (dir_hashes, load_kahler, load_path, save_kahler, save_path,
-                 save_reduction, write_json)
+from .io import (dir_hashes, load_kahler, load_lift_taus, load_path,
+                 save_kahler, save_path, save_reduction, write_json)
 from .lift import admissible_taus, concavity_shift, legendre_lift, roundtrip_check
 from .reduction import reduced_potential
 from .statics import RESIDUALS
@@ -102,7 +102,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_reduce(cfg: RunConfig, in_dir=None) -> int:
     grid = _grid_from(cfg)
     K = _load_or_fixture(cfg, grid, in_dir)
-    red = reduced_potential(K, cfg.tau, root_tol=cfg.root_tol)
+    red = reduced_potential(K, cfg.tau)
     save_reduction(red, cfg.out)
     _finalize_dir(cfg.out, cfg)
     print(f"tau={red.tau}: root residual {red.max_root_residual:.3e}, "
@@ -163,16 +163,9 @@ def cmd_lift(cfg: RunConfig, in_dir) -> int:
 
 
 def cmd_residual(cfg: RunConfig, in_dir, eq) -> int:
-    import json
-
     grid_hint = _grid_from(cfg)
     K = _load_or_fixture(cfg, grid_hint, in_dir)
-    taus = None
-    if in_dir:
-        lift_meta = os.path.join(in_dir, "lift_meta.json")
-        if os.path.exists(lift_meta):
-            with open(lift_meta, "r", encoding="utf-8") as fh:
-                taus = np.array(json.load(fh)["admissible_taus"])
+    taus = load_lift_taus(in_dir) if in_dir else None
     rep = RESIDUALS[eq](K, taus=taus)
     os.makedirs(cfg.out, exist_ok=True)
     write_json(os.path.join(cfg.out, f"residual_{eq}.json"), rep.to_dict())

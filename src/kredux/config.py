@@ -21,7 +21,6 @@ class RunConfig:
     l_max: float = 1.2
     l_u: float = 8.0
     margin: int = 8
-    root_tol: float = 1e-12
     dtau: float = 1e-4
     flow_kind: str = "calabi"
     flow_dt: float = 0.0          # 0 means stability-derived
@@ -37,8 +36,8 @@ class RunConfig:
             raise ValueError(f"unknown testbed {self.testbed!r}")
         if self.n < 9 or self.n_l < 9:
             raise ValueError("resolutions must be at least 9")
-        if self.root_tol <= 0 or self.dtau <= 0:
-            raise ValueError("tolerances must be positive")
+        if self.dtau <= 0:
+            raise ValueError("dtau must be positive")
 
     def to_text(self) -> str:
         lines = ["# kredux run configuration"]

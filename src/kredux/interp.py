@@ -1,5 +1,5 @@
-"""Fiberwise interpolation and quadrature, the one guarded Newton solver and
-the cubic spline.
+"""Fiberwise interpolation and quadrature, the level solve and the cubic
+spline.
 
 * :class:`FiberInterp`, a piecewise 6-point Lagrange interpolant (barycentric
   form, windows anchored to the containing segment so evaluation is
@@ -9,13 +9,12 @@ the cubic spline.
   reuses them.  Sixth-order accuracy keeps spatial spectral derivatives of
   reduced fields at full stencil order, and the same interpolant backs both
   reduction and the level-set root solve, so reducing the moment map at a
-  solved level returns the target to root tolerance.  It reproduces quintics
+  solved level returns the target to roundoff.  It reproduces quintics
   exactly, hence products of fiber-linear fields reduce exactly.
   :meth:`FiberInterp.antiderivative` integrates the same interpolant exactly
   over each fiber segment: the fiber quadrature of ``potential_from_moment``
-  and ``reparametrize``.
-* :func:`newton_decreasing`, the bracketed Newton iteration behind the level
-  solve of :meth:`FiberInterp.solve_decreasing`.
+  and ``reparametrize``; :meth:`FiberInterp.solve_decreasing` is the level
+  solve.
 * :class:`NotAKnotSpline`, the not-a-knot cubic spline in numpy, with
   scipy's ``CubicSpline`` coefficient layout: the time splines of
   :mod:`kredux.lift`, the level profile ``h_canonical`` and the radial
@@ -30,6 +29,7 @@ from .errors import NotConverged
 
 _BARY6 = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
 _WIDTH = 6
+MAX_NEWTON_STEPS = 120  # level solve step cap: NotConverged past it
 # Row p, over 1440: the integrals over [p, p + 1] of the Lagrange basis on the
 # local nodes 0..5.  A fiber segment takes the row of its place in its window.
 _SEGMENT_ROWS = np.array([[475, 1427, -798, 482, -173, 27],
@@ -37,42 +37,6 @@ _SEGMENT_ROWS = np.array([[475, 1427, -798, 482, -173, 27],
                           [11, -93, 802, 802, -93, 11],
                           [-11, 77, -258, 1022, 637, -27],
                           [27, -173, 482, -798, 1427, 475]]) / 1440.0
-
-
-def newton_decreasing(fun, lo, hi, tol, max_iter, what):
-    """Roots of decreasing functions, one per item, by guarded Newton steps.
-
-    ``fun(x, items)`` returns the residuals and slopes of the indexed items
-    at ``x``.  Each item starts mid-bracket [lo, hi] and retires once
-    |r| <= tol (scalar or per item); the bracket follows the residual's sign,
-    and a step that leaves it or is not finite bisects it.  Returns the
-    roots, the residuals at retirement and the step count; raises
-    NotConverged, naming ``what``, if an item is left after ``max_iter``.
-    """
-    roots, resid = np.empty(lo.size), np.empty(lo.size)
-    items = np.arange(lo.size)
-    tol = np.broadcast_to(tol, lo.shape)
-    x = 0.5 * (lo + hi)
-    for step in range(max_iter + 1):
-        r, slope = fun(x, items)
-        done = np.abs(r) <= tol
-        roots[items[done]], resid[items[done]] = x[done], r[done]
-        if done.all():
-            return roots, resid, step
-        if step == max_iter:
-            raise NotConverged(
-                f"{what}: {int(np.sum(~done))} of {lo.size} roots above "
-                f"tolerance after {max_iter} Newton steps (worst residual "
-                f"{float(np.max(np.abs(r[~done]))):.3e})")
-        keep = ~done
-        items, x, lo, hi, r, slope, tol = (
-            a[keep] for a in (items, x, lo, hi, r, slope, tol))
-        lo = np.where(r > 0, np.maximum(lo, x), lo)
-        hi = np.where(r < 0, np.minimum(hi, x), hi)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_new = x - r / slope
-        bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
-        x = np.where(bad, 0.5 * (lo + hi), x_new)
 
 
 class FiberWeights:
@@ -156,41 +120,64 @@ class FiberInterp:
 
     def _value_slope(self, x, rows=None):
         """Value and slope at one point per row (all rows by default); a
-        point on a node takes the slope just above it."""
+        point on a node takes the slope of its window's polynomial there."""
         w = FiberWeights(self.l, x, rows)
         fj, val = w.window_and_value(self._vals)
         slope = np.sum(w.c * (val[:, None] - fj) / w.d, axis=1) / w.denom
         on = w.on_node
         if on.any():
-            slope[on] = self._value_slope(x[on] + 1e-8 * self._h,
-                                          w.rows[on, 0])[1]
+            # p'(x_j) = sum over k != j of (b_k / b_j) (f_k - f_j) / (x_j - x_k);
+            # the k = j term is 0 / 1
+            b_j = _BARY6[np.argmax(w.hit[on], axis=1)]
+            slope[on] = np.sum(_BARY6 * (fj[on] - val[on, None]) / w.d[on],
+                               axis=1) / b_j
         return val, slope
 
-    def solve_decreasing(self, target, tol_scale=1e-12, max_iter=120):
+    def solve_decreasing(self, target):
         """Per-node root of interp(l) = target for fiberwise decreasing data,
-        by :func:`newton_decreasing` on the nodes whose end values bracket
-        the target.
+        on the nodes whose end values bracket the target.
+
+        Guarded Newton from mid-window: the bracket follows the residual's
+        sign, and a step that leaves it or is not finite bisects it.  A node
+        stops where Newton stops moving (residual 0, or step or bracket within
+        4 eps max|l|), never on a residual threshold: so the solve is
+        scale-free, and a root on a node's snap plateau still stops.
 
         Returns ``(roots, missing, max_residual, iterations)``; missing marks
         the other nodes, whose roots are set to the first fiber node, and
-        iterations counts the Newton updates taken.
+        iterations counts the Newton updates taken.  Raises NotConverged,
+        naming the level, if a node still moves after MAX_NEWTON_STEPS.
         """
         missing = ~((self._vals[:, 0] >= target) & (self._vals[:, -1] <= target))
-        rows = np.flatnonzero(~missing)
-
-        def residual(x, items):
-            val, slope = self._value_slope(x, rows[items])
-            return val - target, slope
-
-        found, resid, iterations = newton_decreasing(
-            residual, np.full(rows.size, self.l[0]),
-            np.full(rows.size, self.l[-1]), tol_scale * max(1.0, abs(target)),
-            max_iter, f"level solve at {target:.6g}")
-        roots = np.full(missing.size, self.l[0])
-        roots[rows] = found
-        max_resid = float(np.max(np.abs(resid))) if rows.size else np.nan
+        nodes = np.flatnonzero(~missing)
+        roots, worst = np.full(missing.size, self.l[0]), 0.0
+        lo, hi = np.full(nodes.size, self.l[0]), np.full(nodes.size, self.l[-1])
+        still = 4 * np.finfo(float).eps * max(abs(self.l[0]), abs(self.l[-1]))
+        x = 0.5 * (lo + hi)
+        for step in range(MAX_NEWTON_STEPS + 1):
+            val, slope = self._value_slope(x, nodes)
+            r = val - target
+            lo = np.where(r > 0, np.maximum(lo, x), lo)
+            hi = np.where(r < 0, np.minimum(hi, x), hi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dx = r / slope
+            done = (r == 0) | (np.abs(dx) <= still) | (hi - lo <= still)
+            roots[nodes[done]] = x[done]
+            worst = max(worst, float(np.max(np.abs(r[done]), initial=0.0)))
+            if done.all():
+                break
+            if step == MAX_NEWTON_STEPS:
+                raise NotConverged(
+                    f"level solve at {target:.6g}: {int(np.sum(~done))} "
+                    f"roots still moving after {step} Newton steps (worst "
+                    f"residual {float(np.max(np.abs(r[~done]))):.3e})")
+            nodes, x, lo, hi, dx = (a[~done] for a in (nodes, x, lo, hi, dx))
+            x_new = x - dx
+            bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
+            x = np.where(bad, 0.5 * (lo + hi), x_new)
         return (roots.reshape(self.spatial_shape),
-                missing.reshape(self.spatial_shape), max_resid, iterations)
+                missing.reshape(self.spatial_shape),
+                worst if (~missing).any() else np.nan, step)
 
 
 class NotAKnotSpline:

@@ -21,7 +21,8 @@ A field header must give integer counts and a grid ``TestbedGrid`` accepts;
 exactly the text the writer gives for the header grid (for ``t``: the ``ts``
 of ``path_meta.json``).  Each row has exactly the format's columns, each slab
 its row count, and nothing follows the last slab; anything else is a
-``ValueError`` that names the file.
+``ValueError`` that names the file.  So is a ``lift_meta.json`` whose
+``admissible_taus`` is not a non-empty list of finite numbers.
 """
 
 from __future__ import annotations
@@ -361,6 +362,23 @@ def load_path(outdir) -> FlowPath:
                            "the ts in path_meta.json")
     return FlowPath(grid, Form11M(grid, sig_vals), meta["kind"], ts, psis,
                     meta.get("normalization", {}), meta.get("dt_history", []))
+
+
+def load_lift_taus(lift_dir):
+    """The ``admissible_taus`` of ``lift_dir/lift_meta.json``, or None when
+    the directory has no such file; ValueError, naming the file, unless they
+    are a non-empty list of finite numbers."""
+    path = os.path.join(lift_dir, "lift_meta.json")
+    if not os.path.exists(path):
+        return None
+    with open(path, "r", encoding="utf-8") as fh:
+        meta = json.load(fh)
+    taus = meta.get("admissible_taus") if isinstance(meta, dict) else None
+    if not (isinstance(taus, list) and taus and all(
+            type(t) in (int, float) and math.isfinite(t) for t in taus)):
+        raise ValueError(f"{path}: admissible_taus must be a non-empty list "
+                         "of finite numbers")
+    return np.array(taus, dtype=float)
 
 
 def dir_hashes(outdir):

@@ -7,11 +7,11 @@ The level is solved by the one fiber Newton solver of :mod:`kredux.interp`
 and keeps the interpolation weights at l_tau: scalars, spatial 1-form
 components and 2-forms, real or complex, all reduce through those weights.
 
-Level sets and reduced potentials of assembled data are solved once per
-(tau, root_tol) and kept with the structure.  The identity checks take a
-sequence of levels (a scalar is one level): each builds its tau-independent
-total-space arrays once, evaluates every level, and returns one report with
-the worst norms and each level's sup norm in ``reduced_by_tau``.
+Level sets and reduced potentials of assembled data are solved once per tau
+and kept with the structure.  The identity checks take a sequence of levels
+(a scalar is one level): each builds its tau-independent total-space arrays
+once, evaluates every level, and returns one report with the worst norms and
+each level's sup norm in ``reduced_by_tau``.
 """
 
 from __future__ import annotations
@@ -56,32 +56,32 @@ class ReductionResult:
     level: LevelSet
 
 
-def _solve_level(interp, grid, tau, root_tol) -> LevelSet:
-    roots, missing, resid, iterations = interp.solve_decreasing(
-        tau, tol_scale=root_tol)
+def _solve_level(interp, grid, tau) -> LevelSet:
+    roots, missing, resid, iterations = interp.solve_decreasing(tau)
     complete = not missing.any()
     return LevelSet(float(tau), ScalarFieldM(grid, roots),
                     interp.weights(roots), resid if complete else float("nan"),
                     iterations, None if complete else missing)
 
 
-def level_set(K: KahlerData | ScalarFieldP, tau: float, root_tol=1e-12,
+def level_set(K: KahlerData | ScalarFieldP, tau: float,
               raise_on_miss=True) -> LevelSet:
     """Fiber level of the moment map at tau.
 
     Accepts assembled data or a bare moment-map field.  Nodes whose fiber
     range does not contain tau are reported through OutOfRange (or returned
     as a mask when ``raise_on_miss`` is off); the miss set itself is the
-    topology diagnostic used by the golden example.  Raises NotConverged when
-    the root solve stalls.
+    topology diagnostic used by the golden example.  Raises ValueError for
+    a non-finite tau and NotConverged when the root solve does not stop
+    within its step cap.
     """
+    if not np.isfinite(tau):
+        raise ValueError(f"level tau={tau} is not finite")
     if isinstance(K, KahlerData):
-        level = K.cached(("level_set", float(tau), float(root_tol)),
-                         lambda: _solve_level(K.mu_interp(), K.grid, tau,
-                                              root_tol))
+        level = K.cached(("level_set", float(tau)),
+                         lambda: _solve_level(K.mu_interp(), K.grid, tau))
     else:
-        level = _solve_level(FiberInterp(K.grid.l, K.values), K.grid, tau,
-                             root_tol)
+        level = _solve_level(FiberInterp(K.grid.l, K.values), K.grid, tau)
     if raise_on_miss and not level.complete:
         raise OutOfRange(
             f"tau={tau} outside the fiber range at "
@@ -117,7 +117,7 @@ def reduce_form(theta: Form11P, level: LevelSet):
     return Form11M(grid, h), ang_sup
 
 
-def reduced_potential(K: KahlerData, tau: float, root_tol=1e-12,
+def reduced_potential(K: KahlerData, tau: float,
                       require_positive=True) -> ReductionResult:
     """Reduced potential psi_tau and reduced form omega_tau = sigma + dd^c psi_tau.
 
@@ -125,7 +125,7 @@ def reduced_potential(K: KahlerData, tau: float, root_tol=1e-12,
     """
     def build():
         grid = K.grid
-        level = level_set(K, tau, root_tol=root_tol)
+        level = level_set(K, tau)
         psi_p = ScalarFieldP(
             grid, K.phi.values + 0.5 * (K.mu.values - K.c) * grid.l)
         psi_tau = reduce_scalar(psi_p, level)
@@ -134,7 +134,7 @@ def reduced_potential(K: KahlerData, tau: float, root_tol=1e-12,
                                level.max_residual, float(np.min(omega_tau.h)),
                                level)
 
-    red = K.cached(("reduced_potential", float(tau), float(root_tol)), build)
+    red = K.cached(("reduced_potential", float(tau)), build)
     if require_positive and red.min_eigenvalue <= 0.0:
         raise NotPositive(
             f"omega_tau degenerates at tau={tau} "

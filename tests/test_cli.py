@@ -113,6 +113,28 @@ def test_unknown_override_is_input_error(tmp_path):
     assert run(["verify", "bogus_key=1"]) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ["root_tol=1e-12"],
+    ["--config", "{cfg}"],
+])
+def test_removed_key_is_input_error(tmp_path, capsys, argv):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text("tau = 0.3\nroot_tol = 1e-12\n")
+    argv = [a.format(cfg=cfg) for a in argv]
+    code = run(["reduce", *argv, "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "unknown configuration key 'root_tol'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("tau", ["nan", "inf", "-inf"])
+def test_non_finite_level_is_input_error(tmp_path, capsys, tau):
+    code = run(["reduce"] + small_args(tmp_path, n=16, n_l=33, margin=4,
+                                       tau=tau))
+    assert code == 3
+    assert f"input error: level tau={tau} is not finite" in capsys.readouterr().err
+
+
 def test_reduce_cylinder(tmp_path):
     code = run(["reduce"] + small_args(tmp_path, tau=0.7, fixture="cyl"))
     assert code == 0
@@ -274,6 +296,49 @@ def test_unconverged_inversion_is_numerical_error(tmp_path, monkeypatch,
                 "n_l=129"]) == 4
     assert "Legendre inversion" in capsys.readouterr().err
     assert not lift_dir.exists()
+
+
+@pytest.fixture
+def kahler_dir(tmp_path):
+    import kredux as kx
+    from kredux.io import save_kahler
+
+    grid = kx.torus_grid(n=16, n_l=33, margin=4)
+    return save_kahler(kx.perturbed_cylinder(grid, amplitude=0.02),
+                       str(tmp_path / "lift"))
+
+
+def _residual_with_lift_meta(kahler_dir, tmp_path, meta):
+    with open(os.path.join(kahler_dir, "lift_meta.json"), "w",
+              encoding="utf-8") as fh:
+        json.dump(meta, fh)
+    return run(["residual", "--eq", "kr", "--in", kahler_dir,
+                "--out", str(tmp_path / "res")])
+
+
+@pytest.mark.parametrize("meta", [
+    {"window": [-1.2, 1.2]},                # no admissible_taus key
+    [0.1, -0.3],                            # not a JSON object
+    {"admissible_taus": []},
+    {"admissible_taus": [float("nan")]},
+    {"admissible_taus": ["0.1", "-0.3"]},
+    {"admissible_taus": [[0.1]]},
+    {"admissible_taus": [True]},
+    {"admissible_taus": 0.1},
+])
+def test_bad_lift_meta_is_input_error(kahler_dir, tmp_path, capsys, meta):
+    assert _residual_with_lift_meta(kahler_dir, tmp_path, meta) == 3
+    path = os.path.join(kahler_dir, "lift_meta.json")
+    assert (f"input error: {path}: admissible_taus must be a non-empty list "
+            "of finite numbers") in capsys.readouterr().err
+
+
+def test_lift_meta_taus_reach_the_report(kahler_dir, tmp_path):
+    meta = {"admissible_taus": [0.1, -0.3]}
+    assert _residual_with_lift_meta(kahler_dir, tmp_path, meta) == 0
+    with open(tmp_path / "res" / "residual_kr.json", encoding="utf-8") as fh:
+        rep = json.load(fh)
+    assert [t for t, _ in rep["reduced_linf_by_tau"]] == [0.1, -0.3]
 
 
 def test_truncated_path_is_input_error(tmp_path, capsys):

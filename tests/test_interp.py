@@ -3,6 +3,7 @@ import pytest
 from scipy.interpolate import make_interp_spline
 
 import kredux as kx
+import kredux.interp
 from kredux.errors import NotConverged
 from kredux.interp import FiberInterp
 
@@ -40,6 +41,17 @@ def test_derivative_accuracy():
     fi = FiberInterp(l, np.exp(l)[None, :])
     _, slope = fi._value_slope(np.array([0.213]))
     assert abs(slope[0] - np.exp(0.213)) < 1e-9
+
+
+def test_slope_on_a_node():
+    # the slope of the node's window polynomial, not a difference quotient
+    l = np.linspace(-1, 1, 65)
+    fi = FiberInterp(l, np.repeat(np.exp(l)[None, :], 4, axis=0))
+    x = l[[0, 20, 32, 64]]
+    _, slope = fi._value_slope(x)
+    # measured 1.3e-8 at the last node, whose window is one-sided
+    assert np.max(np.abs(slope - np.exp(x))) < 2e-8
+    assert np.max(np.abs(slope[1:3] - np.exp(x[1:3]))) < 1e-9
 
 
 def test_solve_decreasing_roots():
@@ -113,14 +125,75 @@ def test_antiderivative_matches_quintic_spline():
     assert np.max(np.abs(FiberInterp(l, f).antiderivative() - ref)) < 1e-9
 
 
-def test_solve_decreasing_raises_when_not_converged():
+def test_solve_decreasing_raises_when_not_converged(monkeypatch):
     l = np.linspace(-1.5, 1.5, 129)
     fi = FiberInterp(l, np.stack([-np.sinh(l), -l]))
-    with pytest.raises(NotConverged):
-        fi.solve_decreasing(0.8, max_iter=2)
     roots, missing, resid, iterations = fi.solve_decreasing(0.8)
-    assert 2 < iterations < 120
-    assert resid < 1e-12
+    assert 2 < iterations < kredux.interp.MAX_NEWTON_STEPS
+    assert resid < 1e-15
+    monkeypatch.setattr(kredux.interp, "MAX_NEWTON_STEPS", 2)
+    with pytest.raises(NotConverged, match="level solve at 0.8"):
+        fi.solve_decreasing(0.8)
+
+
+def _profiles(l):
+    """Three decreasing profiles across the window, from 0 down."""
+    t = (l - l[0]) / (l[-1] - l[0])
+    return np.stack([-t, -np.sinh(2 * t), -(t + t ** 3)])
+
+
+@pytest.mark.parametrize("lo,hi,n_l", [(1000.0, 1001.0, 33),
+                                       (1.0, 1.0 + 1e-6, 129),
+                                       (-5e-7, 5e-7, 33)])
+def test_solve_decreasing_on_shifted_and_narrow_windows(lo, hi, n_l):
+    # at (1, 1 + 1e-6) with 129 nodes, 1e-8 h is below half an ulp of l, so
+    # nudging a point off its node to take a slope would not move it
+    l = np.linspace(lo, hi, n_l)
+    fi = FiberInterp(l, _profiles(l))
+    for tau in (-0.3, -0.5, -0.9):
+        roots, missing, resid, iterations = fi.solve_decreasing(tau)
+        assert not missing.any()
+        assert iterations <= 5
+        # the first profile is a line: its root to a few ulps of the window
+        want = lo - tau * (hi - lo)
+        assert abs(roots[0] - want) <= 4 * np.finfo(float).eps * abs(hi)
+
+
+def test_solve_decreasing_root_at_window_end():
+    # Newton overshoots the root on the last node from below, so the node
+    # bisects until its bracket closes: at most log2(1/eps) halvings
+    l = np.linspace(-1.2, 1.2, 33)
+    fi = FiberInterp(l, np.stack([-np.sinh(l), -np.sinh(l) - 0.1]))
+    roots, missing, resid, iterations = fi.solve_decreasing(-np.sinh(1.2))
+    assert not missing.any()
+    # it may stop on the flat plateau within 1e-13 h of the last node
+    assert abs(roots[0] - 1.2) <= 1e-13 * (l[1] - l[0])
+    assert resid <= 1e-15
+    assert iterations <= 52
+
+
+def test_solve_decreasing_snap_plateau():
+    # mu = -l and tau = -7.3e-15: the root lies within 1e-13 h of the node
+    # l = 0, where the interpolant is flat, so no residual test would stop
+    K = kx.flat_cylinder(kx.torus_grid(16, 33, margin=4))
+    tau = kx.default_taus(K, count=9, shrink=0.15)[4]
+    assert -1e-14 < tau < 0
+    level = kx.level_set(K, tau)
+    assert level.iterations <= 5
+    assert np.max(np.abs(level.l_tau.values + tau)) <= 1e-15
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e8])
+def test_solve_decreasing_is_scale_free(s):
+    l = np.linspace(-1.2, 1.2, 129)
+    vals = np.stack([-np.sinh(l), -l - 0.3 * l ** 3, -np.tanh(2 * l)])
+    roots, _, resid, iterations = FiberInterp(l, vals).solve_decreasing(0.37)
+    roots_s, _, resid_s, iterations_s = FiberInterp(
+        l, s * vals).solve_decreasing(s * 0.37)
+    assert iterations_s == iterations
+    # measured: roots 1.1e-16 apart, residuals 1.5e-16 apart (in units of mu)
+    assert np.max(np.abs(roots_s - roots)) <= 1e-15
+    assert abs(resid_s / s - resid) <= 1e-15
 
 
 def test_level_set_reports_iterations(perturbed):

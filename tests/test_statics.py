@@ -142,8 +142,9 @@ def test_h_canonical_reparametrization_covariance(cyl):
     assert np.max(np.abs(h2(taus + k) - h1(taus))) < 1e-8
 
 
-# Reports of `kredux residual --eq E` written before the total-space form
-# operators accumulated in place; the numbers must not move.
+# Reports of `kredux residual --eq E`, written when the level solve began to
+# stop each node where Newton stops moving (the change that removed
+# root_tol); the numbers must not move.
 RESIDUAL_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "residuals")
 EQUATIONS = ("geodesic", "calabi", "pseudo_calabi", "kr", "v_soliton")
 REL = 1e-13

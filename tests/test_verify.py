@@ -8,9 +8,9 @@ import kredux as kx
 from kredux.verify import run_verify
 
 # Reports of run_verify(torus_grid(n=16, n_l=33, margin=4), seed=0), written
-# when the battery still called each check once per level and recomputed
-# every derived quantity.  The grid is too coarse for the thresholds to pass;
-# only the numbers matter.
+# when the level solve began to stop each node where Newton stops moving
+# (the change that removed root_tol).  The grid is too coarse for the
+# thresholds to pass; only the numbers matter.
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "verify")
 REL = 1e-13
 
