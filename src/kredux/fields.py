@@ -79,9 +79,6 @@ class _FieldBase:
             return self._wrap(self.values - other.values)
         return self._wrap(self.values - other)
 
-    def __rsub__(self, other):
-        return self._wrap(other - self.values)
-
     def __mul__(self, other):
         if isinstance(other, _FieldBase):
             _check_grid(self.grid, other.grid)
@@ -95,9 +92,6 @@ class _FieldBase:
             _check_grid(self.grid, other.grid)
             return self._wrap(self.values / other.values)
         return self._wrap(self.values / other)
-
-    def __neg__(self):
-        return self._wrap(-self.values)
 
 
 class ScalarFieldP(_FieldBase):
@@ -132,10 +126,6 @@ class Form11M:
     def __add__(self, other):
         _check_grid(self.grid, other.grid)
         return Form11M(self.grid, self.h + other.h)
-
-    def __sub__(self, other):
-        _check_grid(self.grid, other.grid)
-        return Form11M(self.grid, self.h - other.h)
 
     def __mul__(self, a):
         return Form11M(self.grid, self.h * a)

@@ -27,8 +27,8 @@ from .curvature import ricci_coefficient, scal_m
 from .errors import (ClassNotFixed, PositivityLost, SolvabilityViolated,
                      StepUnstable)
 from .fields import Form11M, ScalarFieldM, ddc_m, integrate_m, grad_pair
-from .grids import TORUS, fd_apply, fd_weights
-from .interp import NotAKnotSpline
+from .grids import TORUS, fd_apply
+from .interp import FiberInterp
 from .reports import ResidualReport
 from .statics import lambda_mean
 
@@ -61,43 +61,28 @@ class FlowPath:
     def n_samples(self):
         return len(self.ts)
 
-    def is_uniform(self, rtol=1e-8):
-        dts = np.diff(self.ts)
-        return bool(np.max(np.abs(dts - dts[0])) <= rtol * dts[0])
-
     def metric_at(self, k) -> Form11M:
         return self.sigma + ddc_m(self.psis[k], self.grid)
 
     def time_derivative(self, order=1):
-        """d^order psi / dt^order at every sample (4th-order stencils when
-        enough samples exist, 2nd-order otherwise)."""
+        """d^order psi / dt^order at every sample (see :func:`time_derivative`)."""
         return time_derivative(self.ts, self.psis, order)
 
 
 def time_derivative(ts, samples, order):
-    """d^order/dt^order of ``samples`` (first axis indexed by ``ts``).
+    """d^order/dt^order of ``samples`` (first axis indexed by ``ts``), by the
+    4th-order stencils of :func:`~kredux.grids.fd_apply`.
 
-    Six or more samples must be uniform and use the 4th-order stencils of
-    :func:`~kredux.grids.fd_apply`; shorter paths use the lowest-order
-    weights on the nodes themselves.
+    The samples must be at least 6 and uniform in time; ValueError otherwise.
     """
     ts = np.asarray(ts, dtype=float)
     n = len(ts)
-    if n >= 6:
-        h = (ts[-1] - ts[0]) / (n - 1)
-        if np.max(np.abs(np.diff(ts) - h)) > 1e-8 * abs(h):
-            raise ValueError("4th-order time derivatives need uniform samples")
-        return fd_apply(samples, 0, order, h, n)
-    if n < order + 1:
-        raise ValueError("too few samples for a time derivative")
-    width = min(n, order + 1 if n < 3 else 3)
-    width = max(width, order + 1)
-    D = np.zeros((n, n))
-    for i in range(n):
-        lo = min(max(i - width // 2, 0), n - width)
-        idx = np.arange(lo, lo + width)
-        D[i, idx] = fd_weights(ts[idx], ts[i], order)
-    return np.einsum("kj,j...->k...", D, samples)
+    if n < 6:
+        raise ValueError(f"time derivatives need at least 6 samples, got {n}")
+    h = (ts[-1] - ts[0]) / (n - 1)
+    if np.max(np.abs(np.diff(ts) - h)) > 1e-8 * abs(h):
+        raise ValueError("time derivatives need samples uniform in time")
+    return fd_apply(samples, 0, order, h, n)
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +90,10 @@ def time_derivative(ts, samples, order):
 # ---------------------------------------------------------------------------
 
 _RK4_REAL_AXIS = 2.785
+_SAFETY = 0.9  # stable_dt's share of the RK4 real-axis stability limit
+_ENERGY_TOL = 1e-10  # a relative energy rise beyond it halves the step
+_MAX_HALVINGS = 10  # per run; StepUnstable past it
+_SOLVABILITY_TOL = 1e-8  # largest |int (lambda - scal) dV| of the coupled flow
 
 
 def _laplacian_symbol_max(sigma: Form11M) -> float:
@@ -116,11 +105,11 @@ def _laplacian_symbol_max(sigma: Form11M) -> float:
     return float(np.max(stencil_max / (grid.u * sigma.h)))
 
 
-def stable_dt(sigma: Form11M, kind: str, safety=0.9) -> float:
+def stable_dt(sigma: Form11M, kind: str) -> float:
     lap = _laplacian_symbol_max(sigma)
     rate = {"calabi": lap * lap, "pseudo_calabi": 2.0 * lap,
             "kr": lap, "nkr": lap}[kind]
-    return safety * _RK4_REAL_AXIS / rate
+    return _SAFETY * _RK4_REAL_AXIS / rate
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +121,7 @@ def stable_dt(sigma: Form11M, kind: str, safety=0.9) -> float:
 # candidate, rather than as a warning from each numpy operation it touches
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_rk4(psi0, sigma, t_end, dt, rhs, kind, save_count=33,
-             energy_fn=None, energy_tol=1e-10, max_halvings=10,
-             normalization=None):
+             energy_fn=None, normalization=None):
     """Fixed-step RK4 with finiteness, positivity and energy monitoring.
 
     ``rhs(psi)`` returns ``(velocity, h)``, h the metric coefficient of psi.
@@ -141,7 +129,7 @@ def _run_rk4(psi0, sigma, t_end, dt, rhs, kind, save_count=33,
     probe and, on acceptance, the next step's first stage.  A non-finite
     candidate raises StepUnstable and an h that is not positive everywhere
     raises PositivityLost.  An increase of ``energy_fn(velocity, h)`` beyond
-    tolerance halves the step (at most ``max_halvings`` times) and retries
+    tolerance halves the step (at most ``_MAX_HALVINGS`` times) and retries
     without accepting.
     """
 
@@ -177,11 +165,11 @@ def _run_rk4(psi0, sigma, t_end, dt, rhs, kind, save_count=33,
         k1_cand, h_cand = probe(cand, t + dt)
         if energy_fn is not None:
             e = energy_fn(k1_cand, h_cand)
-            if e > energy_prev + energy_tol * (1.0 + abs(energy_prev)):
+            if e > energy_prev + _ENERGY_TOL * (1.0 + abs(energy_prev)):
                 halvings += 1
-                if halvings > max_halvings:
+                if halvings > _MAX_HALVINGS:
                     raise StepUnstable(
-                        f"energy kept increasing after {max_halvings} halvings")
+                        f"energy kept increasing after {_MAX_HALVINGS} halvings")
                 dt *= 0.5
                 n_steps = 2 * n_steps
                 step = 2 * step
@@ -259,16 +247,16 @@ def _poisson_solve(grid, h, rhs_vals):
         fhat[0, 0] = 0.0
         out = np.fft.irfft2(fhat, s=grid.spatial_shape)
         return out - np.mean(out)
-    # radial: f_vv = u * H * rhs, two spline antiderivatives, Neumann ends
-    a1 = NotAKnotSpline(grid.v, grid.u * target).integral_at_knots()
-    out = NotAKnotSpline(grid.v, a1).integral_at_knots()
+    # radial: f_vv = u * H * rhs, two antiderivatives on the uniform v axis,
+    # Neumann ends
+    a1 = FiberInterp(grid.v, grid.u * target).antiderivative()
+    out = FiberInterp(grid.v, a1).antiderivative()
     w = grid.spatial_quad_weights / (np.pi * grid.u)
     return out - np.sum(out * w) / np.sum(w)
 
 
 def pseudo_calabi_integrate(psi0, sigma: Form11M, t_end: float,
-                            dt: float | None = None, save_count=33,
-                            solvability_tol=1e-8) -> FlowPath:
+                            dt: float | None = None, save_count=33) -> FlowPath:
     """Coupled flow: at each stage solve D_psi v = lambda - scal(g_psi) for the
     mean-zero velocity v and step psi by it."""
     grid = sigma.grid
@@ -280,7 +268,7 @@ def pseudo_calabi_integrate(psi0, sigma: Form11M, t_end: float,
         h = _metric_coefficient(sigma, psi)
         target = lam - ricci_coefficient(grid, h) / h
         compat = float(np.sum(target * h * weights))
-        if abs(compat) > solvability_tol:
+        if abs(compat) > _SOLVABILITY_TOL:
             raise SolvabilityViolated(
                 f"int (lambda - scal) dV = {compat:.3e} is not zero")
         return _poisson_solve(grid, h, target), h
@@ -343,15 +331,10 @@ def geodesic_residual_path(path: FlowPath) -> ResidualReport:
     spatially constant, so the reported norms are of the deviation from the
     spatial mean at interior times.
     """
-    if path.n_samples < 3:
-        raise ValueError("need at least 3 samples")
-    if not path.is_uniform():
-        raise ValueError("samples must be uniform in time")
     grid = path.grid
     d1 = path.time_derivative(1)
     d2 = path.time_derivative(2)
-    skip = 2 if path.n_samples >= 6 else 1
-    ks = range(skip, path.n_samples - skip)
+    ks = range(2, path.n_samples - 2)
     mask = grid.interior_m()
 
     dev_sup = 0.0

@@ -19,6 +19,9 @@ from .fields import ScalarFieldP
 from .grids import RADIAL, TestbedGrid, radial_grid
 from .reduction import level_set
 
+TAU_COVER = -2.0  # its level set covers the whole chart
+TAU_PARTIAL = -0.5  # its level set misses one pole neighborhood
+
 
 def mu_singquot(u, s):
     """The printed moment-map formula in chart variables."""
@@ -43,8 +46,7 @@ def singquot_moment(grid: TestbedGrid | None = None) -> ScalarFieldP:
     return ScalarFieldP(grid, mu_singquot(u, s))
 
 
-def run_golden(grid: TestbedGrid | None = None,
-               tau_cover=-2.0, tau_partial=-0.5) -> dict:
+def run_golden(grid: TestbedGrid | None = None) -> dict:
     """Run the golden checks; returns a report dict with ``passed`` flags and
     a ``warnings`` list (the pole-label observation is a warning, never an
     assertion)."""
@@ -77,16 +79,16 @@ def run_golden(grid: TestbedGrid | None = None,
     checks["fiber_monotone"] = {"max_dmu_dl": float(np.max(dmu)),
                                 "passed": bool(np.max(dmu) < 0.0)}
 
-    # (d) full coverage at tau_cover
-    full = level_set(mu, tau_cover, raise_on_miss=False)
-    checks["full_coverage"] = {"tau": tau_cover,
+    # (d) full coverage at TAU_COVER
+    full = level_set(mu, TAU_COVER, raise_on_miss=False)
+    checks["full_coverage"] = {"tau": TAU_COVER,
                                "missing_nodes": int(0 if full.missing is None
                                                     else np.sum(full.missing)),
                                "max_residual": full.max_residual,
                                "passed": full.complete}
 
-    # (e) single pole neighborhood drops out at tau_partial
-    part = level_set(mu, tau_partial, raise_on_miss=False)
+    # (e) single pole neighborhood drops out at TAU_PARTIAL
+    part = level_set(mu, TAU_PARTIAL, raise_on_miss=False)
     missing = part.missing if part.missing is not None else np.zeros(
         grid.spatial_shape, dtype=bool)
     n_miss = int(np.sum(missing))
@@ -94,7 +96,7 @@ def run_golden(grid: TestbedGrid | None = None,
     contiguous = bool(n_miss > 0 and np.all(np.diff(idx) == 1))
     at_u0_end = bool(n_miss > 0 and idx[0] == 0 and not missing[-1])
     checks["partial_coverage"] = {
-        "tau": tau_partial, "missing_nodes": n_miss,
+        "tau": TAU_PARTIAL, "missing_nodes": n_miss,
         "contiguous": contiguous, "at_u0_end": at_u0_end,
         "passed": contiguous and at_u0_end}
 

@@ -13,12 +13,12 @@ spline.
   exactly, hence products of fiber-linear fields reduce exactly.
   :meth:`FiberInterp.antiderivative` integrates the same interpolant exactly
   over each fiber segment: the fiber quadrature of ``potential_from_moment``
-  and ``reparametrize``; :meth:`FiberInterp.solve_decreasing` is the level
-  solve.
+  and ``reparametrize``, and on the uniform radial axis the two
+  antiderivatives of the radial Poisson solve;
+  :meth:`FiberInterp.solve_decreasing` is the level solve.
 * :class:`NotAKnotSpline`, the not-a-knot cubic spline in numpy, with
   scipy's ``CubicSpline`` coefficient layout: the time splines of
-  :mod:`kredux.lift`, the level profile ``h_canonical`` and the radial
-  Poisson solve.
+  :mod:`kredux.lift` and the level profile ``h_canonical``.
 """
 
 from __future__ import annotations
@@ -244,11 +244,3 @@ class NotAKnotSpline:
         d = (t - self.x[seg]).reshape(t.shape + (1,) * (self.c.ndim - 2))
         a, b, c, e = self.c[:, seg]
         return ((a * d + b) * d + c) * d + e
-
-    def integral_at_knots(self):
-        """Integral from x[0] to each knot, exact on every piece."""
-        h = np.diff(self.x).reshape((-1,) + (1,) * (self.c.ndim - 2))
-        a, b, c, e = self.c
-        pieces = h * (e + h * (c / 2 + h * (b / 3 + h * a / 4)))
-        return np.concatenate([np.zeros_like(pieces[:1]),
-                               np.cumsum(pieces, axis=0)])

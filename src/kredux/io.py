@@ -21,8 +21,11 @@ A field header must give integer counts and a grid ``TestbedGrid`` accepts;
 exactly the text the writer gives for the header grid (for ``t``: the ``ts``
 of ``path_meta.json``).  Each row has exactly the format's columns, each slab
 its row count, and nothing follows the last slab; anything else is a
-``ValueError`` that names the file.  So is a ``lift_meta.json`` whose
-``admissible_taus`` is not a non-empty list of finite numbers.
+``ValueError`` that names the file.  So is a field dump in a structure or
+path directory whose header grid is not the grid of its ``meta.json`` or
+``path_meta.json`` (a base dump's ``Nl=0`` matches any ``n_l``), and a
+``lift_meta.json`` whose ``admissible_taus`` is not a non-empty list of
+finite numbers.
 """
 
 from __future__ import annotations
@@ -282,6 +285,19 @@ def _read_meta(path):
     return meta, TestbedGrid(**g)
 
 
+def _load_on(grid: TestbedGrid, path, meta_path):
+    """The values of the field dump ``path``, whose header must give
+    ``grid``, the grid of ``meta_path`` (a base dump's ``Nl=0`` stands for
+    any ``n_l``); ValueError naming the dump otherwise."""
+    found, values, on_base = load_field(path)
+    for f in fields(TestbedGrid):
+        want, got = getattr(grid, f.name), getattr(found, f.name)
+        if got != want and not (on_base and f.name == "n_l"):
+            raise ValueError(f"{path}: header grid has {f.name}={got!r}, "
+                             f"{os.path.basename(meta_path)} gives {want!r}")
+    return values
+
+
 def save_kahler(K: KahlerData, outdir):
     os.makedirs(outdir, exist_ok=True)
     dump_field(K.sigma, os.path.join(outdir, "sigma.csv"))
@@ -292,12 +308,13 @@ def save_kahler(K: KahlerData, outdir):
     return outdir
 
 
-def load_kahler(outdir, require_positive=True) -> KahlerData:
-    meta, grid = _read_meta(os.path.join(outdir, "meta.json"))
-    _, sig_vals, _ = load_field(os.path.join(outdir, "sigma.csv"))
-    _, phi_vals, _ = load_field(os.path.join(outdir, "phi.csv"))
+def load_kahler(outdir) -> KahlerData:
+    meta_path = os.path.join(outdir, "meta.json")
+    meta, grid = _read_meta(meta_path)
+    sig_vals = _load_on(grid, os.path.join(outdir, "sigma.csv"), meta_path)
+    phi_vals = _load_on(grid, os.path.join(outdir, "phi.csv"), meta_path)
     return assemble(Form11M(grid, sig_vals), ScalarFieldP(grid, phi_vals),
-                    float(meta["c"]), require_positive=require_positive)
+                    float(meta["c"]))
 
 
 def save_reduction(red, outdir):
@@ -342,7 +359,7 @@ def load_path(outdir) -> FlowPath:
         ts = None
     if ts is None or ts.ndim != 1:
         raise ValueError(f"{meta_path}: ts is not a list of numbers")
-    _, sig_vals, _ = load_field(os.path.join(outdir, "sigma.csv"))
+    sig_vals = _load_on(grid, os.path.join(outdir, "sigma.csv"), meta_path)
     csv_path = os.path.join(outdir, "path.csv")
     shape = (len(ts),) + grid.spatial_shape
     with open(csv_path, "r", encoding="utf-8") as fh:

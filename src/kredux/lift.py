@@ -22,12 +22,20 @@ import numpy as np
 
 from .curvature import scal_m
 from .errors import HypothesisViolated, NonConcave, NotConverged, OutOfWindow
-from .fields import ScalarFieldP
+from .fields import ScalarFieldP, ddc_m
 from .flows import FlowPath, time_derivative
 from .interp import NotAKnotSpline
 from .reduction import reduced_potential
 from .reports import ResidualReport
 from .structure import KahlerData, assemble
+
+_SHIFT_SLACK = 1e-9  # the concavity top-up leaves psi'' <= -2 - _SHIFT_SLACK
+_INVERSION_TOL = 1e-13  # Legendre roots: |velocity - l/2| <= tol max(1, |l/2|)
+_BAND_LO, _BAND_HI = 0.15, 0.85  # time range whose velocities set the window
+_WINDOW_PAD = 0.02  # padding of the realized window, a share of its span
+_LIFT_MARGIN = 4  # residual-norm margin of the lifted grid
+_MAX_TAUS = 7  # admissible levels at most
+_TAU_PAD = 0.01  # an admissible band is this share of the window inside it
 
 
 @dataclass(frozen=True)
@@ -53,17 +61,13 @@ def _cumulative_trapezoid(y, x):
     return np.concatenate(([0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)))
 
 
-def concavity_shift(path: FlowPath, slack=1e-9):
+def concavity_shift(path: FlowPath):
     """Shift the path by a_t so its discrete second time derivative is <= -2.
 
     a_t = -t^2 - double integral of the running spatial sup of psi'' (trapezoid,
     piecewise linear in t), topped up by an exact quadratic if the discrete
     recheck still leaves an excess.  Returns (shifted path, a_t samples).
     """
-    if path.n_samples < 5:
-        raise ValueError("need at least 5 samples to shift a path")
-    if not path.is_uniform():
-        raise ValueError("samples must be uniform in time")
     ts = path.ts
     d2 = path.time_derivative(2)
     sup = np.max(d2.reshape(path.n_samples, -1), axis=1)
@@ -74,7 +78,7 @@ def concavity_shift(path: FlowPath, slack=1e-9):
     excess = float(np.max(d2 + d2a.reshape(-1, *([1] * (d2.ndim - 1)))) + 2.0)
     if excess > 0.0:
         # quadratic top-up is differentiated exactly by the same stencils
-        a = a - 0.5 * (excess + slack) * ts * ts
+        a = a - 0.5 * (excess + _SHIFT_SLACK) * ts * ts
     shifted = FlowPath(path.grid, path.sigma, path.kind + "+shift", ts,
                        path.psis + a.reshape(-1, *([1] * (path.psis.ndim - 1))),
                        dict(path.normalization, shift="a_t"),
@@ -145,7 +149,7 @@ class _TimeSplines:
         """Value and second derivative, from one gather of the table."""
         return self._at(t, 0, 2)
 
-    def solve_velocity(self, target, tol=1e-13):
+    def solve_velocity(self, target):
         """Roots t of velocity(t) = target[j] for every node and level j.
 
         velocity is strictly decreasing, so each root is unique on the
@@ -154,7 +158,7 @@ class _TimeSplines:
         the local offset (linear on the extensions), and the root is its
         decreasing one, taken in the form d = 2C / (sqrt(B^2 - 4AC) - B),
         which has no cancellation.  Every root is checked through
-        :meth:`velocity` against tol * max(1, |target|).
+        :meth:`velocity` against _INVERSION_TOL * max(1, |target|).
 
         Returns the (nodes, levels) roots and the largest |velocity - target|;
         raises NotConverged if a root is above its tolerance, which happens
@@ -172,7 +176,7 @@ class _TimeSplines:
             d = 2 * C / (np.sqrt(np.maximum(B * B - 4 * A * C, 0.0)) - B)
             roots = self._origin[seg] + d
             resid = np.abs(self.velocity(roots) - target)
-        bad = ~(resid <= tol * np.maximum(1.0, np.abs(target)))
+        bad = ~(resid <= _INVERSION_TOL * np.maximum(1.0, np.abs(target)))
         if bad.any():
             raise NotConverged(
                 f"Legendre inversion: {int(np.sum(bad))} of {bad.size} roots "
@@ -180,19 +184,19 @@ class _TimeSplines:
         return roots, float(np.max(resid))
 
 
-def realized_window(path: FlowPath, band=(0.15, 0.85), pad=0.02):
+def realized_window(path: FlowPath):
     """Fiber window realized by the path: the union of the per-level bands
     2 * [min_x, max_x] of the time velocity over the middle of the time range,
     padded, and capped by the 5%-shrunk global velocity range."""
     d1 = path.time_derivative(1)
     flat = d1.reshape(path.n_samples, -1)
     n = path.n_samples
-    k0, k1 = int(band[0] * (n - 1)), int(np.ceil(band[1] * (n - 1)))
+    k0, k1 = int(_BAND_LO * (n - 1)), int(np.ceil(_BAND_HI * (n - 1)))
     w_lo = 2.0 * float(np.min(flat[k0:k1 + 1]))
     w_hi = 2.0 * float(np.max(flat[k0:k1 + 1]))
     span = w_hi - w_lo
-    w_lo -= pad * span
-    w_hi += pad * span
+    w_lo -= _WINDOW_PAD * span
+    w_hi += _WINDOW_PAD * span
     g_lo, g_hi = 2.0 * float(np.min(flat)), 2.0 * float(np.max(flat))
     g_span = g_hi - g_lo
     cap_lo, cap_hi = g_lo + 0.05 * g_span, g_hi - 0.05 * g_span
@@ -202,7 +206,7 @@ def realized_window(path: FlowPath, band=(0.15, 0.85), pad=0.02):
     return lo, hi
 
 
-def legendre_lift(path: FlowPath, n_l=129, margin=4, a_t=None) -> LiftResult:
+def legendre_lift(path: FlowPath, n_l=129, a_t=None) -> LiftResult:
     """Invert a strictly concave path into an invariant structure upstairs.
 
     Requires d^2 psi/dt^2 < 0 at every sample (run :func:`concavity_shift`
@@ -210,8 +214,6 @@ def legendre_lift(path: FlowPath, n_l=129, margin=4, a_t=None) -> LiftResult:
     the sampled time range the path is continued with constant concavity so
     the realized window is covered at every node.
     """
-    if not path.is_uniform():
-        raise ValueError("samples must be uniform in time")
     d2 = path.time_derivative(2)
     cmax = float(np.max(d2))
     if cmax >= 0.0:
@@ -220,7 +222,7 @@ def legendre_lift(path: FlowPath, n_l=129, margin=4, a_t=None) -> LiftResult:
     lo, hi = realized_window(path)
     if not lo < hi:
         raise OutOfWindow("realized fiber window is empty")
-    grid = replace(path.grid, n_l=n_l, l_min=lo, l_max=hi, margin=margin)
+    grid = replace(path.grid, n_l=n_l, l_min=lo, l_max=hi, margin=_LIFT_MARGIN)
 
     splines = _TimeSplines(path)
     mu, worst = splines.solve_velocity(0.5 * grid.l)
@@ -240,7 +242,7 @@ def legendre_lift(path: FlowPath, n_l=129, margin=4, a_t=None) -> LiftResult:
                       float(np.max(curv)), agrees)
 
 
-def admissible_taus(path: FlowPath, lift: LiftResult, max_count=7, pad=0.01):
+def admissible_taus(path: FlowPath, lift: LiftResult):
     """Sample times whose full spatial velocity band fits the lift window."""
     d1 = path.time_derivative(1).reshape(path.n_samples, -1)
     lo, hi = lift.window
@@ -249,12 +251,12 @@ def admissible_taus(path: FlowPath, lift: LiftResult, max_count=7, pad=0.01):
     skip = 2 if path.n_samples >= 7 else 1
     for k in range(skip, path.n_samples - skip):
         b_lo, b_hi = 2.0 * float(np.min(d1[k])), 2.0 * float(np.max(d1[k]))
-        if b_lo > lo + pad * span and b_hi < hi - pad * span:
+        if b_lo > lo + _TAU_PAD * span and b_hi < hi - _TAU_PAD * span:
             good.append(float(path.ts[k]))
     if not good:
         raise OutOfWindow("no sample time has its band inside the lift window")
-    stride = max(len(good) // max_count, 1)
-    return np.array(good[::stride][:max_count])
+    stride = max(len(good) // _MAX_TAUS, 1)
+    return np.array(good[::stride][:_MAX_TAUS])
 
 
 def roundtrip_check(path: FlowPath, lift: LiftResult, taus) -> ResidualReport:
@@ -278,9 +280,6 @@ def roundtrip_check(path: FlowPath, lift: LiftResult, taus) -> ResidualReport:
         sup = max(sup, g)
         sq.append(np.mean(gap[mask] ** 2))
         by_tau.append([float(tau), g])
-
-        from .fields import ddc_m
-
         omega_path = path.sigma.h + ddc_m(target, path.grid).h
         form_gap = max(form_gap, float(np.max(np.abs(
             (red.omega_tau.h - omega_path)[mask]))))

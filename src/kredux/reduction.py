@@ -117,11 +117,11 @@ def reduce_form(theta: Form11P, level: LevelSet):
     return Form11M(grid, h), ang_sup
 
 
-def reduced_potential(K: KahlerData, tau: float,
-                      require_positive=True) -> ReductionResult:
+def reduced_potential(K: KahlerData, tau: float) -> ReductionResult:
     """Reduced potential psi_tau and reduced form omega_tau = sigma + dd^c psi_tau.
 
-    psi is the invariant field phi + ((mu - c)/2) l.
+    psi is the invariant field phi + ((mu - c)/2) l.  Raises NotPositive
+    where omega_tau degenerates.
     """
     def build():
         grid = K.grid
@@ -135,7 +135,7 @@ def reduced_potential(K: KahlerData, tau: float,
                                level)
 
     red = K.cached(("reduced_potential", float(tau)), build)
-    if require_positive and red.min_eigenvalue <= 0.0:
+    if red.min_eigenvalue <= 0.0:
         raise NotPositive(
             f"omega_tau degenerates at tau={tau} "
             f"(min component {red.min_eigenvalue:.3e})",

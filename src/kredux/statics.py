@@ -243,7 +243,7 @@ RESIDUALS = {
 # ---------------------------------------------------------------------------
 
 
-def reparametrize(K: KahlerData, f, require_positive=True) -> KahlerData:
+def reparametrize(K: KahlerData, f) -> KahlerData:
     """Post-compose the moment map with a strictly monotone f.
 
     Adds the invariant potential Psi with JV(Psi) = f(mu) - mu, realized as
@@ -255,4 +255,4 @@ def reparametrize(K: KahlerData, f, require_positive=True) -> KahlerData:
     from_min = FiberInterp(grid.l, integrand).antiderivative()
     psi_vals = 0.5 * (from_min[..., -1:] - from_min)
     phi_new = ScalarFieldP(grid, K.phi.values + psi_vals)
-    return assemble(K.sigma, phi_new, K.c, require_positive=require_positive)
+    return assemble(K.sigma, phi_new, K.c)

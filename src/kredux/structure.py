@@ -131,27 +131,27 @@ def assemble(sigma: Form11M, phi: ScalarFieldP, c: float,
     return KahlerData(grid, sigma, phi, float(c), omega, mu, vsq, cert)
 
 
-def gauge(K: KahlerData, u: ScalarFieldM, b: float, c_tilde: float,
-          require_positive: bool = True) -> KahlerData:
+def gauge(K: KahlerData, u: ScalarFieldM, b: float, c_tilde: float) -> KahlerData:
     """Move to the equivalent triple
 
         sigma~ = sigma + dd^c u,
         phi~   = phi - pi^* u + ((c~ - c)/2) l + b.
 
     The derived omega and mu agree pointwise with those of K; only the
-    bookkeeping triple changes.
+    bookkeeping triple changes.  Raises NotPositive unless sigma~ and the
+    new structure are positive.
     """
     grid = K.grid
     if u.grid != grid:
         raise ValueError("gauge function lives on a different grid")
     sigma_t = K.sigma + ddc_m(u)
-    if require_positive and not sigma_t.is_positive():
+    if not sigma_t.is_positive():
         raise NotPositive("sigma + dd^c u is not positive")
     l_ax = grid.l
     phi_t = ScalarFieldP(
         grid,
         K.phi.values - u.values[..., None] + 0.5 * (c_tilde - K.c) * l_ax + b)
-    return assemble(sigma_t, phi_t, c_tilde, require_positive=require_positive)
+    return assemble(sigma_t, phi_t, c_tilde)
 
 
 def potential_from_moment(mu: ScalarFieldP, c: float) -> ScalarFieldP:

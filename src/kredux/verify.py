@@ -31,8 +31,11 @@ def _battery_fixture(grid: TestbedGrid):
     return perturbed_fs_cylinder(grid, amplitude=0.01)
 
 
-def convention_gate(grid: TestbedGrid | None = None, seed=0,
-                    n_random=3) -> ResidualReport:
+GATE_RANDOM_FIELDS = 3  # random base fields in part (c) of the gate
+BATTERY_LEVELS = 3  # levels per battery pass
+
+
+def convention_gate(grid: TestbedGrid | None = None, seed=0) -> ResidualReport:
     """The sign-fixing self-test.
 
     (a) dd^c of the log-fiber coordinate vanishes identically,
@@ -60,7 +63,7 @@ def convention_gate(grid: TestbedGrid | None = None, seed=0,
     # amplitude/mode budget keeps e^f itself spectrally resolved
     part_c = 0.0
     mask_m = grid.interior_m()
-    for _ in range(n_random):
+    for _ in range(GATE_RANDOM_FIELDS):
         f = random_resolved_m(grid, rng, modes=2, amplitude=0.15)
         ef = ScalarFieldM(grid, np.exp(f.values))
         lhs = laplacian_m(ef, K.sigma).values
@@ -118,12 +121,12 @@ def closed_form_reductions(grid: TestbedGrid | None = None) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def battery_once(grid: TestbedGrid, seed=0, dtau=1e-4, n_taus=3) -> dict:
+def battery_once(grid: TestbedGrid, seed=0, dtau=1e-4) -> dict:
     """One pass of the reduced-identity battery on the randomized fixture."""
     rng = np.random.default_rng(seed)
     K = _battery_fixture(grid)
     f = random_resolved_p(grid, rng, amplitude=0.3)
-    taus = default_taus(K, count=n_taus, shrink=0.3)
+    taus = default_taus(K, count=BATTERY_LEVELS, shrink=0.3)
 
     out = {"dertau": check_dertau(K, f, taus, dtau),
            "dcred": check_dcred(K, f, taus),

@@ -192,6 +192,24 @@ def test_golden_command(tmp_path):
     assert rep["warnings"]
 
 
+@pytest.mark.parametrize("kind, dt, t_end", [
+    ("calabi", 1e-6, 4e-5), ("pseudo_calabi", 1e-4, 4e-3),
+    ("kr", 1e-4, 4e-3), ("nkr", 1e-4, 4e-3)])
+def test_flow_command_writes_a_uniform_path(tmp_path, kind, dt, t_end):
+    from kredux.io import load_path
+
+    out = tmp_path / "flow"
+    assert run(["flow"] + small_args(tmp_path, n=16, n_l=33, margin=4,
+                                     flow_kind=kind, flow_dt=dt,
+                                     flow_t_end=t_end, out=out)) == 0
+    path = load_path(str(out))
+    assert path.kind == kind
+    assert path.ts[-1] == pytest.approx(t_end, rel=1e-12)
+    gaps = np.diff(path.ts)
+    assert len(gaps) >= 5
+    assert np.max(np.abs(gaps - gaps[0])) <= 1e-12 * gaps[0]
+
+
 def test_flow_blowup_is_numerical_error(tmp_path):
     # this flow diverges near t = 1.6e-4 on this grid; the step that goes
     # non-finite is a numerical breakdown, not an input error
@@ -352,3 +370,29 @@ def test_truncated_path_is_input_error(tmp_path, capsys):
     code = run(["lift", "--in", str(flow_dir), "--out", str(tmp_path / "lift")])
     assert code == 3
     assert "rows" in capsys.readouterr().err
+
+
+def test_benchmark_tracer_finds_every_layer(tmp_path):
+    # the benchmark's tracer wraps the functions it names in LAYERS by name;
+    # renaming or deleting one of them must fail here, not in a traced run
+    import importlib.util
+
+    import kredux.cli
+
+    tracing = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                           "perfbench", "tracing.py")
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    main_before = kredux.cli.main
+    tracer = module.Tracer()
+    try:
+        tracer.install()
+        assert kredux.cli.main(["reduce"] + small_args(
+            tmp_path, n=16, n_l=33, margin=4, tau=0.3, fixture="cyl")) == 0
+    finally:
+        tracer.uninstall()
+    assert kredux.cli.main is main_before
+    names = {span[3] for span in tracer.spans}
+    assert {"structure.assemble", "reduction.level_set",
+            "io.dump_field"} <= names

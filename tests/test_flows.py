@@ -105,6 +105,43 @@ def test_time_derivative_exact_on_quartics():
         time_derivative(ts ** 2, samples, 1)
 
 
+@pytest.mark.parametrize("ts", [
+    np.linspace(0.0, 0.4, 5), np.array([0.0, 0.1, 0.3, 0.6, 0.7, 0.9])],
+    ids=["five_uniform", "six_uneven"])
+@pytest.mark.parametrize("take", [
+    lambda path: time_derivative(path.ts, path.psis, 1),
+    kx.concavity_shift, kx.geodesic_residual_path],
+    ids=["time_derivative", "concavity_shift", "geodesic_residual_path"])
+def test_time_stencil_needs_six_uniform_samples(tg, ts, take):
+    # time_derivative holds the one length and uniformity rule of a path
+    path = FlowPath(tg, kx.flat_sigma(tg), "x", ts,
+                    np.zeros((len(ts),) + tg.spatial_shape))
+    with pytest.raises(ValueError, match="time derivatives need"):
+        take(path)
+
+
+def test_energy_rise_halves_the_step():
+    grid = kx.torus_grid(16, 9)
+    sigma = kx.flat_sigma(grid)
+    x1, x2 = grid.x1[:, None], grid.x2[None, :]
+    psi0 = (3e-4 * np.cos(2 * np.pi * x1) * np.ones((1, grid.n_spatial))
+            + 1e-6 * np.cos(14 * np.pi * x1) * np.cos(16 * np.pi * x2))
+    dt0 = kx.stable_dt(sigma, "calabi")
+    t_end = 400 * dt0
+    path = kx.calabi_integrate(psi0, sigma, t_end, dt=1.5 * dt0, save_count=9)
+    # the first step raises the energy, the halved step does not
+    np.testing.assert_allclose(path.dt_history, [2.1152e-6, 1.0576e-6],
+                               rtol=1e-4)
+    assert path.ts[-1] == pytest.approx(t_end, rel=1e-12)
+    gaps = np.diff(path.ts)
+    assert np.max(np.abs(gaps - gaps[0])) <= 1e-12 * gaps[0]
+    es = [kx.calabi_energy(sigma, psi) for psi in path.psis]
+    assert all(es[k + 1] <= es[k] + 1e-12 * (1 + es[k])
+               for k in range(len(es) - 1))
+    with pytest.raises(StepUnstable):
+        kx.calabi_integrate(psi0, sigma, t_end, dt=8 * dt0, save_count=9)
+
+
 def test_flow_path_validation(tg):
     sigma = kx.flat_sigma(tg)
     ts = np.linspace(0, 1, 5)
@@ -182,14 +219,6 @@ def test_geodesic_residual_negative_control(tg):
     psis = np.array([t * t * u for t in ts])
     rep = kx.geodesic_residual_path(FlowPath(tg, sigma, "bad", ts, psis))
     assert rep.linf > 1e-3  # spatially non-constant residual
-
-
-def test_geodesic_residual_needs_uniform_samples(tg):
-    sigma = kx.flat_sigma(tg)
-    ts = np.array([0.0, 0.1, 0.3, 0.6, 0.7, 0.9])
-    psis = np.zeros((6,) + tg.spatial_shape)
-    with pytest.raises(ValueError):
-        kx.geodesic_residual_path(FlowPath(tg, sigma, "x", ts, psis))
 
 
 def test_stable_dt_scales(tg, rg):

@@ -248,6 +248,44 @@ def test_load_path_rejects_meta_that_is_not_an_object(tmp_path):
         load_path(str(bad))
 
 
+# -- header grids against the meta grid -------------------------------------------
+# Each field dump of a directory must give the grid of its meta file; a base
+# dump's Nl=0 stands for any n_l.  A mismatch is a ValueError naming the dump,
+# and the CLI exits 3.
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("l_min", -1.0, "sigma.csv: header grid has l_min=-1.2, meta.json gives -1.0"),
+    ("margin", 6, "sigma.csv: header grid has margin=4, meta.json gives 6"),
+    ("n_l", 17, "phi.csv: header grid has n_l=33, meta.json gives 17")],
+    ids=["l_min", "margin", "n_l"])
+def test_load_kahler_checks_header_grids(tmp_path, key, value, message):
+    from kredux.cli import main
+
+    d = tmp_path / "kdir"
+    save_kahler(kx.flat_cylinder(kx.torus_grid(n=12, n_l=33, margin=4)),
+                str(d))
+    _edit_grid(d / "meta.json", lambda g: g.update({key: value}))
+    with pytest.raises(ValueError, match=message):
+        load_kahler(str(d))
+    assert main(["reduce", "tau=0.3", "--in", str(d),
+                 "--out", str(tmp_path / "red")]) == 3
+
+
+def test_load_path_checks_the_sigma_grid(tmp_path):
+    from kredux.cli import main
+
+    d = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), d)
+    _edit_grid(d / "path_meta.json", lambda g: g.update(n_l=17))
+    assert load_path(str(d)).grid.n_l == 17  # sigma.csv is a base dump
+    _edit_grid(d / "path_meta.json", lambda g: g.update(l_max=3.0))
+    with pytest.raises(ValueError, match="sigma.csv: header grid has "
+                       "l_max=0.131, path_meta.json gives 3.0"):
+        load_path(str(d))
+    assert main(["lift", "--in", str(d), "--out", str(tmp_path / "lift")]) == 3
+
+
 def test_load_field_rejects_header_missing_a_key(tmp_path):
     from kredux.cli import main
 

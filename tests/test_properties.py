@@ -172,7 +172,6 @@ def test_not_a_knot_spline_matches_scipy(spline):
     # both end pieces extrapolate
     t = np.linspace(x[0] - 1.0, x[-1] + 1.0, 17)
     _assert_reproduces(spl(t), ref(t))
-    _assert_reproduces(spl.integral_at_knots(), ref.antiderivative()(x))
 
 
 GAUGE_K = kx.perturbed_cylinder(kx.torus_grid(n=12, n_l=17, margin=2),
