@@ -17,7 +17,7 @@ from .fixtures import (flat_cylinder, flat_sigma, fs_cylinder, fs_sigma,
                        reference_ricci, reference_sigma)
 from .flows import (FlowPath, calabi_energy, calabi_integrate,
                     geodesic_residual_path, kr_integrate, kr_time_map,
-                    pseudo_calabi_integrate, stable_dt)
+                    pseudo_calabi_integrate)
 from .golden import golden_grid, mu_singquot, run_golden, singquot_moment
 from .grids import TestbedGrid, radial_grid, torus_grid
 from .lift import (LiftResult, admissible_taus, calabi_converse_w,

@@ -23,7 +23,7 @@ class RunConfig:
     margin: int = 8
     dtau: float = 1e-4
     flow_kind: str = "calabi"
-    flow_dt: float = 0.0          # 0 means stability-derived
+    flow_dt: float = 0.0          # 0 means one step per saved sample
     flow_t_end: float = 0.01
     flow_amplitude: float = 0.005
     fixture: str = "auto"         # auto | cyl | fscyl | perturbed

@@ -6,12 +6,14 @@ All flows evolve a potential against a fixed background form sigma:
 * coupled flow:                        solve D_psi psi' = lambda - scal, then step
 * Ricci flow (unnormalized/normalized) psi' = (1/2) log(H_psi/H_sigma) [+ lambda psi]
 
-Each flow is a right-hand side on raw arrays, ``rhs(psi) -> (velocity, h)``
-with h = H_sigma + 2 psi_{z zbar} the metric coefficient of psi, and all flows
-share one integrator: explicit RK4 at desk scale with a stability-derived
-default step.  Every step is checked for finiteness (StepUnstable) and for
-positivity of h (PositivityLost); an optional energy monitor, evaluated on
-the same (velocity, h) pair, halves the step when the energy increases.
+Each flow is a velocity on raw arrays, ``velocity(psi, h)`` with
+h = H_sigma + 2 psi_{z zbar} the metric coefficient of psi, and all flows
+share one integrator: ETDRK4, which takes the flow's linear symbol, frozen at
+the mean of sigma, exactly, so no stability estimate sets the step; by
+default it is one step per saved sample.  Every step is checked for finiteness
+(StepUnstable) and for positivity of h (PositivityLost); an optional energy
+monitor, evaluated on the same (velocity, h) pair, halves the step when the
+energy increases.
 Additive constants are gauge and fixed by the recorded normalization
 convention; with these choices constant-scalar-curvature and Einstein
 fixtures are exact fixed points of the discrete right-hand sides.
@@ -86,105 +88,112 @@ def time_derivative(ts, samples, order):
 
 
 # ---------------------------------------------------------------------------
-# stability estimates
+# integrator core
 # ---------------------------------------------------------------------------
 
-_RK4_REAL_AXIS = 2.785
-_SAFETY = 0.9  # stable_dt's share of the RK4 real-axis stability limit
 _ENERGY_TOL = 1e-10  # a relative energy rise beyond it halves the step
 _MAX_HALVINGS = 10  # per run; StepUnstable past it
 _SOLVABILITY_TOL = 1e-8  # largest |int (lambda - scal) dV| of the coupled flow
+# upper half of the unit circle about each z = dt L, whose means give the
+# ETDRK4 weights without cancellation at small z (Kassam & Trefethen 2005)
+_CONTOUR = np.exp(1j * np.pi * (np.arange(32) + 0.5) / 32)
 
 
-def _laplacian_symbol_max(sigma: Form11M) -> float:
-    grid = sigma.grid
-    if grid.kind == TORUS:
-        n = grid.n_spatial
-        return (np.pi ** 2) * n * n / (2.0 * float(np.min(sigma.h)))
-    stencil_max = 16.0 / (3.0 * grid.h_v ** 2)
-    return float(np.max(stencil_max / (grid.u * sigma.h)))
-
-
-def stable_dt(sigma: Form11M, kind: str) -> float:
-    lap = _laplacian_symbol_max(sigma)
-    rate = {"calabi": lap * lap, "pseudo_calabi": 2.0 * lap,
-            "kr": lap, "nkr": lap}[kind]
-    return _SAFETY * _RK4_REAL_AXIS / rate
-
-
-# ---------------------------------------------------------------------------
-# integrator core
-# ---------------------------------------------------------------------------
+def _etd_weights(lin, dt):
+    """ETDRK4 weights (Cox & Matthews 2002) for the diagonal linear part
+    ``lin`` at step dt: e^{dt L}, e^{dt L/2} and the phi-function means."""
+    z = dt * np.asarray(lin)[..., None] + _CONTOUR
+    ez = np.exp(z)
+    numerators = ((np.exp(0.5 * z) - 1.0) * z * z,
+                  -4.0 - z + ez * (4.0 - 3.0 * z + z * z),
+                  2.0 * (2.0 + z + ez * (z - 2.0)),
+                  -4.0 - 3.0 * z - z * z + ez * (4.0 - z))
+    return (np.exp(dt * lin), np.exp(0.5 * dt * lin),
+            *(dt * np.mean(f / z ** 3, axis=-1).real for f in numerators))
 
 
 # a stage that goes non-finite is reported once, as StepUnstable on the
 # candidate, rather than as a warning from each numpy operation it touches
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _run_rk4(psi0, sigma, t_end, dt, rhs, kind, save_count=33,
+def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
              energy_fn=None, normalization=None):
-    """Fixed-step RK4 with finiteness, positivity and energy monitoring.
+    """ETDRK4 for psi' = L psi + N(psi), N = velocity(psi, h) - L psi, with
+    h = H_sigma + 2 psi_{z zbar} the metric coefficient of psi.
 
-    ``rhs(psi)`` returns ``(velocity, h)``, h the metric coefficient of psi.
-    Each candidate state is evaluated once: that evaluation is the monitor
-    probe and, on acceptance, the next step's first stage.  A non-finite
-    candidate raises StepUnstable and an h that is not positive everywhere
-    raises PositivityLost.  An increase of ``energy_fn(velocity, h)`` beyond
-    tolerance halves the step (at most ``_MAX_HALVINGS`` times) and retries
-    without accepting.
+    On the torus the state lives on the rfft2 plane and L = ``rate(s)``, s
+    the symbol of H^{-1} d^2/dz dzbar at the mean of sigma, is taken
+    exactly; on the radial testbed L = 0 and the scheme is classical RK4.
+    ``dt=None`` takes one step per sample.  Each state is evaluated once, as
+    the monitor probe and, on acceptance, the next step's first stage.  A
+    non-finite candidate raises StepUnstable, an h that is not positive
+    everywhere PositivityLost.  An increase of ``energy_fn(velocity, h)``
+    beyond tolerance halves the step (at most ``_MAX_HALVINGS`` times) and
+    retries without accepting.
     """
+    grid = sigma.grid
+    torus = grid.kind == TORUS
+    lin = rate(grid.ddbar_symbol / float(np.mean(sigma.h)) if torus else 0.0)
+    forward = grid.rfft2 if torus else np.asarray
 
-    def probe(state, t):
-        velocity, h = rhs(state)
-        if not np.all(h > 0.0):
-            raise PositivityLost(f"metric is not positive at t={t:.3e}", t=t)
-        return velocity, h
+    def stage(state):
+        if torus:
+            # psi and psi_{z zbar} from one batched inverse, the batch axis
+            # outermost in memory so the 1-D passes run on contiguous lanes
+            both = np.empty((2,) + state.shape, dtype=complex)
+            both[0] = state
+            np.multiply(grid.ddbar_symbol, state, out=both[1])
+            psi, psi_zz = grid.irfft2(both.transpose(1, 2, 0)).transpose(2, 0, 1)
+        else:
+            psi, psi_zz = state, grid.dzbar_dz(state)
+        h = sigma.h + 2.0 * psi_zz
+        v = velocity(psi, h)
+        return forward(v) - lin * state, v, h, psi
 
     psi = np.array(psi0, dtype=float, copy=True)
+    dt = dt if dt is not None else t_end / (save_count - 1)
     n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
-    dt = t_end / n_steps
     save_stride = max(n_steps // (save_count - 1), 1)
     # keep the sampling uniform: stretch step count to a multiple of the stride
     n_steps = int(np.ceil(n_steps / save_stride)) * save_stride
     dt = t_end / n_steps
 
-    ts = [0.0]
-    samples = [psi.copy()]
-    dt_history = [dt]
-    halvings = 0
-    t = 0.0
-    step = 0
-    k1, h = probe(psi, t)
-    energy_prev = energy_fn(k1, h) if energy_fn is not None else None
-    while step < n_steps:
-        k2 = rhs(psi + 0.5 * dt * k1)[0]
-        k3 = rhs(psi + 0.5 * dt * k2)[0]
-        k4 = rhs(psi + dt * k3)[0]
-        cand = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(cand)):
-            raise StepUnstable(f"flow step to t={t + dt:.3e} is not finite")
-        k1_cand, h_cand = probe(cand, t + dt)
-        if energy_fn is not None:
-            e = energy_fn(k1_cand, h_cand)
-            if e > energy_prev + _ENERGY_TOL * (1.0 + abs(energy_prev)):
-                halvings += 1
-                if halvings > _MAX_HALVINGS:
-                    raise StepUnstable(
-                        f"energy kept increasing after {_MAX_HALVINGS} halvings")
-                dt *= 0.5
-                n_steps = 2 * n_steps
-                step = 2 * step
-                save_stride = 2 * save_stride
-                dt_history.append(dt)
-                continue
-            energy_prev = e
-        psi = cand
-        k1 = k1_cand
+    ts, samples, dt_history = [0.0], [psi], [dt]
+    halvings, step, t = 0, 0, 0.0
+    cand, energy_prev = forward(psi), np.inf
+    e, e2, q, f1, f2, f3 = _etd_weights(lin, dt)
+    while True:
+        n_cand, v, h, psi = stage(cand)
+        if not np.all(h > 0.0):
+            raise PositivityLost(f"metric is not positive at t={t:.3e}", t=t)
+        energy = energy_fn(v, h) if energy_fn is not None else 0.0
+        if energy > energy_prev + _ENERGY_TOL * (1.0 + abs(energy_prev)):
+            halvings += 1
+            if halvings > _MAX_HALVINGS:
+                raise StepUnstable(
+                    f"energy kept increasing after {_MAX_HALVINGS} halvings")
+            # the candidate was step `step`; the accepted state is 2 step - 2
+            dt, n_steps, step = 0.5 * dt, 2 * n_steps, 2 * step - 2
+            save_stride *= 2
+            dt_history.append(dt)
+            e, e2, q, f1, f2, f3 = _etd_weights(lin, dt)
+        else:
+            state, n_u, energy_prev = cand, n_cand, energy
+            if step and step % save_stride == 0:
+                ts.append(t)
+                samples.append(np.array(psi))
+            if step == n_steps:
+                break
         step += 1
         t = step * dt
-        if step % save_stride == 0:
-            ts.append(t)
-            samples.append(psi.copy())
-    return FlowPath(sigma.grid, sigma, kind, np.array(ts), np.array(samples),
+        e2_state = e2 * state
+        a = e2_state + q * n_u
+        n_a = stage(a)[0]
+        n_b = stage(e2_state + q * n_a)[0]
+        n_c = stage(e2 * a + q * (2.0 * n_b - n_u))[0]
+        cand = e * state + f1 * n_u + f2 * (n_a + n_b) + f3 * n_c
+        if not np.all(np.isfinite(cand)):
+            raise StepUnstable(f"flow step to t={t:.3e} is not finite")
+    return FlowPath(grid, sigma, kind, np.array(ts), np.array(samples),
                     normalization or {}, dt_history)
 
 
@@ -193,22 +202,9 @@ def _run_rk4(psi0, sigma, t_end, dt, rhs, kind, save_count=33,
 # ---------------------------------------------------------------------------
 
 
-def _potential_values(psi):
-    return np.asarray(psi.values if isinstance(psi, ScalarFieldM) else psi,
-                      dtype=float)
-
-
-def _metric_coefficient(sigma: Form11M, psi):
-    """Metric coefficient of sigma + dd^c psi: H_sigma + 2 psi_{z zbar}."""
-    return sigma.h + 2.0 * sigma.grid.dzbar_dz(psi)
-
-
 def calabi_energy(sigma: Form11M, psi_vals) -> float:
-    grid = sigma.grid
-    omega = sigma + ddc_m(psi_vals, grid)
-    lam = lambda_mean(sigma)
-    s = scal_m(omega)
-    return integrate_m((s.values - lam) ** 2, omega)
+    omega = sigma + ddc_m(psi_vals, sigma.grid)
+    return integrate_m((scal_m(omega).values - lambda_mean(sigma)) ** 2, omega)
 
 
 def calabi_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None,
@@ -221,18 +217,16 @@ def calabi_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None
     grid = sigma.grid
     lam = lambda_mean(sigma)
     weights = grid.spatial_quad_weights
-    dt = dt if dt is not None else stable_dt(sigma, "calabi")
 
-    def rhs(psi):
-        h = _metric_coefficient(sigma, psi)
-        return 0.5 * (ricci_coefficient(grid, h) / h - lam), h
+    def velocity(psi, h):
+        return 0.5 * (ricci_coefficient(grid, h) / h - lam)
 
     def energy_fn(velocity, h):
         # 2 * velocity = scal - lambda
         return float(np.sum((2.0 * velocity) ** 2 * h * weights))
 
-    return _run_rk4(_potential_values(psi0), sigma, t_end, dt, rhs, "calabi",
-                    save_count=save_count, energy_fn=energy_fn,
+    return _run_etd(psi0, sigma, t_end, dt, velocity, lambda s: -s * s,
+                    "calabi", save_count=save_count, energy_fn=energy_fn,
                     normalization={"convention": "psi' = (scal - lambda)/2",
                                    "lambda": lam})
 
@@ -243,9 +237,9 @@ def _poisson_solve(grid, h, rhs_vals):
     if grid.kind == TORUS:
         sym = grid.ddbar_symbol.copy()
         sym[0, 0] = 1.0
-        fhat = np.fft.rfft2(target) / sym
+        fhat = grid.rfft2(target) / sym
         fhat[0, 0] = 0.0
-        out = np.fft.irfft2(fhat, s=grid.spatial_shape)
+        out = grid.irfft2(fhat)
         return out - np.mean(out)
     # radial: f_vv = u * H * rhs, two antiderivatives on the uniform v axis,
     # Neumann ends
@@ -262,18 +256,16 @@ def pseudo_calabi_integrate(psi0, sigma: Form11M, t_end: float,
     grid = sigma.grid
     lam = lambda_mean(sigma)
     weights = grid.spatial_quad_weights
-    dt = dt if dt is not None else stable_dt(sigma, "pseudo_calabi")
 
-    def rhs(psi):
-        h = _metric_coefficient(sigma, psi)
+    def velocity(psi, h):
         target = lam - ricci_coefficient(grid, h) / h
         compat = float(np.sum(target * h * weights))
         if abs(compat) > _SOLVABILITY_TOL:
             raise SolvabilityViolated(
                 f"int (lambda - scal) dV = {compat:.3e} is not zero")
-        return _poisson_solve(grid, h, target), h
+        return _poisson_solve(grid, h, target)
 
-    return _run_rk4(_potential_values(psi0), sigma, t_end, dt, rhs,
+    return _run_etd(psi0, sigma, t_end, dt, velocity, lambda s: 2.0 * s,
                     "pseudo_calabi", save_count=save_count,
                     normalization={"convention": "mean-zero velocity",
                                    "lambda": lam})
@@ -288,23 +280,20 @@ def kr_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None,
     not move); normalized mode adds +lambda psi and keeps Einstein fixtures
     fixed.  The velocity is taken mean-zero.
     """
-    grid = sigma.grid
-    if not normalized and grid.kind != TORUS:
+    if not normalized and sigma.grid.kind != TORUS:
         raise ClassNotFixed(
             "unnormalized Ricci flow moves the class off the torus testbed")
     if lam is None:
         lam = lambda_mean(sigma) if normalized else 0.0
-    dt = dt if dt is not None else stable_dt(sigma, "kr")
 
-    def rhs(psi):
-        h = _metric_coefficient(sigma, psi)
+    def velocity(psi, h):
         v = 0.5 * np.log(h / sigma.h)
         if normalized:
             v = v + lam * psi
-        return v - np.mean(v), h
+        return v - np.mean(v)
 
     kind = "nkr" if normalized else "kr"
-    return _run_rk4(_potential_values(psi0), sigma, t_end, dt, rhs, kind,
+    return _run_etd(psi0, sigma, t_end, dt, velocity, lambda s: s, kind,
                     save_count=save_count,
                     normalization={"convention": "mean-zero velocity",
                                    "normalized": normalized, "lambda": lam})

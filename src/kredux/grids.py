@@ -268,15 +268,23 @@ class TestbedGrid:
             return f
         return self.d_v(values, 1)
 
+    def rfft2(self, values):
+        """Torus rfft2 over the two leading axes, by 1-D passes."""
+        f = np.fft.rfft(values, axis=1)
+        np.fft.fft(f, axis=0, out=f)
+        return f
+
+    def irfft2(self, f):
+        """Inverse of :meth:`rfft2`; overwrites ``f``."""
+        np.fft.ifft(f, axis=0, out=f)
+        return np.fft.irfft(f, n=self.n_spatial, axis=1)
+
     def dzbar_dz(self, values):
         """The real density d^2/dz dzbar of a scalar field."""
         if self.kind == TORUS:
-            # rfft2's and irfft2's 1-D passes, the complex ones in place
-            f = np.fft.rfft(values, axis=1)
-            np.fft.fft(f, axis=0, out=f)
+            f = self.rfft2(values)
             f *= _spatial_like(self.ddbar_symbol, values)
-            np.fft.ifft(f, axis=0, out=f)
-            return np.fft.irfft(f, n=self.n_spatial, axis=1)
+            return self.irfft2(f)
         return self.d_v(values, 2) / _spatial_like(self.u, values)
 
     @cached_property

@@ -41,7 +41,7 @@ def cos1(grid, amplitude):
 @pytest.fixture(scope="session")
 def calabi_path(tg):
     sigma = kx.flat_sigma(tg)
-    return kx.calabi_integrate(cos1(tg, 3e-4), sigma, 0.004, save_count=401)
+    return kx.calabi_integrate(cos1(tg, 3e-4), sigma, 0.004, save_count=405)
 
 
 @pytest.fixture(scope="session")

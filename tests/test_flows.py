@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import kredux as kx
+from kredux import flows
 from kredux.errors import ClassNotFixed, PositivityLost, StepUnstable
 from kredux.flows import FlowPath, time_derivative
 
@@ -87,10 +88,22 @@ def test_calabi_flow_sees_background_curvature(tg):
     assert np.max(np.abs(moved.psis - (ref.psis - u))) <= 1e-12
 
 
-def test_kr_blowup_is_step_unstable(tg):
-    u = 0.01 * np.cos(2 * np.pi * tg.x1)[:, None] * np.ones((1, tg.n_spatial))
-    with pytest.raises(StepUnstable):
-        kx.kr_integrate(u, kx.flat_sigma(tg), 0.5, dt=0.01)
+def _stiff_background_and_potential():
+    """flat + dd^c(0.02 cos 2 pi x1) on a 16 x 16 torus, where the frozen
+    symbol understates the stiffness, and a potential with content in the
+    stiffest modes."""
+    grid = kx.torus_grid(16, 9)
+    x1, x2 = grid.x1[:, None], grid.x2[None, :]
+    u = 0.02 * np.cos(2 * np.pi * x1) * np.ones((1, grid.n_spatial))
+    psi0 = (1e-4 * np.cos(2 * np.pi * x2) * np.ones((grid.n_spatial, 1))
+            + 1e-6 * np.cos(14 * np.pi * x1) * np.cos(16 * np.pi * x2))
+    return kx.flat_sigma(grid) + kx.ddc_m(u, grid), psi0
+
+
+def test_kr_blowup_is_step_unstable():
+    sigma, psi0 = _stiff_background_and_potential()
+    with pytest.raises(StepUnstable, match="not finite"):
+        kx.kr_integrate(100 * psi0, sigma, 0.5, dt=0.01)
 
 
 def test_time_derivative_exact_on_quartics():
@@ -120,26 +133,76 @@ def test_time_stencil_needs_six_uniform_samples(tg, ts, take):
         take(path)
 
 
-def test_energy_rise_halves_the_step():
+def _energy_non_increasing(sigma, path):
+    es = [kx.calabi_energy(sigma, psi) for psi in path.psis]
+    return all(es[k + 1] <= es[k] + 1e-12 * (1 + es[k])
+               for k in range(len(es) - 1))
+
+
+def test_energy_rise_halves_the_step(monkeypatch):
+    sigma, psi0 = _stiff_background_and_potential()
+    path = kx.calabi_integrate(psi0, sigma, 1e-4, save_count=9)
+    # the default step, its half and its quarter raise the energy; an
+    # eighth of it does not
+    np.testing.assert_allclose(path.dt_history,
+                               [1.25e-5, 6.25e-6, 3.125e-6, 1.5625e-6],
+                               rtol=1e-12)
+    assert path.n_samples == 9
+    assert path.ts[-1] == pytest.approx(1e-4, rel=1e-12)
+    gaps = np.diff(path.ts)
+    assert np.max(np.abs(gaps - gaps[0])) <= 1e-12 * gaps[0]
+    assert _energy_non_increasing(sigma, path)
+    monkeypatch.setattr(flows, "_MAX_HALVINGS", 2)
+    with pytest.raises(StepUnstable, match="after 2 halvings"):
+        kx.calabi_integrate(psi0, sigma, 1e-4, save_count=9)
+
+
+@pytest.mark.parametrize("factor", [8, 64])
+def test_long_calabi_steps_need_no_halving(factor):
+    # explicit RK4 was stable up to 1.5705e-6 here; it raised StepUnstable
+    # on its first step at 8 times that
     grid = kx.torus_grid(16, 9)
     sigma = kx.flat_sigma(grid)
     x1, x2 = grid.x1[:, None], grid.x2[None, :]
     psi0 = (3e-4 * np.cos(2 * np.pi * x1) * np.ones((1, grid.n_spatial))
             + 1e-6 * np.cos(14 * np.pi * x1) * np.cos(16 * np.pi * x2))
-    dt0 = kx.stable_dt(sigma, "calabi")
-    t_end = 400 * dt0
-    path = kx.calabi_integrate(psi0, sigma, t_end, dt=1.5 * dt0, save_count=9)
-    # the first step raises the energy, the halved step does not
-    np.testing.assert_allclose(path.dt_history, [2.1152e-6, 1.0576e-6],
-                               rtol=1e-4)
-    assert path.ts[-1] == pytest.approx(t_end, rel=1e-12)
-    gaps = np.diff(path.ts)
-    assert np.max(np.abs(gaps - gaps[0])) <= 1e-12 * gaps[0]
-    es = [kx.calabi_energy(sigma, psi) for psi in path.psis]
-    assert all(es[k + 1] <= es[k] + 1e-12 * (1 + es[k])
-               for k in range(len(es) - 1))
-    with pytest.raises(StepUnstable):
-        kx.calabi_integrate(psi0, sigma, t_end, dt=8 * dt0, save_count=9)
+    path = kx.calabi_integrate(psi0, sigma, 400 * 1.5705e-6,
+                               dt=factor * 1.5705e-6, save_count=9)
+    assert len(path.dt_history) == 1
+    assert _energy_non_increasing(sigma, path)
+    assert kx.calabi_energy(sigma, path.psis[-1]) == pytest.approx(1.511e-3,
+                                                                  rel=1e-3)
+
+
+@pytest.mark.parametrize("const", [1.0, -7.3, 3.14159, 9.99])
+def test_calabi_step_keeps_constant_potentials(const):
+    for n in range(9, 41):
+        sigma = kx.flat_sigma(kx.torus_grid(n, 9))
+        psi0 = np.full(sigma.grid.spatial_shape, const)
+        path = kx.calabi_integrate(psi0, sigma, 1e-4, dt=1e-4)
+        assert np.max(np.abs(path.psis[-1] - psi0)) <= 1e-12, n
+
+
+def test_calabi_keeps_a_fixed_point_with_stiff_content():
+    # flat + dd^c u is the flat metric again at psi* = -u; u lives on mode 6
+    grid = kx.torus_grid(32, 9)
+    u = 1e-3 * np.cos(12 * np.pi * grid.x1)[:, None] * np.ones((1, 32))
+    sigma = kx.flat_sigma(grid) + kx.ddc_m(u, grid)
+    path = kx.calabi_integrate(-u, sigma, 1e-3, dt=1e-3)
+    assert path.dt_history == [1e-3]
+    assert np.max(np.abs(path.psis[-1] + u)) <= 1e-15
+
+
+@pytest.mark.parametrize("run,kw", [
+    (kx.calabi_integrate, {}), (kx.pseudo_calabi_integrate, {}),
+    (kx.kr_integrate, {}), (kx.kr_integrate, {"normalized": True})],
+    ids=["calabi", "pseudo_calabi", "kr", "nkr"])
+def test_default_step_gives_save_count_samples(run, kw):
+    grid = kx.torus_grid(32, 9)
+    psi0 = 0.005 * np.cos(2 * np.pi * grid.x1)[:, None] * np.ones((1, 32))
+    path = run(psi0, kx.flat_sigma(grid), 0.01, save_count=17, **kw)
+    assert path.n_samples == 17
+    assert path.dt_history == [pytest.approx(0.01 / 16, rel=1e-15)]
 
 
 def test_flow_path_validation(tg):
@@ -219,9 +282,3 @@ def test_geodesic_residual_negative_control(tg):
     psis = np.array([t * t * u for t in ts])
     rep = kx.geodesic_residual_path(FlowPath(tg, sigma, "bad", ts, psis))
     assert rep.linf > 1e-3  # spatially non-constant residual
-
-
-def test_stable_dt_scales(tg, rg):
-    assert kx.stable_dt(kx.flat_sigma(tg), "calabi") < 2e-7
-    assert kx.stable_dt(kx.flat_sigma(tg), "kr") > 1e-4
-    assert kx.stable_dt(kx.fs_sigma(rg), "kr") < 1e-5
