@@ -6,8 +6,9 @@ All flows evolve a potential against a fixed background form sigma:
 * coupled flow:                        solve D_psi psi' = lambda - scal, then step
 * Ricci flow (unnormalized/normalized) psi' = (1/2) log(H_psi/H_sigma) [+ lambda psi]
 
-Each flow is a velocity on raw arrays, ``velocity(psi, h)`` with
-h = H_sigma + 2 psi_{z zbar} the metric coefficient of psi, and all flows
+Each flow is a velocity on raw arrays, ``velocity(h, psi)`` with
+h = H_sigma + 2 psi_{z zbar} the metric coefficient of psi and ``psi()`` the
+potential itself, computed only by the flow that reads it; all flows
 share one integrator: ETDRK4, which takes the flow's linear symbol, frozen at
 the mean of sigma, exactly, so no stability estimate sets the step; by
 default it is one step per saved sample.  Every step is checked for finiteness
@@ -117,7 +118,7 @@ def _etd_weights(lin, dt):
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
              energy_fn=None, normalization=None):
-    """ETDRK4 for psi' = L psi + N(psi), N = velocity(psi, h) - L psi, with
+    """ETDRK4 for psi' = L psi + N(psi), N = velocity(h, psi) - L psi, with
     h = H_sigma + 2 psi_{z zbar} the metric coefficient of psi.
 
     On the torus the state lives on the rfft2 plane and L = ``rate(s)``, s
@@ -135,19 +136,18 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
     lin = rate(grid.ddbar_symbol / float(np.mean(sigma.h)) if torus else 0.0)
     forward = grid.rfft2 if torus else np.asarray
 
+    def potential(state):
+        # irfft2 overwrites its argument; the state is still needed
+        return grid.irfft2(state.copy()) if torus else np.array(state)
+
     def stage(state):
         if torus:
-            # psi and psi_{z zbar} from one batched inverse, the batch axis
-            # outermost in memory so the 1-D passes run on contiguous lanes
-            both = np.empty((2,) + state.shape, dtype=complex)
-            both[0] = state
-            np.multiply(grid.ddbar_symbol, state, out=both[1])
-            psi, psi_zz = grid.irfft2(both.transpose(1, 2, 0)).transpose(2, 0, 1)
+            psi_zz = grid.irfft2(grid.ddbar_symbol * state)
         else:
-            psi, psi_zz = state, grid.dzbar_dz(state)
+            psi_zz = grid.dzbar_dz(state)
         h = sigma.h + 2.0 * psi_zz
-        v = velocity(psi, h)
-        return forward(v) - lin * state, v, h, psi
+        v = velocity(h, lambda: potential(state))
+        return forward(v) - lin * state, v, h
 
     psi = np.array(psi0, dtype=float, copy=True)
     dt = dt if dt is not None else t_end / (save_count - 1)
@@ -162,7 +162,7 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
     cand, energy_prev = forward(psi), np.inf
     e, e2, q, f1, f2, f3 = _etd_weights(lin, dt)
     while True:
-        n_cand, v, h, psi = stage(cand)
+        n_cand, v, h = stage(cand)
         if not np.all(h > 0.0):
             raise PositivityLost(f"metric is not positive at t={t:.3e}", t=t)
         energy = energy_fn(v, h) if energy_fn is not None else 0.0
@@ -180,7 +180,7 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
             state, n_u, energy_prev = cand, n_cand, energy
             if step and step % save_stride == 0:
                 ts.append(t)
-                samples.append(np.array(psi))
+                samples.append(potential(state))
             if step == n_steps:
                 break
         step += 1
@@ -218,7 +218,7 @@ def calabi_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None
     lam = lambda_mean(sigma)
     weights = grid.spatial_quad_weights
 
-    def velocity(psi, h):
+    def velocity(h, psi):
         return 0.5 * (ricci_coefficient(grid, h) / h - lam)
 
     def energy_fn(velocity, h):
@@ -257,7 +257,7 @@ def pseudo_calabi_integrate(psi0, sigma: Form11M, t_end: float,
     lam = lambda_mean(sigma)
     weights = grid.spatial_quad_weights
 
-    def velocity(psi, h):
+    def velocity(h, psi):
         target = lam - ricci_coefficient(grid, h) / h
         compat = float(np.sum(target * h * weights))
         if abs(compat) > _SOLVABILITY_TOL:
@@ -286,10 +286,10 @@ def kr_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None,
     if lam is None:
         lam = lambda_mean(sigma) if normalized else 0.0
 
-    def velocity(psi, h):
+    def velocity(h, psi):
         v = 0.5 * np.log(h / sigma.h)
         if normalized:
-            v = v + lam * psi
+            v = v + lam * psi()
         return v - np.mean(v)
 
     kind = "nkr" if normalized else "kr"

@@ -14,8 +14,12 @@ spline.
   :meth:`FiberInterp.antiderivative` integrates the same interpolant exactly
   over each fiber segment: the fiber quadrature of ``potential_from_moment``
   and ``reparametrize``, and on the uniform radial axis the two
-  antiderivatives of the radial Poisson solve;
-  :meth:`FiberInterp.solve_decreasing` is the level solve.
+  antiderivatives of the radial Poisson solve.
+  :meth:`FiberInterp.solve_decreasing` is the level solve, bracket then
+  polish: one comparison of the node values with the level puts each root
+  in one fiber segment, that segment's window is gathered once, and guarded
+  Newton on the window's polynomial starts at the segment's secant point,
+  typically 0-2 steps from the root.
 * :class:`NotAKnotSpline`, the not-a-knot cubic spline in numpy, with
   scipy's ``CubicSpline`` coefficient layout: the time splines of
   :mod:`kredux.lift` and the level profile ``h_canonical``.
@@ -39,19 +43,30 @@ _SEGMENT_ROWS = np.array([[475, 1427, -798, 482, -173, 27],
                           [27, -173, 482, -798, 1427, 475]]) / 1440.0
 
 
+def _window(seg, n):
+    """Fiber indices of each segment's 6-point window: its two nodes and two
+    on each side, shifted inward at the fiber ends."""
+    return np.clip(seg - 2, 0, n - _WIDTH)[..., None] + np.arange(_WIDTH)
+
+
 class FiberWeights:
     """Barycentric weights of the 6-point fiber interpolant at one point per
-    spatial node (the nodes ``rows`` of a flattened field, all by default).
+    spatial node.
 
     They depend only on the points, so one set evaluates any field there.
+    Each point takes the window of the segment that contains it, or the
+    given windows ``idx``.
     """
 
-    def __init__(self, l_nodes, pts, rows=None):
+    def __init__(self, l_nodes, pts, idx=None):
         n = len(l_nodes)
         self.shape = np.shape(pts)
         pts = np.reshape(pts, -1)
-        seg = np.clip(np.searchsorted(l_nodes, pts, side="right") - 1, 0, n - 2)
-        self.idx = np.clip(seg - 2, 0, n - _WIDTH)[:, None] + np.arange(_WIDTH)
+        if idx is None:
+            seg = np.clip(np.searchsorted(l_nodes, pts, side="right") - 1,
+                          0, n - 2)
+            idx = _window(seg, n)
+        self.idx = idx
         d = pts[:, None] - l_nodes[self.idx]
         h = (l_nodes[-1] - l_nodes[0]) / (n - 1)
         self.hit = np.abs(d) < 1e-13 * max(h, 1e-30)
@@ -59,14 +74,30 @@ class FiberWeights:
         self.d = np.where(self.hit, 1.0, d)
         self.c = np.where(self.hit, 0.0, _BARY6 / self.d)
         self.denom = np.where(self.on_node, 1.0, np.sum(self.c, axis=1))
-        self.rows = (np.arange(pts.size) if rows is None else rows)[:, None]
 
-    def window_and_value(self, values):
-        """Each node's window of ``values`` and its interpolant there."""
-        fj = values.reshape(-1, values.shape[-1])[self.rows, self.idx]
+    def window(self, values):
+        """Each node's window of ``values`` (fiber axis last)."""
+        rows = np.arange(self.idx.shape[0])[:, None]
+        return values.reshape(-1, values.shape[-1])[rows, self.idx]
+
+    def value(self, fj):
+        """The interpolant of the windows ``fj`` at each node's point."""
         val = np.sum(self.c * fj, axis=1) / self.denom
         val[self.on_node] = fj[self.hit]
-        return fj, val
+        return val
+
+    def slope(self, fj, val):
+        """Its slope there, given the value; a point on a node takes the
+        slope of its window's polynomial at that node."""
+        slope = np.sum(self.c * (val[:, None] - fj) / self.d, axis=1) / self.denom
+        on = self.on_node
+        if on.any():
+            # p'(x_j) = sum over k != j of (b_k / b_j) (f_k - f_j) / (x_j - x_k);
+            # the k = j term is 0 / 1
+            b_j = _BARY6[np.argmax(self.hit[on], axis=1)]
+            slope[on] = np.sum(_BARY6 * (fj[on] - val[on, None]) / self.d[on],
+                               axis=1) / b_j
+        return slope
 
     def apply(self, values):
         """Each node's interpolant of a real or complex array (fiber axis
@@ -75,7 +106,7 @@ class FiberWeights:
             # dividing a complex sum by the real denominator is not
             # bit-identical to dividing its two parts
             return self.apply(values.real) + 1j * self.apply(values.imag)
-        return self.window_and_value(values)[1].reshape(self.shape)
+        return self.value(self.window(values)).reshape(self.shape)
 
 
 class FiberInterp:
@@ -110,57 +141,59 @@ class FiberInterp:
         exact on every segment, in C order."""
         n = self.l.size
         seg = np.arange(n - 1)
-        start = np.clip(seg - 2, 0, n - _WIDTH)
-        windows = self._vals[:, start[:, None] + np.arange(_WIDTH)]
-        pieces = self._h * np.einsum("fsj,sj->fs", windows,
-                                     _SEGMENT_ROWS[seg - start])
+        idx = _window(seg, n)
+        pieces = self._h * np.einsum("fsj,sj->fs", self._vals[:, idx],
+                                     _SEGMENT_ROWS[seg - idx[:, 0]])
         out = np.zeros(self._vals.shape, dtype=pieces.dtype)
         np.cumsum(pieces, axis=1, out=out[:, 1:])
         return out.reshape(self.spatial_shape + (n,))
-
-    def _value_slope(self, x, rows=None):
-        """Value and slope at one point per row (all rows by default); a
-        point on a node takes the slope of its window's polynomial there."""
-        w = FiberWeights(self.l, x, rows)
-        fj, val = w.window_and_value(self._vals)
-        slope = np.sum(w.c * (val[:, None] - fj) / w.d, axis=1) / w.denom
-        on = w.on_node
-        if on.any():
-            # p'(x_j) = sum over k != j of (b_k / b_j) (f_k - f_j) / (x_j - x_k);
-            # the k = j term is 0 / 1
-            b_j = _BARY6[np.argmax(w.hit[on], axis=1)]
-            slope[on] = np.sum(_BARY6 * (fj[on] - val[on, None]) / w.d[on],
-                               axis=1) / b_j
-        return val, slope
 
     def solve_decreasing(self, target):
         """Per-node root of interp(l) = target for fiberwise decreasing data,
         on the nodes whose end values bracket the target.
 
-        Guarded Newton from mid-window: the bracket follows the residual's
-        sign, and a step that leaves it or is not finite bisects it.  A node
-        stops where Newton stops moving (residual 0, or step or bracket within
-        4 eps max|l|), never on a residual threshold: so the solve is
-        scale-free, and a root on a node's snap plateau still stops.
+        Bracket, then polish.  One comparison of the node values with the
+        target brackets each root in one segment, the one ending at the
+        node's first value below the target (the last segment if none is
+        below), and that segment's 6-point window is gathered once: it is
+        the window FiberWeights takes for any point inside the segment, so
+        the interpolant is the one every reduction evaluates.  Guarded Newton
+        then runs on that window's polynomial from the segment's secant
+        point: the bracket follows the residual's sign, and a step that
+        leaves it or is not finite bisects it.  A node stops where Newton
+        stops moving (residual 0, or step or bracket within 4 eps max|l|),
+        never on a residual threshold: so the solve is scale-free, a target
+        equal to a node value returns that node without a step, and a root
+        on a node's snap plateau still stops.
 
         Returns ``(roots, missing, max_residual, iterations)``; missing marks
         the other nodes, whose roots are set to the first fiber node, and
         iterations counts the Newton updates taken.  Raises NotConverged,
         naming the level, if a node still moves after MAX_NEWTON_STEPS.
         """
-        missing = ~((self._vals[:, 0] >= target) & (self._vals[:, -1] <= target))
+        vals, l, n = self._vals, self.l, self.l.size
+        missing = ~((vals[:, 0] >= target) & (vals[:, -1] <= target))
         nodes = np.flatnonzero(~missing)
-        roots, worst = np.full(missing.size, self.l[0]), 0.0
-        lo, hi = np.full(nodes.size, self.l[0]), np.full(nodes.size, self.l[-1])
-        still = 4 * np.finfo(float).eps * max(abs(self.l[0]), abs(self.l[-1]))
-        x = 0.5 * (lo + hi)
+        roots, worst = np.full(missing.size, l[0]), 0.0
+        seg = np.argmax(vals < target, axis=1)[nodes] - 1
+        seg[seg < 0] = n - 2
+        idx = _window(seg, n)
+        fj = vals[nodes[:, None], idx]
+        lo, hi = l[seg], l[seg + 1]
+        f_lo, f_hi = vals[nodes, seg], vals[nodes, seg + 1]
+        # f_lo >= target >= f_hi; the secant point is the node when f_lo or
+        # f_hi is the target
+        frac = (f_lo - target) / np.maximum(f_lo - f_hi, np.finfo(float).tiny)
+        x = (1.0 - frac) * lo + frac * hi
+        still = 4 * np.finfo(float).eps * max(abs(l[0]), abs(l[-1]))
         for step in range(MAX_NEWTON_STEPS + 1):
-            val, slope = self._value_slope(x, nodes)
+            w = FiberWeights(l, x, idx=idx)
+            val = w.value(fj)
             r = val - target
             lo = np.where(r > 0, np.maximum(lo, x), lo)
             hi = np.where(r < 0, np.minimum(hi, x), hi)
             with np.errstate(divide="ignore", invalid="ignore"):
-                dx = r / slope
+                dx = r / w.slope(fj, val)
             done = (r == 0) | (np.abs(dx) <= still) | (hi - lo <= still)
             roots[nodes[done]] = x[done]
             worst = max(worst, float(np.max(np.abs(r[done]), initial=0.0)))
@@ -171,7 +204,8 @@ class FiberInterp:
                     f"level solve at {target:.6g}: {int(np.sum(~done))} "
                     f"roots still moving after {step} Newton steps (worst "
                     f"residual {float(np.max(np.abs(r[~done]))):.3e})")
-            nodes, x, lo, hi, dx = (a[~done] for a in (nodes, x, lo, hi, dx))
+            nodes, idx, fj, x, lo, hi, dx = (
+                a[~done] for a in (nodes, idx, fj, x, lo, hi, dx))
             x_new = x - dx
             bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
             x = np.where(bad, 0.5 * (lo + hi), x_new)

@@ -210,12 +210,18 @@ def test_flow_command_writes_a_uniform_path(tmp_path, kind, dt, t_end):
     assert np.max(np.abs(gaps - gaps[0])) <= 1e-12 * gaps[0]
 
 
-def test_flow_blowup_is_numerical_error(tmp_path):
-    # this flow diverges near t = 1.6e-4 on this grid; the step that goes
-    # non-finite is a numerical breakdown, not an input error
+def test_flow_blowup_is_numerical_error(tmp_path, capsys):
+    # the radial flows are explicit RK4; at flow_dt = 1e-5 (9.78e-6 once
+    # fitted to the sample stride) this one goes non-finite on its third
+    # step, to t = 2.93e-5: a numerical breakdown mid-run, not an input error
     code = run(["flow"] + small_args(tmp_path, testbed="radial", n=257,
-                                     n_l=129, flow_kind="nkr"))
+                                     n_l=129, flow_kind="nkr", flow_dt=1e-5))
     assert code == 4
+    err = capsys.readouterr().err
+    assert "numerical breakdown: flow step to t=" in err
+    # past the first step, which ends at t = 9.78e-6, and far short of the
+    # default first step, to t = 3.125e-4
+    assert 1e-5 < float(err.split("t=")[1].split()[0]) < 1e-4
 
 
 @pytest.mark.parametrize("argv", [

@@ -143,8 +143,8 @@ def test_h_canonical_reparametrization_covariance(cyl):
 
 
 # Reports of `kredux residual --eq E`, written when the level solve began to
-# stop each node where Newton stops moving (the change that removed
-# root_tol); the numbers must not move.
+# bracket each root in one fiber segment and polish it from the segment's
+# secant point; the numbers must not move.
 RESIDUAL_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "residuals")
 EQUATIONS = ("geodesic", "calabi", "pseudo_calabi", "kr", "v_soliton")
 REL = 1e-13

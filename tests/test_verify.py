@@ -8,8 +8,8 @@ import kredux as kx
 from kredux.verify import run_verify
 
 # Reports of run_verify(torus_grid(n=16, n_l=33, margin=4), seed=0), written
-# when the level solve began to stop each node where Newton stops moving
-# (the change that removed root_tol).  The grid is too coarse for the
+# when the level solve began to bracket each root in one fiber segment and
+# polish it from the segment's secant point.  The grid is too coarse for the
 # thresholds to pass; only the numbers matter.
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "verify")
 REL = 1e-13
