@@ -4,6 +4,14 @@
            [--config FILE] [--out DIR] [--in DIR] [key=value ...]
 
 Exit codes: 0 pass, 2 identity failure, 3 input error, 4 numerical breakdown.
+
+On glibc, ``main`` first pins the allocator's policy: allocations below
+32 MiB come from the heap, and the heap gives memory back to the kernel only
+when more than 64 MiB is free at its top.  glibc's default sends freed numpy
+temporaries of a few MB back to the kernel, and the next one of the same size
+page-faults its memory in again.  Both thresholds are set, since setting
+either one turns off glibc's own adjustment of the other.  ``import kredux``
+changes nothing, and the policy has no option; elsewhere it is a no-op.
 """
 
 from __future__ import annotations
@@ -32,6 +40,25 @@ EXIT_OK = 0
 EXIT_IDENTITY = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
+
+_M_TRIM_THRESHOLD = -1  # mallopt parameters, from glibc's malloc.h
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD = 32 << 20  # glibc's ceiling for its dynamic mmap threshold
+_TRIM_THRESHOLD = 2 * _MMAP_THRESHOLD  # glibc's own rule when it raises it
+
+
+def _pin_malloc_policy():
+    try:
+        if not (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc"):
+            return
+        import ctypes
+
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, ValueError, OSError):
+        return
+    # the trim threshold alone would leave the mmap threshold at 128 KiB
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 def _grid_from(cfg: RunConfig) -> TestbedGrid:
@@ -207,6 +234,7 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    _pin_malloc_policy()
     args, overrides = _build_parser().parse_known_args(argv)
     try:
         for item in overrides:

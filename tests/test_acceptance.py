@@ -28,14 +28,14 @@ def test_c01_convention_gate():
             f"contraction min {rep.extra['min_vv']:.3f} > 0")
 
 
-def test_c02_gauge_invariance(tg):
-    rep = gauge_invariance(tg)
+def test_c02_gauge_invariance(perturbed):
+    rep = gauge_invariance(perturbed)
     ok = rep.linf < 1e-10
     verdict(2, "gauge invariance", ok, f"worst gap {rep.linf:.2e} (< 1e-10)")
 
 
-def test_c03_identity_battery(tg):
-    reports = battery_with_slopes(tg, seed=1, dtau=1e-4)
+def test_c03_identity_battery(perturbed):
+    reports = battery_with_slopes(perturbed, seed=1, dtau=1e-4)
     worst = max(r.linf for r in reports.values())
     slopes = {k: r.slope for k, r in reports.items()}
     ok = worst < 1e-5 and all(s >= 2.0 for s in slopes.values())

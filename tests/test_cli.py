@@ -13,6 +13,27 @@ def run(args):
     return main(args)
 
 
+def run_fresh(probe, *args):
+    """Run ``python -c probe *args`` in a fresh interpreter that imports
+    kredux from this tree; returns the completed process, which must exit 0."""
+    src = os.path.normpath(os.path.join(os.path.dirname(
+        os.path.abspath(__file__)), "..", "src"))
+    extra = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=src + os.pathsep + extra if extra else src)
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return out
+
+
+def on_glibc():
+    try:
+        return (os.confstr("CS_GNU_LIBC_VERSION") or "").startswith("glibc")
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
 def small_args(tmp_path, **over):
     base = {"testbed": "torus", "n": "32", "n_l": "129", "margin": "8",
             "out": str(tmp_path / "out")}
@@ -81,14 +102,7 @@ def test_no_command_imports_scipy(tmp_path):
              "cyl = kx.flat_cylinder(kx.torus_grid(n=12, n_l=33, margin=4))\n"
              "kx.reparametrize(cyl, lambda m: kx.kr_time_map(0.1, 0.1, 0.5, m))\n"
              "print(*codes, 'scipy' in sys.modules)\n")
-    src = os.path.normpath(os.path.join(os.path.dirname(
-        os.path.abspath(__file__)), "..", "src"))
-    extra = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=src + os.pathsep + extra if extra else src)
-    out = subprocess.run([sys.executable, "-c", probe], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
+    out = run_fresh(probe)
     *codes, scipy_loaded = out.stdout.splitlines()[-1].split()
     # verify at this resolution may report an identity failure (exit 2)
     assert codes[0] in ("0", "2")
@@ -402,3 +416,51 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     names = {span[3] for span in tracer.spans}
     assert {"structure.assemble", "reduction.level_set",
             "io.dump_field"} <= names
+
+
+# minor page faults of a second fresh-process run of RADIAL_RESIDUAL: 2,699
+# under glibc's default allocator policy, 3-4 with main's policy pinned
+SECOND_RUN_FAULTS = 500
+RADIAL_RESIDUAL = ["residual", "--eq", "kr", "testbed=radial", "n=257",
+                   "n_l=129", "fixture=fscyl"]
+glibc_linux = pytest.mark.skipif(
+    not (sys.platform.startswith("linux") and on_glibc()),
+    reason="the allocator policy is pinned on glibc only")
+
+
+@glibc_linux
+def test_main_reuses_freed_memory(tmp_path):
+    probe = ("import resource, sys\n"
+             "from kredux import cli\n"
+             "for out in sys.argv[1:]:\n"
+             "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+             f"    assert cli.main({RADIAL_RESIDUAL!r} + ['--out', out]) == 0\n"
+             "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n")
+    out = run_fresh(probe, str(tmp_path / "a"), str(tmp_path / "b"))
+    faults = int(out.stdout.splitlines()[-1])
+    assert faults < SECOND_RUN_FAULTS
+
+
+@glibc_linux
+def test_import_leaves_the_allocator_alone():
+    # numpy itself imports ctypes, so the probe asks glibc: an allocation of
+    # 24 MiB, kept alive, is mmapped under the default policy and comes from
+    # the heap once the policy is pinned; only main pins it
+    probe = ("import ctypes\n"
+             "import numpy as np\n"
+             "import kredux, kredux.cli\n"
+             "class Mallinfo(ctypes.Structure):\n"
+             "    _fields_ = [(k, ctypes.c_int) for k in ('arena', 'ordblks',\n"
+             "        'smblks', 'hblks', 'hblkhd', 'usmblks', 'fsmblks',\n"
+             "        'uordblks', 'fordblks', 'keepcost')]\n"
+             "libc = ctypes.CDLL(None)\n"
+             "libc.mallinfo.restype = Mallinfo\n"
+             "kept = []\n"
+             "def mmapped():\n"
+             "    before = libc.mallinfo().hblks\n"
+             "    kept.append(np.ones(3 << 20))\n"
+             "    return libc.mallinfo().hblks - before\n"
+             "print(mmapped(), end=' ')\n"
+             "kredux.cli._pin_malloc_policy()\n"
+             "print(mmapped())\n")
+    assert run_fresh(probe).stdout.split() == ["1", "0"]

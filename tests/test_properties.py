@@ -1,7 +1,7 @@
 """Randomized properties of the fiber interpolant and its antiderivative, the
-level solve, the cubic spline, gauge moves, the fixed points of the flows and
-the round trips of configurations, field dumps and grids (hypothesis,
-derandomized so the suite is repeatable)."""
+level solve, the cubic spline, gauge moves, the fixed points of the flows,
+reduction and lift as inverses, and the round trips of configurations, field
+dumps and grids (hypothesis, derandomized so the suite is repeatable)."""
 
 import os
 import tempfile
@@ -189,6 +189,35 @@ def test_gauge_move_keeps_omega_and_mu(seed, amplitude, b, c_tilde):
         gap = getattr(Kt.omega, name) - getattr(K.omega, name)
         assert np.max(np.abs(gap)) < 1e-10
     assert np.max(np.abs(Kt.mu.values - K.mu.values)) < 1e-10
+
+
+# Twice the largest gaps measured over the strategy's box; both peak at its
+# corner amplitude 0.03, shrink 0.05, at 3.3e-7 and 3.3e-9.  The moment-map
+# gap falls at order 3 under fiber refinement, set by the lift's cubic in time.
+LIFT_MU_GAP = 7e-7
+LIFT_PSI_GAP = 7e-9
+
+
+@settings(SETTINGS, max_examples=10)
+@given(amplitude=st.floats(0.005, 0.03), shrink=st.floats(0.05, 0.15))
+@example(amplitude=0.03, shrink=0.05)
+def test_reduction_and_lift_are_inverse(amplitude, shrink):
+    # the family of K's reductions is concave as it stands, so it lifts with
+    # no shift; the lift must give back K's moment map and K's reductions
+    K = kx.perturbed_cylinder(kx.torus_grid(16, 65, margin=4), amplitude)
+    taus = kx.default_taus(K, count=41, shrink=shrink)
+    psis = np.array([kx.reduced_potential(K, t).psi_tau.values for t in taus])
+    path = kx.FlowPath(K.grid, K.sigma, "reductions", taus, psis)
+    lift = kx.legendre_lift(path, n_l=65)
+    g = lift.data.grid
+    mu_k = np.stack([K.mu_interp().at(np.full(g.spatial_shape, l))
+                     for l in g.l], axis=-1)
+    gap = np.abs(lift.data.mu.values - mu_k)[g.interior_p()]
+    assert np.max(gap) < LIFT_MU_GAP
+    for tau in kx.admissible_taus(path, lift):
+        psi_tau = psis[np.flatnonzero(taus == tau)[0]]
+        gap = kx.reduced_potential(lift.data, tau).psi_tau.values - psi_tau
+        assert np.max(np.abs(gap)) < LIFT_PSI_GAP
 
 
 def _moves(run, sigma, const, **kw):
