@@ -29,8 +29,8 @@ from .fixtures import (flat_cylinder, flat_sigma, fs_cylinder, fs_sigma,
 from .flows import calabi_integrate, kr_integrate, pseudo_calabi_integrate
 from .golden import golden_grid, run_golden
 from .grids import TORUS, TestbedGrid
-from .io import (dir_hashes, load_kahler, load_lift_taus, load_path,
-                 save_kahler, save_path, save_reduction, write_json)
+from .io import (load_kahler, load_lift_taus, load_path, save_kahler,
+                 save_path, save_reduction, write_json, write_meta)
 from .lift import admissible_taus, concavity_shift, legendre_lift, roundtrip_check
 from .reduction import reduced_potential
 from .statics import RESIDUALS
@@ -87,18 +87,6 @@ def _load_or_fixture(cfg, grid, in_dir):
     return _fixture_from(cfg, grid)
 
 
-def _finalize_dir(outdir, cfg):
-    import json
-
-    meta_path = os.path.join(outdir, "meta.json")
-    meta = {}
-    if os.path.exists(meta_path):
-        with open(meta_path, "r", encoding="utf-8") as fh:
-            meta = json.load(fh)
-    meta.update({"config": cfg.to_dict(), "hashes": dir_hashes(outdir)})
-    write_json(meta_path, meta)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -112,7 +100,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     for name in names:
         write_json(os.path.join(cfg.out, f"{name}.json"),
                    reports[name].to_dict())
-    _finalize_dir(cfg.out, cfg)
+    write_meta(cfg.out, {"config": cfg.to_dict()},
+               [f"{name}.json" for name in names])
     for name in names:
         rep = reports[name]
         slope = "" if rep.slope is None else f"  order={rep.slope:.2f}"
@@ -130,8 +119,7 @@ def cmd_reduce(cfg: RunConfig, in_dir=None) -> int:
     grid = _grid_from(cfg)
     K = _load_or_fixture(cfg, grid, in_dir)
     red = reduced_potential(K, cfg.tau)
-    save_reduction(red, cfg.out)
-    _finalize_dir(cfg.out, cfg)
+    save_reduction(red, cfg.out, {"config": cfg.to_dict()})
     print(f"tau={red.tau}: root residual {red.max_root_residual:.3e}, "
           f"min omega_tau component {red.min_eigenvalue:.6f}")
     return EXIT_OK
@@ -162,7 +150,7 @@ def cmd_flow(cfg: RunConfig) -> int:
     else:
         raise ValueError(f"unknown flow kind {cfg.flow_kind!r}")
     save_path(path, cfg.out)
-    _finalize_dir(cfg.out, cfg)
+    write_meta(cfg.out, {"config": cfg.to_dict()}, ("sigma.csv", "path.csv"))
     print(f"{cfg.flow_kind}: {path.n_samples} samples to t={path.ts[-1]:.4g}")
     return EXIT_OK
 
@@ -175,7 +163,7 @@ def cmd_lift(cfg: RunConfig, in_dir) -> int:
     lift = legendre_lift(shifted, n_l=cfg.n_l, a_t=a_t)
     taus = admissible_taus(shifted, lift)
     rep = roundtrip_check(shifted, lift, taus)
-    save_kahler(lift.data, cfg.out)
+    save_kahler(lift.data, cfg.out, {"config": cfg.to_dict()})
     write_json(os.path.join(cfg.out, "lift_meta.json"),
                {"a_t": [[float(t), float(a)]
                         for t, a in zip(path.ts, lift.a_t)],
@@ -183,7 +171,6 @@ def cmd_lift(cfg: RunConfig, in_dir) -> int:
                 "max_inversion_residual": lift.max_inversion_residual,
                 "admissible_taus": [float(t) for t in taus],
                 "roundtrip": rep.to_dict()})
-    _finalize_dir(cfg.out, cfg)
     print(f"lift window [{lift.window[0]:.4g}, {lift.window[1]:.4g}], "
           f"roundtrip gap {rep.linf:.3e}")
     return EXIT_OK
@@ -195,8 +182,9 @@ def cmd_residual(cfg: RunConfig, in_dir, eq) -> int:
     taus = load_lift_taus(in_dir) if in_dir else None
     rep = RESIDUALS[eq](K, taus=taus)
     os.makedirs(cfg.out, exist_ok=True)
-    write_json(os.path.join(cfg.out, f"residual_{eq}.json"), rep.to_dict())
-    _finalize_dir(cfg.out, cfg)
+    name = f"residual_{eq}.json"
+    write_json(os.path.join(cfg.out, name), rep.to_dict())
+    write_meta(cfg.out, {"config": cfg.to_dict()}, [name])
     reduced = rep.reduced_linf
     msg = "" if reduced is None else f", reduced-equivalence {reduced:.3e}"
     print(f"{eq}: linf={rep.linf:.3e}{msg}")
@@ -209,7 +197,7 @@ def cmd_golden(cfg: RunConfig) -> int:
     report = run_golden(grid)
     os.makedirs(cfg.out, exist_ok=True)
     write_json(os.path.join(cfg.out, "golden.json"), report)
-    _finalize_dir(cfg.out, cfg)
+    write_meta(cfg.out, {"config": cfg.to_dict()}, ["golden.json"])
     for w in report["warnings"]:
         print(f"note: {w}")
     print("golden checks " + ("pass" if report["passed"] else "FAIL"))

@@ -16,10 +16,12 @@ spline.
   and ``reparametrize``, and on the uniform radial axis the two
   antiderivatives of the radial Poisson solve.
   :meth:`FiberInterp.solve_decreasing` is the level solve, bracket then
-  polish: one comparison of the node values with the level puts each root
+  polish: one comparison of the node values with the levels puts each root
   in one fiber segment, that segment's window is gathered once, and guarded
   Newton on the window's polynomial starts at the segment's secant point,
-  typically 0-2 steps from the root.
+  typically 0-2 steps from the root.  Any number of levels go through one
+  loop, and each level comes back with the weights at its roots, built on
+  the windows the solve used, so no reduction builds them again.
 * :class:`NotAKnotSpline`, the not-a-knot cubic spline in numpy, with
   scipy's ``CubicSpline`` coefficient layout: the time splines of
   :mod:`kredux.lift` and the level profile ``h_canonical``.
@@ -34,6 +36,11 @@ from .errors import NotConverged
 _BARY6 = np.array([1.0, -5.0, 10.0, -10.0, 5.0, -1.0])
 _WIDTH = 6
 MAX_NEWTON_STEPS = 120  # level solve step cap: NotConverged past it
+# (level, node) pairs per loop of the level solve.  Its temporaries grow with
+# the pairs, 6 window values each: 2048 keeps them near those of one level at
+# 32x32 (measured: 9 torus levels at once raise the verify heap by 1.7 MB),
+# and at this size the loop is no slower than with every level at once.
+_LOOP_PAIRS = 2048
 # Row p, over 1440: the integrals over [p, p + 1] of the Lagrange basis on the
 # local nodes 0..5.  A fiber segment takes the row of its place in its window.
 _SEGMENT_ROWS = np.array([[475, 1427, -798, 482, -173, 27],
@@ -108,6 +115,20 @@ class FiberWeights:
             return self.apply(values.real) + 1j * self.apply(values.imag)
         return self.value(self.window(values)).reshape(self.shape)
 
+    def split(self):
+        """One set of weights per index of the points' first axis."""
+        count = self.shape[0]
+        size = len(self.idx) // count
+        parts = []
+        for k in range(count):
+            part = object.__new__(FiberWeights)
+            part.shape = self.shape[1:]
+            rows = slice(k * size, (k + 1) * size)
+            for name in ("idx", "hit", "on_node", "d", "c", "denom"):
+                setattr(part, name, getattr(self, name)[rows])
+            parts.append(part)
+        return parts
+
 
 class FiberInterp:
     """Order-6 local Lagrange interpolation of ``values`` along the last axis."""
@@ -150,10 +171,13 @@ class FiberInterp:
 
     def solve_decreasing(self, target):
         """Per-node root of interp(l) = target for fiberwise decreasing data,
-        on the nodes whose end values bracket the target.
+        on the nodes whose end values bracket the target.  ``target`` is one
+        level or a 1-d array of levels; every (level, node) pair goes through
+        one loop, up to _LOOP_PAIRS pairs at a time, and each pair's iterates
+        are those of a solve of its level alone.
 
         Bracket, then polish.  One comparison of the node values with the
-        target brackets each root in one segment, the one ending at the
+        targets brackets each root in one segment, the one ending at the
         node's first value below the target (the last segment if none is
         below), and that segment's 6-point window is gathered once: it is
         the window FiberWeights takes for any point inside the segment, so
@@ -166,52 +190,85 @@ class FiberInterp:
         equal to a node value returns that node without a step, and a root
         on a node's snap plateau still stops.
 
-        Returns ``(roots, missing, max_residual, iterations)``; missing marks
-        the other nodes, whose roots are set to the first fiber node, and
-        iterations counts the Newton updates taken.  Raises NotConverged,
-        naming the level, if a node still moves after MAX_NEWTON_STEPS.
+        One level returns ``(roots, missing, max_residual, iterations)``;
+        missing marks the other nodes, whose roots are set to the first
+        fiber node, and iterations counts the Newton updates taken.  An
+        array of levels returns one ``(roots, missing, max_residual,
+        iterations, weights)`` per level, where ``weights`` are the fiber
+        weights at the roots on the windows the solve used (window 0 at a
+        missing node): they apply as ``weights(roots)`` does.  Raises
+        NotConverged, naming the first level whose nodes still move after
+        MAX_NEWTON_STEPS.
         """
+        levels = np.asarray(target, dtype=float)
+        if levels.ndim == 0:
+            return self._solve(levels.reshape(1))[0][:4]
+        per = max(1, _LOOP_PAIRS // len(self._vals))
+        return [level for k in range(0, levels.size, per)
+                for level in self._solve(levels[k:k + per])]
+
+    def _solve(self, levels):
+        """``solve_decreasing`` of a 1-d array of levels, in one loop."""
+        t = levels.reshape(-1, 1)
         vals, l, n = self._vals, self.l, self.l.size
-        missing = ~((vals[:, 0] >= target) & (vals[:, -1] <= target))
-        nodes = np.flatnonzero(~missing)
-        roots, worst = np.full(missing.size, l[0]), 0.0
-        seg = np.argmax(vals < target, axis=1)[nodes] - 1
+        missing = ~((vals[:, 0] >= t) & (vals[:, -1] <= t))
+        # one item per (level, node) pair with a root, level by level
+        item = np.flatnonzero(~missing)
+        level, nodes = np.divmod(item, len(vals))
+        tgt = t[level, 0]
+        seg = np.argmax(vals < t[:, :, None], axis=2).ravel()[item] - 1
         seg[seg < 0] = n - 2
-        idx = _window(seg, n)
+        # each pair's window; a missing node keeps the first one
+        segs = np.zeros(missing.size, dtype=seg.dtype)
+        segs[item] = seg
+        windows = _window(segs, n)
+        idx = windows[item]
         fj = vals[nodes[:, None], idx]
         lo, hi = l[seg], l[seg + 1]
         f_lo, f_hi = vals[nodes, seg], vals[nodes, seg + 1]
         # f_lo >= target >= f_hi; the secant point is the node when f_lo or
         # f_hi is the target
-        frac = (f_lo - target) / np.maximum(f_lo - f_hi, np.finfo(float).tiny)
+        frac = (f_lo - tgt) / np.maximum(f_lo - f_hi, np.finfo(float).tiny)
         x = (1.0 - frac) * lo + frac * hi
+        roots = np.full(missing.size, l[0])
+        worst = np.zeros(len(t))
+        steps = np.zeros(len(t), dtype=int)
         still = 4 * np.finfo(float).eps * max(abs(l[0]), abs(l[-1]))
         for step in range(MAX_NEWTON_STEPS + 1):
             w = FiberWeights(l, x, idx=idx)
             val = w.value(fj)
-            r = val - target
+            r = val - tgt
             lo = np.where(r > 0, np.maximum(lo, x), lo)
             hi = np.where(r < 0, np.minimum(hi, x), hi)
             with np.errstate(divide="ignore", invalid="ignore"):
                 dx = r / w.slope(fj, val)
             done = (r == 0) | (np.abs(dx) <= still) | (hi - lo <= still)
-            roots[nodes[done]] = x[done]
-            worst = max(worst, float(np.max(np.abs(r[done]), initial=0.0)))
+            roots[item[done]] = x[done]
+            np.maximum.at(worst, level[done], np.abs(r[done]))
+            steps[level[done]] = step
             if done.all():
                 break
             if step == MAX_NEWTON_STEPS:
+                first = level[~done][0]
+                moving = (level == first) & ~done
                 raise NotConverged(
-                    f"level solve at {target:.6g}: {int(np.sum(~done))} "
-                    f"roots still moving after {step} Newton steps (worst "
-                    f"residual {float(np.max(np.abs(r[~done]))):.3e})")
-            nodes, idx, fj, x, lo, hi, dx = (
-                a[~done] for a in (nodes, idx, fj, x, lo, hi, dx))
+                    f"level solve at {t[first, 0]:.6g}: "
+                    f"{int(np.sum(moving))} roots still moving after {step} "
+                    f"Newton steps (worst residual "
+                    f"{float(np.max(np.abs(r[moving]))):.3e})")
+            keep = np.flatnonzero(~done)
+            item, level, tgt, idx, fj, x, lo, hi, dx = (
+                a[keep] for a in (item, level, tgt, idx, fj, x, lo, hi, dx))
             x_new = x - dx
             bad = (x_new <= lo) | (x_new >= hi) | ~np.isfinite(x_new)
             x = np.where(bad, 0.5 * (lo + hi), x_new)
-        return (roots.reshape(self.spatial_shape),
-                missing.reshape(self.spatial_shape),
-                worst if (~missing).any() else np.nan, step)
+        found = (~missing).any(axis=1)
+        worst = [float(a) if f else np.nan for a, f in zip(worst, found)]
+        shape = self.spatial_shape
+        roots = roots.reshape((len(t),) + shape)
+        missing = missing.reshape((len(t),) + shape)
+        weights = FiberWeights(l, roots, idx=windows).split()
+        return list(zip(roots, missing, worst, steps.tolist(), weights))
 
 
 class NotAKnotSpline:

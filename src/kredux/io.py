@@ -7,11 +7,13 @@ Field dump (CSV, decimal text at 17 significant digits):
 
 Radial grids use rows ``i,k,v,l,value``; base fields set ``Nl=0`` and drop
 the fiber columns.  Writes are atomic (write to a temporary file, then
-rename).  Field dumps and ``path.csv`` (rows ``k,t,i[,j],value``) are
-written in slabs, one per first index (spatial index or sample): one row
-template per file, filled per slab with the slab's index and first
-coordinate (or ``t``) and ``%``-formatted values, so a file is never held
-whole in memory and its bytes are those of the row-by-row format.
+rename).  Total-space field dumps and ``path.csv`` (rows
+``k,t,i[,j],value``) are written in slabs, one per first index (spatial
+index or sample): one row template per file, filled per slab with the
+slab's index and first coordinate (or ``t``) and ``%``-formatted values, so
+a file is never held whole in memory.  A base field is one slab, its whole
+row template filled at once.  Either way the bytes are those of the
+row-by-row format.
 
 Loads parse whole slabs at a time with ``np.loadtxt`` into one owned array.
 A field header must give integer counts and a grid ``TestbedGrid`` accepts;
@@ -146,11 +148,18 @@ def dump_field(field, path):
     else:
         raise TypeError(f"cannot dump {type(field).__name__}")
     axes = _dump_axes(grid, on_base)
+    header = _header(grid, on_base) + "\n"
+    if on_base:
+        # a base field is small: one slab
+        ix, text = _slab_columns(axes)
+        atomic_write(path, (header, _row_template(*ix, *text)
+                            % tuple(values.ravel().tolist())))
+        return
     ix, text = _slab_columns(axes[1:])
     template = _row_template("\0", *ix, "\1", *text)
-    atomic_write(path, itertools.chain([_header(grid, on_base) + "\n"],
-                                       _slabs(template, _fmt(axes[0]),
-                                              values)))
+    atomic_write(path, itertools.chain([header], _slabs(template,
+                                                        _fmt(axes[0]),
+                                                        values)))
 
 
 def _parse_header(line, path, magic):
@@ -298,13 +307,22 @@ def _load_on(grid: TestbedGrid, path, meta_path):
     return values
 
 
-def save_kahler(K: KahlerData, outdir):
+def write_meta(outdir, meta, names):
+    """Write ``outdir/meta.json``: ``meta`` and the hashes of the files
+    ``names`` in ``outdir``, the ones its writer wrote."""
+    write_json(os.path.join(outdir, "meta.json"),
+               {**meta, "hashes": dir_hashes(outdir, names)})
+
+
+def save_kahler(K: KahlerData, outdir, meta=None):
+    """Write ``sigma.csv``, ``phi.csv`` and a ``meta.json`` that holds the
+    structure's constants and ``meta``."""
     os.makedirs(outdir, exist_ok=True)
     dump_field(K.sigma, os.path.join(outdir, "sigma.csv"))
     dump_field(K.phi, os.path.join(outdir, "phi.csv"))
-    meta = {"c": K.c, "grid": K.grid.meta(),
-            "positivity_min_eig": K.certificate.min_eigenvalue}
-    write_json(os.path.join(outdir, "meta.json"), meta)
+    write_meta(outdir, {"c": K.c, "grid": K.grid.meta(),
+                        "positivity_min_eig": K.certificate.min_eigenvalue,
+                        **(meta or {})}, ("sigma.csv", "phi.csv"))
     return outdir
 
 
@@ -317,14 +335,17 @@ def load_kahler(outdir) -> KahlerData:
                     float(meta["c"]))
 
 
-def save_reduction(red, outdir):
+def save_reduction(red, outdir, meta=None):
+    """Write ``ltau.csv``, ``psitau.csv``, ``omegatau.csv`` and a
+    ``meta.json`` that holds the level's diagnostics and ``meta``."""
     os.makedirs(outdir, exist_ok=True)
-    dump_field(red.l_tau, os.path.join(outdir, "ltau.csv"))
-    dump_field(red.psi_tau, os.path.join(outdir, "psitau.csv"))
-    dump_field(red.omega_tau, os.path.join(outdir, "omegatau.csv"))
-    meta = {"tau": red.tau, "max_root_residual": red.max_root_residual,
-            "min_eigenvalue": red.min_eigenvalue}
-    write_json(os.path.join(outdir, "meta.json"), meta)
+    names = ("ltau.csv", "psitau.csv", "omegatau.csv")
+    for name, field in zip(names, (red.l_tau, red.psi_tau, red.omega_tau)):
+        dump_field(field, os.path.join(outdir, name))
+    write_meta(outdir, {"tau": red.tau,
+                        "max_root_residual": red.max_root_residual,
+                        "min_eigenvalue": red.min_eigenvalue,
+                        **(meta or {})}, names)
     return outdir
 
 
@@ -398,10 +419,7 @@ def load_lift_taus(lift_dir):
     return np.array(taus, dtype=float)
 
 
-def dir_hashes(outdir):
-    out = {}
-    for name in sorted(os.listdir(outdir)):
-        p = os.path.join(outdir, name)
-        if os.path.isfile(p) and not name.endswith("meta.json"):
-            out[name] = sha256_of(p)
-    return out
+def dir_hashes(outdir, names):
+    """The sha256 of each of the files ``names`` in ``outdir``."""
+    return {name: sha256_of(os.path.join(outdir, name))
+            for name in sorted(names)}

@@ -25,7 +25,7 @@ from .errors import HypothesisViolated, NonConcave, NotConverged, OutOfWindow
 from .fields import ScalarFieldP, ddc_m
 from .flows import FlowPath, time_derivative
 from .interp import NotAKnotSpline
-from .reduction import reduced_potential
+from .reduction import reduced_potentials
 from .reports import ResidualReport
 from .structure import KahlerData, assemble
 
@@ -271,8 +271,8 @@ def roundtrip_check(path: FlowPath, lift: LiftResult, taus) -> ResidualReport:
     sq = []
     form_gap = 0.0
     by_tau = []
-    for tau in np.asarray(taus, dtype=float):
-        red = reduced_potential(lift.data, tau)
+    taus = np.asarray(taus, dtype=float)
+    for tau, red in zip(taus, reduced_potentials(lift.data, taus)):
         target = splines.value(np.full(nspace, tau)).reshape(grid.spatial_shape)
         gap = red.psi_tau.values - target
         gap = gap - np.mean(gap[mask])

@@ -4,18 +4,25 @@ Reduction of an invariant scalar f at level tau evaluates f along the fiber
 at the unique l_tau(x) with mu(x, l_tau(x)) = tau; the moment map is
 fiberwise strictly decreasing on positive data, so the level always brackets.
 The level is solved by the one fiber Newton solver of :mod:`kredux.interp`
-and keeps the interpolation weights at l_tau: scalars, spatial 1-form
-components and 2-forms, real or complex, all reduce through those weights.
+and keeps the solver's own interpolation weights at l_tau: scalars, spatial
+1-form components and 2-forms, real or complex, all reduce through those
+weights.
 
 Level sets and reduced potentials of assembled data are solved once per tau
-and kept with the structure.  The identity checks take a sequence of levels
-(a scalar is one level): each builds its tau-independent total-space arrays
-once, evaluates every level, and returns one report with the worst norms and
-each level's sup norm in ``reduced_by_tau``.
+and kept with the structure.  ``level_sets`` and ``reduced_potentials`` take
+a sequence of levels and send every level the structure does not keep yet
+through one fiber solve; ``reduced_potentials`` also builds the invariant
+field phi + ((mu - c)/2) l that its levels reduce once.  ``level_set`` and
+``reduced_potential`` are the one-level forms.  The identity checks take a
+sequence of levels (a scalar is one level): each solves its levels together,
+builds its tau-independent total-space arrays once, evaluates every level,
+and returns one report with the worst norms and each level's sup norm in
+``reduced_by_tau``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -56,12 +63,16 @@ class ReductionResult:
     level: LevelSet
 
 
-def _solve_level(interp, grid, tau) -> LevelSet:
-    roots, missing, resid, iterations = interp.solve_decreasing(tau)
-    complete = not missing.any()
-    return LevelSet(float(tau), ScalarFieldM(grid, roots),
-                    interp.weights(roots), resid if complete else float("nan"),
-                    iterations, None if complete else missing)
+def _solve_levels(interp, grid, taus) -> list[LevelSet]:
+    """A LevelSet per level of ``taus``, all from one fiber solve."""
+    levels = []
+    for tau, (roots, missing, resid, iterations, weights) in zip(
+            taus, interp.solve_decreasing(np.asarray(taus, dtype=float))):
+        complete = not missing.any()
+        levels.append(LevelSet(float(tau), ScalarFieldM(grid, roots), weights,
+                               resid if complete else float("nan"),
+                               iterations, None if complete else missing))
+    return levels
 
 
 def level_set(K: KahlerData | ScalarFieldP, tau: float,
@@ -78,16 +89,33 @@ def level_set(K: KahlerData | ScalarFieldP, tau: float,
     if not np.isfinite(tau):
         raise ValueError(f"level tau={tau} is not finite")
     if isinstance(K, KahlerData):
-        level = K.cached(("level_set", float(tau)),
-                         lambda: _solve_level(K.mu_interp(), K.grid, tau))
+        level = K.cached(("level_set", float(tau)), lambda: _solve_levels(
+            K.mu_interp(), K.grid, [tau])[0])
     else:
-        level = _solve_level(FiberInterp(K.grid.l, K.values), K.grid, tau)
+        level = _solve_levels(FiberInterp(K.grid.l, K.values), K.grid,
+                              [tau])[0]
     if raise_on_miss and not level.complete:
         raise OutOfRange(
             f"tau={tau} outside the fiber range at "
             f"{int(np.sum(level.missing))} spatial nodes",
             missing=level.missing)
     return level
+
+
+def _keep_levels(K: KahlerData, taus):
+    """Solve the finite levels of ``taus`` that ``K`` does not keep yet, all
+    in one fiber solve, and keep them."""
+    K.cache_new([("level_set", float(t)) for t in taus if np.isfinite(t)],
+                lambda keys: _solve_levels(K.mu_interp(), K.grid,
+                                           [key[1] for key in keys]))
+
+
+def level_sets(K: KahlerData, taus) -> list[LevelSet]:
+    """:func:`level_set` at each level of ``taus``; the levels ``K`` does
+    not keep yet go through one fiber solve."""
+    taus = _levels(taus)
+    _keep_levels(K, taus)
+    return [level_set(K, tau) for tau in taus]
 
 
 def reduce_scalar(f: ScalarFieldP, level: LevelSet) -> ScalarFieldM:
@@ -117,18 +145,12 @@ def reduce_form(theta: Form11P, level: LevelSet):
     return Form11M(grid, h), ang_sup
 
 
-def reduced_potential(K: KahlerData, tau: float) -> ReductionResult:
-    """Reduced potential psi_tau and reduced form omega_tau = sigma + dd^c psi_tau.
-
-    psi is the invariant field phi + ((mu - c)/2) l.  Raises NotPositive
-    where omega_tau degenerates.
-    """
+def _reduced_potential(K: KahlerData, tau, psi) -> ReductionResult:
+    """:func:`reduced_potential`, with ``psi()`` the invariant field
+    phi + ((mu - c)/2) l that psi_tau reduces."""
     def build():
-        grid = K.grid
         level = level_set(K, tau)
-        psi_p = ScalarFieldP(
-            grid, K.phi.values + 0.5 * (K.mu.values - K.c) * grid.l)
-        psi_tau = reduce_scalar(psi_p, level)
+        psi_tau = reduce_scalar(psi(), level)
         omega_tau = K.sigma + ddc_m(psi_tau)
         return ReductionResult(float(tau), level.l_tau, psi_tau, omega_tau,
                                level.max_residual, float(np.min(omega_tau.h)),
@@ -141,6 +163,28 @@ def reduced_potential(K: KahlerData, tau: float) -> ReductionResult:
             f"(min component {red.min_eigenvalue:.3e})",
             eigenvalue=red.min_eigenvalue)
     return red
+
+
+def reduced_potential(K: KahlerData, tau: float) -> ReductionResult:
+    """Reduced potential psi_tau and reduced form omega_tau = sigma + dd^c psi_tau.
+
+    psi_tau is the reduction of the invariant field phi + ((mu - c)/2) l.
+    Raises NotPositive where omega_tau degenerates.
+    """
+    return reduced_potentials(K, [tau])[0]
+
+
+def reduced_potentials(K: KahlerData, taus) -> list[ReductionResult]:
+    """:func:`reduced_potential` at each level of ``taus``; the levels ``K``
+    does not keep yet go through one fiber solve, and the field they reduce
+    is built once."""
+    taus = _levels(taus)
+    _keep_levels(K, taus)
+    # not kept with K: it would hold one more total-space array through the
+    # structure's later peaks (1 MB at the verify battery's 32x32x129)
+    psi = functools.cache(lambda: ScalarFieldP(
+        K.grid, K.phi.values + 0.5 * (K.mu.values - K.c) * K.grid.l))
+    return [_reduced_potential(K, tau, psi) for tau in taus]
 
 
 def default_taus(K: KahlerData, count=7, shrink=0.25):
@@ -181,6 +225,7 @@ def check_dertau(K: KahlerData, f: ScalarFieldP, taus,
     grid = K.grid
     taus = _levels(taus)
     g = jv_apply(f) / K.vsq
+    _keep_levels(K, np.concatenate([taus + dtau, taus - dtau, taus]))
     norms = []
     for tau in taus:
         up = reduce_scalar(f, level_set(K, tau + dtau))
@@ -200,8 +245,7 @@ def check_dcred(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     g = jv_apply(f) / K.vsq
     combo = grid.dz_stripped(f.values) + g.values * K.omega.g12  # g12 = -dz mu
     norms = []
-    for tau in taus:
-        level = level_set(K, tau)
+    for level in level_sets(K, taus):
         lhs = grid.dz_stripped(reduce_scalar(f, level).values)
         rhs = level.weights.apply(combo)
         gap = np.abs(lhs - rhs) * np.sqrt(grid.mixed_weight)
@@ -227,8 +271,7 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
         raise Degenerate("total-space volume density vanishes")
     ratio /= den_p
     norms = []
-    for tau in taus:
-        red = reduced_potential(K, tau)
+    for red in reduced_potentials(K, taus):
         num_m = red.omega_tau + ddc_m(reduce_scalar(f, red.level))
         lhs = num_m.h / red.omega_tau.h
         rhs = red.level.weights.apply(ratio)
@@ -246,8 +289,7 @@ def laplace_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
              - descent_drift(K) * jvf / K.vsq
              - jv_apply(jvf) / (2.0 * K.vsq))
     norms = []
-    for tau in taus:
-        red = reduced_potential(K, tau)
+    for red in reduced_potentials(K, taus):
         lhs = laplacian_m(reduce_scalar(f, red.level), red.omega_tau).values
         rhs = reduce_scalar(rhs_p, red.level)
         norms.append(_m_norms(grid, lhs - rhs.values))

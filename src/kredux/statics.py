@@ -19,7 +19,8 @@ from .fields import (Form11P, ScalarFieldP, ddc_m, d_wedge_dc, ddc_p,
                      integrate_m, interior_norms)
 from .interp import FiberInterp, NotAKnotSpline
 from .reports import ResidualReport
-from .reduction import default_taus, level_set, reduce_scalar, reduced_potential
+from .reduction import (default_taus, level_sets, reduce_scalar,
+                        reduced_potentials)
 from .structure import KahlerData, assemble
 
 
@@ -48,8 +49,7 @@ def h_canonical(K: KahlerData, taus=None):
     taus = default_taus(K) if taus is None else np.asarray(taus, dtype=float)
     lam = lambda_mean(K.sigma)
     vals = []
-    for tau in taus:
-        red = reduced_potential(K, tau)
+    for red in reduced_potentials(K, taus):
         vol = integrate_m(np.ones(K.grid.spatial_shape), red.omega_tau)
         vals.append(lam - integrate_m(red.l_tau, red.omega_tau) / vol)
     return NotAKnotSpline(taus, vals)
@@ -69,12 +69,13 @@ def _form_norms(K, theta: Form11P):
 
 
 def _sweep(K, taus, at, quantity, centred=False):
-    """[tau, sup |quantity(at(K, tau))| over interior base nodes] pairs;
-    ``centred`` takes the deviation from the interior mean instead."""
+    """[tau, sup |quantity(x)| over interior base nodes] pairs, x running
+    over ``at(K, taus)``; ``centred`` takes the deviation from the interior
+    mean instead."""
     mask = K.grid.interior_m()
     out = []
-    for tau in taus:
-        q = quantity(at(K, tau))[mask]
+    for tau, x in zip(taus, at(K, taus)):
+        q = quantity(x)[mask]
         if centred:
             q = q - np.mean(q)
         out.append([float(tau), float(np.max(np.abs(q)))])
@@ -103,7 +104,7 @@ def residual_geodesic(K: KahlerData, h, taus=None) -> ResidualReport:
     resid = ds.values - h(K.mu.values) * s.values
     linf, l2 = _p_norms(K, resid)
     ratio = ds / s
-    by_tau = _sweep(K, taus, level_set,
+    by_tau = _sweep(K, taus, level_sets,
                     lambda lv: reduce_scalar(ratio, lv).values, centred=True)
     rep = ResidualReport("geodesic", K.grid.meta(), linf, l2,
                          reduced_by_tau=by_tau)
@@ -126,7 +127,7 @@ def residual_calabi(K: KahlerData, h, taus=None) -> ResidualReport:
     ell = ScalarFieldP(grid, np.broadcast_to(grid.l, grid.p_shape).copy())
     resid = R.values - ell.values - h(K.mu.values)
     linf, l2 = _p_norms(K, resid)
-    by_tau = _sweep(K, taus, reduced_potential,
+    by_tau = _sweep(K, taus, reduced_potentials,
                     lambda red: red.l_tau.values - scal_m(red.omega_tau).values,
                     centred=True)
     rep = ResidualReport("calabi", grid.meta(), linf, l2, reduced_by_tau=by_tau)
@@ -156,7 +157,7 @@ def residual_pseudo_calabi(K: KahlerData, taus=None) -> ResidualReport:
     # reduced identity, evaluated downstairs: the level velocity of the
     # reduced potentials is (1/2) l_tau, so the coupled-flow statement is
     # scal(g_tau) + D_tau((1/2) l_tau) = lambda.
-    by_tau = _sweep(K, taus, reduced_potential, lambda red: (
+    by_tau = _sweep(K, taus, reduced_potentials, lambda red: (
         scal_m(red.omega_tau).values
         + 0.5 * laplacian_m(red.l_tau, red.omega_tau).values - lam))
     rep = ResidualReport("pseudo_calabi", K.grid.meta(), linf, l2,
@@ -185,7 +186,7 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     del g
     linf, l2 = _form_norms(K, theta)
     del theta
-    by_tau = _sweep(K, taus, reduced_potential, lambda red: (
+    by_tau = _sweep(K, taus, reduced_potentials, lambda red: (
         0.5 * ddc_m(red.l_tau) + ricci_m(red.omega_tau)).h)
     grid = K.grid
     rep = ResidualReport("kr_unnormalized", grid.meta(), linf, l2,

@@ -37,12 +37,14 @@ class PositivityCertificate:
 
 
 def _read_only(value):
-    """Mark every array a derived value is made of read-only; returns it."""
+    """Mark every array a derived value is made of read-only; returns it.
+    The grid holds no array, so it is not walked."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     elif isinstance(value, (ScalarFieldP, ScalarFieldM)):
         value.values.flags.writeable = False
-    elif dataclasses.is_dataclass(value):
+    elif dataclasses.is_dataclass(value) and not isinstance(value,
+                                                             TestbedGrid):
         for f in dataclasses.fields(value):
             _read_only(getattr(value, f.name))
     return value
@@ -76,6 +78,14 @@ class KahlerData:
         except KeyError:
             value = self._cache[key] = _read_only(build())
             return value
+
+    def cache_new(self, keys, build):
+        """Store, as ``cached`` does, the values of the keys in ``keys`` not
+        stored yet: ``build(new)`` computes them all at once, in order."""
+        new = [key for key in dict.fromkeys(keys) if key not in self._cache]
+        if new:
+            for key, value in zip(new, build(new)):
+                self._cache[key] = _read_only(value)
 
     def mu_interp(self) -> FiberInterp:
         return self.cached("mu_interp",

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 
 from .curvature import (check_moment_ricci_identity, descending_ricci,
-                        descending_scalar, laplacian_m, ricci_m, scal_m)
+                        descending_scalar, laplacian_m, ricci_m)
 from .fields import (ScalarFieldM, ScalarFieldP, contract_v, ddc_p, grad_pair,
                      interior_norms, jv_apply)
 from .fixtures import (flat_cylinder, fs_cylinder, perturbed_cylinder,
@@ -20,7 +20,7 @@ from .fixtures import (flat_cylinder, fs_cylinder, perturbed_cylinder,
 from .grids import TORUS, TestbedGrid, torus_grid
 from .reduction import (check_dcred, check_dertau, default_taus, laplace_reduced,
                         ma_reduced, merge_levels, reduce_form,
-                        reduce_scalar, reduced_potential)
+                        reduce_scalar, reduced_potentials)
 from .reports import ResidualReport, attach_slope
 from .structure import KahlerData, gauge
 
@@ -104,8 +104,8 @@ def closed_form_reductions(grid: TestbedGrid | None = None) -> ResidualReport:
     worst = max(float(np.max(np.abs(K.mu.values + grid.l))),
                 float(np.max(np.abs(K.vsq.values - 2.0))))
     by_tau = []
-    for tau in default_taus(K, count=9, shrink=0.15):
-        red = reduced_potential(K, tau)
+    taus = default_taus(K, count=9, shrink=0.15)
+    for tau, red in zip(taus, reduced_potentials(K, taus)):
         g1 = float(np.max(np.abs(red.psi_tau.values + tau * tau / 4.0)))
         g2 = float(np.max(np.abs(red.omega_tau.h - K.sigma.h)))
         g3 = float(np.max(np.abs(red.l_tau.values + tau)))
@@ -136,14 +136,15 @@ def battery_once(K: KahlerData, seed=0, dtau=1e-4) -> dict:
     big_r = descending_scalar(K)
     mask = grid.interior_m()
     ric_norms, scal_norms, leftovers = [], [], []
-    for tau in taus:
-        red = reduced_potential(K, tau)
+    for red in reduced_potentials(K, taus):
         rho_tau, leftover = reduce_form(rho, red.level)
         leftovers.append(leftover)
-        gap_ric = np.abs(rho_tau.h - ricci_m(red.omega_tau).h)
+        ric = ricci_m(red.omega_tau)
+        gap_ric = np.abs(rho_tau.h - ric.h)
         ric_norms.append(interior_norms(gap_ric, mask))
+        # scal_m(omega_tau), without computing its Ricci form again
         gap_scal = np.abs(reduce_scalar(big_r, red.level).values
-                          - scal_m(red.omega_tau).values)
+                          - ric.h / red.omega_tau.h)
         scal_norms.append(interior_norms(gap_scal, mask))
     out["ricci_descent"] = merge_levels("ricci_descent", grid, taus, ric_norms)
     # reported, not gated: how far the descending form is from reducible

@@ -278,6 +278,23 @@ def test_failing_lift_writes_nothing(tmp_path, monkeypatch):
     assert not lift_dir.exists()
 
 
+def test_meta_records_only_its_own_command(tmp_path):
+    # a second command in the same --out directory writes its own meta.json:
+    # no keys of the first command's, and hashes of its own files only
+    out = str(tmp_path / "d")
+    grid = ["testbed=radial", "n=33", "n_l=33", "margin=4"]
+    assert run(["reduce", *grid, "tau=0.2", "--out", out]) == 0
+    assert run(["residual", "--eq", "v_soliton", *grid, "--out", out]) == 0
+    with open(os.path.join(out, "meta.json")) as fh:
+        meta = json.load(fh)
+    assert sorted(meta) == ["config", "hashes"]
+    assert sorted(meta["hashes"]) == ["residual_v_soliton.json"]
+    from kredux.io import sha256_of
+
+    assert meta["hashes"]["residual_v_soliton.json"] == sha256_of(
+        os.path.join(out, "residual_v_soliton.json"))
+
+
 def test_verify_outputs_bit_identical(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert run(["verify"] + small_args(tmp_path, out=a, seed=7)) == 0

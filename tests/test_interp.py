@@ -141,6 +141,19 @@ def test_solve_decreasing_raises_when_not_converged(monkeypatch):
         fi.solve_decreasing(0.8)
 
 
+def test_solve_decreasing_names_the_level_that_does_not_converge(monkeypatch):
+    # solved together, 0.0 is a node value of both profiles (no step) and
+    # 0.8 takes 2 steps on -sinh
+    l = np.linspace(-1.5, 1.5, 129)
+    fi = FiberInterp(l, np.stack([-np.sinh(l), -l]))
+    levels = fi.solve_decreasing(np.array([0.0, 0.8]))
+    assert [steps for _, _, _, steps, _ in levels] == [0, 2]
+    monkeypatch.setattr(kredux.interp, "MAX_NEWTON_STEPS", 1)
+    for order in ([0.0, 0.8], [0.8, 0.0]):
+        with pytest.raises(NotConverged, match="level solve at 0.8: 1 roots"):
+            fi.solve_decreasing(np.array(order))
+
+
 def _profiles(l):
     """Three decreasing profiles across the window, from 0 down."""
     t = (l - l[0]) / (l[-1] - l[0])
@@ -230,3 +243,22 @@ def test_level_set_reports_iterations(perturbed):
     level = kx.level_set(perturbed, 0.3)
     assert level.iterations > 0
     assert level.max_residual < 1e-12
+
+
+def test_level_weights_are_the_weights_at_the_roots(perturbed):
+    # each level keeps the solver's own weights; they evaluate any field as
+    # weights(roots) does, bit for bit
+    from kredux.reduction import level_sets
+
+    K = perturbed
+    flat = K.mu.values.reshape(-1, K.grid.n_l)
+    taus = np.concatenate([kx.default_taus(K),
+                           [np.max(flat[:, -1]), np.min(flat[:, 0])]])
+    rng = np.random.default_rng(3)
+    real = rng.standard_normal(K.grid.p_shape)
+    cplx = real + 1j * rng.standard_normal(K.grid.p_shape)
+    for level in level_sets(K, taus):
+        at_roots = K.mu_interp().weights(level.l_tau.values)
+        for f in (real, cplx):
+            got, want = level.weights.apply(f), at_roots.apply(f)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

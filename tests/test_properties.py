@@ -3,6 +3,7 @@ level solve, the cubic spline, gauge moves, the fixed points of the flows,
 reduction and lift as inverses, and the round trips of configurations, field
 dumps and grids (hypothesis, derandomized so the suite is repeatable)."""
 
+import functools
 import os
 import tempfile
 from dataclasses import replace
@@ -147,6 +148,69 @@ def test_solve_decreasing_matches_brentq(items, n_l):
         with mock.patch.object(kredux.interp, "MAX_NEWTON_STEPS", steps - 1):
             with pytest.raises(NotConverged):
                 fi.solve_decreasing(0.0)
+
+
+@functools.lru_cache(maxsize=None)
+def _moment_map(kind):
+    """Fiber axis and moment map of a small perturbed structure."""
+    if kind == "torus":
+        K = kx.perturbed_cylinder(kx.torus_grid(12, 33, margin=4), 0.02)
+    else:
+        K = kx.perturbed_fs_cylinder(kx.radial_grid(33, 33, margin=4), 0.01)
+    return K.grid.l, K.mu.values
+
+
+# a level: inside the range of mu (reached at some nodes or all), a node
+# value, a window-end value (a root on a fiber end), or out of range
+level_picks = st.one_of(
+    st.tuples(st.just("inside"), st.floats(0.0, 1.0)),
+    st.tuples(st.just("node"), st.integers(0, 10 ** 6), st.integers(0, 32)),
+    st.tuples(st.just("end"), st.integers(0, 10 ** 6), st.sampled_from([0, -1])),
+    st.tuples(st.just("out"), st.sampled_from([-1.0, 1.0]),
+              st.floats(1e-9, 1.0)))
+
+
+def _level(flat, pick):
+    kind, *args = pick
+    lo, hi = float(np.min(flat)), float(np.max(flat))
+    if kind == "inside":
+        return lo + args[0] * (hi - lo)
+    if kind == "out":
+        side, gap = args
+        return hi + gap if side > 0 else lo - gap
+    return float(flat[args[0] % len(flat), args[1]])
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["torus", "radial"]),
+       picks=st.lists(level_picks, min_size=1, max_size=8),
+       loop_pairs=st.sampled_from([2048, 1, 300]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_levels_solved_together_match_one_at_a_time(kind, picks, loop_pairs,
+                                                    seed):
+    l, mu = _moment_map(kind)
+    fi = FiberInterp(l, mu)
+    taus = np.array([_level(mu.reshape(-1, l.size), p) for p in picks])
+    rng = np.random.default_rng(seed)
+    real = rng.standard_normal(mu.shape)
+    cplx = rng.standard_normal(mu.shape) + 1j * rng.standard_normal(mu.shape)
+    # a smaller loop splits the levels into groups of one or two torus levels
+    with mock.patch.object(kredux.interp, "_LOOP_PAIRS", loop_pairs):
+        together = fi.solve_decreasing(taus)
+    assert len(together) == len(taus)
+    for tau, (roots, missing, resid, steps, weights) in zip(taus, together):
+        roots_1, missing_1, resid_1, steps_1 = fi.solve_decreasing(tau)
+        assert np.array_equal(_bits(roots), _bits(roots_1))
+        assert np.array_equal(missing, missing_1)
+        assert np.array_equal(_bits(resid), _bits(resid_1))
+        assert steps == steps_1
+        # the solver's own weights are the weights at its roots
+        at_roots = fi.weights(roots)
+        assert np.array_equal(_bits(weights.apply(real)),
+                              _bits(at_roots.apply(real)))
+        got, want = weights.apply(cplx), at_roots.apply(cplx)
+        assert np.array_equal(_bits(got.real), _bits(want.real))
+        assert np.array_equal(_bits(got.imag), _bits(want.imag))
 
 
 splines = st.integers(3, 60).flatmap(lambda n: st.tuples(

@@ -272,6 +272,25 @@ def test_level_set_solved_once_per_level(small, monkeypatch):
     assert kx.level_set(small, 0.2).iterations > 0
 
 
+def test_sweeps_solve_their_levels_together(small, monkeypatch):
+    from kredux.interp import FiberInterp
+
+    solves = []
+    real = FiberInterp.solve_decreasing
+
+    def counting(self, target):
+        solves.append(np.size(target))
+        return real(self, target)
+
+    monkeypatch.setattr(FiberInterp, "solve_decreasing", counting)
+    taus = kx.default_taus(small)
+    kx.residual_calabi(small, kx.constant_profile(0.0), taus=taus)
+    kx.residual_kr(small, taus=taus)
+    kx.check_dertau(small, small.mu, taus[:3])
+    # one solve of the 7 levels, then one of the 6 new levels at tau +- dtau
+    assert solves == [7, 6]
+
+
 def test_gauge_starts_with_fresh_cache(small):
     from kredux.curvature import cached_ricci_p
 
