@@ -25,8 +25,7 @@ print(f"\nsampled image: [{mu.values.min():.3f}, {mu.values.max():.3f}] "
 print(f"fiberwise monotone: max d(mu)/dl = {np.max(grid.d_l(mu.values, 1)):.3f}")
 
 deep = kx.level_set(mu, -2.0, raise_on_miss=False)
-print(f"\nlevel tau = -2.0: missing nodes = "
-      f"{0 if deep.missing is None else int(np.sum(deep.missing))}, "
+print(f"\nlevel tau = -2.0: missing nodes = {int(np.sum(deep.missing))}, "
       f"root residual {deep.max_residual:.1e}")
 
 shallow = kx.level_set(mu, -0.5, raise_on_miss=False)

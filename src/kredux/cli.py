@@ -24,8 +24,8 @@ import numpy as np
 
 from .config import RunConfig, _parse_pairs, load_config
 from .errors import KreduxError
-from .fixtures import (flat_cylinder, flat_sigma, fs_cylinder, fs_sigma,
-                       perturbed_cylinder, perturbed_fs_cylinder)
+from .fixtures import (flat_cylinder, fs_cylinder, perturbed_cylinder,
+                       perturbed_fs_cylinder, reference_sigma)
 from .flows import calabi_integrate, kr_integrate, pseudo_calabi_integrate
 from .golden import golden_grid, run_golden
 from .grids import TORUS, TestbedGrid
@@ -136,7 +136,7 @@ def _initial_potential(cfg, grid):
 
 def cmd_flow(cfg: RunConfig) -> int:
     grid = _grid_from(cfg)
-    sigma = flat_sigma(grid) if grid.kind == TORUS else fs_sigma(grid)
+    sigma = reference_sigma(grid)
     psi0 = _initial_potential(cfg, grid)
     dt = cfg.flow_dt if cfg.flow_dt > 0 else None
     if cfg.flow_kind == "calabi":

@@ -3,6 +3,7 @@ loss-free under round trips."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, asdict
 
 
@@ -36,8 +37,15 @@ class RunConfig:
             raise ValueError(f"unknown testbed {self.testbed!r}")
         if self.n < 9 or self.n_l < 9:
             raise ValueError("resolutions must be at least 9")
+        for key in ("dtau", "flow_dt", "flow_t_end", "flow_amplitude"):
+            if not math.isfinite(getattr(self, key)):
+                raise ValueError(f"{key} must be finite")
         if self.dtau <= 0:
             raise ValueError("dtau must be positive")
+        if self.flow_t_end <= 0:
+            raise ValueError("flow_t_end must be positive")
+        if self.flow_dt < 0:
+            raise ValueError("flow_dt must be zero or positive")
 
     def to_text(self) -> str:
         lines = ["# kredux run configuration"]

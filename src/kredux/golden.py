@@ -82,15 +82,13 @@ def run_golden(grid: TestbedGrid | None = None) -> dict:
     # (d) full coverage at TAU_COVER
     full = level_set(mu, TAU_COVER, raise_on_miss=False)
     checks["full_coverage"] = {"tau": TAU_COVER,
-                               "missing_nodes": int(0 if full.missing is None
-                                                    else np.sum(full.missing)),
+                               "missing_nodes": int(np.sum(full.missing)),
                                "max_residual": full.max_residual,
                                "passed": full.complete}
 
     # (e) single pole neighborhood drops out at TAU_PARTIAL
     part = level_set(mu, TAU_PARTIAL, raise_on_miss=False)
-    missing = part.missing if part.missing is not None else np.zeros(
-        grid.spatial_shape, dtype=bool)
+    missing = part.missing
     n_miss = int(np.sum(missing))
     idx = np.flatnonzero(missing)
     contiguous = bool(n_miss > 0 and np.all(np.diff(idx) == 1))

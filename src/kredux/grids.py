@@ -171,8 +171,13 @@ class TestbedGrid:
             raise ValueError(f"unknown grid kind {self.kind!r}")
         if self.n_spatial < 9 or self.n_l < 9:
             raise ValueError("resolutions must be at least 9")
+        for name in ("l_min", "l_max", "l_u"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if not self.l_min < self.l_max:
             raise ValueError("need l_min < l_max")
+        if self.l_u <= 0:
+            raise ValueError("l_u must be positive")
         if self.margin < 2:
             raise ValueError("margin must be at least 2")
         # plain Python numbers: every report writes meta() as its grid block

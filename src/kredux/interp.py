@@ -19,9 +19,10 @@ spline.
   polish: one comparison of the node values with the levels puts each root
   in one fiber segment, that segment's window is gathered once, and guarded
   Newton on the window's polynomial starts at the segment's secant point,
-  typically 0-2 steps from the root.  Any number of levels go through one
-  loop, and each level comes back with the weights at its roots, built on
-  the windows the solve used, so no reduction builds them again.
+  typically 0-2 steps from the root.  It has one contract: an array of
+  levels goes through one loop, and each level comes back as its roots,
+  missing mask, worst residual, step count and the weights at its roots,
+  built on the windows the solve used, so no reduction builds them again.
 * :class:`NotAKnotSpline`, the not-a-knot cubic spline in numpy, with
   scipy's ``CubicSpline`` coefficient layout: the time splines of
   :mod:`kredux.lift` and the level profile ``h_canonical``.
@@ -115,20 +116,6 @@ class FiberWeights:
             return self.apply(values.real) + 1j * self.apply(values.imag)
         return self.value(self.window(values)).reshape(self.shape)
 
-    def split(self):
-        """One set of weights per index of the points' first axis."""
-        count = self.shape[0]
-        size = len(self.idx) // count
-        parts = []
-        for k in range(count):
-            part = object.__new__(FiberWeights)
-            part.shape = self.shape[1:]
-            rows = slice(k * size, (k + 1) * size)
-            for name in ("idx", "hit", "on_node", "d", "c", "denom"):
-                setattr(part, name, getattr(self, name)[rows])
-            parts.append(part)
-        return parts
-
 
 class FiberInterp:
     """Order-6 local Lagrange interpolation of ``values`` along the last axis."""
@@ -169,16 +156,16 @@ class FiberInterp:
         np.cumsum(pieces, axis=1, out=out[:, 1:])
         return out.reshape(self.spatial_shape + (n,))
 
-    def solve_decreasing(self, target):
-        """Per-node root of interp(l) = target for fiberwise decreasing data,
-        on the nodes whose end values bracket the target.  ``target`` is one
-        level or a 1-d array of levels; every (level, node) pair goes through
-        one loop, up to _LOOP_PAIRS pairs at a time, and each pair's iterates
-        are those of a solve of its level alone.
+    def solve_decreasing(self, levels):
+        """Per-node root of interp(l) = tau for fiberwise decreasing data, at
+        each level tau of the 1-d array ``levels`` (a scalar is one level),
+        on the nodes whose end values bracket tau.  Every (level, node) pair
+        goes through one loop, up to _LOOP_PAIRS pairs at a time, and each
+        pair's iterates are those of a solve of its level alone.
 
         Bracket, then polish.  One comparison of the node values with the
-        targets brackets each root in one segment, the one ending at the
-        node's first value below the target (the last segment if none is
+        levels brackets each root in one segment, the one ending at the
+        node's first value below the level (the last segment if none is
         below), and that segment's 6-point window is gathered once: it is
         the window FiberWeights takes for any point inside the segment, so
         the interpolant is the one every reduction evaluates.  Guarded Newton
@@ -186,23 +173,20 @@ class FiberInterp:
         point: the bracket follows the residual's sign, and a step that
         leaves it or is not finite bisects it.  A node stops where Newton
         stops moving (residual 0, or step or bracket within 4 eps max|l|),
-        never on a residual threshold: so the solve is scale-free, a target
+        never on a residual threshold: so the solve is scale-free, a level
         equal to a node value returns that node without a step, and a root
         on a node's snap plateau still stops.
 
-        One level returns ``(roots, missing, max_residual, iterations)``;
-        missing marks the other nodes, whose roots are set to the first
-        fiber node, and iterations counts the Newton updates taken.  An
-        array of levels returns one ``(roots, missing, max_residual,
-        iterations, weights)`` per level, where ``weights`` are the fiber
-        weights at the roots on the windows the solve used (window 0 at a
-        missing node): they apply as ``weights(roots)`` does.  Raises
-        NotConverged, naming the first level whose nodes still move after
+        Returns one ``(roots, missing, max_residual, iterations, weights)``
+        per level.  ``missing`` marks the nodes the level does not bracket,
+        whose roots are set to the first fiber node; ``iterations`` counts
+        the Newton updates taken; ``weights`` are the fiber weights at the
+        roots, built on the windows the solve used (window 0 at a missing
+        node), and apply as ``weights(roots)`` does.  Raises NotConverged,
+        naming the first level whose nodes still move after
         MAX_NEWTON_STEPS.
         """
-        levels = np.asarray(target, dtype=float)
-        if levels.ndim == 0:
-            return self._solve(levels.reshape(1))[0][:4]
+        levels = np.asarray(levels, dtype=float).reshape(-1)
         per = max(1, _LOOP_PAIRS // len(self._vals))
         return [level for k in range(0, levels.size, per)
                 for level in self._solve(levels[k:k + per])]
@@ -267,8 +251,9 @@ class FiberInterp:
         shape = self.spatial_shape
         roots = roots.reshape((len(t),) + shape)
         missing = missing.reshape((len(t),) + shape)
-        weights = FiberWeights(l, roots, idx=windows).split()
-        return list(zip(roots, missing, worst, steps.tolist(), weights))
+        windows = windows.reshape(len(t), -1, _WIDTH)
+        return [(r, m, w, s, FiberWeights(l, r, idx=win)) for r, m, w, s, win
+                in zip(roots, missing, worst, steps.tolist(), windows)]
 
 
 class NotAKnotSpline:

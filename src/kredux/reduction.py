@@ -9,11 +9,11 @@ and keeps the solver's own interpolation weights at l_tau: scalars, spatial
 weights.
 
 Level sets and reduced potentials of assembled data are solved once per tau
-and kept with the structure.  ``level_sets`` and ``reduced_potentials`` take
-a sequence of levels and send every level the structure does not keep yet
-through one fiber solve; ``reduced_potentials`` also builds the invariant
-field phi + ((mu - c)/2) l that its levels reduce once.  ``level_set`` and
-``reduced_potential`` are the one-level forms.  The identity checks take a
+and kept with the structure.  ``level_sets`` takes a sequence of levels and
+sends every level the structure does not keep yet through one fiber solve;
+``reduced_potentials`` takes its levels from ``level_sets`` and builds the
+invariant field phi + ((mu - c)/2) l that they reduce once.  ``level_set``
+and ``reduced_potential`` are the one-level forms.  The identity checks take a
 sequence of levels (a scalar is one level): each solves its levels together,
 builds its tau-independent total-space arrays once, evaluates every level,
 and returns one report with the worst norms and each level's sup norm in
@@ -38,18 +38,19 @@ from .structure import KahlerData
 
 @dataclass(frozen=True)
 class LevelSet:
-    """Solved fiber level l_tau(x), its fiber weights and root diagnostics."""
+    """Solved fiber level l_tau(x), its fiber weights and root diagnostics;
+    ``missing`` marks the nodes tau misses, none on a complete level."""
 
     tau: float
     l_tau: ScalarFieldM
     weights: FiberWeights = field(repr=False)
     max_residual: float
     iterations: int
-    missing: np.ndarray | None = None
+    missing: np.ndarray
 
     @property
     def complete(self):
-        return self.missing is None or not bool(np.any(self.missing))
+        return not self.missing.any()
 
 
 @dataclass(frozen=True)
@@ -68,10 +69,9 @@ def _solve_levels(interp, grid, taus) -> list[LevelSet]:
     levels = []
     for tau, (roots, missing, resid, iterations, weights) in zip(
             taus, interp.solve_decreasing(np.asarray(taus, dtype=float))):
-        complete = not missing.any()
         levels.append(LevelSet(float(tau), ScalarFieldM(grid, roots), weights,
-                               resid if complete else float("nan"),
-                               iterations, None if complete else missing))
+                               float("nan") if missing.any() else resid,
+                               iterations, missing))
     return levels
 
 
@@ -102,19 +102,13 @@ def level_set(K: KahlerData | ScalarFieldP, tau: float,
     return level
 
 
-def _keep_levels(K: KahlerData, taus):
-    """Solve the finite levels of ``taus`` that ``K`` does not keep yet, all
-    in one fiber solve, and keep them."""
+def level_sets(K: KahlerData, taus) -> list[LevelSet]:
+    """:func:`level_set` at each level of ``taus``; the finite levels ``K``
+    does not keep yet go through one fiber solve."""
+    taus = _levels(taus)
     K.cache_new([("level_set", float(t)) for t in taus if np.isfinite(t)],
                 lambda keys: _solve_levels(K.mu_interp(), K.grid,
                                            [key[1] for key in keys]))
-
-
-def level_sets(K: KahlerData, taus) -> list[LevelSet]:
-    """:func:`level_set` at each level of ``taus``; the levels ``K`` does
-    not keep yet go through one fiber solve."""
-    taus = _levels(taus)
-    _keep_levels(K, taus)
     return [level_set(K, tau) for tau in taus]
 
 
@@ -145,26 +139,6 @@ def reduce_form(theta: Form11P, level: LevelSet):
     return Form11M(grid, h), ang_sup
 
 
-def _reduced_potential(K: KahlerData, tau, psi) -> ReductionResult:
-    """:func:`reduced_potential`, with ``psi()`` the invariant field
-    phi + ((mu - c)/2) l that psi_tau reduces."""
-    def build():
-        level = level_set(K, tau)
-        psi_tau = reduce_scalar(psi(), level)
-        omega_tau = K.sigma + ddc_m(psi_tau)
-        return ReductionResult(float(tau), level.l_tau, psi_tau, omega_tau,
-                               level.max_residual, float(np.min(omega_tau.h)),
-                               level)
-
-    red = K.cached(("reduced_potential", float(tau)), build)
-    if red.min_eigenvalue <= 0.0:
-        raise NotPositive(
-            f"omega_tau degenerates at tau={tau} "
-            f"(min component {red.min_eigenvalue:.3e})",
-            eigenvalue=red.min_eigenvalue)
-    return red
-
-
 def reduced_potential(K: KahlerData, tau: float) -> ReductionResult:
     """Reduced potential psi_tau and reduced form omega_tau = sigma + dd^c psi_tau.
 
@@ -175,16 +149,30 @@ def reduced_potential(K: KahlerData, tau: float) -> ReductionResult:
 
 
 def reduced_potentials(K: KahlerData, taus) -> list[ReductionResult]:
-    """:func:`reduced_potential` at each level of ``taus``; the levels ``K``
-    does not keep yet go through one fiber solve, and the field they reduce
-    is built once."""
-    taus = _levels(taus)
-    _keep_levels(K, taus)
+    """:func:`reduced_potential` at each level of ``taus``, on the levels of
+    :func:`level_sets`; the field they reduce is built once, if any level is
+    not kept with ``K`` yet."""
     # not kept with K: it would hold one more total-space array through the
     # structure's later peaks (1 MB at the verify battery's 32x32x129)
     psi = functools.cache(lambda: ScalarFieldP(
         K.grid, K.phi.values + 0.5 * (K.mu.values - K.c) * K.grid.l))
-    return [_reduced_potential(K, tau, psi) for tau in taus]
+    reds = []
+    for level in level_sets(K, taus):
+        def build(level=level):
+            psi_tau = reduce_scalar(psi(), level)
+            omega_tau = K.sigma + ddc_m(psi_tau)
+            return ReductionResult(level.tau, level.l_tau, psi_tau, omega_tau,
+                                   level.max_residual,
+                                   float(np.min(omega_tau.h)), level)
+
+        red = K.cached(("reduced_potential", level.tau), build)
+        if red.min_eigenvalue <= 0.0:
+            raise NotPositive(
+                f"omega_tau degenerates at tau={level.tau} "
+                f"(min component {red.min_eigenvalue:.3e})",
+                eigenvalue=red.min_eigenvalue)
+        reds.append(red)
+    return reds
 
 
 def default_taus(K: KahlerData, count=7, shrink=0.25):
@@ -225,13 +213,13 @@ def check_dertau(K: KahlerData, f: ScalarFieldP, taus,
     grid = K.grid
     taus = _levels(taus)
     g = jv_apply(f) / K.vsq
-    _keep_levels(K, np.concatenate([taus + dtau, taus - dtau, taus]))
+    levels = level_sets(K, np.concatenate([taus + dtau, taus - dtau, taus]))
+    n = len(taus)
     norms = []
-    for tau in taus:
-        up = reduce_scalar(f, level_set(K, tau + dtau))
-        dn = reduce_scalar(f, level_set(K, tau - dtau))
-        lhs = (up.values - dn.values) / (2.0 * dtau)
-        rhs = reduce_scalar(g, level_set(K, tau))
+    for up, dn, at in zip(levels[:n], levels[n:2 * n], levels[2 * n:]):
+        lhs = (reduce_scalar(f, up).values
+               - reduce_scalar(f, dn).values) / (2.0 * dtau)
+        rhs = reduce_scalar(g, at)
         norms.append(_m_norms(grid, lhs - rhs.values))
     return merge_levels("dertau", grid, taus, norms)
 

@@ -14,7 +14,6 @@ Hermitian component matrix over the grid.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,16 +36,15 @@ class PositivityCertificate:
 
 
 def _read_only(value):
-    """Mark every array a derived value is made of read-only; returns it.
-    The grid holds no array, so it is not walked."""
+    """Mark every array a derived value is made of read-only, through the
+    attributes of every object in it; returns it.  The grid is not walked."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
     elif isinstance(value, (ScalarFieldP, ScalarFieldM)):
         value.values.flags.writeable = False
-    elif dataclasses.is_dataclass(value) and not isinstance(value,
-                                                             TestbedGrid):
-        for f in dataclasses.fields(value):
-            _read_only(getattr(value, f.name))
+    elif hasattr(value, "__dict__") and not isinstance(value, TestbedGrid):
+        for item in vars(value).values():
+            _read_only(item)
     return value
 
 

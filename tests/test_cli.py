@@ -149,6 +149,24 @@ def test_non_finite_level_is_input_error(tmp_path, capsys, tau):
     assert f"input error: level tau={tau} is not finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,key,value", [
+    ("flow", "flow_t_end", "0"),
+    ("flow", "flow_t_end", "-0.01"),
+    ("flow", "flow_dt", "-1"),
+    ("flow", "flow_t_end", "nan"),
+    ("flow", "flow_amplitude", "nan"),
+    ("verify", "dtau", "nan"),
+    ("reduce", "l_u", "0"),
+    ("reduce", "l_u", "-3"),
+])
+def test_bad_run_number_is_input_error(tmp_path, capsys, command, key, value):
+    code = run([command] + small_args(tmp_path, testbed="radial", n=16,
+                                      n_l=33, margin=4, **{key: value}))
+    assert code == 3
+    assert f"input error: {key} must be" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_reduce_cylinder(tmp_path):
     code = run(["reduce"] + small_args(tmp_path, tau=0.7, fixture="cyl"))
     assert code == 0
@@ -432,6 +450,7 @@ def test_benchmark_tracer_finds_every_layer(tmp_path):
     assert kredux.cli.main is main_before
     names = {span[3] for span in tracer.spans}
     assert {"structure.assemble", "reduction.level_set",
+            "reduction.reduced_potential", "interp.solve_decreasing",
             "io.dump_field"} <= names
 
 

@@ -63,7 +63,7 @@ def test_solve_decreasing_roots():
     slopes = np.array([1.0, 2.0, 0.3])
     vals = -slopes[:, None] * l  # root of -a*l = tau at l = -tau/a
     fi = FiberInterp(l, vals)
-    roots, missing, resid, _ = fi.solve_decreasing(0.5)
+    roots, missing, resid, _ = fi.solve_decreasing(0.5)[0][:4]
     assert not missing.any()
     assert np.max(np.abs(roots + 0.5 / slopes)) < 1e-12
     assert resid < 1e-12
@@ -74,7 +74,7 @@ def test_solve_decreasing_missing_mask():
     slopes = np.array([1.0, 2.0, 0.3])
     fi = FiberInterp(l, -slopes[:, None] * l)
     # ranges are [-2, 2], [-4, 4], [-0.6, 0.6]; only the last misses 0.7
-    roots, missing, resid, _ = fi.solve_decreasing(0.7)
+    roots, missing, resid, _ = fi.solve_decreasing(0.7)[0][:4]
     assert list(missing) == [False, False, True]
     # the missing node is left out of the solve and set to the first node
     assert roots[2] == l[0]
@@ -85,7 +85,7 @@ def test_solve_decreasing_missing_mask():
 def test_solve_transcendental():
     l = np.linspace(-1.5, 1.5, 129)
     fi = FiberInterp(l, (-np.sinh(l))[None, :])
-    roots, missing, resid, _ = fi.solve_decreasing(0.8)
+    roots, missing, resid, _ = fi.solve_decreasing(0.8)[0][:4]
     assert not missing.any()
     assert abs(roots[0] + np.arcsinh(0.8)) < 1e-9
     assert resid < 1e-12
@@ -132,7 +132,7 @@ def test_antiderivative_matches_quintic_spline():
 def test_solve_decreasing_raises_when_not_converged(monkeypatch):
     l = np.linspace(-1.5, 1.5, 129)
     fi = FiberInterp(l, np.stack([-np.sinh(l), -l]))
-    roots, missing, resid, iterations = fi.solve_decreasing(0.8)
+    roots, missing, resid, iterations = fi.solve_decreasing(0.8)[0][:4]
     # measured: 2 steps from the secant point of -sinh's segment
     assert 0 < iterations <= 2
     assert resid < 1e-15
@@ -169,7 +169,7 @@ def test_solve_decreasing_on_shifted_and_narrow_windows(lo, hi, n_l):
     l = np.linspace(lo, hi, n_l)
     fi = FiberInterp(l, _profiles(l))
     for tau in (-0.3, -0.5, -0.9):
-        roots, missing, resid, iterations = fi.solve_decreasing(tau)
+        roots, missing, resid, iterations = fi.solve_decreasing(tau)[0][:4]
         assert not missing.any()
         assert iterations <= 5
         # the first profile is a line: its root to a few ulps of the window
@@ -182,7 +182,8 @@ def test_solve_decreasing_root_at_window_end():
     # secant point hits without a step; the second's root is inside
     l = np.linspace(-1.2, 1.2, 33)
     fi = FiberInterp(l, np.stack([-np.sinh(l), -np.sinh(l) - 0.1]))
-    roots, missing, resid, iterations = fi.solve_decreasing(-np.sinh(1.2))
+    roots, missing, resid, iterations = fi.solve_decreasing(
+        -np.sinh(1.2))[0][:4]
     assert not missing.any()
     # it may stop on the flat plateau within 1e-13 h of the last node
     assert abs(roots[0] - 1.2) <= 1e-13 * (l[1] - l[0])
@@ -197,7 +198,7 @@ def test_solve_decreasing_level_at_a_node_value():
     vals = np.stack([-np.sinh(l), -l - 0.3 * l ** 3, -np.tanh(2 * l)])
     for j in (0, 5, 16, 31, 32):
         fi = FiberInterp(l, vals - vals[:, j:j + 1])
-        roots, missing, resid, iterations = fi.solve_decreasing(0.0)
+        roots, missing, resid, iterations = fi.solve_decreasing(0.0)[0][:4]
         assert not missing.any()
         assert np.all(roots == l[j])
         assert resid == 0.0 and iterations == 0
@@ -230,9 +231,10 @@ def test_solve_decreasing_snap_plateau():
 def test_solve_decreasing_is_scale_free(s):
     l = np.linspace(-1.2, 1.2, 129)
     vals = np.stack([-np.sinh(l), -l - 0.3 * l ** 3, -np.tanh(2 * l)])
-    roots, _, resid, iterations = FiberInterp(l, vals).solve_decreasing(0.37)
+    roots, _, resid, iterations = FiberInterp(
+        l, vals).solve_decreasing(0.37)[0][:4]
     roots_s, _, resid_s, iterations_s = FiberInterp(
-        l, s * vals).solve_decreasing(s * 0.37)
+        l, s * vals).solve_decreasing(s * 0.37)[0][:4]
     assert iterations_s == iterations
     # measured: roots 1.1e-16 apart, residuals 1.5e-16 apart (in units of mu)
     assert np.max(np.abs(roots_s - roots)) <= 1e-15

@@ -35,6 +35,14 @@ def test_level_set_quotient_full_and_partial():
     assert part.missing.any() and not part.missing.all()
 
 
+def test_complete_level_has_an_all_false_missing_mask(perturbed):
+    level = kx.level_set(perturbed, 0.2)
+    assert level.complete
+    assert level.missing.dtype == bool
+    assert level.missing.shape == perturbed.grid.spatial_shape
+    assert not level.missing.any()
+
+
 def test_level_set_out_of_range_everywhere(cyl):
     with pytest.raises(OutOfRange):
         kx.level_set(cyl, 99.0)

@@ -167,7 +167,9 @@ def _arrays(value):
     if isinstance(value, kx.Form11M):
         return [value.h]
     if isinstance(value, kx.LevelSet):
-        return [value.l_tau.values]
+        w = value.weights
+        return [value.l_tau.values, value.missing, w.idx, w.hit, w.on_node,
+                w.d, w.c, w.denom]
     return (_arrays(value.l_tau) + _arrays(value.psi_tau)
             + _arrays(value.omega_tau))
 
