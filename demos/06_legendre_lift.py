@@ -1,6 +1,6 @@
 """The converse direction: lifting a path of potentials to the total space.
 
-Any uniformly sampled path becomes strictly concave in time after the
+Any sampled path becomes strictly concave in time after the
 shift a_t; inverting its time velocity fiberwise produces an invariant
 potential upstairs whose reductions reproduce the path (up to the shift and
 a spatial constant per level), with positivity equivalent to the concavity

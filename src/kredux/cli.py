@@ -24,6 +24,7 @@ import numpy as np
 
 from .config import RunConfig, _parse_pairs, load_config
 from .errors import KreduxError
+from .fields import ddc_m
 from .fixtures import (flat_cylinder, fs_cylinder, perturbed_cylinder,
                        perturbed_fs_cylinder, reference_sigma)
 from .flows import calabi_integrate, kr_integrate, pseudo_calabi_integrate
@@ -118,6 +119,10 @@ def cmd_verify(cfg: RunConfig) -> int:
 def cmd_reduce(cfg: RunConfig, in_dir=None) -> int:
     grid = _grid_from(cfg)
     K = _load_or_fixture(cfg, grid, in_dir)
+    lo, hi = K.mu_range()
+    if np.isfinite(cfg.tau) and not lo <= cfg.tau <= hi:
+        raise ValueError(f"tau={cfg.tau} lies outside the moment map's range "
+                         f"[{lo:.6g}, {hi:.6g}]")
     red = reduced_potential(K, cfg.tau)
     save_reduction(red, cfg.out, {"config": cfg.to_dict()})
     print(f"tau={red.tau}: root residual {red.max_root_residual:.3e}, "
@@ -138,6 +143,9 @@ def cmd_flow(cfg: RunConfig) -> int:
     grid = _grid_from(cfg)
     sigma = reference_sigma(grid)
     psi0 = _initial_potential(cfg, grid)
+    if not (sigma + ddc_m(psi0, grid)).is_positive():
+        raise ValueError(f"flow_amplitude={cfg.flow_amplitude} gives a "
+                         "starting potential that is not Kahler")
     dt = cfg.flow_dt if cfg.flow_dt > 0 else None
     if cfg.flow_kind == "calabi":
         path = calabi_integrate(psi0, sigma, cfg.flow_t_end, dt=dt)
@@ -169,6 +177,7 @@ def cmd_lift(cfg: RunConfig, in_dir) -> int:
                         for t, a in zip(path.ts, lift.a_t)],
                 "window": list(lift.window),
                 "max_inversion_residual": lift.max_inversion_residual,
+                "inversion_steps": lift.inversion_steps,
                 "admissible_taus": [float(t) for t in taus],
                 "roundtrip": rep.to_dict()})
     print(f"lift window [{lift.window[0]:.4g}, {lift.window[1]:.4g}], "

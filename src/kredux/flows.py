@@ -14,7 +14,8 @@ the mean of sigma, exactly, so no stability estimate sets the step; by
 default it is one step per saved sample.  Every step is checked for finiteness
 (StepUnstable) and for positivity of h (PositivityLost); an optional energy
 monitor, evaluated on the same (velocity, h) pair, halves the step when the
-energy increases.
+energy increases.  Every time derivative of a path, at any increasing sample
+times, reads its one not-a-knot quintic spline in time (:func:`time_spline`).
 Additive constants are gauge and fixed by the recorded normalization
 convention; with these choices constant-scalar-curvature and Einstein
 fixtures are exact fixed points of the discrete right-hand sides.
@@ -22,6 +23,7 @@ fixtures are exact fixed points of the discrete right-hand sides.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,15 +32,15 @@ from .curvature import ricci_coefficient, scal_m
 from .errors import (ClassNotFixed, PositivityLost, SolvabilityViolated,
                      StepUnstable)
 from .fields import Form11M, ScalarFieldM, ddc_m, integrate_m, grad_pair
-from .grids import TORUS, fd_apply
-from .interp import FiberInterp
+from .grids import TORUS
+from .interp import FiberInterp, QuinticSpline
 from .reports import ResidualReport
 from .statics import lambda_mean
 
 
 @dataclass
 class FlowPath:
-    """Uniformly sampled potential path psi_t against a background sigma."""
+    """Sampled potential path psi_t against a background sigma."""
 
     grid: object
     sigma: Form11M
@@ -67,25 +69,23 @@ class FlowPath:
     def metric_at(self, k) -> Form11M:
         return self.sigma + ddc_m(self.psis[k], self.grid)
 
+    @functools.cached_property
+    def spline(self) -> QuinticSpline:
+        """:func:`time_spline` of the path, built on first use."""
+        return time_spline(self.ts, self.psis)
+
     def time_derivative(self, order=1):
-        """d^order psi / dt^order at every sample (see :func:`time_derivative`)."""
-        return time_derivative(self.ts, self.psis, order)
+        """d^order psi / dt^order at every sample, from :attr:`spline`."""
+        return self.spline(self.ts, order)
 
 
-def time_derivative(ts, samples, order):
-    """d^order/dt^order of ``samples`` (first axis indexed by ``ts``), by the
-    4th-order stencils of :func:`~kredux.grids.fd_apply`.
-
-    The samples must be at least 6 and uniform in time; ValueError otherwise.
-    """
-    ts = np.asarray(ts, dtype=float)
+def time_spline(ts, samples) -> QuinticSpline:
+    """The quintic in time through ``samples`` (first axis indexed by ``ts``),
+    the one time operator of a path: at least 6 samples, or ValueError."""
     n = len(ts)
     if n < 6:
         raise ValueError(f"time derivatives need at least 6 samples, got {n}")
-    h = (ts[-1] - ts[0]) / (n - 1)
-    if np.max(np.abs(np.diff(ts) - h)) > 1e-8 * abs(h):
-        raise ValueError("time derivatives need samples uniform in time")
-    return fd_apply(samples, 0, order, h, n)
+    return QuinticSpline(ts, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +93,9 @@ def time_derivative(ts, samples, order):
 # ---------------------------------------------------------------------------
 
 _ENERGY_TOL = 1e-10  # a relative energy rise beyond it halves the step
+# requested steps per run (20x the 1,000 of the largest test or workload);
+# an explicit step asking for more is a ValueError
+MAX_FLOW_STEPS = 20_000
 _MAX_HALVINGS = 10  # per run; StepUnstable past it
 _SOLVABILITY_TOL = 1e-8  # largest |int (lambda - scal) dV| of the coupled flow
 # upper half of the unit circle about each z = dt L, whose means give the
@@ -151,6 +154,10 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
 
     psi = np.array(psi0, dtype=float, copy=True)
     dt = dt if dt is not None else t_end / (save_count - 1)
+    if t_end / dt > MAX_FLOW_STEPS:
+        raise ValueError(f"flow_dt={dt:.3g} asks for {t_end / dt:.3g} steps "
+                         f"to t={t_end:.3g}, more than MAX_FLOW_STEPS "
+                         f"({MAX_FLOW_STEPS})")
     n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)
     save_stride = max(n_steps // (save_count - 1), 1)
     # keep the sampling uniform: stretch step count to a multiple of the stride

@@ -1,5 +1,5 @@
-"""Fiberwise interpolation and quadrature, the level solve and the cubic
-spline.
+"""Fiberwise interpolation and quadrature, the level solve and the quintic
+spline in time.
 
 * :class:`FiberInterp`, a piecewise 6-point Lagrange interpolant (barycentric
   form, windows anchored to the containing segment so evaluation is
@@ -23,12 +23,14 @@ spline.
   levels goes through one loop, and each level comes back as its roots,
   missing mask, worst residual, step count and the weights at its roots,
   built on the windows the solve used, so no reduction builds them again.
-* :class:`NotAKnotSpline`, the not-a-knot cubic spline in numpy, with
-  scipy's ``CubicSpline`` coefficient layout: the time splines of
-  :mod:`kredux.lift` and the level profile ``h_canonical``.
+* :class:`QuinticSpline`, the not-a-knot quintic spline in numpy, with
+  scipy's ``PPoly`` layout: every time derivative of a sampled path, and the
+  level profile ``h_canonical``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -256,15 +258,25 @@ class FiberInterp:
                 in zip(roots, missing, worst, steps.tolist(), windows)]
 
 
-class NotAKnotSpline:
-    """The not-a-knot cubic spline through ``(x, y)``, knots on axis 0 of
-    ``y`` and any trailing shape.
+def poly_eval(c, d, nu=0):
+    """The nu-th d-derivative of sum_k c[k] d^(deg - k), c on axis 0."""
+    deg = len(c) - 1
+    out = c[0] * math.perm(deg, nu)
+    for k in range(1, deg + 1 - nu):
+        out *= d
+        out += c[k] * math.perm(deg - k, nu) if nu else c[k]
+    return out
 
-    ``c`` has scipy's ``CubicSpline`` layout, (4, n - 1) + trailing shape:
-    piece i is ``((c[0] d + c[1]) d + c[2]) d + c[3]`` in d = t - x[i].  The
-    knot slopes solve one tridiagonal system, held as a dense n x n matrix
-    (n is at most a few hundred samples).  As in scipy, three samples give
-    the parabola through them and two the line.
+
+class QuinticSpline:
+    """The not-a-knot quintic spline through ``(x, y)``, knots on axis 0 of
+    ``y`` and any trailing shape: scipy's ``make_interp_spline(x, y, k=5)``.
+
+    ``c`` has scipy's ``PPoly`` layout, (6, n - 1) + trailing shape: piece i
+    is ``sum_k c[k] d^(5 - k)`` in d = t - x[i], from the derivatives at its
+    start.  One dense collocation solve (n is at most a few hundred samples)
+    in the B-spline basis on the knots x[3:-3] (not-a-knot) gives them; two
+    to five knots give the interpolating polynomial.
     """
 
     def __init__(self, x, y):
@@ -274,49 +286,40 @@ class NotAKnotSpline:
             raise ValueError("need at least 2 knots, one per row of y")
         if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
             raise ValueError("spline samples must be finite")
-        dx = np.diff(x)
-        if np.any(dx <= 0):
+        if np.any(np.diff(x) <= 0):
             raise ValueError("spline knots must be strictly increasing")
         self.x = x
-        ys = y.reshape(x.size, -1)
-        slope = np.diff(ys, axis=0) / dx[:, None]
-        s = self._knot_slopes(x, dx, slope)
-        t = (s[:-1] + s[1:] - 2 * slope) / dx[:, None]
-        c = np.stack([t / dx[:, None], (slope - s[:-1]) / dx[:, None] - t,
-                      s[:-1], ys[:-1]])
-        self.c = c.reshape((4, x.size - 1) + y.shape[1:])
+        n, p = x.size, min(5, x.size - 1)
+        t = np.concatenate([np.full(p + 1, x[0]), x[3:-3], np.full(p + 1, x[-1])])
+        # B[q]: the B-splines of degree q on t at x, one row per point
+        # (Cox-de Boor); the last point takes the last nonempty interval
+        span = np.minimum(np.searchsorted(t, x, side="right") - 1, t.size - p - 2)
+        B = [(np.arange(t.size - 1) == span[:, None]).astype(float)]
+        for q in range(1, p + 1):
+            left = _ratio(x[:, None] - t[:-q - 1], t[q:-1] - t[:-q - 1])
+            right = _ratio(t[q + 1:] - x[:, None], t[q + 1:] - t[1:-q])
+            B.append(left * B[-1][:, :-1] + right * B[-1][:, 1:])
+        coef = np.linalg.solve(B[p], y.reshape(n, -1))
+        c = np.zeros((6, n - 1, coef.shape[1]))
+        for r in range(p + 1):
+            c[5 - r] = B[p - r][:-1] @ coef / math.factorial(r)
+            # the derivative's coefficients on t, one degree lower
+            q = p - r
+            coef = _ratio(q, t[q:] - t[:t.size - q])[:, None] * np.diff(
+                coef, axis=0, prepend=0.0, append=0.0)
+        self.c = c.reshape((6, n - 1) + y.shape[1:])
 
-    @staticmethod
-    def _knot_slopes(x, dx, slope):
-        n = x.size
-        if n == 2:
-            return np.concatenate([slope, slope])
-        A = np.zeros((n, n))
-        b = np.empty((n, slope.shape[1]))
-        i = np.arange(1, n - 1)
-        A[i, i - 1] = dx[1:]
-        A[i, i] = 2 * (dx[:-1] + dx[1:])
-        A[i, i + 1] = dx[:-1]
-        b[1:-1] = 3 * (dx[1:, None] * slope[:-1] + dx[:-1, None] * slope[1:])
-        if n == 3:
-            # the two not-a-knot conditions coincide: the parabola
-            A[0, :2] = A[2, 1:] = 1.0
-            b[0], b[2] = 2 * slope[0], 2 * slope[1]
-        else:
-            d0, d1 = x[2] - x[0], x[-1] - x[-3]
-            A[0, :2] = dx[1], d0
-            A[-1, -2:] = d1, dx[-2]
-            b[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0]
-                    + dx[0] ** 2 * slope[1]) / d0
-            b[-1] = (dx[-1] ** 2 * slope[-2]
-                     + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-        return np.linalg.solve(A, b)
-
-    def __call__(self, t):
-        """Values at ``t``; beyond the knots the end pieces extrapolate."""
+    def __call__(self, t, nu=0):
+        """The nu-th derivative at ``t``, from the piece that starts at or
+        before it; beyond the knots the end pieces extrapolate."""
         t = np.asarray(t, dtype=float)
         seg = np.clip(np.searchsorted(self.x, t, side="right") - 1,
                       0, self.x.size - 2)
         d = (t - self.x[seg]).reshape(t.shape + (1,) * (self.c.ndim - 2))
-        a, b, c, e = self.c[:, seg]
-        return ((a * d + b) * d + c) * d + e
+        return poly_eval(self.c[:, seg], d, nu)
+
+
+def _ratio(a, b):
+    """a / b, and 0 where b is 0 (at a repeated knot)."""
+    return np.divide(a, b, out=np.zeros(np.broadcast(a, b).shape), where=b > 0)
+

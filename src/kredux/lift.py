@@ -1,12 +1,12 @@
 """Lifting a path of potentials on the base to an invariant structure upstairs.
 
-Given a uniformly sampled path psi_t with sigma + dd^c psi_t > 0, the lift
+Given a sampled path psi_t with sigma + dd^c psi_t > 0, the lift
 
 * shifts the path by a profile a_t so that the second time derivative is
   everywhere at most -2 (strict concavity),
 * inverts  d psi_t / dt = l/2  fiberwise for t = mu(x, l) on a realized
-  window of the log-fiber coordinate, in closed form on the pieces of the
-  path's cubic spline in time, and
+  window of the log-fiber coordinate, by guarded Newton on the pieces of the
+  path's quintic spline in time, and
 * assembles phi(x, l) = psi_mu(x) - (mu/2) l with c = 0.
 
 Reductions of the lifted structure reproduce the (shifted) path up to a
@@ -23,14 +23,15 @@ import numpy as np
 from .curvature import scal_m
 from .errors import HypothesisViolated, NonConcave, NotConverged, OutOfWindow
 from .fields import ScalarFieldP, ddc_m
-from .flows import FlowPath, time_derivative
-from .interp import NotAKnotSpline
+from .flows import FlowPath, time_spline
+from .interp import poly_eval
 from .reduction import reduced_potentials
 from .reports import ResidualReport
 from .structure import KahlerData, assemble
 
 _SHIFT_SLACK = 1e-9  # the concavity top-up leaves psi'' <= -2 - _SHIFT_SLACK
 _INVERSION_TOL = 1e-13  # Legendre roots: |velocity - l/2| <= tol max(1, |l/2|)
+_INVERSION_STEPS = 60  # Newton update cap per root; bisection halves to eps
 _BAND_LO, _BAND_HI = 0.15, 0.85  # time range whose velocities set the window
 _WINDOW_PAD = 0.02  # padding of the realized window, a share of its span
 _LIFT_MARGIN = 4  # residual-norm margin of the lifted grid
@@ -46,6 +47,7 @@ class LiftResult:
     ts: np.ndarray
     mu_solved: ScalarFieldP
     max_inversion_residual: float
+    inversion_steps: int  # the most Newton updates any root took
     concavity_max: float
     criterion_agrees: bool
 
@@ -62,7 +64,7 @@ def _cumulative_trapezoid(y, x):
 
 
 def concavity_shift(path: FlowPath):
-    """Shift the path by a_t so its discrete second time derivative is <= -2.
+    """Shift the path by a_t so its spline's second time derivative is <= -2.
 
     a_t = -t^2 - double integral of the running spatial sup of psi'' (trapezoid,
     piecewise linear in t), topped up by an exact quadratic if the discrete
@@ -74,10 +76,10 @@ def concavity_shift(path: FlowPath):
     inner = _cumulative_trapezoid(sup, ts)
     a = -ts * ts - _cumulative_trapezoid(inner, ts)
 
-    d2a = time_derivative(ts, a, 2)
+    d2a = time_spline(ts, a)(ts, 2)
     excess = float(np.max(d2 + d2a.reshape(-1, *([1] * (d2.ndim - 1)))) + 2.0)
     if excess > 0.0:
-        # quadratic top-up is differentiated exactly by the same stencils
+        # the quintic reproduces the quadratic top-up exactly
         a = a - 0.5 * (excess + _SHIFT_SLACK) * ts * ts
     shifted = FlowPath(path.grid, path.sigma, path.kind + "+shift", ts,
                        path.psis + a.reshape(-1, *([1] * (path.psis.ndim - 1))),
@@ -92,96 +94,94 @@ def concavity_shift(path: FlowPath):
 
 
 class _TimeSplines:
-    """Per-node cubic splines of a shifted path in t, with the quadratic
+    """Per-node quintic splines of a shifted path in t, with the quadratic
     constant-concavity extension beyond the sampled range.
 
-    Row ``s * nspace + node`` of one coefficient table holds segment s of a
-    node as a cubic in t - origin[s]; the first and last segments are the
-    quadratic extensions before t_0 and from t_end on, so any array of times
-    (nodes on its first axis) is evaluated with one gather.
+    Column ``s * nspace + node`` of one coefficient table (6 rows, highest
+    degree first) holds segment s of a node as a quintic in
+    t - ts[max(s - 1, 0)]; the first and last segments are the quadratic
+    extensions before t_0 and from t_end on, so any array of times (nodes on
+    its first axis) is evaluated with one gather.
     """
 
-    def __init__(self, path: FlowPath):
-        ts = self.ts = path.ts
-        y = path.psis.reshape(path.n_samples, -1)
-        c = NotAKnotSpline(ts, y).c  # (4, nseg, nspace)
-        self._n = y.shape[1]
-        d = ts[-1] - ts[-2]
-        v1 = (3 * c[0, -1] * d + 2 * c[1, -1]) * d + c[2, -1]
-        k1 = 6 * c[0, -1] * d + 2 * c[1, -1]
-        y1 = ((c[0, -1] * d + c[1, -1]) * d + c[2, -1]) * d + c[3, -1]
-        zero = np.zeros(self._n)
-        left = np.stack([zero, c[1, 0], c[2, 0], c[3, 0]])[:, None]
-        right = np.stack([zero, 0.5 * k1, v1, y1])[:, None]
-        coef = np.concatenate([left, c, right], axis=1)  # (4, nseg + 2, nspace)
-        self._table = np.ascontiguousarray(coef.transpose(1, 2, 0)).reshape(-1, 4)
-        self._origin = np.concatenate([ts[:1], ts[:-1], ts[-1:]])
+    def __init__(self, spline):
+        ts = self.ts = spline.x
+        c = spline.c.reshape(6, ts.size - 1, -1)  # (6, nseg, nspace)
+        self._n = c.shape[2]
+        coef = np.zeros((6, ts.size + 1, self._n))  # (6, nseg + 2, nspace)
+        coef[:, 1:-1] = c
+        coef[3:, 0] = c[3:, 0]
+        for nu, f in enumerate((1.0, 1.0, 0.5)):
+            coef[5 - nu, -1] = f * poly_eval(c[:, -1], ts[-1] - ts[-2], nu)
+        self._table = coef.reshape(6, -1)
+        self._velocity = self._table[:5] * np.arange(5.0, 0, -1)[:, None]
+        self._edges = np.concatenate([[-np.inf], ts, [np.inf]])
         # (nspace, nknots) velocities at the knots, decreasing along a row
-        self._knot_velocity = np.concatenate([c[2], v1[None]]).T
+        self._knot_velocity = coef[4, 1:].T.copy()
 
-    def _local(self, t, node):
-        """Coefficient rows and local offsets for times ``t`` at ``node``."""
-        seg = np.searchsorted(self.ts, t, side="right")
-        return self._table[seg * self._n + node], t - self._origin[seg]
-
-    @staticmethod
-    def _poly(rows, d, deriv):
-        a, b, c, e = np.moveaxis(rows, -1, 0)
-        if deriv == 0:
-            return ((a * d + b) * d + c) * d + e
-        if deriv == 1:
-            return (3 * a * d + 2 * b) * d + c
-        return 6 * a * d + 2 * b
-
-    def _at(self, t, *derivs):
-        t = np.asarray(t, dtype=float)
+    def at(self, t, *derivs):
+        """The given derivatives at times ``t`` (nodes on the first axis),
+        from one gather of the table."""
         node = np.arange(self._n).reshape((-1,) + (1,) * (t.ndim - 1))
-        rows, d = self._local(t, node)
-        return tuple(self._poly(rows, d, k) for k in derivs)
-
-    def value(self, t):
-        return self._at(t, 0)[0]
-
-    def velocity(self, t):
-        return self._at(t, 1)[0]
-
-    def value_and_curvature(self, t):
-        """Value and second derivative, from one gather of the table."""
-        return self._at(t, 0, 2)
+        seg = np.searchsorted(self.ts, t, side="right")
+        rows = np.take(self._table, seg * self._n + node, axis=1)
+        d = t - self.ts[np.maximum(seg - 1, 0)]
+        return tuple(poly_eval(rows, d, k) for k in derivs)
 
     def solve_velocity(self, target):
         """Roots t of velocity(t) = target[j] for every node and level j.
 
         velocity is strictly decreasing, so each root is unique on the
         extended line and lies on the segment whose knot velocities bracket
-        the target.  There the velocity is a quadratic A d^2 + B d + C in
-        the local offset (linear on the extensions), and the root is its
-        decreasing one, taken in the form d = 2C / (sqrt(B^2 - 4AC) - B),
-        which has no cancellation.  Every root is checked through
-        :meth:`velocity` against _INVERSION_TOL * max(1, |target|).
+        the target.  Guarded Newton runs on that segment's velocity from its
+        secant point (from its knot on the linear extensions): the bracket
+        follows the residual's sign, and a step that leaves it or is not
+        finite bisects it.  A root stops once its residual is within 4 eps
+        of the velocity's size there (1, the target, the knot velocities) or
+        its step within eps |t|; after at most _INVERSION_STEPS updates every
+        root is checked against _INVERSION_TOL * max(1, |target|).
 
-        Returns the (nodes, levels) roots and the largest |velocity - target|;
-        raises NotConverged if a root is above its tolerance, which happens
-        where the velocity does not decrease.
+        Returns the (nodes, levels) roots, the largest |velocity - target|
+        and the most updates a root took; NotConverged if a root is above
+        its tolerance, as where the velocity does not decrease.
         """
         target = np.atleast_1d(np.asarray(target, dtype=float))
+        ts, kv = self.ts, self._knot_velocity
         # per node, the knots whose velocity exceeds the target: the table
         # segment that brackets it (0 and nknots are the extensions)
-        seg = np.stack([np.searchsorted(-v, -target)
-                        for v in self._knot_velocity])
+        seg = np.stack([np.searchsorted(-v, -target) for v in kv])
         node = np.arange(self._n)[:, None]
-        a, b, c, _ = np.moveaxis(self._table[seg * self._n + node], -1, 0)
-        A, B, C = 3 * a, 2 * b, c - target
+        lo, hi = self._edges[seg], self._edges[seg + 1]
+        origin = np.where(seg == 0, hi, lo)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            d = 2 * C / (np.sqrt(np.maximum(B * B - 4 * A * C, 0.0)) - B)
-            roots = self._origin[seg] + d
-            resid = np.abs(self.velocity(roots) - target)
+            vel = np.take(self._velocity, seg * self._n + node, axis=1)
+            v_b = np.take(kv, node * ts.size + np.minimum(seg, ts.size - 1))
+            # the velocity's rounding on the segment: where a root stops
+            eps = np.finfo(float).eps
+            stop = 4 * eps * np.maximum(np.maximum(1.0, np.abs(target)),
+                                        np.maximum(np.abs(vel[4]), np.abs(v_b)))
+            x = lo + (vel[4] - target) / (vel[4] - v_b) * (hi - lo)
+            x = np.where(np.isfinite(hi - lo), x, origin)
+            move = np.ones(x.shape, dtype=bool)
+            for steps in range(_INVERSION_STEPS + 1):
+                r = poly_eval(vel, x - origin) - target
+                move &= np.abs(r) > stop
+                if steps == _INVERSION_STEPS or not move.any():
+                    break
+                np.copyto(lo, x, where=r > 0)
+                np.copyto(hi, x, where=r < 0)
+                x_new = x - r / poly_eval(vel, x - origin, 1)
+                move &= np.abs(x_new - x) > eps * np.abs(x)
+                out = ~((x_new > lo) & (x_new < hi))
+                x_new[out] = 0.5 * (lo[out] + hi[out])
+                np.copyto(x, x_new, where=move)
+        resid = np.abs(r)
         bad = ~(resid <= _INVERSION_TOL * np.maximum(1.0, np.abs(target)))
         if bad.any():
             raise NotConverged(
                 f"Legendre inversion: {int(np.sum(bad))} of {bad.size} roots "
                 f"above tolerance (worst residual {float(np.max(resid)):.3e})")
-        return roots, float(np.max(resid))
+        return x, float(np.max(resid)), steps
 
 
 def realized_window(path: FlowPath):
@@ -224,9 +224,9 @@ def legendre_lift(path: FlowPath, n_l=129, a_t=None) -> LiftResult:
         raise OutOfWindow("realized fiber window is empty")
     grid = replace(path.grid, n_l=n_l, l_min=lo, l_max=hi, margin=_LIFT_MARGIN)
 
-    splines = _TimeSplines(path)
-    mu, worst = splines.solve_velocity(0.5 * grid.l)
-    psi, curv = splines.value_and_curvature(mu)
+    splines = _TimeSplines(path.spline)
+    mu, worst, steps = splines.solve_velocity(0.5 * grid.l)
+    psi, curv = splines.at(mu, 0, 2)
     phi = psi - 0.5 * mu * grid.l
     mu = mu.reshape(grid.p_shape)
 
@@ -238,7 +238,7 @@ def legendre_lift(path: FlowPath, n_l=129, a_t=None) -> LiftResult:
     agrees = concavity_ok == K.certificate.positive
     return LiftResult(K, (lo, hi),
                       None if a_t is None else np.asarray(a_t, dtype=float),
-                      path.ts, ScalarFieldP(grid, mu), worst,
+                      path.ts, ScalarFieldP(grid, mu), worst, steps,
                       float(np.max(curv)), agrees)
 
 
@@ -265,15 +265,13 @@ def roundtrip_check(path: FlowPath, lift: LiftResult, taus) -> ResidualReport:
     matching); the reduced forms are compared directly as well."""
     grid = lift.data.grid
     mask = grid.interior_m()
-    splines = _TimeSplines(path)
-    nspace = int(np.prod(grid.spatial_shape))
     sup = 0.0
     sq = []
     form_gap = 0.0
     by_tau = []
     taus = np.asarray(taus, dtype=float)
     for tau, red in zip(taus, reduced_potentials(lift.data, taus)):
-        target = splines.value(np.full(nspace, tau)).reshape(grid.spatial_shape)
+        target = path.spline(tau)
         gap = red.psi_tau.values - target
         gap = gap - np.mean(gap[mask])
         g = float(np.max(np.abs(gap[mask])))
@@ -305,7 +303,7 @@ def calabi_converse_w(path: FlowPath, h, C: float):
                       for k in range(path.n_samples)])
     hh = np.asarray(h(path.ts), dtype=float)
     q = scals - hh.reshape(-1, *([1] * (scals.ndim - 1)))
-    dq = time_derivative(path.ts, q, 1)
+    dq = time_spline(path.ts, q)(path.ts, 1)
     tiny = 1e-10 * (1.0 + float(np.max(np.abs(scals))))
     bad = (dq >= -tiny)
     if np.any(bad):

@@ -209,9 +209,14 @@ def merge_levels(name, grid, taus, norms) -> ResidualReport:
 
 def check_dertau(K: KahlerData, f: ScalarFieldP, taus,
                  dtau: float = 1e-4) -> ResidualReport:
-    """d(f_tau)/dtau against the reduction of JV(f)/|V|^2, at each level."""
+    """d(f_tau)/dtau against the reduction of JV(f)/|V|^2, at each level;
+    ValueError if a level tau +- dtau leaves the moment map's range."""
     grid = K.grid
     taus = _levels(taus)
+    lo, hi = K.mu_range()
+    if np.min(taus) - dtau < lo or np.max(taus) + dtau > hi:
+        raise ValueError(f"dtau: levels tau +- {dtau:g} leave the moment "
+                         f"map's range [{lo:.6g}, {hi:.6g}]")
     g = jv_apply(f) / K.vsq
     levels = level_sets(K, np.concatenate([taus + dtau, taus - dtau, taus]))
     n = len(taus)

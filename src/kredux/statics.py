@@ -17,7 +17,7 @@ from .curvature import (cached_ricci_p, descending_scalar, descent_drift,
                         laplacian_m, laplacian_p, ricci_m, scal_m)
 from .fields import (Form11P, ScalarFieldP, ddc_m, d_wedge_dc, ddc_p,
                      integrate_m, interior_norms)
-from .interp import FiberInterp, NotAKnotSpline
+from .interp import FiberInterp, QuinticSpline
 from .reports import ResidualReport
 from .reduction import (default_taus, level_sets, reduce_scalar,
                         reduced_potentials)
@@ -41,7 +41,7 @@ def lambda_mean(sigma) -> float:
 
 def h_canonical(K: KahlerData, taus=None):
     """The unique level profile compatible with the scalar-curvature flow
-    equation on reductions, as a cubic spline through its values at ``taus``
+    equation on reductions, as a quintic spline through its values at ``taus``
     (extrapolated by its end pieces beyond them):
 
         h(tau) = lambda - (integral of log s_tau dV_tau) / vol.
@@ -52,7 +52,7 @@ def h_canonical(K: KahlerData, taus=None):
     for red in reduced_potentials(K, taus):
         vol = integrate_m(np.ones(K.grid.spatial_shape), red.omega_tau)
         vals.append(lam - integrate_m(red.l_tau, red.omega_tau) / vol)
-    return NotAKnotSpline(taus, vals)
+    return QuinticSpline(taus, vals)
 
 
 # ---------------------------------------------------------------------------

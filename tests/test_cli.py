@@ -180,9 +180,22 @@ def _load(path):
     return load_field(str(path))
 
 
-def test_reduce_out_of_range_is_numerical_error(tmp_path):
-    code = run(["reduce"] + small_args(tmp_path, tau=50.0))
-    assert code == 4
+@pytest.mark.parametrize("command,key,value", [
+    ("flow", "flow_dt", "1e-300"),
+    ("reduce", "tau", "100"),
+    ("verify", "dtau", "10"),
+    ("flow", "flow_amplitude", "10"),
+])
+def test_unusable_input_is_input_error(tmp_path, capsys, command, key, value):
+    # a step count past MAX_FLOW_STEPS, a level or a shifted level outside
+    # the moment map's range, a starting potential that is not Kahler
+    code = run([command] + small_args(tmp_path, n=16, n_l=33, margin=4,
+                                      **{key: value}))
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith(f"input error: {key}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_flow_lift_residual_pipeline(tmp_path):
@@ -196,6 +209,11 @@ def test_flow_lift_residual_pipeline(tmp_path):
     code = run(["lift", "--in", flow_dir,
                 "--out", lift_dir, "n_l=129"])
     assert code == 0
+    with open(os.path.join(lift_dir, "lift_meta.json")) as fh:
+        lift_meta = json.load(fh)
+    # measured: every root of this inversion takes 2 Newton updates
+    assert lift_meta["inversion_steps"] == 2
+    assert lift_meta["max_inversion_residual"] <= 1e-13
     res_dir = str(tmp_path / "res")
     code = run(["residual", "--eq", "kr", "--in", lift_dir, "--out", res_dir])
     assert code == 0
@@ -344,24 +362,23 @@ def test_static_equation_registry(tmp_path):
 
 def test_unconverged_inversion_is_numerical_error(tmp_path, monkeypatch,
                                                   capsys):
-    import copy
-
     import kredux.lift
+    from kredux.interp import QuinticSpline
 
     flow_dir = str(tmp_path / "flow")
     assert run(["flow"] + small_args(tmp_path, n=16, n_l=33, margin=4,
                                      flow_kind="kr", flow_t_end=0.1,
                                      flow_dt=5e-4, flow_amplitude=0.01,
                                      out=flow_dir)) == 0
-    # the shifted path passes the concavity check; the time splines are
-    # built over a copy whose velocity rises at one node
+    # the shifted path passes the concavity check; the inversion's table is
+    # built from its spline with one node's samples replaced by t^2, so the
+    # velocity rises there
     splines = kredux.lift._TimeSplines
 
-    def rising_at_one_node(path):
-        rising = copy.copy(path)
-        rising.psis = path.psis.copy()
-        rising.psis[:, 0, 0] = path.ts ** 2
-        return splines(rising)
+    def rising_at_one_node(spline):
+        ys = spline(spline.x)
+        ys[:, 0, 0] = spline.x ** 2
+        return splines(QuinticSpline(spline.x, ys))
 
     monkeypatch.setattr(kredux.lift, "_TimeSplines", rising_at_one_node)
     lift_dir = tmp_path / "lift"

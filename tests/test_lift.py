@@ -1,13 +1,12 @@
-import copy
-
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import make_interp_spline
 from scipy.optimize import brentq
 
 import kredux as kx
 from kredux.errors import HypothesisViolated, NonConcave, NotConverged
 from kredux.flows import FlowPath
+from kredux.interp import QuinticSpline
 from kredux.lift import _TimeSplines
 from kredux.statics import constant_profile
 
@@ -194,23 +193,25 @@ def concave_path(grid, n=11, seed=0):
 def test_inversion_matches_brentq_per_pair():
     grid = kx.TestbedGrid("torus", 9, 9, -1.0, 1.0, margin=2)
     path = concave_path(grid)
-    splines = _TimeSplines(path)
+    splines = _TimeSplines(path.spline)
     # velocities span about [-2.003, 0]; the levels reach beyond both ends
     targets = np.linspace(-4.0, 2.0, 129)
-    roots, worst = splines.solve_velocity(targets)
+    roots, worst, steps = splines.solve_velocity(targets)
     assert roots.shape == (81, 129)
-    resid = np.abs(splines.velocity(roots) - targets)
-    # measured within one ulp (2.2e-16) of max(1, |target|)
+    resid = np.abs(splines.at(roots, 1)[0] - targets)
+    # measured: within 4 eps (8.9e-16) of max(1, |target|), after at most
+    # 2 Newton updates
     assert np.all(resid <= 1e-15 * np.maximum(1.0, np.abs(targets)))
     assert worst == np.max(resid)
+    assert steps <= 2
     ts = path.ts
     psis = path.psis.reshape(len(ts), -1)
     for node in (0, 40, 63, 80):
-        cs = CubicSpline(ts, psis[:, node])
+        spl = make_interp_spline(ts, psis[:, node], k=5)
 
         def velocity(t):
             end = min(max(t, ts[0]), ts[-1])
-            return float(cs(end, 1) + cs(end, 2) * (t - end))
+            return float(spl(end, 1) + spl(end, 2) * (t - end))
 
         for target, root in zip(targets, roots[node]):
             ref = brentq(lambda t: velocity(t) - target, -50.0, 50.0,
@@ -218,19 +219,18 @@ def test_inversion_matches_brentq_per_pair():
             assert abs(root - ref) <= 1e-12
 
 
-def rising_at_one_node(path):
-    """A copy of the path whose first node follows psi_t = t^2, so the
-    velocity rises there; set after construction, since that sample is no
-    Kahler potential."""
-    rising = copy.copy(path)
-    rising.psis = path.psis.copy()
-    rising.psis[:, 0, 0] = path.ts ** 2
-    return rising
+def rising_at_one_node(spline):
+    """The time spline of a path's samples whose first node follows
+    psi_t = t^2, so the velocity rises there (that sample is no Kahler
+    potential, so there is no such path)."""
+    ys = spline(spline.x)
+    ys[:, 0, 0] = spline.x ** 2
+    return QuinticSpline(spline.x, ys)
 
 
 def test_inversion_raises_when_not_converged():
     grid = kx.TestbedGrid("torus", 9, 9, -1.0, 1.0, margin=2)
-    splines = _TimeSplines(rising_at_one_node(concave_path(grid)))
+    splines = _TimeSplines(rising_at_one_node(concave_path(grid).spline))
     with pytest.raises(NotConverged, match="Legendre inversion"):
         splines.solve_velocity(np.linspace(-3.0, 1.0, 5))
     assert issubclass(NotConverged, kx.KreduxError)

@@ -1,9 +1,10 @@
 """Randomized properties of the fiber interpolant and its antiderivative, the
-level solve, the cubic spline, gauge moves, the fixed points of the flows,
+level solve, the quintic spline, gauge moves, the fixed points of the flows,
 reduction and lift as inverses, and the round trips of configurations, field
 dumps and grids (hypothesis, derandomized so the suite is repeatable)."""
 
 import functools
+import math
 import os
 import tempfile
 from dataclasses import replace
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import KroghInterpolator, make_interp_spline
 from scipy.optimize import brentq
 
 import kredux as kx
@@ -23,7 +24,7 @@ from kredux.config import RunConfig
 from kredux.errors import NotConverged
 from kredux.fields import ScalarFieldM, ScalarFieldP
 from kredux.fixtures import random_resolved_m
-from kredux.interp import FiberInterp, NotAKnotSpline
+from kredux.interp import FiberInterp, QuinticSpline
 from kredux.io import dump_field, load_field
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
@@ -213,28 +214,44 @@ def test_levels_solved_together_match_one_at_a_time(kind, picks, loop_pairs,
         assert np.array_equal(_bits(got.imag), _bits(want.imag))
 
 
-splines = st.integers(3, 60).flatmap(lambda n: st.tuples(
+quintic_splines = st.integers(6, 60).flatmap(lambda n: st.tuples(
     st.floats(-2.0, 2.0),
     arrays(float, n - 1, elements=st.floats(0.1, 1.0)),
-    arrays(float, (n, 3), elements=unit)))
+    arrays(float, (n, 2, 3), elements=unit)))
 
 
 @SETTINGS
-@given(spline=splines)
-@example(spline=(0.0, np.array([0.5, 0.25]),  # three knots: the parabola
-                 np.array([[1.0, -0.5, 0.2], [0.3, 0.9, -1.0],
-                           [-0.7, 0.1, 0.4]])))
-def test_not_a_knot_spline_matches_scipy(spline):
+@given(spline=quintic_splines)
+def test_quintic_spline_matches_scipy(spline):
     start, gaps, y = spline
     x = start + np.concatenate([[0.0], np.cumsum(gaps)])
-    ref, spl = CubicSpline(x, y), NotAKnotSpline(x, y)
-    assert spl.c.shape == ref.c.shape
-    # scipy solves the slopes by banded LU, the numpy spline by dense LU
-    scale = 1.0 + np.max(np.abs(ref.c), axis=(1, 2), keepdims=True)
-    assert np.all(np.abs(spl.c - ref.c) <= 1e-12 * scale)
-    # both end pieces extrapolate
-    t = np.linspace(x[0] - 1.0, x[-1] + 1.0, 17)
+    ref, spl = make_interp_spline(x, y, k=5), QuinticSpline(x, y)
+    assert spl.c.shape == (6, x.size - 1) + y.shape[1:]
+    # row k against scipy's derivative of order 5 - k at each piece's
+    # start; both in units of the smallest knot spacing
+    h = np.min(gaps)
+    for k in range(6):
+        want = ref(x[:-1], 5 - k) / math.factorial(5 - k) * h ** (5 - k)
+        _assert_reproduces(spl.c[k] * h ** (5 - k), want)
+    # both end pieces extrapolate, here over that spacing
+    t = np.concatenate([np.linspace(x[0] - h, x[-1] + h, 33), x])
     _assert_reproduces(spl(t), ref(t))
+
+
+@SETTINGS
+@given(n=st.integers(2, 5), start=st.floats(-2.0, 2.0), data=st.data())
+def test_quintic_spline_of_few_knots_is_the_polynomial(n, start, data):
+    gaps = data.draw(arrays(float, n - 1, elements=st.floats(0.1, 1.0)))
+    y = data.draw(arrays(float, (n, 2, 3), elements=unit))
+    x = start + np.concatenate([[0.0], np.cumsum(gaps)])
+    spl, ref = QuinticSpline(x, y), KroghInterpolator(x, y)
+    # inside and one piece width beyond, derivatives in units of the
+    # smallest knot spacing
+    t = np.concatenate([np.linspace(x[0] - gaps[0], x[-1] + gaps[-1], 17), x])
+    h = np.min(gaps)
+    for nu in range(3):
+        _assert_reproduces(spl(t, nu) * h ** nu,
+                           ref.derivative(t, nu) * h ** nu)
 
 
 GAUGE_K = kx.perturbed_cylinder(kx.torus_grid(n=12, n_l=17, margin=2),
