@@ -14,7 +14,7 @@ import numpy as np
 
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
                      d_wedge_dc, ddc_p, interior_norms, jv_apply,
-                     trace_against, wedge_square)
+                     trace_against)
 from .fixtures import reference_ricci, reference_sigma
 from .reports import ResidualReport
 from .structure import KahlerData
@@ -75,7 +75,8 @@ def laplacian_p(f: ScalarFieldP, K: KahlerData) -> ScalarFieldP:
 def ricci_p(K: KahlerData) -> Form11P:
     """Ricci form of omega through the product-reference volume ratio."""
     sigma_ref, ricci_ref = _reference_arrays(K.grid)
-    log_f = wedge_square(K.omega).t
+    # omega /\ omega: K.omega has no (2,0) part
+    log_f = np.multiply(K.omega_det(), 2.0)
     log_f /= 2.0 * sigma_ref[..., None]
     np.log(log_f, out=log_f)
     ric = ddc_p(ScalarFieldP(K.grid, log_f))

@@ -464,7 +464,7 @@ def grad_pair(f: ScalarFieldM, g: ScalarFieldM, metric: Form11M) -> ScalarFieldM
         raise ValueError("metric must be positive")
     grid = f.grid
     df = grid.dz_stripped(f.values)
-    dg = grid.dz_stripped(g.values)
+    dg = df if g is f else grid.dz_stripped(g.values)
     val = 2.0 * np.real(df * np.conj(dg)) * grid.mixed_weight / metric.h
     return ScalarFieldM(grid, val)
 

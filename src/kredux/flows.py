@@ -24,6 +24,7 @@ fixtures are exact fixed points of the discrete right-hand sides.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,8 +155,9 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
 
     psi = np.array(psi0, dtype=float, copy=True)
     dt = dt if dt is not None else t_end / (save_count - 1)
-    if t_end / dt > MAX_FLOW_STEPS:
-        raise ValueError(f"flow_dt={dt:.3g} asks for {t_end / dt:.3g} steps "
+    steps = t_end / dt if dt > 0 else math.inf  # dt may underflow to 0
+    if steps > MAX_FLOW_STEPS:
+        raise ValueError(f"flow_dt={dt:.3g} asks for {steps:.3g} steps "
                          f"to t={t_end:.3g}, more than MAX_FLOW_STEPS "
                          f"({MAX_FLOW_STEPS})")
     n_steps = max(int(np.ceil(t_end / dt - 1e-12)), 1)

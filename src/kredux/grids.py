@@ -88,7 +88,19 @@ def fd_apply(values, axis, order, h, n):
     Each row is evaluated as sum_k w_k (f_{i+k} - f_i), so constants are
     annihilated exactly in floating point; this matters wherever chart
     factors later amplify small residues.  Every row sums from zero (so a
-    sum of ``-0.0`` terms is ``+0.0``) through one reused buffer.
+    sum of ``-0.0`` terms is ``+0.0``) in increasing ``k``.
+
+    Interior rows share their differences: ``d1[j] = f[j+1] - f[j]`` and
+    ``d2[j] = f[j+2] - f[j]`` are each taken once, and row i adds
+    ``-(w_-k * d_k[i-k])`` for k = 2, 1, then ``w_k * d_k[i]`` for k = 1, 2.
+    Where ``w_-k`` equals ``w_k`` or ``-w_k`` exactly (checked, never
+    assumed), the product ``w_k * d_k`` is taken once too and serves both
+    terms; order 2's ``w_-1`` and ``w_1`` differ in the last bit, so that
+    pair keeps two products.  Two IEEE facts make this the same bits as the
+    plain form: rounding is symmetric in sign, so ``a - b == -(b - a)`` and
+    ``w * -d == -(w * d)``; and a sum started from ``+0.0`` is never
+    ``-0.0``, so the sign of a zero term cannot show.  The four closure rows
+    gather all their nodes with one index.
 
     The array is viewed as (before, axis, after).  Interior rows run on
     blocks of about ``_BLOCK_BYTES`` laid out fiber-major (stencil axis
@@ -98,32 +110,40 @@ def fd_apply(values, axis, order, h, n):
     vals = np.asarray(values, dtype=float)
     axis = axis % vals.ndim
     v = np.ascontiguousarray(vals).reshape(math.prod(vals.shape[:axis]), n, -1)
-    out = np.zeros(v.shape)
+    out = np.empty(v.shape)
     scale = h ** (-order)
     interior, ends = _stencil(n, order)
+    wm2, wm1, _, w1, w2 = interior * scale
     blocks = max(1, math.ceil(v.nbytes / _BLOCK_BYTES))
     step = max(1, math.ceil(len(v) / blocks))
     for p in range(0, len(v), step):
         f = np.ascontiguousarray(v[p:p + step].transpose(1, 0, 2))
         dst = out[p:p + step].transpose(1, 0, 2)[2:n - 2]
-        acc = dst if dst.flags.c_contiguous else np.zeros(dst.shape)
-        core = f[2:n - 2]
-        tmp = np.empty_like(core)
-        for k, w in zip(range(-2, 3), interior * scale):
-            if k:
-                np.subtract(f[2 + k:n - 2 + k], core, out=tmp)
-                tmp *= w
-                acc += tmp
+        acc = dst if dst.flags.c_contiguous else np.empty(dst.shape)
+        d1 = f[2:n - 1] - f[1:n - 2]   # d1[j - 1] = f[j + 1] - f[j]
+        d2 = f[2:] - f[:n - 2]         # d2[j] = f[j + 2] - f[j]
+        terms = ((2, d2, wm2, w2), (1, d1, wm1, w1))
+        for k, d, wm, wp in terms:                 # -2, then -1
+            if abs(wm) == abs(wp):
+                d *= wp
+                term = d[:n - 4]
+            else:
+                term = np.multiply(d[:n - 4], wm)
+            op = np.add if wm == -wp else np.subtract
+            op(0.0 if k == 2 else acc, term, out=acc)  # first term from zero
+        for k, d, wm, wp in reversed(terms):       # +1, then +2
+            if abs(wm) != abs(wp):
+                d[k:] *= wp
+            acc += d[k:]
         if acc is not dst:
             dst[...] = acc
     rows, nodes, weights = ends
-    f = v[:, rows]
-    acc = np.zeros(f.shape)
-    tmp = np.empty(f.shape)
-    for m, w in enumerate((weights * scale).T):
-        np.subtract(v[:, nodes[:, m]], f, out=tmp)
-        tmp *= w[:, None]
-        acc += tmp
+    g = v[:, nodes.T]                  # (before, node, row, after)
+    g -= v[:, None, rows]
+    g *= (weights * scale).T[:, :, None]
+    acc = np.zeros(g[:, 0].shape)
+    for m in range(g.shape[1]):
+        acc += g[:, m]
     out[:, rows] = acc
     return out.reshape(vals.shape)
 
@@ -135,6 +155,12 @@ def _wavenumbers(n, odd):
     if odd and n % 2 == 0:
         k[n // 2] = 0.0
     return k
+
+
+# Chart limits: s = e^l and u^2 = e^2v stay finite floats (e^700 ~ 1e304),
+# and so does the second-derivative stencils' 1/h^2.
+_MAX_LOG = 700.0
+_MIN_SPACING = 1e-150
 
 
 def _spatial_like(arr, values):
@@ -178,6 +204,15 @@ class TestbedGrid:
             raise ValueError("need l_min < l_max")
         if self.l_u <= 0:
             raise ValueError("l_u must be positive")
+        for name, top in (("l_min", _MAX_LOG), ("l_max", _MAX_LOG),
+                          ("l_u", _MAX_LOG / 2)):
+            if abs(getattr(self, name)) > top:
+                raise ValueError(f"{name} must be at most {top:g} in "
+                                 "magnitude")
+        for name, h in (("l_max - l_min", self.h_l), ("l_u", self.h_v)):
+            if h < _MIN_SPACING:
+                raise ValueError(f"{name} must be larger: the node spacing "
+                                 f"{h:.3g} is below {_MIN_SPACING:g}")
         if self.margin < 2:
             raise ValueError("margin must be at least 2")
         # plain Python numbers: every report writes meta() as its grid block

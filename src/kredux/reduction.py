@@ -257,7 +257,8 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     xi -= d_wedge_dc(g, K)
     ratio = wedge_square(xi).t
     del xi
-    den_p = wedge_square(K.omega).t
+    # omega /\ omega: K.omega has no (2,0) part
+    den_p = np.multiply(K.omega_det(), 2.0)
     # relative to the density's own scale, which a uniform rescaling of the
     # structure moves
     if np.any(np.abs(den_p) <= 1e-14 * np.max(np.abs(den_p))):

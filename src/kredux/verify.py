@@ -13,7 +13,7 @@ import numpy as np
 from .curvature import (check_moment_ricci_identity, descending_ricci,
                         descending_scalar, laplacian_m, ricci_m)
 from .fields import (ScalarFieldM, ScalarFieldP, contract_v, ddc_p, grad_pair,
-                     interior_norms, jv_apply)
+                     interior_norms)
 from .fixtures import (flat_cylinder, fs_cylinder, perturbed_cylinder,
                        perturbed_fs_cylinder, random_resolved_m,
                        random_resolved_p)
@@ -55,8 +55,7 @@ def convention_gate(grid: TestbedGrid | None = None, seed=0) -> ResidualReport:
     part_a = interior_norms(ddc_ell.max_magnitude(), mask_p)[0]
 
     cv = contract_v(K.omega)
-    jv_mu = jv_apply(K.mu)
-    part_b = interior_norms(cv.vv - jv_mu.values, mask_p)[0]
+    part_b = interior_norms(cv.vv - K.vsq.values, mask_p)[0]
     part_b = max(part_b, interior_norms(cv.vv - 2.0, mask_p)[0])
     positive = float(np.min(cv.vv[mask_p]))
 

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from kredux.cli import main
 
@@ -158,6 +164,10 @@ def test_non_finite_level_is_input_error(tmp_path, capsys, tau):
     ("verify", "dtau", "nan"),
     ("reduce", "l_u", "0"),
     ("reduce", "l_u", "-3"),
+    ("reduce", "l_u", "1e300"),    # u^2 = e^2v overflows
+    ("reduce", "l_min", "-1e300"),
+    ("reduce", "l_u", "1e-300"),   # 1/h^2 overflows
+    ("reduce", "l_u", "5e-324"),   # h is zero
 ])
 def test_bad_run_number_is_input_error(tmp_path, capsys, command, key, value):
     code = run([command] + small_args(tmp_path, testbed="radial", n=16,
@@ -517,3 +527,69 @@ def test_import_leaves_the_allocator_alone():
              "kredux.cli._pin_malloc_policy()\n"
              "print(mmapped())\n")
     assert run_fresh(probe).stdout.split() == ["1", "0"]
+
+
+# -- random command lines -----------------------------------------------------
+# Every command on a small grid, with overrides drawn from extreme, negative,
+# non-finite and malformed spellings.  Resolutions are drawn only below their
+# floor or malformed, and the flow's times only from fixed spellings, so that
+# no draw asks for a large grid or a long run.
+
+ODD_NUMBERS = ("0", "-1", "1e300", "-1e300", "1e-300", "5e-324", "nan",
+               "inf", "-inf", "abc", "", "1,5", "0x10")
+CLI_RUN_S = 10.0  # per command line; the slowest of the 300 takes 0.1 s
+
+
+def _pairs(keys, values):
+    return st.tuples(st.sampled_from(keys), st.sampled_from(values))
+
+
+OVERRIDES = st.lists(st.one_of(
+    st.tuples(st.sampled_from(("l_min", "l_max", "l_u", "dtau", "tau",
+                               "flow_amplitude")),
+              st.sampled_from(ODD_NUMBERS) | st.floats(-3.0, 3.0).map(repr)),
+    _pairs(("flow_t_end", "flow_dt"), ODD_NUMBERS + ("1e-3", "1e-4")),
+    _pairs(("n", "n_l"), ("8", "0", "-9", "9.5", "1e3", "nan", "x", "")),
+    _pairs(("margin",), ("1", "-2", "0", "50", "2.5", "x")),
+    _pairs(("seed",), ("-1", "7", "123456789012345678901234567890", "1.5",
+                       "x")),
+    _pairs(("testbed",), ("torus", "radial", "plane", "")),
+    _pairs(("fixture",), ("auto", "cyl", "fscyl", "perturbed", "bogus")),
+    _pairs(("flow_kind",), ("calabi", "pseudo_calabi", "kr", "nkr", "bogus")),
+    _pairs(("bogus_key", "N"), ("1",)),
+), max_size=3)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@example(command="flow", eq="kr", testbed="torus", n=9, n_l=9, margin=2,
+         overrides=[("flow_t_end", "5e-324")])  # its default step is 0
+@example(command="verify", eq="kr", testbed="torus", n=9, n_l=9, margin=2,
+         overrides=[("l_min", "0"), ("l_max", "1e-300")])
+@given(command=st.sampled_from(["verify", "reduce", "flow", "lift",
+                                "residual", "golden"]),
+       eq=st.sampled_from(["geodesic", "calabi", "pseudo_calabi", "kr",
+                           "v_soliton"]),
+       testbed=st.sampled_from(["torus", "radial"]),
+       n=st.integers(9, 16), n_l=st.integers(9, 33),
+       margin=st.integers(2, 4), overrides=OVERRIDES)
+def test_random_command_lines_exit_with_a_documented_code(
+        command, eq, testbed, n, n_l, margin, overrides):
+    with tempfile.TemporaryDirectory() as work:
+        argv = [command, f"testbed={testbed}", f"n={n}", f"n_l={n_l}",
+                f"margin={margin}", "--out", os.path.join(work, "out")]
+        if command == "golden" and testbed == "radial":
+            argv.append("fixture=fscyl")  # the small quotient grid
+        if command == "lift":
+            argv += ["--in", work]  # holds no path
+        if command == "residual":
+            argv += ["--eq", eq]
+        argv += [f"{k}={v}" for k, v in overrides]
+        err = io.StringIO()
+        start = time.perf_counter()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(argv)
+        elapsed = time.perf_counter() - start
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    assert elapsed < CLI_RUN_S, (argv, elapsed)

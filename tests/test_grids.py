@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from kredux.grids import TestbedGrid as Grid
 from kredux.grids import (_spatial_like, _wavenumbers, fd_apply, fd_weights,
                           radial_grid, torus_grid)
@@ -142,9 +143,12 @@ def _fd_apply_fresh_weights(v, order, h, n):
     return out
 
 
+# n = 9 and n = 10 are the shortest axes a grid accepts; (48, 48, 9) and
+# (48, 48, 10) run the fiber axis in more than one block
 FD_CASES = [(shape, axis)
             for shape in [(32, 32), (32, 32, 65), (32, 32, 129),
-                          (32, 32, 257), (257,), (257, 129)]
+                          (32, 32, 257), (257,), (257, 129), (9, 10),
+                          (10, 9), (48, 48, 9), (48, 48, 10)]
             for axis in (0, -1)] + [((3, 4, 33), -1)]
 
 
@@ -164,6 +168,17 @@ def test_fd_apply_cached_weights_bit_identical(order):
         interior, ends = _stencil(n, order)
         assert _stencil(n, order) is _stencil(n, order)
         assert not any(a.flags.writeable for a in (interior, *ends))
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_fd_apply_buffers_stay_block_sized(order):
+    # the fiber axis of a torus field runs in blocks of about 128 KB, so the
+    # peak is the output and a few block buffers; one full-size copy of the
+    # 2.1 MB input would cross the bound of eight such blocks.  Measured
+    # above the output: 0.75 MB (order 1) and 0.87 MB (order 2).
+    v = np.random.default_rng(order).standard_normal((32, 32, 257))
+    out, peak = traced_peak(fd_apply, v, -1, order, 0.0731, 257)
+    assert peak <= out.nbytes + 8 * (128 << 10)
 
 
 @pytest.mark.parametrize("shape", [(32, 32), (32, 32, 65), (32, 32, 129),
