@@ -14,7 +14,7 @@ grid = kx.torus_grid(n=16, n_l=65)
 print(f"torus testbed: {grid.n_spatial}^2 spatial nodes, "
       f"{grid.n_l} fiber nodes on [{grid.l_min}, {grid.l_max}]")
 
-K = kx.flat_cylinder(grid)
+K = kx.cylinder(grid)
 print("\nflat cylinder fixture (phi = l^2/4):")
 print(f"  mu + l sup            : {np.max(np.abs(K.mu.values + grid.l)):.2e}")
 print(f"  |V|^2 - 2 sup         : {np.max(np.abs(K.vsq.values - 2)):.2e}")
@@ -40,6 +40,6 @@ print(f"  reproduction error    : {np.max(np.abs(back.values - K.mu.values)):.2e
 
 # a potential with no fiber growth cannot be Kahler upstairs
 try:
-    kx.assemble(kx.flat_sigma(grid), kx.ScalarFieldP(grid, np.zeros(grid.p_shape)), 0.0)
+    kx.assemble(kx.reference_sigma(grid), kx.ScalarFieldP(grid, np.zeros(grid.p_shape)), 0.0)
 except kx.NotPositive as exc:
     print(f"\nzero potential correctly rejected: {exc}")

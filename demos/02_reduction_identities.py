@@ -12,7 +12,7 @@ import numpy as np
 import kredux as kx
 
 grid = kx.torus_grid(n=16, n_l=65)
-K = kx.perturbed_cylinder(grid, amplitude=0.02)
+K = kx.perturbed(grid, 0.02)
 
 red = kx.reduced_potential(K, 0.3)
 print("reduction of the perturbed cylinder at tau = 0.3:")

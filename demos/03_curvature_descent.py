@@ -12,7 +12,7 @@ import kredux as kx
 from kredux.curvature import ricci_m, scal_m
 
 grid = kx.torus_grid(n=16, n_l=129)
-K = kx.perturbed_cylinder(grid, amplitude=0.02)
+K = kx.perturbed(grid, 0.02)
 mask = grid.interior_m()
 
 rho = kx.descending_ricci(K)

@@ -14,8 +14,8 @@ from kredux.statics import constant_profile
 
 tg = kx.torus_grid(n=16, n_l=129)
 rgr = kx.radial_grid(n_u=129, n_l=129)
-cyl = kx.flat_cylinder(tg)
-fscyl = kx.fs_cylinder(rgr)
+cyl = kx.cylinder(tg)
+fscyl = kx.cylinder(rgr)
 lam = kx.lambda_mean(fscyl.sigma)
 print(f"mean scalar curvature: flat torus {kx.lambda_mean(cyl.sigma):.1f}, "
       f"round sphere {lam:.1f}")

@@ -12,7 +12,7 @@ import kredux as kx
 from kredux.curvature import ricci_m, scal_m
 
 grid = kx.torus_grid(n=16, n_l=33)
-sigma = kx.flat_sigma(grid)
+sigma = kx.reference_sigma(grid)
 zero = np.zeros(grid.spatial_shape)
 
 path = kx.calabi_integrate(zero, sigma, 0.01, dt=1e-4)

@@ -13,7 +13,7 @@ import kredux as kx
 from kredux.flows import FlowPath
 
 grid = kx.torus_grid(n=16, n_l=65)
-sigma = kx.flat_sigma(grid)
+sigma = kx.reference_sigma(grid)
 u = 0.05 * np.sin(2 * np.pi * grid.x1)[:, None] * np.ones((1, grid.n_spatial))
 ts = np.linspace(0.0, 0.5, 41)
 path = FlowPath(grid, sigma, "linear", ts, np.array([t * u for t in ts]))

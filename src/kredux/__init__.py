@@ -12,9 +12,8 @@ from .errors import (ClassNotFixed, Degenerate, HypothesisViolated,
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, TopFormP,
                      contract_v, d_wedge_dc, ddc_m, ddc_p, grad_pair,
                      integrate_m, jv_apply, wedge_square)
-from .fixtures import (flat_cylinder, flat_sigma, fs_cylinder, fs_sigma,
-                       perturbed_cylinder, perturbed_fs_cylinder,
-                       reference_ricci, reference_sigma)
+from .fixtures import (bump, cylinder, perturbed, reference_ricci,
+                       reference_sigma)
 from .flows import (FlowPath, calabi_energy, calabi_integrate,
                     geodesic_residual_path, kr_integrate, kr_time_map,
                     pseudo_calabi_integrate)

@@ -25,11 +25,10 @@ import numpy as np
 from .config import RunConfig, _parse_pairs, load_config
 from .errors import KreduxError
 from .fields import ddc_m
-from .fixtures import (flat_cylinder, fs_cylinder, perturbed_cylinder,
-                       perturbed_fs_cylinder, reference_sigma)
+from .fixtures import bump, cylinder, perturbed, reference_sigma
 from .flows import calabi_integrate, kr_integrate, pseudo_calabi_integrate
 from .golden import golden_grid, run_golden
-from .grids import TORUS, TestbedGrid
+from .grids import TestbedGrid
 from .io import (load_kahler, load_lift_taus, load_path, save_kahler,
                  save_path, save_reduction, write_json, write_meta)
 from .lift import admissible_taus, concavity_shift, legendre_lift, roundtrip_check
@@ -67,19 +66,22 @@ def _grid_from(cfg: RunConfig) -> TestbedGrid:
                        l_u=cfg.l_u, margin=cfg.margin)
 
 
+# fixture names that ask for one testbed's cylinder: (reference, testbed)
+_NAMED_CYLINDERS = {"cyl": ("flat", "torus"), "fscyl": ("round", "radial")}
+
+
 def _fixture_from(cfg: RunConfig, grid: TestbedGrid):
     name = cfg.fixture
-    if name == "auto":
-        name = "cyl" if grid.kind == TORUS else "fscyl"
-    if name == "cyl":
-        return flat_cylinder(grid)
-    if name == "fscyl":
-        return fs_cylinder(grid)
     if name == "perturbed":
-        if grid.kind == TORUS:
-            return perturbed_cylinder(grid, amplitude=cfg.flow_amplitude)
-        return perturbed_fs_cylinder(grid, amplitude=cfg.flow_amplitude)
-    raise ValueError(f"unknown fixture {name!r}")
+        return perturbed(grid, cfg.flow_amplitude)
+    if name in _NAMED_CYLINDERS:
+        reference, testbed = _NAMED_CYLINDERS[name]
+        if cfg.testbed != testbed:
+            raise ValueError(f"the {reference} reference lives on the "
+                             f"{testbed} testbed")
+    elif name != "auto":
+        raise ValueError(f"unknown fixture {name!r}")
+    return cylinder(grid)
 
 
 def _load_or_fixture(cfg, grid, in_dir):
@@ -93,7 +95,7 @@ def _load_or_fixture(cfg, grid, in_dir):
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg: RunConfig, args) -> int:
     grid = _grid_from(cfg)
     reports, failures = run_verify(grid, seed=cfg.seed, dtau=cfg.dtau)
     os.makedirs(cfg.out, exist_ok=True)
@@ -116,9 +118,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_reduce(cfg: RunConfig, in_dir=None) -> int:
+def cmd_reduce(cfg: RunConfig, args) -> int:
     grid = _grid_from(cfg)
-    K = _load_or_fixture(cfg, grid, in_dir)
+    K = _load_or_fixture(cfg, grid, args.in_dir)
     lo, hi = K.mu_range()
     if np.isfinite(cfg.tau) and not lo <= cfg.tau <= hi:
         raise ValueError(f"tau={cfg.tau} lies outside the moment map's range "
@@ -130,19 +132,10 @@ def cmd_reduce(cfg: RunConfig, in_dir=None) -> int:
     return EXIT_OK
 
 
-def _initial_potential(cfg, grid):
-    if grid.kind == TORUS:
-        vals = cfg.flow_amplitude * np.cos(
-            2 * np.pi * grid.x1)[:, None] * np.ones(grid.spatial_shape)
-    else:
-        vals = cfg.flow_amplitude * np.exp(-grid.v ** 2 / 4.0)
-    return vals
-
-
-def cmd_flow(cfg: RunConfig) -> int:
+def cmd_flow(cfg: RunConfig, args) -> int:
     grid = _grid_from(cfg)
     sigma = reference_sigma(grid)
-    psi0 = _initial_potential(cfg, grid)
+    psi0 = cfg.flow_amplitude * bump(grid)
     if not (sigma + ddc_m(psi0, grid)).is_positive():
         raise ValueError(f"flow_amplitude={cfg.flow_amplitude} gives a "
                          "starting potential that is not Kahler")
@@ -158,34 +151,36 @@ def cmd_flow(cfg: RunConfig) -> int:
     else:
         raise ValueError(f"unknown flow kind {cfg.flow_kind!r}")
     save_path(path, cfg.out)
-    write_meta(cfg.out, {"config": cfg.to_dict()}, ("sigma.csv", "path.csv"))
+    write_meta(cfg.out, {"config": cfg.to_dict()},
+               ("sigma.csv", "path.csv", "path_meta.json"))
     print(f"{cfg.flow_kind}: {path.n_samples} samples to t={path.ts[-1]:.4g}")
     return EXIT_OK
 
 
-def cmd_lift(cfg: RunConfig, in_dir) -> int:
-    if not in_dir:
+def cmd_lift(cfg: RunConfig, args) -> int:
+    if not args.in_dir:
         raise ValueError("lift needs --in pointing at a flow path directory")
-    path = load_path(in_dir)
+    path = load_path(args.in_dir)
     shifted, a_t = concavity_shift(path)
-    lift = legendre_lift(shifted, n_l=cfg.n_l, a_t=a_t)
+    lift = legendre_lift(shifted, n_l=cfg.n_l)
     taus = admissible_taus(shifted, lift)
     rep = roundtrip_check(shifted, lift, taus)
-    save_kahler(lift.data, cfg.out, {"config": cfg.to_dict()})
     write_json(os.path.join(cfg.out, "lift_meta.json"),
-               {"a_t": [[float(t), float(a)]
-                        for t, a in zip(path.ts, lift.a_t)],
+               {"a_t": [[float(t), float(a)] for t, a in zip(path.ts, a_t)],
                 "window": list(lift.window),
                 "max_inversion_residual": lift.max_inversion_residual,
                 "inversion_steps": lift.inversion_steps,
                 "admissible_taus": [float(t) for t in taus],
                 "roundtrip": rep.to_dict()})
+    save_kahler(lift.data, cfg.out, {"config": cfg.to_dict()},
+                written=("lift_meta.json",))
     print(f"lift window [{lift.window[0]:.4g}, {lift.window[1]:.4g}], "
           f"roundtrip gap {rep.linf:.3e}")
     return EXIT_OK
 
 
-def cmd_residual(cfg: RunConfig, in_dir, eq) -> int:
+def cmd_residual(cfg: RunConfig, args) -> int:
+    eq, in_dir = args.eq, args.in_dir
     grid_hint = _grid_from(cfg)
     K = _load_or_fixture(cfg, grid_hint, in_dir)
     taus = load_lift_taus(in_dir) if in_dir else None
@@ -200,7 +195,7 @@ def cmd_residual(cfg: RunConfig, in_dir, eq) -> int:
     return EXIT_OK
 
 
-def cmd_golden(cfg: RunConfig) -> int:
+def cmd_golden(cfg: RunConfig, args) -> int:
     grid = golden_grid() if cfg.testbed != "radial" or cfg.fixture == "auto" \
         else golden_grid(n_u=cfg.n, n_l=cfg.n_l)
     report = run_golden(grid)
@@ -218,11 +213,13 @@ def cmd_golden(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+COMMANDS = {"verify": cmd_verify, "reduce": cmd_reduce, "flow": cmd_flow,
+            "lift": cmd_lift, "residual": cmd_residual, "golden": cmd_golden}
+
+
 def _build_parser():
     p = argparse.ArgumentParser(prog="kredux")
-    p.add_argument("command",
-                   choices=["verify", "reduce", "flow", "lift", "residual",
-                            "golden"])
+    p.add_argument("command", choices=list(COMMANDS))
     p.add_argument("--config", default=None)
     p.add_argument("--out", default=None)
     p.add_argument("--in", dest="in_dir", default=None)
@@ -242,29 +239,13 @@ def main(argv=None) -> int:
             cfg = cfg.updated(_parse_pairs(overrides))
         if args.out:
             cfg = cfg.updated({"out": args.out})
-    except (ValueError, OSError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        if args.command == "verify":
-            return cmd_verify(cfg)
-        if args.command == "reduce":
-            return cmd_reduce(cfg, args.in_dir)
-        if args.command == "flow":
-            return cmd_flow(cfg)
-        if args.command == "lift":
-            return cmd_lift(cfg, args.in_dir)
-        if args.command == "residual":
-            return cmd_residual(cfg, args.in_dir, args.eq)
-        if args.command == "golden":
-            return cmd_golden(cfg)
+        return COMMANDS[args.command](cfg, args)
     except KreduxError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    return EXIT_INPUT
 
 
 if __name__ == "__main__":

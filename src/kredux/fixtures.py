@@ -1,9 +1,13 @@
-"""Canonical testbed data used across the verification suites.
+"""Canonical testbed data used across the verification suites, keyed by the
+grid it is given: this module is the one place that maps a testbed to its
+reference data.
 
-* flat_cylinder: flat unit-volume torus metric times the standard cylinder
-  fiber, phi = l^2/4, c = 0; moment map mu = -l, |V|^2 = 2.
-* fs_cylinder: the round metric on CP^1 (component 1/(1+u)^2 in the radial
-  chart, scalar curvature 2) times the same cylinder fiber.
+* reference metric: the flat unit-volume torus, or the round metric on CP^1
+  (component 1/(1+u)^2 in the radial chart, scalar curvature 2).
+* cylinder: the reference metric times the standard cylinder fiber,
+  phi = l^2/4, c = 0; moment map mu = -l, |V|^2 = 2.
+* perturbed: the cylinder with phi += amplitude * bump * exp(-l^2), the bump
+  being cos(2 pi x1) on the torus and exp(-v^2/4) in the radial chart.
 * singular quotient moment map, see :mod:`kredux.golden`.
 """
 
@@ -12,32 +16,23 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Form11M, ScalarFieldM, ScalarFieldP
-from .grids import RADIAL, TORUS, TestbedGrid, radial_grid, torus_grid
+from .grids import TORUS, TestbedGrid
 from .structure import KahlerData, assemble
 
 
-def flat_sigma(grid: TestbedGrid) -> Form11M:
-    if grid.kind != TORUS:
-        raise ValueError("the flat reference lives on the torus testbed")
-    return Form11M(grid, np.ones(grid.spatial_shape))
-
-
-def fs_sigma(grid: TestbedGrid) -> Form11M:
-    """Round CP^1 metric in the radial chart: H = 1/(1+u)^2."""
-    if grid.kind != RADIAL:
-        raise ValueError("the round reference lives on the radial testbed")
-    return Form11M(grid, 1.0 / (1.0 + grid.u) ** 2)
-
-
 def reference_sigma(grid: TestbedGrid) -> Form11M:
-    return flat_sigma(grid) if grid.kind == TORUS else fs_sigma(grid)
+    """Flat metric on the torus; round CP^1 metric H = 1/(1+u)^2 in the
+    radial chart."""
+    if grid.kind == TORUS:
+        return Form11M(grid, np.ones(grid.spatial_shape))
+    return Form11M(grid, 1.0 / (1.0 + grid.u) ** 2)
 
 
 def reference_ricci(grid: TestbedGrid) -> Form11M:
     """Analytic Ricci form of the reference metric (flat: 0, round: 2*sigma)."""
     if grid.kind == TORUS:
         return Form11M(grid, np.zeros(grid.spatial_shape))
-    return 2.0 * fs_sigma(grid)
+    return 2.0 * reference_sigma(grid)
 
 
 def cylinder_potential(grid: TestbedGrid) -> ScalarFieldP:
@@ -47,39 +42,26 @@ def cylinder_potential(grid: TestbedGrid) -> ScalarFieldP:
     return ScalarFieldP(grid, vals)
 
 
-def flat_cylinder(grid: TestbedGrid | None = None) -> KahlerData:
-    grid = grid or torus_grid()
-    return assemble(flat_sigma(grid), cylinder_potential(grid), 0.0)
+def cylinder(grid: TestbedGrid) -> KahlerData:
+    """The reference metric times the cylinder fiber."""
+    return assemble(reference_sigma(grid), cylinder_potential(grid), 0.0)
 
 
-def fs_cylinder(grid: TestbedGrid | None = None) -> KahlerData:
-    grid = grid or radial_grid()
-    return assemble(fs_sigma(grid), cylinder_potential(grid), 0.0)
+def bump(grid: TestbedGrid) -> np.ndarray:
+    """The base perturbation on the spatial nodes: cos(2 pi x1) on the torus,
+    exp(-v^2/4) in the radial chart."""
+    if grid.kind == TORUS:
+        return np.broadcast_to(np.cos(2 * np.pi * grid.x1)[:, None],
+                               grid.spatial_shape).copy()
+    return np.exp(-grid.v ** 2 / 4.0)
 
 
-def perturbed_cylinder(grid: TestbedGrid | None = None, amplitude=0.05,
-                       width=1.0) -> KahlerData:
-    """Flat cylinder with phi += amplitude * cos(2 pi x1) exp(-l^2/width)."""
-    grid = grid or torus_grid()
-    if grid.kind != TORUS:
-        raise ValueError("perturbed cylinder is a torus fixture")
-    x1 = grid.x1[:, None, None]
-    l = grid.l[None, None, :]
-    bump = amplitude * np.cos(2 * np.pi * x1) * np.exp(-l * l / width)
-    phi = cylinder_potential(grid) + ScalarFieldP(grid, np.broadcast_to(bump, grid.p_shape).copy())
-    return assemble(flat_sigma(grid), phi, 0.0)
-
-
-def perturbed_fs_cylinder(grid: TestbedGrid | None = None,
-                          amplitude=0.01) -> KahlerData:
-    """Round-base cylinder with phi += amplitude * exp(-v^2/4) exp(-l^2)."""
-    grid = grid or radial_grid()
-    if grid.kind != RADIAL:
-        raise ValueError("this fixture lives on the radial testbed")
-    bump = amplitude * np.exp(-grid.v[:, None] ** 2 / 4.0) \
-        * np.exp(-grid.l[None, :] ** 2)
-    phi = cylinder_potential(grid) + ScalarFieldP(grid, bump)
-    return assemble(fs_sigma(grid), phi, 0.0)
+def perturbed(grid: TestbedGrid, amplitude: float) -> KahlerData:
+    """The cylinder with phi += amplitude * bump * exp(-l^2)."""
+    l = grid.l
+    vals = amplitude * bump(grid)[..., None] * np.exp(-l * l)
+    phi = cylinder_potential(grid) + ScalarFieldP(grid, vals)
+    return assemble(reference_sigma(grid), phi, 0.0)
 
 
 def random_resolved_m(grid: TestbedGrid, rng, modes=3, amplitude=1.0) -> ScalarFieldM:

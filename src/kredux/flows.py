@@ -281,8 +281,7 @@ def pseudo_calabi_integrate(psi0, sigma: Form11M, t_end: float,
 
 
 def kr_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None,
-                 normalized=False, lam: float | None = None,
-                 save_count=33) -> FlowPath:
+                 normalized=False, save_count=33) -> FlowPath:
     """Ricci flow of the potential.
 
     Unnormalized mode requires the flat-class torus testbed (the class must
@@ -292,8 +291,7 @@ def kr_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None,
     if not normalized and sigma.grid.kind != TORUS:
         raise ClassNotFixed(
             "unnormalized Ricci flow moves the class off the torus testbed")
-    if lam is None:
-        lam = lambda_mean(sigma) if normalized else 0.0
+    lam = lambda_mean(sigma) if normalized else 0.0
 
     def velocity(h, psi):
         v = 0.5 * np.log(h / sigma.h)

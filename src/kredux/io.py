@@ -314,15 +314,16 @@ def write_meta(outdir, meta, names):
                {**meta, "hashes": dir_hashes(outdir, names)})
 
 
-def save_kahler(K: KahlerData, outdir, meta=None):
+def save_kahler(K: KahlerData, outdir, meta=None, written=()):
     """Write ``sigma.csv``, ``phi.csv`` and a ``meta.json`` that holds the
-    structure's constants and ``meta``."""
+    structure's constants and ``meta``; it hashes the two dumps and the
+    files ``written``, which the caller has already put in ``outdir``."""
     os.makedirs(outdir, exist_ok=True)
     dump_field(K.sigma, os.path.join(outdir, "sigma.csv"))
     dump_field(K.phi, os.path.join(outdir, "phi.csv"))
     write_meta(outdir, {"c": K.c, "grid": K.grid.meta(),
                         "positivity_min_eig": K.certificate.min_eigenvalue,
-                        **(meta or {})}, ("sigma.csv", "phi.csv"))
+                        **(meta or {})}, ("sigma.csv", "phi.csv", *written))
     return outdir
 
 

@@ -43,8 +43,6 @@ _TAU_PAD = 0.01  # an admissible band is this share of the window inside it
 class LiftResult:
     data: KahlerData
     window: tuple
-    a_t: np.ndarray | None
-    ts: np.ndarray
     mu_solved: ScalarFieldP
     max_inversion_residual: float
     inversion_steps: int  # the most Newton updates any root took
@@ -206,13 +204,12 @@ def realized_window(path: FlowPath):
     return lo, hi
 
 
-def legendre_lift(path: FlowPath, n_l=129, a_t=None) -> LiftResult:
+def legendre_lift(path: FlowPath, n_l=129) -> LiftResult:
     """Invert a strictly concave path into an invariant structure upstairs.
 
     Requires d^2 psi/dt^2 < 0 at every sample (run :func:`concavity_shift`
-    first; its profile may be passed through ``a_t`` for the record); beyond
-    the sampled time range the path is continued with constant concavity so
-    the realized window is covered at every node.
+    first); beyond the sampled time range the path is continued with constant
+    concavity so the realized window is covered at every node.
     """
     d2 = path.time_derivative(2)
     cmax = float(np.max(d2))
@@ -236,9 +233,7 @@ def legendre_lift(path: FlowPath, n_l=129, a_t=None) -> LiftResult:
 
     concavity_ok = bool(np.all(curv < 0.0))
     agrees = concavity_ok == K.certificate.positive
-    return LiftResult(K, (lo, hi),
-                      None if a_t is None else np.asarray(a_t, dtype=float),
-                      path.ts, ScalarFieldP(grid, mu), worst, steps,
+    return LiftResult(K, (lo, hi), ScalarFieldP(grid, mu), worst, steps,
                       float(np.max(curv)), agrees)
 
 

@@ -14,10 +14,8 @@ from .curvature import (check_moment_ricci_identity, descending_ricci,
                         descending_scalar, laplacian_m, ricci_m)
 from .fields import (ScalarFieldM, ScalarFieldP, contract_v, ddc_p, grad_pair,
                      interior_norms)
-from .fixtures import (flat_cylinder, fs_cylinder, perturbed_cylinder,
-                       perturbed_fs_cylinder, random_resolved_m,
-                       random_resolved_p)
-from .grids import TORUS, TestbedGrid, torus_grid
+from .fixtures import cylinder, perturbed, random_resolved_m, random_resolved_p
+from .grids import RADIAL, TORUS, TestbedGrid, torus_grid
 from .reduction import (check_dcred, check_dertau, default_taus, laplace_reduced,
                         ma_reduced, merge_levels, reduce_form,
                         reduce_scalar, reduced_potentials)
@@ -25,14 +23,9 @@ from .reports import ResidualReport, attach_slope
 from .structure import KahlerData, gauge
 
 
-def _battery_fixture(grid: TestbedGrid):
-    if grid.kind == TORUS:
-        return perturbed_cylinder(grid, amplitude=0.02)
-    return perturbed_fs_cylinder(grid, amplitude=0.01)
-
-
 GATE_RANDOM_FIELDS = 3  # random base fields in part (c) of the gate
 BATTERY_LEVELS = 3  # levels per battery pass
+BATTERY_AMPLITUDE = {TORUS: 0.02, RADIAL: 0.01}  # of the battery's fixture
 
 
 def convention_gate(grid: TestbedGrid | None = None, seed=0) -> ResidualReport:
@@ -47,7 +40,7 @@ def convention_gate(grid: TestbedGrid | None = None, seed=0) -> ResidualReport:
     """
     grid = grid or torus_grid(n_l=65)
     rng = np.random.default_rng(seed)
-    K = flat_cylinder(grid) if grid.kind == TORUS else fs_cylinder(grid)
+    K = cylinder(grid)
     mask_p = grid.interior_p()
 
     ell = ScalarFieldP(grid, np.broadcast_to(grid.l, grid.p_shape).copy())
@@ -99,7 +92,7 @@ def closed_form_reductions(grid: TestbedGrid | None = None) -> ResidualReport:
     """Cylinder fixture closed forms: mu = -l, |V|^2 = 2, psi_tau = -tau^2/4,
     omega_tau = sigma, for every admissible tau."""
     grid = grid or torus_grid()
-    K = flat_cylinder(grid) if grid.kind == TORUS else fs_cylinder(grid)
+    K = cylinder(grid)
     worst = max(float(np.max(np.abs(K.mu.values + grid.l))),
                 float(np.max(np.abs(K.vsq.values - 2.0))))
     by_tau = []
@@ -168,8 +161,9 @@ def battery_with_slopes(K: KahlerData, seed=0, dtau=1e-4) -> dict:
         return battery_once(K, seed=seed, dtau=dtau)
     # coarse first: the fine pass fills K's cache, which would stay alive
     # beside the coarse fixture
-    coarse = battery_once(_battery_fixture(replace(grid, n_l=half)),
-                          seed=seed, dtau=2.0 * dtau)
+    coarse = battery_once(
+        perturbed(replace(grid, n_l=half), BATTERY_AMPLITUDE[grid.kind]),
+        seed=seed, dtau=2.0 * dtau)
     fine = battery_once(K, seed=seed, dtau=dtau)
     return {name: attach_slope(coarse[name], fine[name]) for name in fine}
 
@@ -197,7 +191,7 @@ def run_verify(grid: TestbedGrid, seed=0, dtau=1e-4):
         "closed_form_reductions": closed_form_reductions(grid),
     }
     # built after the cylinder checks, so never alive beside their fixtures
-    K = _battery_fixture(grid)
+    K = perturbed(grid, BATTERY_AMPLITUDE[grid.kind])
     reports["gauge_invariance"] = gauge_invariance(K, seed=seed)
     reports.update(battery_with_slopes(K, seed=seed, dtau=dtau))
     failures = []

@@ -1,6 +1,5 @@
 import tracemalloc
 
-import numpy as np
 import pytest
 
 import kredux as kx
@@ -20,46 +19,42 @@ def rg():
 
 @pytest.fixture(scope="session")
 def cyl(tg):
-    return kx.flat_cylinder(tg)
+    return kx.cylinder(tg)
 
 
 @pytest.fixture(scope="session")
 def fscyl(rg):
-    return kx.fs_cylinder(rg)
+    return kx.cylinder(rg)
 
 
 @pytest.fixture(scope="session")
 def perturbed(tg):
-    return kx.perturbed_cylinder(tg, amplitude=0.02)
-
-
-def cos1(grid, amplitude):
-    return amplitude * np.cos(2 * np.pi * grid.x1)[:, None] \
-        * np.ones((1, grid.n_spatial))
+    return kx.perturbed(tg, 0.02)
 
 
 @pytest.fixture(scope="session")
 def calabi_path(tg):
-    sigma = kx.flat_sigma(tg)
-    return kx.calabi_integrate(cos1(tg, 3e-4), sigma, 0.004, save_count=405)
+    sigma = kx.reference_sigma(tg)
+    return kx.calabi_integrate(3e-4 * kx.bump(tg), sigma, 0.004, save_count=405)
 
 
 @pytest.fixture(scope="session")
 def kr_path(tg):
-    sigma = kx.flat_sigma(tg)
-    return kx.kr_integrate(cos1(tg, 0.01), sigma, 0.1, dt=2e-4, save_count=101)
+    sigma = kx.reference_sigma(tg)
+    return kx.kr_integrate(0.01 * kx.bump(tg), sigma, 0.1, dt=2e-4,
+                           save_count=101)
 
 
 @pytest.fixture(scope="session")
 def pc_path(tg):
-    sigma = kx.flat_sigma(tg)
-    return kx.pseudo_calabi_integrate(cos1(tg, 0.004), sigma, 0.08, dt=1e-4,
-                                      save_count=201)
+    sigma = kx.reference_sigma(tg)
+    return kx.pseudo_calabi_integrate(0.004 * kx.bump(tg), sigma, 0.08,
+                                      dt=1e-4, save_count=201)
 
 
 def _lift(path):
     shifted, a_t = kx.concavity_shift(path)
-    lift = kx.legendre_lift(shifted, n_l=257, a_t=a_t)
+    lift = kx.legendre_lift(shifted, n_l=257)
     taus = kx.admissible_taus(shifted, lift)
     return shifted, a_t, lift, taus
 

@@ -78,8 +78,8 @@ def test_c05_static_fixtures(cyl, fscyl):
 
 
 def test_c06_flow_stationarity_and_monotonicity(tg, rg, calabi_path):
-    sigma_t = kx.flat_sigma(tg)
-    sigma_r = kx.fs_sigma(rg)
+    sigma_t = kx.reference_sigma(tg)
+    sigma_r = kx.reference_sigma(rg)
     zero_t = np.zeros(tg.spatial_shape)
     zero_r = np.zeros(rg.spatial_shape)
     drifts = [
@@ -119,7 +119,7 @@ def test_c07_lift_round_trip(tg):
 
     u = 0.05 * np.sin(2 * np.pi * tg.x1)[:, None] * np.ones((1, tg.n_spatial))
     ts = np.linspace(0, 0.5, 41)
-    path = FlowPath(tg, kx.flat_sigma(tg), "linear", ts,
+    path = FlowPath(tg, kx.reference_sigma(tg), "linear", ts,
                     np.array([t * u for t in ts]))
     shifted, a_t = kx.concavity_shift(path)
     d2max = float(np.max(shifted.time_derivative(2)))

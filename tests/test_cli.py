@@ -105,7 +105,7 @@ def test_no_command_imports_scipy(tmp_path):
              f"codes = [main(argv) for argv in {argvs!r}]\n"
              "kx.potential_from_moment(\n"
              "    kx.singquot_moment(kx.golden_grid(65, 33)), 0.0)\n"
-             "cyl = kx.flat_cylinder(kx.torus_grid(n=12, n_l=33, margin=4))\n"
+             "cyl = kx.cylinder(kx.torus_grid(n=12, n_l=33, margin=4))\n"
              "kx.reparametrize(cyl, lambda m: kx.kr_time_map(0.1, 0.1, 0.5, m))\n"
              "print(*codes, 'scipy' in sys.modules)\n")
     out = run_fresh(probe)
@@ -162,6 +162,7 @@ def test_non_finite_level_is_input_error(tmp_path, capsys, tau):
     ("flow", "flow_t_end", "nan"),
     ("flow", "flow_amplitude", "nan"),
     ("verify", "dtau", "nan"),
+    ("verify", "dtau", "0"),
     ("reduce", "l_u", "0"),
     ("reduce", "l_u", "-3"),
     ("reduce", "l_u", "1e300"),    # u^2 = e^2v overflows
@@ -341,6 +342,32 @@ def test_meta_records_only_its_own_command(tmp_path):
         os.path.join(out, "residual_v_soliton.json"))
 
 
+@pytest.mark.parametrize("command", ["verify", "reduce", "flow", "lift",
+                                     "residual", "golden"])
+def test_meta_hashes_every_file_its_command_wrote(tmp_path, command):
+    from kredux.io import sha256_of
+
+    grid = ["n=16", "n_l=33", "margin=4"]
+    flow = ["flow", *grid, "flow_kind=kr", "flow_amplitude=0.01",
+            "flow_t_end=0.1", "flow_dt=5e-4"]
+    flow_dir = str(tmp_path / "flow")
+    if command == "lift":
+        assert run([*flow, "--out", flow_dir]) == 0
+    argv = {"verify": ["verify", *grid], "reduce": ["reduce", *grid],
+            "flow": flow, "lift": ["lift", "n_l=65", "--in", flow_dir],
+            "residual": ["residual", "--eq", "calabi", *grid],
+            "golden": ["golden"]}[command]
+    out = tmp_path / "out"
+    # verify's gates fail at this resolution (exit 2); it writes every report
+    assert run([*argv, "--out", str(out)]) in (0, 2)
+    with open(out / "meta.json") as fh:
+        hashes = json.load(fh)["hashes"]
+    assert sorted(hashes) == sorted(p.name for p in out.iterdir()
+                                    if p.name != "meta.json")
+    for name, digest in hashes.items():
+        assert digest == sha256_of(str(out / name))
+
+
 def test_verify_outputs_bit_identical(tmp_path):
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
     assert run(["verify"] + small_args(tmp_path, out=a, seed=7)) == 0
@@ -364,7 +391,7 @@ def test_static_equation_registry(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["residual", "--eq", "heat", "--out", str(tmp_path)])
     assert exc.value.code == 2
-    K = kx.flat_cylinder(kx.torus_grid(n=16, n_l=33, margin=4))
+    K = kx.cylinder(kx.torus_grid(n=16, n_l=33, margin=4))
     rep = RESIDUALS["kr"](K)
     assert rep.equation == "kr_unnormalized"
     assert rep.linf < 1e-7
@@ -404,7 +431,7 @@ def kahler_dir(tmp_path):
     from kredux.io import save_kahler
 
     grid = kx.torus_grid(n=16, n_l=33, margin=4)
-    return save_kahler(kx.perturbed_cylinder(grid, amplitude=0.02),
+    return save_kahler(kx.perturbed(grid, 0.02),
                        str(tmp_path / "lift"))
 
 

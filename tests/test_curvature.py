@@ -4,14 +4,15 @@ import kredux as kx
 from kredux.curvature import (laplacian_m, laplacian_p, ricci_m, ricci_p,
                               scal_m, scal_p)
 from kredux.fields import Form11M, ScalarFieldM, ScalarFieldP, interior_norms
+from kredux.fixtures import cylinder_potential
 
 
 def test_ricci_flat(tg):
-    assert np.max(np.abs(ricci_m(kx.flat_sigma(tg)).h)) == 0.0
+    assert np.max(np.abs(ricci_m(kx.reference_sigma(tg)).h)) == 0.0
 
 
 def test_ricci_round_metric(rg):
-    sigma = kx.fs_sigma(rg)
+    sigma = kx.reference_sigma(rg)
     ric = ricci_m(sigma)
     assert np.max(np.abs(ric.h - 2.0 * sigma.h)) < 1e-12
 
@@ -21,7 +22,7 @@ def test_ricci_perturbed_against_plain_differences(tg):
     def oracle_gap(n):
         grid = kx.torus_grid(n=n, n_l=33)
         u = 0.01 * np.sin(2 * np.pi * grid.x1)[:, None] * np.ones((1, n))
-        omega = kx.flat_sigma(grid) + kx.ddc_m(ScalarFieldM(grid, u))
+        omega = kx.reference_sigma(grid) + kx.ddc_m(ScalarFieldM(grid, u))
         ours = ricci_m(omega).h
         logh = np.log(omega.h)
         h = 1.0 / n
@@ -35,8 +36,8 @@ def test_ricci_perturbed_against_plain_differences(tg):
 
 
 def test_scal_flat_and_round(tg, rg):
-    assert np.max(np.abs(scal_m(kx.flat_sigma(tg)).values)) == 0.0
-    s = scal_m(kx.fs_sigma(rg))
+    assert np.max(np.abs(scal_m(kx.reference_sigma(tg)).values)) == 0.0
+    s = scal_m(kx.reference_sigma(rg))
     assert abs(np.mean(s.values) - 2.0) < 1e-12
     assert np.max(np.abs(s.values - np.mean(s.values))) < 1e-8
 
@@ -44,7 +45,7 @@ def test_scal_flat_and_round(tg, rg):
 def test_scal_mean_zero_on_torus(tg):
     u = ScalarFieldM(tg, 0.03 * np.cos(2 * np.pi * tg.x2)[None, :]
                      * np.ones((tg.n_spatial, 1)))
-    omega = kx.flat_sigma(tg) + kx.ddc_m(u)
+    omega = kx.reference_sigma(tg) + kx.ddc_m(u)
     total = kx.integrate_m(scal_m(omega), omega)
     assert abs(total) < 1e-10
 
@@ -53,7 +54,7 @@ def test_scal_class_integral_radial():
     # total curvature of the round sphere in this chart, and its invariance
     # under a compactly supported move of the metric
     grid = kx.radial_grid(n_u=257, n_l=33)
-    sigma = kx.fs_sigma(grid)
+    sigma = kx.reference_sigma(grid)
     base = kx.integrate_m(scal_m(sigma), sigma)
     assert abs(base - 2.0 * np.pi) < 1e-2  # chart truncation at |v| <= l_u
     u = ScalarFieldM(grid, 0.02 * np.exp(-grid.v ** 2 / 2.0))
@@ -63,7 +64,7 @@ def test_scal_class_integral_radial():
 
 
 def test_laplacian_m_examples(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     c = ScalarFieldM(tg, np.ones(tg.spatial_shape))
     assert np.max(np.abs(laplacian_m(c, sigma).values)) == 0.0
     f = ScalarFieldM(tg, np.sin(2 * np.pi * tg.x1)[:, None]
@@ -126,7 +127,10 @@ def test_descent_perturbed_converges():
     gaps = []
     for n_l in (65, 129):
         grid = kx.torus_grid(n=32, n_l=n_l)
-        K = kx.perturbed_cylinder(grid, amplitude=0.02, width=0.8)
+        l = grid.l
+        narrow = 0.02 * kx.bump(grid)[..., None] * np.exp(-l * l / 0.8)
+        K = kx.assemble(kx.reference_sigma(grid), cylinder_potential(grid)
+                        + ScalarFieldP(grid, narrow), 0.0)
         rho = kx.descending_ricci(K)
         big_r = kx.descending_scalar(K)
         level = kx.level_set(K, 0.3)
@@ -161,6 +165,6 @@ def test_moment_ricci_identity(cyl, fscyl, perturbed):
     assert kx.check_moment_ricci_identity(fscyl).linf < 1e-8
     rep = kx.check_moment_ricci_identity(perturbed)
     assert rep.linf < 1e-5
-    coarse = kx.perturbed_cylinder(kx.torus_grid(n=32, n_l=65), amplitude=0.02)
+    coarse = kx.perturbed(kx.torus_grid(n=32, n_l=65), 0.02)
     rep2 = kx.check_moment_ricci_identity(coarse)
     assert np.log2(rep2.linf / rep.linf) > 2.0

@@ -78,7 +78,7 @@ def test_ddc_m_radial_log():
     expect = 2.0 / (1.0 + grid.u) ** 2
     gap = np.abs(kx.ddc_m(f).h - expect)
     assert interior_norms(gap, grid.interior_m())[0] < 1e-6
-    half = kx.fs_sigma(grid).h
+    half = kx.reference_sigma(grid).h
     assert np.max(np.abs(2.0 * half - expect)) < 1e-14
 
 
@@ -112,7 +112,7 @@ def test_ddc_p_log_fiber_vanishes(g):
 # -- contractions -----------------------------------------------------------
 
 def test_contract_v_cylinder(g, ):
-    K = kx.flat_cylinder(g)
+    K = kx.cylinder(g)
     cv = kx.contract_v(K.omega)
     assert np.max(np.abs(cv.vv - 2.0)) < 1e-10
     assert np.max(np.abs(cv.vv - kx.jv_apply(K.mu).values)) < 1e-10
@@ -129,7 +129,7 @@ def test_contract_v_zero_fiber_blocks(g):
 
 
 def test_contract_v_top_form_factor(g):
-    K = kx.flat_cylinder(g)
+    K = kx.cylinder(g)
     eta = kx.contract_v(kx.wedge_square(K.omega))
     expect = 0.5 * K.vsq.values * K.sigma.h[..., None]
     assert np.max(np.abs(eta.values - expect)) < 1e-10
@@ -138,18 +138,18 @@ def test_contract_v_top_form_factor(g):
 # -- quadrature -------------------------------------------------------------
 
 def test_integrate_unit(g):
-    sigma = kx.flat_sigma(g)
+    sigma = kx.reference_sigma(g)
     assert abs(kx.integrate_m(np.ones(g.spatial_shape), sigma) - 1.0) < 1e-12
 
 
 def test_integrate_mean_zero_mode(g):
-    sigma = kx.flat_sigma(g)
+    sigma = kx.reference_sigma(g)
     x1 = g.x1[:, None] * np.ones((1, g.n_spatial))
     assert abs(kx.integrate_m(np.sin(2 * np.pi * x1), sigma)) < 1e-12
 
 
 def test_integrate_cos_squared(g):
-    sigma = kx.flat_sigma(g)
+    sigma = kx.reference_sigma(g)
     x1 = g.x1[:, None] * np.ones((1, g.n_spatial))
     assert abs(kx.integrate_m(np.cos(2 * np.pi * x1) ** 2, sigma) - 0.5) < 1e-10
 
@@ -165,7 +165,7 @@ def test_integrate_rejects_nonpositive(g):
 # -- gradients --------------------------------------------------------------
 
 def test_grad_pair_constant(g):
-    sigma = kx.flat_sigma(g)
+    sigma = kx.reference_sigma(g)
     c = ScalarFieldM(g, np.ones(g.spatial_shape))
     assert np.max(np.abs(kx.grad_pair(c, c, sigma).values)) == 0.0
 
@@ -174,7 +174,7 @@ def test_grad_pair_exponential_identity(g):
     # the convention-fixing identity D e^f = e^f (D f + |grad f|^2 / 2)
     from kredux.curvature import laplacian_m
 
-    sigma = kx.flat_sigma(g)
+    sigma = kx.reference_sigma(g)
     rng = np.random.default_rng(3)
     f = kx.fixtures.random_resolved_m(g, rng, modes=2, amplitude=0.2)
     ef = ScalarFieldM(g, np.exp(f.values))
@@ -185,7 +185,7 @@ def test_grad_pair_exponential_identity(g):
 
 
 def test_grad_pair_orthogonal(g):
-    sigma = kx.flat_sigma(g)
+    sigma = kx.reference_sigma(g)
     f = ScalarFieldM(g, np.sin(2 * np.pi * g.x2)[None, :] * np.ones((g.n_spatial, 1)))
     h = ScalarFieldM(g, np.cos(2 * np.pi * g.x1)[:, None] * np.ones((1, g.n_spatial)))
     assert np.max(np.abs(kx.grad_pair(f, h, sigma).values)) < 1e-10

@@ -8,7 +8,7 @@ from kredux.flows import FlowPath, time_spline
 
 
 def test_flat_torus_stationary_under_every_flow(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     zero = np.zeros(tg.spatial_shape)
     for run in (lambda: kx.calabi_integrate(zero, sigma, 0.01, dt=1e-4),
                 lambda: kx.pseudo_calabi_integrate(zero, sigma, 0.01, dt=1e-4),
@@ -18,10 +18,9 @@ def test_flat_torus_stationary_under_every_flow(tg):
 
 
 def test_round_metric_stationary(rg):
-    sigma = kx.fs_sigma(rg)
+    sigma = kx.reference_sigma(rg)
     zero = np.zeros(rg.spatial_shape)
-    lam = kx.lambda_mean(sigma)
-    p1 = kx.kr_integrate(zero, sigma, 0.01, dt=1e-5, normalized=True, lam=lam)
+    p1 = kx.kr_integrate(zero, sigma, 0.01, dt=1e-5, normalized=True)
     assert np.max(np.abs(p1.psis[-1])) < 1e-7
     p2 = kx.calabi_integrate(zero, sigma, 0.01, dt=1e-4)
     assert np.max(np.abs(p2.psis[-1])) < 1e-7
@@ -64,12 +63,12 @@ def test_kr_ricci_sup_decreases(kr_path):
 
 def test_kr_unnormalized_rejected_off_torus(rg):
     with pytest.raises(ClassNotFixed):
-        kx.kr_integrate(np.zeros(rg.spatial_shape), kx.fs_sigma(rg), 0.01,
+        kx.kr_integrate(np.zeros(rg.spatial_shape), kx.reference_sigma(rg), 0.01,
                         dt=1e-4)
 
 
 def test_positivity_loss_detected(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     bad = 0.2 * np.cos(2 * np.pi * tg.x1)[:, None] * np.ones((1, tg.n_spatial))
     with pytest.raises(PositivityLost):
         kx.calabi_integrate(bad, sigma, 0.01, dt=1e-4)
@@ -78,7 +77,7 @@ def test_positivity_loss_detected(tg):
 def test_calabi_flow_sees_background_curvature(tg):
     # the same metric written as (flat + dd^c u, psi) or (flat, u + psi): the
     # flow is gauge equivariant, so the background's own curvature must drive it
-    flat = kx.flat_sigma(tg)
+    flat = kx.reference_sigma(tg)
     u = 0.01 * np.cos(2 * np.pi * tg.x1)[:, None] * np.ones((1, tg.n_spatial))
     moved = kx.calabi_integrate(np.zeros(tg.spatial_shape),
                                 flat + kx.ddc_m(u, tg), 1e-5, dt=1e-7)
@@ -97,7 +96,7 @@ def _stiff_background_and_potential():
     u = 0.02 * np.cos(2 * np.pi * x1) * np.ones((1, grid.n_spatial))
     psi0 = (1e-4 * np.cos(2 * np.pi * x2) * np.ones((grid.n_spatial, 1))
             + 1e-6 * np.cos(14 * np.pi * x1) * np.cos(16 * np.pi * x2))
-    return kx.flat_sigma(grid) + kx.ddc_m(u, grid), psi0
+    return kx.reference_sigma(grid) + kx.ddc_m(u, grid), psi0
 
 
 def test_kr_blowup_is_step_unstable():
@@ -125,7 +124,7 @@ def test_time_derivative_exact_on_quintics():
     ids=["time_derivative", "concavity_shift", "geodesic_residual_path"])
 def test_time_stencil_needs_six_uniform_samples(tg, ts, take):
     # time_spline holds the one length rule of a path's time derivatives
-    path = FlowPath(tg, kx.flat_sigma(tg), "x", ts,
+    path = FlowPath(tg, kx.reference_sigma(tg), "x", ts,
                     np.zeros((len(ts),) + tg.spatial_shape))
     with pytest.raises(ValueError, match="time derivatives need"):
         take(path)
@@ -160,7 +159,7 @@ def test_long_calabi_steps_need_no_halving(factor):
     # explicit RK4 was stable up to 1.5705e-6 here; it raised StepUnstable
     # on its first step at 8 times that
     grid = kx.torus_grid(16, 9)
-    sigma = kx.flat_sigma(grid)
+    sigma = kx.reference_sigma(grid)
     x1, x2 = grid.x1[:, None], grid.x2[None, :]
     psi0 = (3e-4 * np.cos(2 * np.pi * x1) * np.ones((1, grid.n_spatial))
             + 1e-6 * np.cos(14 * np.pi * x1) * np.cos(16 * np.pi * x2))
@@ -175,7 +174,7 @@ def test_long_calabi_steps_need_no_halving(factor):
 @pytest.mark.parametrize("const", [1.0, -7.3, 3.14159, 9.99])
 def test_calabi_step_keeps_constant_potentials(const):
     for n in range(9, 41):
-        sigma = kx.flat_sigma(kx.torus_grid(n, 9))
+        sigma = kx.reference_sigma(kx.torus_grid(n, 9))
         psi0 = np.full(sigma.grid.spatial_shape, const)
         path = kx.calabi_integrate(psi0, sigma, 1e-4, dt=1e-4)
         assert np.max(np.abs(path.psis[-1] - psi0)) <= 1e-12, n
@@ -185,7 +184,7 @@ def test_calabi_keeps_a_fixed_point_with_stiff_content():
     # flat + dd^c u is the flat metric again at psi* = -u; u lives on mode 6
     grid = kx.torus_grid(32, 9)
     u = 1e-3 * np.cos(12 * np.pi * grid.x1)[:, None] * np.ones((1, 32))
-    sigma = kx.flat_sigma(grid) + kx.ddc_m(u, grid)
+    sigma = kx.reference_sigma(grid) + kx.ddc_m(u, grid)
     path = kx.calabi_integrate(-u, sigma, 1e-3, dt=1e-3)
     assert path.dt_history == [1e-3]
     assert np.max(np.abs(path.psis[-1] + u)) <= 1e-15
@@ -198,13 +197,13 @@ def test_calabi_keeps_a_fixed_point_with_stiff_content():
 def test_default_step_gives_save_count_samples(run, kw):
     grid = kx.torus_grid(32, 9)
     psi0 = 0.005 * np.cos(2 * np.pi * grid.x1)[:, None] * np.ones((1, 32))
-    path = run(psi0, kx.flat_sigma(grid), 0.01, save_count=17, **kw)
+    path = run(psi0, kx.reference_sigma(grid), 0.01, save_count=17, **kw)
     assert path.n_samples == 17
     assert path.dt_history == [pytest.approx(0.01 / 16, rel=1e-15)]
 
 
 def test_flow_path_validation(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     ts = np.linspace(0, 1, 5)
     with pytest.raises(ValueError):
         FlowPath(tg, sigma, "x", ts[::-1].copy(),
@@ -219,7 +218,7 @@ def test_flow_path_validation(tg):
 
 
 def test_geodesic_residual_spatially_constant_path(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     ts = np.linspace(0, 1, 21)
     psis = np.array([(0.3 + 0.2 * t) * np.ones(tg.spatial_shape) for t in ts])
     rep = kx.geodesic_residual_path(FlowPath(tg, sigma, "line", ts, psis))
@@ -269,12 +268,12 @@ def test_geodesic_residual_exact_toric_geodesic(tg):
     psis = toric_geodesic(tg, 0.02, ts)
     assert np.max(np.abs(psis[0])) < 1e-15
     assert np.max(np.abs(psis[-1] - 0.02 * np.cos(2 * np.pi * tg.x1)[:, None])) < 1e-15
-    path = FlowPath(tg, kx.flat_sigma(tg), "geodesic", ts, psis)
+    path = FlowPath(tg, kx.reference_sigma(tg), "geodesic", ts, psis)
     assert kx.geodesic_residual_path(path).linf < 1e-7
 
 
 def test_geodesic_residual_negative_control(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     ts = np.linspace(0, 0.3, 21)
     u = 0.01 * np.cos(2 * np.pi * tg.x1)[:, None] * np.ones((1, tg.n_spatial))
     psis = np.array([t * t * u for t in ts])

@@ -13,7 +13,7 @@ from kredux.curvature import _reference_arrays
 from kredux.fields import Form11P, ScalarFieldM, ScalarFieldP, trace_against
 from kredux.fixtures import random_resolved_p
 
-from conftest import cos1, traced_peak
+from conftest import traced_peak
 
 
 # -- the one-expression references ---------------------------------------------
@@ -126,9 +126,9 @@ def ref_descending_ricci(K):
 def K(request):
     if request.param == "torus":
         grid = kx.torus_grid(n=16, n_l=33, margin=4)
-        return kx.perturbed_cylinder(grid, amplitude=0.02)
+        return kx.perturbed(grid, 0.02)
     grid = kx.radial_grid(n_u=65, n_l=33, margin=4)
-    return kx.perturbed_fs_cylinder(grid, amplitude=0.01)
+    return kx.perturbed(grid, 0.01)
 
 
 @pytest.fixture(scope="module")
@@ -243,17 +243,17 @@ def test_derivative_forms_match_reference(K, fields):
 
 
 def test_descending_ricci_matches_reference():
-    for K in (kx.perturbed_cylinder(kx.torus_grid(16, 33, margin=4), 0.02),
-              kx.perturbed_fs_cylinder(kx.radial_grid(65, 33, margin=4))):
+    for K in (kx.perturbed(kx.torus_grid(16, 33, margin=4), 0.02),
+              kx.perturbed(kx.radial_grid(65, 33, margin=4), 0.01)):
         assert_forms_equal(kx.descending_ricci(K), ref_descending_ricci(K))
 
 
 @pytest.mark.parametrize("kind", ["torus", "radial"])
 def test_residual_kr_and_descent_write_no_input(kind):
     if kind == "torus":
-        K = kx.perturbed_cylinder(kx.torus_grid(16, 33, margin=4), 0.02)
+        K = kx.perturbed(kx.torus_grid(16, 33, margin=4), 0.02)
     else:
-        K = kx.perturbed_fs_cylinder(kx.radial_grid(65, 33, margin=4))
+        K = kx.perturbed(kx.radial_grid(65, 33, margin=4), 0.01)
     taus = kx.default_taus(K)
     before = _snapshot(K, taus)
     first = kx.residual_kr(K, taus).to_dict()
@@ -280,10 +280,10 @@ def test_residual_kr_peak_memory():
     # above entry, caches included, is 26.1 real fields (37.9 before the
     # operators accumulated in place); the bound leaves about 15 %
     grid = kx.torus_grid(n=16, n_l=33, margin=4)
-    path = kx.kr_integrate(cos1(grid, 0.01), kx.flat_sigma(grid), 0.1,
-                           dt=5e-4)
-    shifted, a_t = kx.concavity_shift(path)
-    lift = kx.legendre_lift(shifted, n_l=65, a_t=a_t)
+    path = kx.kr_integrate(0.01 * kx.bump(grid), kx.reference_sigma(grid),
+                           0.1, dt=5e-4)
+    shifted, _ = kx.concavity_shift(path)
+    lift = kx.legendre_lift(shifted, n_l=65)
     taus = kx.admissible_taus(shifted, lift)
     K = kx.assemble(lift.data.sigma, lift.data.phi, lift.data.c)
     _, peak = traced_peak(kx.residual_kr, K, taus)
@@ -293,6 +293,6 @@ def test_residual_kr_peak_memory():
 def test_descending_ricci_peak_memory(tg):
     # the verify fixture at 32x32x129.  Measured on numpy 2.4: 29.1 real
     # fields above entry, caches included (35.1 before); about 10 % margin
-    K = kx.perturbed_cylinder(tg, amplitude=0.02)
+    K = kx.perturbed(tg, 0.02)
     _, peak = traced_peak(kx.descending_ricci, K)
     assert peak < 32 * _field_bytes(K.grid)

@@ -5,7 +5,7 @@ from scipy.interpolate import make_interp_spline
 import kredux as kx
 import kredux.interp
 from kredux.errors import NotConverged
-from kredux.interp import FiberInterp, FiberWeights
+from kredux.interp import FiberInterp, FiberWeights, QuinticSpline
 
 
 def test_quintic_exactness():
@@ -17,6 +17,16 @@ def test_quintic_exactness():
     pts = rng.uniform(-2, 2, size=4)
     expect = np.array([np.polyval(c, p) for c, p in zip(coeffs, pts)])
     assert np.max(np.abs(fi.at(pts) - expect)) < 1e-11
+
+
+@pytest.mark.parametrize("x,y,message", [
+    ([0.0], [1.0], "at least 2 knots"),
+    ([0.0, 1.0, 2.0], [1.0, np.nan, 0.0], "must be finite"),
+    ([0.0, 2.0, 1.0], [1.0, 0.0, 2.0], "strictly increasing"),
+])
+def test_quintic_spline_rejects_bad_samples(x, y, message):
+    with pytest.raises(ValueError, match=message):
+        QuinticSpline(x, y)
 
 
 def test_node_hit_is_exact():
@@ -205,8 +215,8 @@ def test_solve_decreasing_level_at_a_node_value():
 
 
 @pytest.mark.parametrize("build", [
-    lambda: kx.perturbed_fs_cylinder(kx.radial_grid(257, 129), amplitude=0.005),
-    lambda: kx.perturbed_cylinder(kx.torus_grid(32, 129), amplitude=0.02)],
+    lambda: kx.perturbed(kx.radial_grid(257, 129), 0.005),
+    lambda: kx.perturbed(kx.torus_grid(32, 129), 0.02)],
     ids=["radial", "torus"])
 def test_solve_decreasing_steps_per_level(build):
     # bracketed in its segment and started at the secant point, each level
@@ -219,7 +229,7 @@ def test_solve_decreasing_steps_per_level(build):
 def test_solve_decreasing_snap_plateau():
     # mu = -l and tau = -7.3e-15: the root lies within 1e-13 h of the node
     # l = 0, where the interpolant is flat, so no residual test would stop
-    K = kx.flat_cylinder(kx.torus_grid(16, 33, margin=4))
+    K = kx.cylinder(kx.torus_grid(16, 33, margin=4))
     tau = kx.default_taus(K, count=9, shrink=0.15)[4]
     assert -1e-14 < tau < 0
     level = kx.level_set(K, tau)

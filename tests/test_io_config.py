@@ -8,12 +8,23 @@ import pytest
 import kredux as kx
 from kredux.config import RunConfig, load_config
 from kredux.fields import Form11M, ScalarFieldM, ScalarFieldP
-from kredux.io import (dump_field, load_field, load_kahler, load_path,
-                       save_kahler, save_path, save_reduction, sha256_of)
+from kredux.io import (atomic_write, dump_field, load_field, load_kahler,
+                       load_path, save_kahler, save_path, save_reduction,
+                       sha256_of)
 
 
 def small_torus():
     return kx.torus_grid(n=12, n_l=17, margin=2)
+
+
+def test_failed_write_leaves_no_file(tmp_path):
+    def chunks():
+        yield "a first line\n"
+        raise RuntimeError("chunk source failed")
+
+    with pytest.raises(RuntimeError, match="chunk source failed"):
+        atomic_write(str(tmp_path / "target.csv"), chunks())
+    assert os.listdir(tmp_path) == []
 
 
 def test_config_roundtrip(tmp_path):
@@ -55,7 +66,7 @@ def test_field_dump_roundtrip(tmp_path):
 
 def test_field_dump_roundtrip_base_radial(tmp_path):
     grid = kx.radial_grid(n_u=17, n_l=9, margin=2)
-    sigma = kx.fs_sigma(grid)
+    sigma = kx.reference_sigma(grid)
     p = tmp_path / "sigma.csv"
     dump_field(sigma, str(p))
     _, vals, on_base = load_field(str(p))
@@ -64,7 +75,7 @@ def test_field_dump_roundtrip_base_radial(tmp_path):
 
 
 def test_kahler_directory_roundtrip(tmp_path):
-    K = kx.flat_cylinder(small_torus())
+    K = kx.cylinder(small_torus())
     d = tmp_path / "kdir"
     save_kahler(K, str(d))
     with open(d / "meta.json") as fh:
@@ -77,7 +88,7 @@ def test_kahler_directory_roundtrip(tmp_path):
 
 
 def test_reduction_directory(tmp_path):
-    K = kx.flat_cylinder(small_torus())
+    K = kx.cylinder(small_torus())
     red = kx.reduced_potential(K, 0.4)
     d = tmp_path / "red"
     save_reduction(red, str(d))
@@ -91,7 +102,7 @@ def test_reduction_directory(tmp_path):
 
 def test_path_directory_roundtrip(tmp_path):
     grid = small_torus()
-    sigma = kx.flat_sigma(grid)
+    sigma = kx.reference_sigma(grid)
     path = kx.kr_integrate(np.zeros(grid.spatial_shape), sigma, 0.01,
                            dt=2e-3, save_count=5)
     d = tmp_path / "pathdir"
@@ -212,7 +223,7 @@ BAD_GRID = pytest.mark.parametrize("edit", [
 @BAD_GRID
 def test_load_kahler_rejects_malformed_grid(tmp_path, edit):
     d = tmp_path / "kdir"
-    save_kahler(kx.flat_cylinder(small_torus()), str(d))
+    save_kahler(kx.cylinder(small_torus()), str(d))
     _edit_grid(d / "meta.json", edit)
     with pytest.raises(ValueError, match="meta.json: grid block"):
         load_kahler(str(d))
@@ -263,7 +274,7 @@ def test_load_kahler_checks_header_grids(tmp_path, key, value, message):
     from kredux.cli import main
 
     d = tmp_path / "kdir"
-    save_kahler(kx.flat_cylinder(kx.torus_grid(n=12, n_l=33, margin=4)),
+    save_kahler(kx.cylinder(kx.torus_grid(n=12, n_l=33, margin=4)),
                 str(d))
     _edit_grid(d / "meta.json", lambda g: g.update({key: value}))
     with pytest.raises(ValueError, match=message):
@@ -395,7 +406,7 @@ def test_load_field_checks_every_column(tmp_path, edit, message):
     from kredux.cli import main
 
     d = tmp_path / "kdir"
-    save_kahler(kx.flat_cylinder(small_torus()), str(d))
+    save_kahler(kx.cylinder(small_torus()), str(d))
     _rewrite_rows(str(d / "phi.csv"), d / "phi.csv", edit)
     with pytest.raises(ValueError, match="phi.csv, lines 2-.*" + message):
         load_field(str(d / "phi.csv"))

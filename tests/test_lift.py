@@ -4,7 +4,8 @@ from scipy.interpolate import make_interp_spline
 from scipy.optimize import brentq
 
 import kredux as kx
-from kredux.errors import HypothesisViolated, NonConcave, NotConverged
+from kredux.errors import (HypothesisViolated, NonConcave, NotConverged,
+                           OutOfWindow)
 from kredux.flows import FlowPath
 from kredux.interp import QuinticSpline
 from kredux.lift import _TimeSplines
@@ -12,7 +13,7 @@ from kredux.statics import constant_profile
 
 
 def linear_path(grid, amplitude=0.05, T=0.5, n=41):
-    sigma = kx.flat_sigma(grid)
+    sigma = kx.reference_sigma(grid)
     u = amplitude * np.sin(2 * np.pi * grid.x1)[:, None] * np.ones((1, grid.n_spatial))
     ts = np.linspace(0, T, n)
     psis = np.array([t * u for t in ts])
@@ -23,7 +24,7 @@ def linear_path(grid, amplitude=0.05, T=0.5, n=41):
 
 
 def test_shift_of_constant_path(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     ts = np.linspace(0, 1, 21)
     psis = np.zeros((21,) + tg.spatial_shape)
     shifted, a = kx.concavity_shift(FlowPath(tg, sigma, "c", ts, psis))
@@ -41,7 +42,7 @@ def test_shift_of_linear_path(tg):
 
 
 def test_shift_of_convex_path(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     u = 0.05 * (1 + np.cos(2 * np.pi * tg.x1))[:, None] * np.ones((1, tg.n_spatial))
     ts = np.linspace(0, 0.4, 33)
     psis = np.array([t * t * u for t in ts])
@@ -53,7 +54,7 @@ def test_shift_of_convex_path(tg):
 
 
 def test_shift_needs_enough_samples(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     ts = np.linspace(0, 1, 4)
     with pytest.raises(ValueError):
         kx.concavity_shift(FlowPath(tg, sigma, "c", ts,
@@ -65,7 +66,7 @@ def test_shift_needs_enough_samples(tg):
 
 def test_lift_of_explicit_concave_path(tg):
     # psi_t = -t^2 is already strictly concave; reductions recover it exactly
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     ts = np.linspace(0, 0.5, 41)
     psis = np.array([-t * t * np.ones(tg.spatial_shape) for t in ts])
     path = FlowPath(tg, sigma, "sq", ts, psis)
@@ -94,7 +95,7 @@ def test_lift_linear_path_criterion(tg):
 
 
 def test_lift_constant_path_is_product(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     ts = np.linspace(0, 0.5, 41)
     psis = np.zeros((41,) + tg.spatial_shape)
     shifted, a = kx.concavity_shift(FlowPath(tg, sigma, "c", ts, psis))
@@ -109,6 +110,16 @@ def test_lift_rejects_nonconcave(tg):
     path, u = linear_path(tg)
     with pytest.raises(NonConcave):
         kx.legendre_lift(path)
+
+
+def test_no_admissible_level_is_out_of_window(tg):
+    # over t in [0, 1e-3] the shifted velocity u - 2t hardly moves, so every
+    # sample's band 2 [min, max] spans the window, capped 5 % inside it
+    path, _ = linear_path(tg, T=1e-3, n=9)
+    shifted, _ = kx.concavity_shift(path)
+    lift = kx.legendre_lift(shifted, n_l=33)
+    with pytest.raises(OutOfWindow, match="no sample time"):
+        kx.admissible_taus(shifted, lift)
 
 
 def test_lift_monotone_inversion(calabi_lift):
@@ -153,7 +164,7 @@ def test_reduced_equivalence_on_lifted_pseudo(pc_lift):
 
 
 def test_converse_w_stationary_is_degenerate(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     ts = np.linspace(0, 0.1, 11)
     psis = np.zeros((11,) + tg.spatial_shape)
     path = FlowPath(tg, sigma, "c", ts, psis)
@@ -187,7 +198,7 @@ def concave_path(grid, n=11, seed=0):
     a, b, c = (1e-3 * rng.random(grid.spatial_shape) for _ in range(3))
     ts = np.linspace(0.0, 1.0, n)
     psis = np.array([c * t - (1 + a) * t * t - b * np.exp(t) for t in ts])
-    return FlowPath(grid, kx.flat_sigma(grid), "concave", ts, psis)
+    return FlowPath(grid, kx.reference_sigma(grid), "concave", ts, psis)
 
 
 def test_inversion_matches_brentq_per_pair():

@@ -155,9 +155,9 @@ def test_solve_decreasing_matches_brentq(items, n_l):
 def _moment_map(kind):
     """Fiber axis and moment map of a small perturbed structure."""
     if kind == "torus":
-        K = kx.perturbed_cylinder(kx.torus_grid(12, 33, margin=4), 0.02)
+        K = kx.perturbed(kx.torus_grid(12, 33, margin=4), 0.02)
     else:
-        K = kx.perturbed_fs_cylinder(kx.radial_grid(33, 33, margin=4), 0.01)
+        K = kx.perturbed(kx.radial_grid(33, 33, margin=4), 0.01)
     return K.grid.l, K.mu.values
 
 
@@ -254,8 +254,7 @@ def test_quintic_spline_of_few_knots_is_the_polynomial(n, start, data):
                            ref.derivative(t, nu) * h ** nu)
 
 
-GAUGE_K = kx.perturbed_cylinder(kx.torus_grid(n=12, n_l=17, margin=2),
-                                amplitude=0.02)
+GAUGE_K = kx.perturbed(kx.torus_grid(n=12, n_l=17, margin=2), 0.02)
 
 
 @SETTINGS
@@ -285,7 +284,7 @@ LIFT_PSI_GAP = 7e-9
 def test_reduction_and_lift_are_inverse(amplitude, shrink):
     # the family of K's reductions is concave as it stands, so it lifts with
     # no shift; the lift must give back K's moment map and K's reductions
-    K = kx.perturbed_cylinder(kx.torus_grid(16, 65, margin=4), amplitude)
+    K = kx.perturbed(kx.torus_grid(16, 65, margin=4), amplitude)
     taus = kx.default_taus(K, count=41, shrink=shrink)
     psis = np.array([kx.reduced_potential(K, t).psi_tau.values for t in taus])
     path = kx.FlowPath(K.grid, K.sigma, "reductions", taus, psis)
@@ -311,17 +310,16 @@ def _moves(run, sigma, const, **kw):
 @given(n=st.integers(9, 40), n_u=st.integers(33, 257), l_u=st.floats(3.0, 8.0),
        const=st.floats(-10.0, 10.0))
 def test_reference_metrics_stationary_under_every_flow(n, n_u, l_u, const):
-    flat = kx.flat_sigma(kx.torus_grid(n=n, n_l=9))
+    flat = kx.reference_sigma(kx.torus_grid(n=n, n_l=9))
     for run, kw in ((kx.calabi_integrate, {}),
                     (kx.pseudo_calabi_integrate, {}),
                     (kx.kr_integrate, {}),
                     (kx.kr_integrate, {"normalized": True})):
         assert _moves(run, flat, const, **kw) < 1e-12
-    fs = kx.fs_sigma(kx.radial_grid(n_u=n_u, n_l=9, l_u=l_u))
+    fs = kx.reference_sigma(kx.radial_grid(n_u=n_u, n_l=9, l_u=l_u))
     for run, kw in ((kx.calabi_integrate, {}),
                     (kx.pseudo_calabi_integrate, {}),
-                    (kx.kr_integrate,
-                     {"normalized": True, "lam": kx.lambda_mean(fs)})):
+                    (kx.kr_integrate, {"normalized": True})):
         assert _moves(run, fs, const, **kw) < 1e-12
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import kredux as kx
-from kredux.errors import Degenerate, OutOfRange
+from kredux.errors import Degenerate, NotPositive, OutOfRange
 from kredux.fields import Form11M, Form11P, ScalarFieldM, ScalarFieldP
 
 
@@ -172,7 +172,7 @@ def test_dcred_moment_map(perturbed):
 def test_dcred_quotient_lift():
     grid = kx.golden_grid(n_u=257, n_l=129)
     mu = kx.singquot_moment(grid)
-    K = kx.assemble(kx.fs_sigma(grid), kx.potential_from_moment(mu, 0.0), 0.0,
+    K = kx.assemble(kx.reference_sigma(grid), kx.potential_from_moment(mu, 0.0), 0.0,
                     require_positive=False)
     t = np.tanh(grid.v / 6.0)[:, None]
     f = ScalarFieldP(grid, np.sin(np.pi * t) * np.cos(grid.l)
@@ -181,13 +181,25 @@ def test_dcred_quotient_lift():
     assert rep.linf < 1e-6
 
 
+def test_degenerate_reduced_form_raises():
+    # the golden quotient's potential, assembled without its positivity check:
+    # omega_tau at tau = -1.5 has a component of about -16.8
+    grid = kx.golden_grid(n_u=129, n_l=65)
+    K = kx.assemble(kx.reference_sigma(grid),
+                    kx.potential_from_moment(kx.singquot_moment(grid), 0.0),
+                    0.0, require_positive=False)
+    with pytest.raises(NotPositive) as err:
+        kx.reduced_potential(K, -1.5)
+    assert err.value.eigenvalue < -10.0
+
+
 def test_dcred_refinement_quotient():
     # simultaneous refinement of both non-spectral axes
     errs = []
     for n_u, n_l in ((129, 65), (257, 129)):
         grid = kx.radial_grid(n_u=n_u, n_l=n_l, l_min=-3.0, l_max=1.0)
         mu = kx.singquot_moment(grid)
-        K = kx.assemble(kx.fs_sigma(grid), kx.potential_from_moment(mu, 0.0),
+        K = kx.assemble(kx.reference_sigma(grid), kx.potential_from_moment(mu, 0.0),
                         0.0, require_positive=False)
         t = np.tanh(grid.v / 6.0)[:, None]
         f = ScalarFieldP(grid, np.sin(np.pi * t) * np.cos(grid.l)
@@ -218,7 +230,7 @@ def test_ma_convergence(tg, cyl):
     rep = kx.ma_reduced(cyl, f, 0.3)
     assert rep.linf < 1e-5
     coarse_grid = kx.torus_grid(n=32, n_l=65)
-    K2 = kx.flat_cylinder(coarse_grid)
+    K2 = kx.cylinder(coarse_grid)
     vals2 = 0.05 * np.cos(2 * np.pi * coarse_grid.x2)[None, :, None] * coarse_grid.l
     f2 = ScalarFieldP(coarse_grid, np.broadcast_to(vals2, coarse_grid.p_shape).copy())
     rep2 = kx.ma_reduced(K2, f2, 0.3)
@@ -230,7 +242,7 @@ def test_ma_degeneracy_is_relative_to_scale():
     # density by s^2: below 1e-14 everywhere at s = 1e-8, yet no less
     # positive relative to its own size
     grid = kx.torus_grid(n=16, n_l=33, margin=4)
-    K = kx.perturbed_cylinder(grid, amplitude=0.02)
+    K = kx.perturbed(grid, 0.02)
     s = 1e-8
     Ks = kx.assemble(Form11M(grid, s * K.sigma.h),
                      ScalarFieldP(grid, s * K.phi.values), s * K.c)
@@ -249,7 +261,7 @@ def test_reductions_are_scale_free(s):
     # the Monge-Ampere ratios alone; a residual tolerance in units of mu
     # once left ma_reduced 3.5 to 24 times off at s = 1e-8
     grid = kx.torus_grid(n=16, n_l=33, margin=4)
-    K = kx.perturbed_cylinder(grid, amplitude=0.02)
+    K = kx.perturbed(grid, 0.02)
     Ks = kx.assemble(Form11M(grid, s * K.sigma.h),
                      ScalarFieldP(grid, s * K.phi.values), s * K.c)
     f = p_field(grid, 0.3 * np.cos(2 * np.pi * grid.x1)[:, None, None]

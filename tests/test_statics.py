@@ -11,19 +11,19 @@ from kredux.statics import constant_profile
 
 
 def test_lambda_mean_flat_and_round(tg, rg):
-    assert kx.lambda_mean(kx.flat_sigma(tg)) == 0.0
-    assert abs(kx.lambda_mean(kx.fs_sigma(rg)) - 2.0) < 1e-12
+    assert kx.lambda_mean(kx.reference_sigma(tg)) == 0.0
+    assert abs(kx.lambda_mean(kx.reference_sigma(rg)) - 2.0) < 1e-12
 
 
 def test_lambda_mean_class_invariance(tg):
-    sigma = kx.flat_sigma(tg)
+    sigma = kx.reference_sigma(tg)
     u = ScalarFieldM(tg, 0.02 * np.sin(2 * np.pi * tg.x1)[:, None]
                      * np.ones((1, tg.n_spatial)))
     assert abs(kx.lambda_mean(sigma + kx.ddc_m(u)) - kx.lambda_mean(sigma)) < 1e-8
 
 
 def test_lambda_mean_class_invariance_radial(rg):
-    sigma = kx.fs_sigma(rg)
+    sigma = kx.reference_sigma(rg)
     u = ScalarFieldM(rg, 0.02 * np.exp(-rg.v ** 2 / 2.0))
     assert abs(kx.lambda_mean(sigma + kx.ddc_m(u)) - 2.0) < 1e-8
 

@@ -18,13 +18,13 @@ def test_assemble_fs_cylinder(rg, fscyl):
     assert np.max(np.abs(fscyl.vsq.values - 2.0)) < 1e-10
     assert fscyl.certificate.positive
     # spatial block is the round metric itself
-    assert np.max(np.abs(fscyl.omega.g11 - kx.fs_sigma(rg).h[..., None])) < 1e-12
+    assert np.max(np.abs(fscyl.omega.g11 - kx.reference_sigma(rg).h[..., None])) < 1e-12
 
 
 def test_assemble_zero_potential_degenerates(tg):
     phi = ScalarFieldP(tg, np.zeros(tg.p_shape))
     with pytest.raises(NotPositive) as err:
-        kx.assemble(kx.flat_sigma(tg), phi, 0.0)
+        kx.assemble(kx.reference_sigma(tg), phi, 0.0)
     assert err.value.eigenvalue is not None
     assert err.value.node is not None
 
@@ -131,7 +131,7 @@ def test_roundtrip_reassembly_polynomial_fiber(tg):
     a = 0.02 * np.cos(2 * np.pi * tg.x1)[:, None, None]
     phi = ScalarFieldP(tg, np.broadcast_to(
         0.25 * tg.l ** 2 + a * (tg.l / tg.l_max) ** 3, tg.p_shape).copy())
-    K = kx.assemble(kx.flat_sigma(tg), phi, 0.0)
+    K = kx.assemble(kx.reference_sigma(tg), phi, 0.0)
     fiber_dev, reassembly = _roundtrip_gaps(K)
     assert fiber_dev < 1e-9
     assert reassembly < 1e-9
@@ -142,7 +142,7 @@ def test_roundtrip_reassembly_transcendental_fiber(perturbed):
     fiber_dev, reassembly = _roundtrip_gaps(perturbed)
     assert fiber_dev < 5e-9
     assert reassembly < 1e-6
-    coarse = kx.perturbed_cylinder(kx.torus_grid(n=32, n_l=65), amplitude=0.02)
+    coarse = kx.perturbed(kx.torus_grid(n=32, n_l=65), 0.02)
     fd2, re2 = _roundtrip_gaps(coarse)
     assert np.log2(re2 / reassembly) > 2.0
 
@@ -153,7 +153,7 @@ def test_roundtrip_reassembly_transcendental_fiber(perturbed):
 @pytest.fixture
 def small():
     grid = kx.torus_grid(n=16, n_l=33, margin=4)
-    return kx.perturbed_cylinder(grid, amplitude=0.02)
+    return kx.perturbed(grid, 0.02)
 
 
 def _arrays(value):

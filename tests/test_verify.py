@@ -49,7 +49,7 @@ def test_verify_reports_match_golden(small_reports):
 
 def test_ricci_descent_reports_angular_leftover(small_reports):
     grid = kx.torus_grid(n=16, n_l=33, margin=4)
-    K = kx.perturbed_cylinder(grid, amplitude=0.02)
+    K = kx.perturbed(grid, 0.02)
     rho = kx.descending_ricci(K)
     per_level = [kx.reduce_form(rho, kx.level_set(K, tau))[1]
                  for tau in kx.default_taus(K, count=3, shrink=0.3)]
@@ -62,7 +62,7 @@ def test_ricci_descent_reports_angular_leftover(small_reports):
                                    "ma_reduced", "laplace_reduced"])
 def test_check_over_levels_matches_each_level(check):
     grid = kx.torus_grid(n=16, n_l=33, margin=4)
-    K = kx.perturbed_cylinder(grid, amplitude=0.02)
+    K = kx.perturbed(grid, 0.02)
     f = kx.fixtures.random_resolved_p(grid, np.random.default_rng(3),
                                       amplitude=0.3)
     taus = [-0.3, 0.1, 0.4]
