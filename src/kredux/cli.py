@@ -196,8 +196,9 @@ def cmd_residual(cfg: RunConfig, args) -> int:
 
 
 def cmd_golden(cfg: RunConfig, args) -> int:
-    grid = golden_grid() if cfg.testbed != "radial" or cfg.fixture == "auto" \
-        else golden_grid(n_u=cfg.n, n_l=cfg.n_l)
+    # the quotient lives on the radial testbed: there it takes n and n_l
+    grid = golden_grid(n_u=cfg.n, n_l=cfg.n_l) if cfg.testbed == "radial" \
+        else golden_grid()
     report = run_golden(grid)
     os.makedirs(cfg.out, exist_ok=True)
     write_json(os.path.join(cfg.out, "golden.json"), report)

@@ -3,7 +3,11 @@
 Two spatial testbeds are supported:
 
 * ``torus``: an N x N periodic grid on the unit square, complex coordinate
-  z = x1 + i*x2.  Spatial derivatives are spectral.
+  z = x1 + i*x2.  Spatial derivatives are spectral: d/dz and d^2/dz dzbar
+  apply the real N x N Fourier differentiation matrices of each axis (one
+  matrix product per axis, cached per N), and the FFT remains only where a
+  diagonalization is needed, in the ETDRK4 state of the flows and the
+  Poisson solve (:meth:`TestbedGrid.rfft2`, :attr:`TestbedGrid.ddbar_symbol`).
 * ``radial``: rotationally symmetric data on CP^1 charted by v = log u with
   u = |z|^2, v in [-L_u, L_u].  Spatial derivatives are 4th-order finite
   differences in v.
@@ -157,6 +161,33 @@ def _wavenumbers(n, odd):
     return k
 
 
+@lru_cache(maxsize=None)
+def _fourier_matrices(n):
+    """Real n x n Fourier differentiation matrices of a unit-period axis:
+    ``0.5 d/dx`` (odd rule, Nyquist dropped) and ``0.25 d^2/dx^2`` (even
+    rule, Nyquist kept), each the spectral derivative of the identity's
+    columns, so ``M @ f`` differentiates ``f`` along its first axis."""
+    fhat = np.fft.fft(np.eye(n), axis=0)
+    k1, k2 = _wavenumbers(n, odd=True), _wavenumbers(n, odd=False)
+    mats = tuple(np.fft.ifft(sym[:, None] * fhat, axis=0).real.copy()
+                 for sym in (0.5j * k1, -0.25 * k2 * k2))
+    for m in mats:
+        m.flags.writeable = False
+    return mats
+
+
+def _apply_spatial(m, values):
+    """``m`` applied along spatial axes 0 and 1 of a torus field, each to the
+    differences from the axis's first node, so a field constant along an
+    axis gives exact zeros there."""
+    f = np.asarray(values, dtype=float)
+    d = f - f[:1]
+    along0 = np.matmul(m, d.reshape(len(f), -1)).reshape(f.shape)
+    np.subtract(f, f[:, :1], out=d)
+    along1 = d @ m.T if f.ndim == 2 else np.matmul(m, d)
+    return along0, along1
+
+
 # Chart limits: s = e^l and u^2 = e^2v stay finite floats (e^700 ~ 1e304),
 # and so does the second-derivative stencils' 1/h^2.
 _MAX_LOG = 700.0
@@ -278,14 +309,9 @@ class TestbedGrid:
     # -- spatial complex calculus -----------------------------------------
 
     @cached_property
-    def _dz_symbol(self):
-        """Torus symbol of d/dz on the fft2 plane."""
-        k = _wavenumbers(self.n_spatial, odd=True)
-        return 0.5 * (1j * k[:, None] + k[None, :])
-
-    @cached_property
     def ddbar_symbol(self):
-        """Torus symbol of d^2/dz dzbar on the rfft2 half-plane."""
+        """Torus symbol of d^2/dz dzbar on the rfft2 half-plane, for the
+        flows' ETDRK4 state and the Poisson solve, which need it diagonal."""
         n = self.n_spatial
         k = _wavenumbers(n, odd=False)
         return -0.25 * (k[:, None] ** 2 + k[None, :n // 2 + 1] ** 2)
@@ -298,14 +324,12 @@ class TestbedGrid:
         through :attr:`mixed_weight` wherever invariant pairings are formed.
         """
         if self.kind == TORUS:
-            # fft2's 1-D passes in place on one copy: numpy's ifft2 drops out=
-            f = np.array(values, dtype=complex)
-            for ax in (1, 0):
-                np.fft.fft(f, axis=ax, out=f)
-            f *= _spatial_like(self._dz_symbol, values)
-            for ax in (1, 0):
-                np.fft.ifft(f, axis=ax, out=f)
-            return f
+            d1, _ = _fourier_matrices(self.n_spatial)
+            along0, along1 = _apply_spatial(d1, values)
+            out = np.empty(along0.shape, dtype=complex)
+            out.real = along0
+            np.negative(along1, out=out.imag)
+            return out
         return self.d_v(values, 1)
 
     def rfft2(self, values):
@@ -322,9 +346,10 @@ class TestbedGrid:
     def dzbar_dz(self, values):
         """The real density d^2/dz dzbar of a scalar field."""
         if self.kind == TORUS:
-            f = self.rfft2(values)
-            f *= _spatial_like(self.ddbar_symbol, values)
-            return self.irfft2(f)
+            _, d2 = _fourier_matrices(self.n_spatial)
+            along0, along1 = _apply_spatial(d2, values)
+            along0 += along1
+            return along0
         return self.d_v(values, 2) / _spatial_like(self.u, values)
 
     @cached_property

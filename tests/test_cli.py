@@ -19,13 +19,14 @@ def run(args):
     return main(args)
 
 
-def run_fresh(probe, *args):
+def run_fresh(probe, *args, env=None):
     """Run ``python -c probe *args`` in a fresh interpreter that imports
-    kredux from this tree; returns the completed process, which must exit 0."""
+    kredux from this tree, with the variables ``env`` added to its
+    environment; returns the completed process, which must exit 0."""
     src = os.path.normpath(os.path.join(os.path.dirname(
         os.path.abspath(__file__)), "..", "src"))
     extra = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
+    env = dict(os.environ, **(env or {}),
                PYTHONPATH=src + os.pathsep + extra if extra else src)
     out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
                          capture_output=True, text=True, timeout=300)
@@ -90,8 +91,7 @@ def test_no_command_imports_scipy(tmp_path):
                       "--out", f"{work}/res_{eq}"])
     argvs.append(["reduce", *torus, "tau=0.3", "fixture=cyl",
                   "--out", f"{work}/reduce"])
-    argvs.append(["golden", *radial, "fixture=fscyl",
-                  "--out", f"{work}/golden"])
+    argvs.append(["golden", *radial, "--out", f"{work}/golden"])
     # scipy is made unimportable before kredux loads, so any import of it
     # fails the run; the two library fiber quadratures run as well
     probe = ("import sys\n"
@@ -114,6 +114,31 @@ def test_no_command_imports_scipy(tmp_path):
     assert codes[0] in ("0", "2")
     assert codes[1:] == ["0"] * (len(argvs) - 1), out.stderr
     assert scipy_loaded == "False"
+
+
+def test_verify_reports_do_not_depend_on_blas_threads(tmp_path):
+    # every torus derivative is a BLAS matrix product; one and two OpenBLAS
+    # threads, each set before numpy loads, must write the same report bytes.
+    # At n = 32 the axis-0 products (32 x 32 by 32 x 32 n_l, over 10^6
+    # multiply-adds) are above OpenBLAS's default size for splitting a
+    # product between threads, 4 x 65536.
+    probe = ("import sys\n"
+             "from kredux.cli import main\n"
+             "print(main(sys.argv[1:]))\n")
+    reports = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads_{threads}"
+        proc = run_fresh(probe, "verify", "testbed=torus", "n=32", "n_l=33",
+                         "margin=4", "seed=1", "--out", str(out),
+                         env={"OPENBLAS_NUM_THREADS": threads})
+        # verify at this resolution may report an identity failure (exit 2)
+        assert proc.stdout.splitlines()[-1] in ("0", "2")
+        reports[threads] = {p.name: p.read_bytes() for p in out.iterdir()
+                            if p.name != "meta.json"}
+        with open(out / "meta.json") as fh:
+            reports[threads]["hashes"] = json.load(fh)["hashes"]
+    assert len(reports["1"]) > 1
+    assert reports["1"] == reports["2"]
 
 
 def test_verify_low_resolution_reports_failure(tmp_path):
@@ -251,6 +276,23 @@ def test_golden_command(tmp_path):
         rep = json.load(fh)
     assert rep["passed"]
     assert rep["warnings"]
+
+
+def test_golden_grid_ignores_the_fixture_key(tmp_path):
+    # the golden quotient uses no fixture: its grid is the default golden
+    # grid on the torus testbed and n x n_l on the radial one
+    blocks = {}
+    for testbed in ("torus", "radial"):
+        for fixture in ("auto", "fscyl", "perturbed"):
+            out = tmp_path / f"{testbed}_{fixture}"
+            assert run(["golden", f"testbed={testbed}", "n=33", "n_l=33",
+                        f"fixture={fixture}", "--out", str(out)]) == 0
+            with open(out / "golden.json") as fh:
+                blocks[testbed, fixture] = json.load(fh)["grid"]
+    for testbed, n in (("torus", 257), ("radial", 33)):
+        assert blocks[testbed, "auto"]["n_spatial"] == n
+        assert blocks[testbed, "auto"] == blocks[testbed, "fscyl"] \
+            == blocks[testbed, "perturbed"]
 
 
 @pytest.mark.parametrize("kind, dt, t_end", [
@@ -604,8 +646,6 @@ def test_random_command_lines_exit_with_a_documented_code(
     with tempfile.TemporaryDirectory() as work:
         argv = [command, f"testbed={testbed}", f"n={n}", f"n_l={n_l}",
                 f"margin={margin}", "--out", os.path.join(work, "out")]
-        if command == "golden" and testbed == "radial":
-            argv.append("fixture=fscyl")  # the small quotient grid
         if command == "lift":
             argv += ["--in", work]  # holds no path
         if command == "residual":

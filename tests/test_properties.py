@@ -1,7 +1,8 @@
 """Randomized properties of the fiber interpolant and its antiderivative, the
-level solve, the quintic spline, gauge moves, the fixed points of the flows,
-reduction and lift as inverses, and the round trips of configurations, field
-dumps and grids (hypothesis, derandomized so the suite is repeatable)."""
+level solve, the quintic spline, the torus spatial derivatives, gauge moves,
+the fixed points of the flows, reduction and lift as inverses, and the round
+trips of configurations, field dumps and grids (hypothesis, derandomized so
+the suite is repeatable)."""
 
 import functools
 import math
@@ -255,6 +256,53 @@ def test_quintic_spline_of_few_knots_is_the_polynomial(n, start, data):
 
 
 GAUGE_K = kx.perturbed(kx.torus_grid(n=12, n_l=17, margin=2), 0.02)
+
+
+def _trig_modes(n):
+    """Modes (p, q, a, b), each the term a cos(theta) + b sin(theta) with
+    theta = 2 pi (p x1 + q x2), of a trigonometric polynomial on an n x n
+    torus grid: every frequency the grid resolves, with the Nyquist pair of
+    an even n drawn often."""
+    top = n // 2
+    freq = st.one_of(st.sampled_from([-top, top]), st.integers(-top, top))
+    return st.lists(st.tuples(freq, freq, unit, unit), min_size=1, max_size=6)
+
+
+# max-norm error of the torus derivatives of trigonometric polynomials, in
+# units of sum |a| + |b| times (2 pi floor(n/2)) for d/dz and its square for
+# d^2/dz dzbar: measured at most 9.6e-16 and 3.9e-16 over 3,000 random
+# polynomials of this kind, so the bound leaves a margin of ten
+TRIG_REL = 1e-14
+
+
+@SETTINGS
+@given(n=st.integers(9, 48), fiber=st.booleans(), data=st.data())
+def test_torus_derivatives_of_trig_polynomials(n, fiber, data):
+    # the analytic derivatives under the grid's Nyquist rules: an odd
+    # derivative drops the Nyquist mode of its axis, the second keeps it
+    g = kx.torus_grid(n=n, n_l=9, margin=2)
+    modes = data.draw(_trig_modes(n))
+    j = np.arange(n)
+    f, fx1, fx2, lap = (np.zeros(g.spatial_shape) for _ in range(4))
+    scale = 0.0
+    for p, q, a, b in modes:
+        # the phase reduced mod n in integers, so each value is good to 1 ulp
+        theta = 2.0 * np.pi * ((p * j[:, None] + q * j[None, :]) % n) / n
+        value = a * np.cos(theta) + b * np.sin(theta)
+        slope = 2.0 * np.pi * (b * np.cos(theta) - a * np.sin(theta))
+        f += value
+        fx1 += 0.0 if 2 * abs(p) == n else p * slope
+        fx2 += 0.0 if 2 * abs(q) == n else q * slope
+        lap -= (2.0 * np.pi) ** 2 * (p * p + q * q) * value
+        scale += abs(a) + abs(b)
+    dz, ddbar = 0.5 * (fx1 - 1j * fx2), 0.25 * lap
+    if fiber:
+        profile = data.draw(arrays(float, g.n_l, elements=unit))
+        f, dz, ddbar = (x[..., None] * profile for x in (f, dz, ddbar))
+        scale *= np.max(np.abs(profile))
+    k = 2.0 * np.pi * (n // 2)
+    assert np.max(np.abs(g.dz_stripped(f) - dz)) <= TRIG_REL * scale * k
+    assert np.max(np.abs(g.dzbar_dz(f) - ddbar)) <= TRIG_REL * scale * k * k
 
 
 @SETTINGS
