@@ -67,9 +67,10 @@ def _trace_laplacian(K: KahlerData, ddc_f: Form11P) -> ScalarFieldP:
                                                     K.omega_det()))
 
 
-def laplacian_p(f: ScalarFieldP, K: KahlerData) -> ScalarFieldP:
-    """Metric-trace Laplacian on the total space: (1/2) tr(G^{-1} dd^c f)."""
-    return _trace_laplacian(K, ddc_p(f))
+def laplacian_p(f: ScalarFieldP, K: KahlerData, dl_f=None) -> ScalarFieldP:
+    """Metric-trace Laplacian on the total space: (1/2) tr(G^{-1} dd^c f).
+    ``dl_f`` may supply f's fiber slope, as for :func:`~kredux.fields.ddc_p`."""
+    return _trace_laplacian(K, ddc_p(f, dl_f))
 
 
 def ricci_p(K: KahlerData) -> Form11P:
@@ -103,16 +104,35 @@ def moment_laplacian(K: KahlerData) -> ScalarFieldP:
     return K.cached("laplacian_mu", lambda: _trace_laplacian(K, K.ddc_mu()))
 
 
+def drift_from_slope(K: KahlerData, dl_log_v) -> ScalarFieldP:
+    """The drift D mu - JV log|V|, from the fiber slope of log|V|; not kept."""
+    return moment_laplacian(K) - jv_apply(K.log_v(), dl_log_v)
+
+
+def _log_v_terms(K: KahlerData):
+    """The drift and dd^c log|V|, kept with ``K``.  Whichever is not kept
+    yet is built when either is first asked for, both from one fiber slope
+    of log|V|, which is not kept."""
+    def build(keys):
+        moment_laplacian(K)  # kept; built before the slope is held
+        log_v = K.log_v()
+        dl_log_v = K.grid.d_l(log_v.values, 1)
+        make = {"drift": lambda: drift_from_slope(K, dl_log_v),
+                "ddc_log_v": lambda: ddc_p(log_v, dl_log_v)}
+        return [make[key]() for key in keys]
+
+    return K.cache_new(("drift", "ddc_log_v"), build)
+
+
 def descent_drift(K: KahlerData) -> ScalarFieldP:
     """The drift D mu - JV log|V| of the descending forms, computed once per
-    structure."""
-    return K.cached("drift",
-                    lambda: moment_laplacian(K) - jv_apply(K.log_v()))
+    structure, with :func:`ddc_log_v`."""
+    return _log_v_terms(K)[0]
 
 
 def ddc_log_v(K: KahlerData) -> Form11P:
-    """dd^c log|V|, computed once per structure."""
-    return K.cached("ddc_log_v", lambda: ddc_p(K.log_v()))
+    """dd^c log|V|, computed once per structure, with :func:`descent_drift`."""
+    return _log_v_terms(K)[1]
 
 
 def descending_ricci(K: KahlerData) -> Form11P:

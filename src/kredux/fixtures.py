@@ -87,14 +87,32 @@ def random_resolved_m(grid: TestbedGrid, rng, modes=3, amplitude=1.0) -> ScalarF
     return ScalarFieldM(grid, amplitude * vals)
 
 
-def random_resolved_p(grid: TestbedGrid, rng, modes=3, amplitude=1.0) -> ScalarFieldP:
-    """Random smooth invariant field with genuine fiber dependence."""
+FIBER_PROFILES = 4  # fiber profiles of a random invariant field
+
+
+def random_profile_bases(grid: TestbedGrid, rng, modes=3) -> list[np.ndarray]:
+    """The random base fields of :func:`random_resolved_p`, one per fiber
+    profile.  They depend on the spatial grid only, so grids that differ in
+    their fiber axis alone can share them."""
+    return [random_resolved_m(grid, rng, modes=modes).values
+            for _ in range(FIBER_PROFILES)]
+
+
+def profiled_field(grid: TestbedGrid, bases, amplitude=1.0) -> ScalarFieldP:
+    """sum_k bases[k] * profile_k(l), times ``amplitude / FIBER_PROFILES``;
+    the profiles are 1, l / span, exp(-l^2) and cos(pi l / (2 span)) with
+    span = max |l| over the fiber window."""
     l = grid.l
     span = max(abs(grid.l_min), abs(grid.l_max))
     profiles = [np.ones_like(l), l / span, np.exp(-l * l),
                 np.cos(np.pi * l / (2 * span))]
     vals = np.zeros(grid.p_shape)
-    for prof in profiles:
-        base = random_resolved_m(grid, rng, modes=modes)
-        vals += base.values[..., None] * prof
-    return ScalarFieldP(grid, amplitude * vals / len(profiles))
+    for base, prof in zip(bases, profiles, strict=True):
+        vals += base[..., None] * prof
+    return ScalarFieldP(grid, amplitude * vals / FIBER_PROFILES)
+
+
+def random_resolved_p(grid: TestbedGrid, rng, modes=3, amplitude=1.0) -> ScalarFieldP:
+    """Random smooth invariant field with genuine fiber dependence."""
+    return profiled_field(grid, random_profile_bases(grid, rng, modes),
+                          amplitude)

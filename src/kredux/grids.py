@@ -176,16 +176,23 @@ def _fourier_matrices(n):
     return mats
 
 
-def _apply_spatial(m, values):
-    """``m`` applied along spatial axes 0 and 1 of a torus field, each to the
-    differences from the axis's first node, so a field constant along an
-    axis gives exact zeros there."""
-    f = np.asarray(values, dtype=float)
+def _along0(m, f):
+    """``m`` applied along spatial axis 0 of a torus field, to the
+    differences from the axis's first node, so a field constant along the
+    axis gives exact zeros; returns the product and the differences, whose
+    buffer :func:`_along1` reuses."""
     d = f - f[:1]
-    along0 = np.matmul(m, d.reshape(len(f), -1)).reshape(f.shape)
-    np.subtract(f, f[:, :1], out=d)
-    along1 = d @ m.T if f.ndim == 2 else np.matmul(m, d)
-    return along0, along1
+    return np.matmul(m, d.reshape(len(f), -1)).reshape(f.shape), d
+
+
+def _along1(m, f, diffs, out=None):
+    """``m`` applied along spatial axis 1 of ``f``, to the differences from
+    the axis's first node, which are taken into the buffer ``diffs``; the
+    product goes into ``out`` when given."""
+    np.subtract(f, f[:, :1], out=diffs)
+    if f.ndim == 2:
+        return np.matmul(diffs, m.T, out=out)
+    return np.matmul(m, diffs, out=out)
 
 
 # Chart limits: s = e^l and u^2 = e^2v stay finite floats (e^700 ~ 1e304),
@@ -325,10 +332,14 @@ class TestbedGrid:
         """
         if self.kind == TORUS:
             d1, _ = _fourier_matrices(self.n_spatial)
-            along0, along1 = _apply_spatial(d1, values)
-            out = np.empty(along0.shape, dtype=complex)
+            f = np.asarray(values, dtype=float)
+            along0, diffs = _along0(d1, f)
+            out = np.empty(f.shape, dtype=complex)
             out.real = along0
-            np.negative(along1, out=out.imag)
+            # the axis-1 product reuses the axis-0 product's buffer: fresh
+            # pages per call are what 3-D fields cost under glibc's default
+            # malloc policy
+            np.negative(_along1(d1, f, diffs, out=along0), out=out.imag)
             return out
         return self.d_v(values, 1)
 
@@ -347,8 +358,9 @@ class TestbedGrid:
         """The real density d^2/dz dzbar of a scalar field."""
         if self.kind == TORUS:
             _, d2 = _fourier_matrices(self.n_spatial)
-            along0, along1 = _apply_spatial(d2, values)
-            along0 += along1
+            f = np.asarray(values, dtype=float)
+            along0, diffs = _along0(d2, f)
+            along0 += _along1(d2, f, diffs)
             return along0
         return self.d_v(values, 2) / _spatial_like(self.u, values)
 

@@ -208,16 +208,17 @@ def merge_levels(name, grid, taus, norms) -> ResidualReport:
 
 
 def check_dertau(K: KahlerData, f: ScalarFieldP, taus,
-                 dtau: float = 1e-4) -> ResidualReport:
+                 dtau: float = 1e-4, dl_f=None) -> ResidualReport:
     """d(f_tau)/dtau against the reduction of JV(f)/|V|^2, at each level;
-    ValueError if a level tau +- dtau leaves the moment map's range."""
+    ValueError if a level tau +- dtau leaves the moment map's range.
+    ``dl_f`` may supply f's fiber slope, as for :func:`jv_apply`."""
     grid = K.grid
     taus = _levels(taus)
     lo, hi = K.mu_range()
     if np.min(taus) - dtau < lo or np.max(taus) + dtau > hi:
         raise ValueError(f"dtau: levels tau +- {dtau:g} leave the moment "
                          f"map's range [{lo:.6g}, {hi:.6g}]")
-    g = jv_apply(f) / K.vsq
+    g = jv_apply(f, dl_f) / K.vsq
     levels = level_sets(K, np.concatenate([taus + dtau, taus - dtau, taus]))
     n = len(taus)
     norms = []
@@ -229,13 +230,14 @@ def check_dertau(K: KahlerData, f: ScalarFieldP, taus,
     return merge_levels("dertau", grid, taus, norms)
 
 
-def check_dcred(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
+def check_dcred(K: KahlerData, f: ScalarFieldP, taus,
+                dl_f=None) -> ResidualReport:
     """Spatial differential of f_tau against the reduced combination
     d^c f - (JV(f)/|V|^2) d^c mu, compared through holomorphic components,
-    at each level."""
+    at each level.  ``dl_f`` may supply f's fiber slope."""
     grid = K.grid
     taus = _levels(taus)
-    g = jv_apply(f) / K.vsq
+    g = jv_apply(f, dl_f) / K.vsq
     combo = grid.dz_stripped(f.values) + g.values * K.omega.g12  # g12 = -dz mu
     norms = []
     for level in level_sets(K, taus):
@@ -251,8 +253,10 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     at each level."""
     grid = K.grid
     taus = _levels(taus)
-    g = jv_apply(f) / K.vsq
-    xi = ddc_p(f)
+    dl_f = grid.d_l(f.values, 1)
+    g = jv_apply(f, dl_f) / K.vsq
+    xi = ddc_p(f, dl_f)
+    del dl_f
     xi += K.omega
     xi -= d_wedge_dc(g, K)
     ratio = wedge_square(xi).t
@@ -273,13 +277,17 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     return merge_levels("ma_reduced", grid, taus, norms)
 
 
-def laplace_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
+def laplace_reduced(K: KahlerData, f: ScalarFieldP, taus,
+                    dl_f=None) -> ResidualReport:
     """Laplacian of f_tau on the reduced metric against the reduction of the
-    descended second-order operator on the total space, at each level."""
+    descended second-order operator on the total space, at each level.
+    ``dl_f`` may supply f's fiber slope; otherwise it is taken once here."""
     grid = K.grid
     taus = _levels(taus)
-    jvf = jv_apply(f)
-    rhs_p = (laplacian_p(f, K)
+    if dl_f is None:
+        dl_f = grid.d_l(f.values, 1)
+    jvf = jv_apply(f, dl_f)
+    rhs_p = (laplacian_p(f, K, dl_f)
              - descent_drift(K) * jvf / K.vsq
              - jv_apply(jvf) / (2.0 * K.vsq))
     norms = []

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature import (cached_ricci_p, descending_scalar, descent_drift,
-                        laplacian_m, laplacian_p, ricci_m, scal_m)
+                        drift_from_slope, laplacian_m, laplacian_p, ricci_m,
+                        scal_m)
 from .fields import (Form11P, ScalarFieldP, ddc_m, d_wedge_dc, ddc_p,
                      integrate_m, interior_norms)
 from .interp import FiberInterp, QuinticSpline
@@ -176,11 +177,16 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     Reduced equivalence: || (1/2) dd^c log s_tau + Ric(omega_tau) ||_inf.
     """
     taus = default_taus(K) if taus is None else taus
-    g = descent_drift(K) + 1.0
-    g.values /= K.vsq.values
     ric = cached_ricci_p(K)
-    # not ddc_log_v: keeping this form cached adds 8-9 MB to lift-kr peak RSS
-    theta = ddc_p(K.log_v())
+    # one fiber slope of log|V| serves the drift and dd^c log|V|; neither is
+    # kept: the cached dd^c log|V| would add 8-9 MB to lift-kr peak RSS
+    log_v = K.log_v()
+    dl_log_v = K.grid.d_l(log_v.values, 1)
+    g = drift_from_slope(K, dl_log_v)
+    g.values += 1.0
+    g.values /= K.vsq.values
+    theta = ddc_p(log_v, dl_log_v)
+    del dl_log_v
     theta += ric
     theta += d_wedge_dc(g, K)
     del g

@@ -79,11 +79,13 @@ class KahlerData:
 
     def cache_new(self, keys, build):
         """Store, as ``cached`` does, the values of the keys in ``keys`` not
-        stored yet: ``build(new)`` computes them all at once, in order."""
+        stored yet: ``build(new)`` computes them all at once, in order.
+        Returns the stored values of ``keys``."""
         new = [key for key in dict.fromkeys(keys) if key not in self._cache]
         if new:
             for key, value in zip(new, build(new)):
                 self._cache[key] = _read_only(value)
+        return [self._cache[key] for key in keys]
 
     def mu_interp(self) -> FiberInterp:
         return self.cached("mu_interp",
@@ -95,8 +97,11 @@ class KahlerData:
             self.grid, 0.5 * np.log(self.vsq.values)))
 
     def ddc_mu(self) -> Form11P:
-        """dd^c mu, kept for the descending forms and D mu."""
-        return self.cached("ddc_mu", lambda: ddc_p(self.mu))
+        """dd^c mu, kept for the descending forms and D mu.  Its fiber slope
+        is read off |V|^2 = -2 d_l mu: halving is exact, so ``-0.5 * vsq``
+        is the same bits as the slope ``assemble`` took."""
+        return self.cached("ddc_mu",
+                           lambda: ddc_p(self.mu, -0.5 * self.vsq.values))
 
     def omega_det(self) -> np.ndarray:
         """Determinant of omega's Hermitian component matrix."""

@@ -2,6 +2,15 @@
 and the reduced-quantity identities, with refinement slopes.
 
 Shared by the command-line ``verify`` driver and the acceptance suite.
+
+A battery pass takes each fiber derivative once.  The slope d_l f of its
+test field serves every check that differentiates f (``ma_reduced`` shares
+the slope of 0.3 f within itself), and is released before the descending
+forms, where the pass peaks.  The structure reads d_l mu off |V|^2 for
+dd^c mu, and builds the drift and dd^c log|V| from one slope of log|V|.
+The fine and coarse passes share their random input: the coarse fiber
+nodes are the fine ones at even indices, bit for bit, so one draw of the
+test field's base fields serves both, and each pass builds its own f.
 """
 
 from __future__ import annotations
@@ -14,7 +23,8 @@ from .curvature import (check_moment_ricci_identity, descending_ricci,
                         descending_scalar, laplacian_m, ricci_m)
 from .fields import (ScalarFieldM, ScalarFieldP, contract_v, ddc_p, grad_pair,
                      interior_norms)
-from .fixtures import cylinder, perturbed, random_resolved_m, random_resolved_p
+from .fixtures import (cylinder, perturbed, profiled_field,
+                       random_profile_bases, random_resolved_m)
 from .grids import RADIAL, TORUS, TestbedGrid, torus_grid
 from .reduction import (check_dcred, check_dertau, default_taus, laplace_reduced,
                         ma_reduced, merge_levels, reduce_form,
@@ -112,17 +122,33 @@ def closed_form_reductions(grid: TestbedGrid | None = None) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 
-def battery_once(K: KahlerData, seed=0, dtau=1e-4) -> dict:
-    """One pass of the reduced-identity battery on ``K``."""
+def battery_bases(grid: TestbedGrid, seed=0) -> list[np.ndarray]:
+    """The random base fields of the battery's test field, drawn from
+    ``seed``; they serve every grid with ``grid``'s spatial nodes."""
+    return random_profile_bases(grid, np.random.default_rng(seed))
+
+
+def battery_once(K: KahlerData, seed=0, dtau=1e-4, bases=None) -> dict:
+    """One pass of the reduced-identity battery on ``K``.
+
+    The test field f is built on ``K``'s grid from ``bases``, which
+    default to :func:`battery_bases` of ``seed``.  Its fiber slope d_l f is
+    taken once and serves ``check_dertau``, ``check_dcred`` and
+    ``laplace_reduced``; f and its slope are released before the
+    descending forms, where the pass peaks.
+    """
     grid = K.grid
-    rng = np.random.default_rng(seed)
-    f = random_resolved_p(grid, rng, amplitude=0.3)
+    if bases is None:
+        bases = battery_bases(grid, seed)
+    f = profiled_field(grid, bases, amplitude=0.3)
     taus = default_taus(K, count=BATTERY_LEVELS, shrink=0.3)
 
-    out = {"dertau": check_dertau(K, f, taus, dtau),
-           "dcred": check_dcred(K, f, taus),
+    dl_f = grid.d_l(f.values, 1)
+    out = {"dertau": check_dertau(K, f, taus, dtau, dl_f=dl_f),
+           "dcred": check_dcred(K, f, taus, dl_f=dl_f),
            "ma_reduced": ma_reduced(K, 0.3 * f, taus),
-           "laplace_reduced": laplace_reduced(K, f, taus)}
+           "laplace_reduced": laplace_reduced(K, f, taus, dl_f=dl_f)}
+    del f, dl_f
 
     rho = descending_ricci(K)
     big_r = descending_scalar(K)
@@ -159,12 +185,15 @@ def battery_with_slopes(K: KahlerData, seed=0, dtau=1e-4) -> dict:
     half = (grid.n_l + 1) // 2
     if half < 9 or half <= 2 * grid.margin:
         return battery_once(K, seed=seed, dtau=dtau)
+    # the two grids share their spatial nodes, so one draw of the test
+    # field's base fields serves both; each pass builds its own f from them
+    bases = battery_bases(grid, seed)
     # coarse first: the fine pass fills K's cache, which would stay alive
     # beside the coarse fixture
     coarse = battery_once(
         perturbed(replace(grid, n_l=half), BATTERY_AMPLITUDE[grid.kind]),
-        seed=seed, dtau=2.0 * dtau)
-    fine = battery_once(K, seed=seed, dtau=dtau)
+        seed=seed, dtau=2.0 * dtau, bases=bases)
+    fine = battery_once(K, seed=seed, dtau=dtau, bases=bases)
     return {name: attach_slope(coarse[name], fine[name]) for name in fine}
 
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,67 @@ def test_top_form_rejects_non_finite(g):
         kx.TopFormP(g, t)
     with pytest.raises(ValueError, match="shape"):
         kx.TopFormP(g, np.ones(g.spatial_shape))
+
+
+# -- finiteness checks of the constructors -----------------------------------
+
+def _constructors(g):
+    """name -> (build from one array, its shape, dtype, the error message)."""
+    p, m = g.p_shape, g.spatial_shape
+
+    def form11p(name):
+        def build(a):
+            parts = {"g11": np.ones(p), "g12": np.zeros(p, complex),
+                     "g22": np.ones(p), "b20": np.zeros(p, complex)}
+            parts[name] = a
+            return kx.Form11P(g, **parts)
+        return build
+
+    out = {
+        "ScalarFieldP": (lambda a: ScalarFieldP(g, a), p, float,
+                         "ScalarFieldP contains non-finite values"),
+        "ScalarFieldM": (lambda a: ScalarFieldM(g, a), m, float,
+                         "ScalarFieldM contains non-finite values"),
+        "Form11M": (lambda a: kx.Form11M(g, a), m, float,
+                    "form has non-finite components"),
+        "TopFormP": (lambda a: kx.TopFormP(g, a), p, float,
+                     "t has non-finite components"),
+    }
+    for name, dtype in (("g11", float), ("g12", complex), ("g22", float),
+                        ("b20", complex)):
+        out[f"Form11P.{name}"] = (form11p(name), p, dtype,
+                                  f"{name} has non-finite components")
+    return out
+
+
+CONSTRUCTORS = sorted(_constructors(kx.torus_grid(n=9, n_l=9)))
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_finite_values_whose_sum_overflows_construct(name, sign):
+    g = kx.torus_grid(n=9, n_l=9)
+    build, shape, dtype, _ = _constructors(g)[name]
+    for part in (1.0, 1j) if dtype is complex else (1.0,):
+        a = np.zeros(shape, dtype)
+        a.flat[:2] = sign * 1e308 * part
+        with np.errstate(over="raise"):
+            with pytest.raises(FloatingPointError):
+                a.sum()
+        build(a)
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("overflowing", [False, True])
+def test_non_finite_entries_raise(name, bad, overflowing):
+    g = kx.torus_grid(n=9, n_l=9)
+    build, shape, dtype, message = _constructors(g)[name]
+    for part in ("real", "imag") if dtype is complex else ("real",):
+        a = np.ones(shape, dtype)
+        if overflowing:  # the sum is not finite before the bad entry
+            a.flat[:2] = 1e308
+        view = getattr(a, part) if dtype is complex else a
+        view.flat[5] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build(a)

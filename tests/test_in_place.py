@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import kredux as kx
-from kredux.curvature import _reference_arrays
+from kredux.curvature import (_reference_arrays, ddc_log_v, descent_drift,
+                              drift_from_slope)
 from kredux.fields import Form11P, ScalarFieldM, ScalarFieldP, trace_against
 from kredux.fixtures import random_resolved_p
 
@@ -240,6 +241,36 @@ def test_derivative_forms_match_reference(K, fields):
     assert_forms_equal(kx.d_wedge_dc(h, K), ref_d_wedge_dc(h, K))
     assert_forms_equal(kx.ricci_p(K), ref_ricci_p(K))
     assert_unchanged(before, K, f, h)
+
+
+def _same_bits(got, want):
+    for name in ("g11", "g12", "g22", "b20", "values"):
+        a, b = getattr(got, name, None), getattr(want, name, None)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def test_given_fiber_slope_gives_the_same_bits(K, fields):
+    f, _ = fields
+    dl_f = K.grid.d_l(f.values, 1)
+    taus = kx.default_taus(K, count=3, shrink=0.3)
+    before = _snapshot(K, f, dl_f)
+    _same_bits(kx.jv_apply(f, dl_f), kx.jv_apply(f))
+    _same_bits(kx.ddc_p(f, dl_f), kx.ddc_p(f))
+    _same_bits(kx.laplacian_p(f, K, dl_f), kx.laplacian_p(f, K))
+    for check in (kx.check_dcred, kx.laplace_reduced):
+        assert check(K, f, taus, dl_f=dl_f).to_dict() == \
+            check(K, f, taus).to_dict()
+    assert kx.check_dertau(K, f, taus, 1e-4, dl_f).to_dict() == \
+        kx.check_dertau(K, f, taus, 1e-4).to_dict()
+    assert_unchanged(before, K, f, dl_f)
+    # the structure's own shared slopes
+    _same_bits(K.ddc_mu(), ref_ddc_p(K.mu))
+    log_v = K.log_v()
+    _same_bits(drift_from_slope(K, K.grid.d_l(log_v.values, 1)),
+               descent_drift(K))
+    _same_bits(ddc_log_v(K), ref_ddc_p(log_v))
 
 
 def test_descending_ricci_matches_reference():

@@ -223,9 +223,9 @@ def test_ddc_mu_computed_once_per_structure(small, monkeypatch):
     calls = []
     real = structure.ddc_p
 
-    def counting(f):
+    def counting(f, *args):
         calls.append(f)
-        return real(f)
+        return real(f, *args)
 
     monkeypatch.setattr(structure, "ddc_p", counting)
     g = ScalarFieldP(small.grid, np.ones(small.grid.p_shape)) / small.vsq
@@ -238,6 +238,19 @@ def test_ddc_mu_computed_once_per_structure(small, monkeypatch):
     assert np.array_equal(small.ddc_mu().g12, kx.ddc_p(small.mu).g12)
 
 
+@pytest.mark.parametrize("kind", ["torus", "radial"])
+@pytest.mark.parametrize("n_l", [33, 65, 129])
+def test_halved_vsq_is_the_moment_map_slope(kind, n_l):
+    # dd^c mu reads its fiber slope off |V|^2 = -2 d_l mu
+    if kind == "torus":
+        grid, amplitude = kx.torus_grid(n=16, n_l=n_l, margin=4), 0.02
+    else:
+        grid, amplitude = kx.radial_grid(n_u=65, n_l=n_l, margin=4), 0.01
+    for K in (kx.cylinder(grid), kx.perturbed(grid, amplitude)):
+        want = grid.d_l(K.mu.values, 1)
+        assert (-0.5 * K.vsq.values).tobytes() == want.tobytes()
+
+
 def test_ddc_log_v_computed_once_per_structure(small, monkeypatch):
     import kredux.curvature as curvature
 
@@ -245,9 +258,9 @@ def test_ddc_log_v_computed_once_per_structure(small, monkeypatch):
     calls = []
     real = curvature.ddc_p
 
-    def counting(f):
+    def counting(f, *args):
         calls.append(f is log_v)
-        return real(f)
+        return real(f, *args)
 
     monkeypatch.setattr(curvature, "ddc_p", counting)
     kx.descending_ricci(small)

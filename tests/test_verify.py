@@ -1,3 +1,6 @@
+import collections
+import dataclasses
+import hashlib
 import json
 import os
 
@@ -5,7 +8,10 @@ import numpy as np
 import pytest
 
 import kredux as kx
-from kredux.verify import run_verify
+from kredux import fixtures, grids
+from kredux.fixtures import profiled_field
+from kredux.verify import (BATTERY_AMPLITUDE, battery_bases,
+                           battery_with_slopes, run_verify)
 
 # Reports of run_verify(torus_grid(n=16, n_l=33, margin=4), seed=0), written
 # when the level solve began to bracket each root in one fiber segment and
@@ -74,3 +80,69 @@ def test_check_over_levels_matches_each_level(check):
     assert merged.linf == max(s.linf for s in singles)
     assert merged.l2 == max(s.l2 for s in singles)
     assert all(len(s.reduced_by_tau) == 1 for s in singles)
+
+
+# -- the shares of a battery pass ----------------------------------------------
+
+
+def _small_battery_fixture(kind):
+    if kind == "torus":
+        grid = kx.torus_grid(n=16, n_l=33, margin=4)
+    else:
+        grid = kx.radial_grid(n_u=65, n_l=33, margin=4)
+    return kx.perturbed(grid, BATTERY_AMPLITUDE[grid.kind])
+
+
+@pytest.mark.parametrize("kind", ["torus", "radial"])
+def test_battery_pass_repeats_no_fiber_derivative(kind, monkeypatch):
+    # battery_with_slopes on these grids made 42 (torus) and 108 (radial)
+    # stencil calls with 11 repeated inputs each, before the slopes were
+    # shared; 30 and 96 calls, none repeated, after
+    K = _small_battery_fixture(kind)
+    seen = collections.Counter()
+    real = grids.fd_apply
+
+    def hashing(values, axis, order, h, n):
+        a = np.ascontiguousarray(values, dtype=float)
+        digest = hashlib.sha256(a.tobytes()).hexdigest()
+        seen[(digest, a.shape, axis % a.ndim, order)] += 1
+        return real(values, axis, order, h, n)
+
+    monkeypatch.setattr(grids, "fd_apply", hashing)
+    battery_with_slopes(K, seed=1)
+    assert seen
+    assert [key[1:] for key, count in seen.items() if count > 1] == []
+
+
+def test_battery_pair_draws_its_random_fields_once(monkeypatch):
+    K = _small_battery_fixture("torus")
+    draws = []
+    real = fixtures.random_resolved_m
+
+    def counting(*args, **kwargs):
+        draws.append(args[0].n_l)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fixtures, "random_resolved_m", counting)
+    battery_with_slopes(K, seed=1)
+    assert draws == [K.grid.n_l] * fixtures.FIBER_PROFILES
+
+
+@pytest.mark.parametrize("kind", ["torus", "radial"])
+@pytest.mark.parametrize("n_l", [33, 65, 129])
+def test_battery_pair_shares_nodes_and_random_fields(kind, n_l):
+    if kind == "torus":
+        grid = kx.torus_grid(n=16, n_l=n_l, margin=4)
+    else:
+        grid = kx.radial_grid(n_u=65, n_l=n_l, margin=4)
+    coarse = dataclasses.replace(grid, n_l=(n_l + 1) // 2)
+    assert coarse.l.tobytes() == grid.l[::2].tobytes()
+    bases = battery_bases(grid, seed=7)
+    fine_f = profiled_field(grid, bases, amplitude=0.3)
+    coarse_f = profiled_field(coarse, bases, amplitude=0.3)
+    assert coarse_f.values.tobytes() == fine_f.values[..., ::2].tobytes()
+    # the same bits as a draw of its own on each grid
+    for g, f in ((grid, fine_f), (coarse, coarse_f)):
+        own = kx.fixtures.random_resolved_p(g, np.random.default_rng(7),
+                                            amplitude=0.3)
+        assert own.values.tobytes() == f.values.tobytes()
