@@ -104,24 +104,22 @@ def moment_laplacian(K: KahlerData) -> ScalarFieldP:
     return K.cached("laplacian_mu", lambda: _trace_laplacian(K, K.ddc_mu()))
 
 
-def drift_from_slope(K: KahlerData, dl_log_v) -> ScalarFieldP:
-    """The drift D mu - JV log|V|, from the fiber slope of log|V|; not kept."""
-    return moment_laplacian(K) - jv_apply(K.log_v(), dl_log_v)
+def log_v_terms(K: KahlerData, keys=("drift", "ddc_log_v")):
+    """Those of the drift D mu - JV log|V| and dd^c log|V| named in ``keys``,
+    in order, all from one fiber slope of log|V|; none of them is kept."""
+    moment_laplacian(K)  # kept; built before the slope is held
+    log_v = K.log_v()
+    dl_log_v = K.grid.d_l(log_v.values, 1)
+    make = {"drift": lambda: moment_laplacian(K) - jv_apply(log_v, dl_log_v),
+            "ddc_log_v": lambda: ddc_p(log_v, dl_log_v)}
+    return [make[key]() for key in keys]
 
 
 def _log_v_terms(K: KahlerData):
-    """The drift and dd^c log|V|, kept with ``K``.  Whichever is not kept
-    yet is built when either is first asked for, both from one fiber slope
-    of log|V|, which is not kept."""
-    def build(keys):
-        moment_laplacian(K)  # kept; built before the slope is held
-        log_v = K.log_v()
-        dl_log_v = K.grid.d_l(log_v.values, 1)
-        make = {"drift": lambda: drift_from_slope(K, dl_log_v),
-                "ddc_log_v": lambda: ddc_p(log_v, dl_log_v)}
-        return [make[key]() for key in keys]
-
-    return K.cache_new(("drift", "ddc_log_v"), build)
+    """:func:`log_v_terms`, kept with ``K``: whichever is not kept yet is
+    built when either is first asked for."""
+    return K.cache_new(("drift", "ddc_log_v"),
+                       lambda keys: log_v_terms(K, keys))
 
 
 def descent_drift(K: KahlerData) -> ScalarFieldP:

@@ -6,12 +6,12 @@ All flows evolve a potential against a fixed background form sigma:
 * coupled flow:                        solve D_psi psi' = lambda - scal, then step
 * Ricci flow (unnormalized/normalized) psi' = (1/2) log(H_psi/H_sigma) [+ lambda psi]
 
-Each flow is a velocity on raw arrays, ``velocity(h, psi)`` with
-h = H_sigma + 2 psi_{z zbar} the metric coefficient of psi and ``psi()`` the
-potential itself, computed only by the flow that reads it; all flows
-share one integrator: ETDRK4, which takes the flow's linear symbol, frozen at
-the mean of sigma, exactly, so no stability estimate sets the step; by
-default it is one step per saved sample.  Every step is checked for finiteness
+Each flow is a velocity on raw arrays, ``velocity(h, psi)`` with psi the
+potential and h = H_sigma + 2 psi_{z zbar} its metric coefficient; all flows
+share one integrator: ETDRK4 on the grid's modes, which diagonalize
+d^2/dz dzbar, so it takes the flow's linear part, frozen at the mean of
+sigma, exactly and no stability estimate sets the step; by default it is one
+step per saved sample.  Every step is checked for finiteness
 (StepUnstable) and for positivity of h (PositivityLost); an optional energy
 monitor, evaluated on the same (velocity, h) pair, halves the step when the
 energy increases.  Every time derivative of a path, at any increasing sample
@@ -125,33 +125,25 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
     """ETDRK4 for psi' = L psi + N(psi), N = velocity(h, psi) - L psi, with
     h = H_sigma + 2 psi_{z zbar} the metric coefficient of psi.
 
-    On the torus the state lives on the rfft2 plane and L = ``rate(s)``, s
-    the symbol of H^{-1} d^2/dz dzbar at the mean of sigma, is taken
-    exactly; on the radial testbed L = 0 and the scheme is classical RK4.
-    ``dt=None`` takes one step per sample.  Each state is evaluated once, as
-    the monitor probe and, on acceptance, the next step's first stage.  A
-    non-finite candidate raises StepUnstable, an h that is not positive
-    everywhere PositivityLost.  An increase of ``energy_fn(velocity, h)``
-    beyond tolerance halves the step (at most ``_MAX_HALVINGS`` times) and
-    retries without accepting.
+    The state is psi on the grid's modes (``grid.to_modes``), where L =
+    ``rate(s)``, s the eigenvalues of H^{-1} d^2/dz dzbar at the mean of
+    sigma, is diagonal and taken exactly (radial: s = 0, classical RK4);
+    each stage's metric is ``grid.dzbar_dz`` of its psi.  ``dt=None`` takes
+    one step per sample.  Each state is evaluated once, as the monitor probe
+    and, on acceptance, the next step's first stage, whose psi is the saved
+    sample.  A non-finite candidate raises StepUnstable, an h that is not
+    positive everywhere PositivityLost.  An increase of
+    ``energy_fn(velocity, h)`` beyond tolerance halves the step (at most
+    ``_MAX_HALVINGS`` times) and retries without accepting.
     """
     grid = sigma.grid
-    torus = grid.kind == TORUS
-    lin = rate(grid.ddbar_symbol / float(np.mean(sigma.h)) if torus else 0.0)
-    forward = grid.rfft2 if torus else np.asarray
-
-    def potential(state):
-        # irfft2 overwrites its argument; the state is still needed
-        return grid.irfft2(state.copy()) if torus else np.array(state)
+    lin = rate(grid.ddbar_eigenvalues / float(np.mean(sigma.h)))
 
     def stage(state):
-        if torus:
-            psi_zz = grid.irfft2(grid.ddbar_symbol * state)
-        else:
-            psi_zz = grid.dzbar_dz(state)
-        h = sigma.h + 2.0 * psi_zz
-        v = velocity(h, lambda: potential(state))
-        return forward(v) - lin * state, v, h
+        psi = grid.from_modes(state)
+        h = sigma.h + 2.0 * grid.dzbar_dz(psi)
+        v = velocity(h, psi)
+        return grid.to_modes(v) - lin * state, psi, v, h
 
     psi = np.array(psi0, dtype=float, copy=True)
     dt = dt if dt is not None else t_end / (save_count - 1)
@@ -168,10 +160,10 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
 
     ts, samples, dt_history = [0.0], [psi], [dt]
     halvings, step, t = 0, 0, 0.0
-    cand, energy_prev = forward(psi), np.inf
+    cand, energy_prev = grid.to_modes(psi), np.inf
     e, e2, q, f1, f2, f3 = _etd_weights(lin, dt)
     while True:
-        n_cand, v, h = stage(cand)
+        n_cand, psi, v, h = stage(cand)
         if not np.all(h > 0.0):
             raise PositivityLost(f"metric is not positive at t={t:.3e}", t=t)
         energy = energy_fn(v, h) if energy_fn is not None else 0.0
@@ -189,7 +181,7 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
             state, n_u, energy_prev = cand, n_cand, energy
             if step and step % save_stride == 0:
                 ts.append(t)
-                samples.append(potential(state))
+                samples.append(psi)
             if step == n_steps:
                 break
         step += 1
@@ -244,11 +236,11 @@ def _poisson_solve(grid, h, rhs_vals):
     """Solve H^{-1} f_{z zbar} = rhs with zero mean for the metric coefficient h."""
     target = rhs_vals * h  # f_{z zbar} = H * rhs
     if grid.kind == TORUS:
-        sym = grid.ddbar_symbol.copy()
-        sym[0, 0] = 1.0
-        fhat = grid.rfft2(target) / sym
-        fhat[0, 0] = 0.0
-        out = grid.irfft2(fhat)
+        eig = grid.ddbar_eigenvalues.copy()
+        eig[0, 0] = 1.0
+        coeffs = grid.to_modes(target) / eig
+        coeffs[0, 0] = 0.0  # the constant mode
+        out = grid.from_modes(coeffs)
         return out - np.mean(out)
     # radial: f_vv = u * H * rhs, two antiderivatives on the uniform v axis,
     # Neumann ends
@@ -296,7 +288,7 @@ def kr_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None,
     def velocity(h, psi):
         v = 0.5 * np.log(h / sigma.h)
         if normalized:
-            v = v + lam * psi()
+            v = v + lam * psi
         return v - np.mean(v)
 
     kind = "nkr" if normalized else "kr"

@@ -5,12 +5,12 @@ Two spatial testbeds are supported:
 * ``torus``: an N x N periodic grid on the unit square, complex coordinate
   z = x1 + i*x2.  Spatial derivatives are spectral: d/dz and d^2/dz dzbar
   apply the real N x N Fourier differentiation matrices of each axis (one
-  matrix product per axis, cached per N), and the FFT remains only where a
-  diagonalization is needed, in the ETDRK4 state of the flows and the
-  Poisson solve (:meth:`TestbedGrid.rfft2`, :attr:`TestbedGrid.ddbar_symbol`).
+  matrix product per axis, cached per N).  The flows' ETDRK4 state and the
+  Poisson solve take the same d^2/dz dzbar diagonal, on the real Fourier
+  modes of each axis (:meth:`TestbedGrid.to_modes`), cached too.
 * ``radial``: rotationally symmetric data on CP^1 charted by v = log u with
   u = |z|^2, v in [-L_u, L_u].  Spatial derivatives are 4th-order finite
-  differences in v.
+  differences in v; its modes are the nodes, with eigenvalue 0.
 
 Both carry a fiber axis l = log s (s = |w|^2 on the annulus factor), uniform
 nodes, 4th-order finite differences with one-sided closures of matching order.
@@ -176,6 +176,22 @@ def _fourier_matrices(n):
     return mats
 
 
+@lru_cache(maxsize=None)
+def _fourier_modes(n):
+    """Orthonormal real Fourier modes of a unit-period axis, the columns of
+    ``q`` in fft order (cosines up to n//2, sines after), and on them the
+    eigenvalues -0.25 k^2 of :func:`_fourier_matrices`' 0.25 d^2/dx^2."""
+    j = np.arange(n)
+    # the phase 2 pi m i / n with m i reduced mod n, m the mode's frequency
+    phase = 2.0 * np.pi / n * (np.outer(j, np.minimum(j, n - j)) % n)
+    q = np.where(j <= n // 2, np.cos(phase), np.sin(phase))
+    q /= np.linalg.norm(q, axis=0)
+    out = q, -0.25 * _wavenumbers(n, odd=False) ** 2
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _along0(m, f):
     """``m`` applied along spatial axis 0 of a torus field, to the
     differences from the axis's first node, so a field constant along the
@@ -315,13 +331,29 @@ class TestbedGrid:
 
     # -- spatial complex calculus -----------------------------------------
 
+    def to_modes(self, values):
+        """A base field's coefficients ``Q^T f Q`` on the torus modes, on which
+        :meth:`dzbar_dz` is diagonal; radial modes are the nodes (a copy)."""
+        if self.kind != TORUS:
+            return np.array(values, dtype=float)
+        q = _fourier_modes(self.n_spatial)[0]
+        return q.T @ values @ q
+
+    def from_modes(self, coeffs):
+        """Inverse of :meth:`to_modes`: ``Q c Q^T`` on the torus."""
+        if self.kind != TORUS:
+            return np.array(coeffs, dtype=float)
+        q = _fourier_modes(self.n_spatial)[0]
+        return q @ coeffs @ q.T
+
     @cached_property
-    def ddbar_symbol(self):
-        """Torus symbol of d^2/dz dzbar on the rfft2 half-plane, for the
-        flows' ETDRK4 state and the Poisson solve, which need it diagonal."""
-        n = self.n_spatial
-        k = _wavenumbers(n, odd=False)
-        return -0.25 * (k[:, None] ** 2 + k[None, :n // 2 + 1] ** 2)
+    def ddbar_eigenvalues(self):
+        """Eigenvalues of d^2/dz dzbar on the modes of :meth:`to_modes`
+        (the two axes' summed on the torus, 0 on the radial testbed)."""
+        if self.kind != TORUS:
+            return 0.0
+        lam = _fourier_modes(self.n_spatial)[1]
+        return lam[:, None] + lam[None, :]
 
     def dz_stripped(self, values):
         """Holomorphic spatial derivative in stripped form.
@@ -342,17 +374,6 @@ class TestbedGrid:
             np.negative(_along1(d1, f, diffs, out=along0), out=out.imag)
             return out
         return self.d_v(values, 1)
-
-    def rfft2(self, values):
-        """Torus rfft2 over the two leading axes, by 1-D passes."""
-        f = np.fft.rfft(values, axis=1)
-        np.fft.fft(f, axis=0, out=f)
-        return f
-
-    def irfft2(self, f):
-        """Inverse of :meth:`rfft2`; overwrites ``f``."""
-        np.fft.ifft(f, axis=0, out=f)
-        return np.fft.irfft(f, n=self.n_spatial, axis=1)
 
     def dzbar_dz(self, values):
         """The real density d^2/dz dzbar of a scalar field."""

@@ -11,8 +11,7 @@ rename).  Total-space field dumps and ``path.csv`` (rows
 ``k,t,i[,j],value``) are written in slabs, one per first index (spatial
 index or sample): one row template per file, filled per slab with the
 slab's index and first coordinate (or ``t``) and ``%``-formatted values, so
-a file is never held whole in memory.  A base field is one slab, its whole
-row template filled at once.  Either way the bytes are those of the
+a file is never held whole in memory.  The bytes are those of the
 row-by-row format.
 
 Loads parse whole slabs at a time with ``np.loadtxt`` into one owned array.
@@ -139,27 +138,16 @@ def _slabs(template, heads, values):
 
 def dump_field(field, path):
     """Write a scalar field or base (1,1)-form component to CSV."""
-    if isinstance(field, Form11M):
-        grid, values, on_base = field.grid, field.h, True
-    elif isinstance(field, ScalarFieldM):
-        grid, values, on_base = field.grid, field.values, True
-    elif isinstance(field, ScalarFieldP):
-        grid, values, on_base = field.grid, field.values, False
-    else:
+    if not isinstance(field, (Form11M, ScalarFieldM, ScalarFieldP)):
         raise TypeError(f"cannot dump {type(field).__name__}")
+    grid, on_base = field.grid, not isinstance(field, ScalarFieldP)
+    values = field.h if isinstance(field, Form11M) else field.values
     axes = _dump_axes(grid, on_base)
-    header = _header(grid, on_base) + "\n"
-    if on_base:
-        # a base field is small: one slab
-        ix, text = _slab_columns(axes)
-        atomic_write(path, (header, _row_template(*ix, *text)
-                            % tuple(values.ravel().tolist())))
-        return
     ix, text = _slab_columns(axes[1:])
     template = _row_template("\0", *ix, "\1", *text)
-    atomic_write(path, itertools.chain([header], _slabs(template,
-                                                        _fmt(axes[0]),
-                                                        values)))
+    atomic_write(path, itertools.chain([_header(grid, on_base) + "\n"],
+                                       _slabs(template, _fmt(axes[0]),
+                                              values)))
 
 
 def _parse_header(line, path, magic):

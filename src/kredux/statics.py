@@ -14,8 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature import (cached_ricci_p, descending_scalar, descent_drift,
-                        drift_from_slope, laplacian_m, laplacian_p, ricci_m,
-                        scal_m)
+                        laplacian_m, laplacian_p, log_v_terms, ricci_m, scal_m)
 from .fields import (Form11P, ScalarFieldP, ddc_m, d_wedge_dc, ddc_p,
                      integrate_m, interior_norms)
 from .interp import FiberInterp, QuinticSpline
@@ -40,6 +39,11 @@ def lambda_mean(sigma) -> float:
     return integrate_m(s, sigma) / integrate_m(np.ones(sigma.grid.spatial_shape), sigma)
 
 
+def _lambda(K: KahlerData) -> float:
+    """:func:`lambda_mean` of the structure's sigma, kept with it."""
+    return K.cached("lambda", lambda: lambda_mean(K.sigma))
+
+
 def h_canonical(K: KahlerData, taus=None):
     """The unique level profile compatible with the scalar-curvature flow
     equation on reductions, as a quintic spline through its values at ``taus``
@@ -48,7 +52,7 @@ def h_canonical(K: KahlerData, taus=None):
         h(tau) = lambda - (integral of log s_tau dV_tau) / vol.
     """
     taus = default_taus(K) if taus is None else np.asarray(taus, dtype=float)
-    lam = lambda_mean(K.sigma)
+    lam = _lambda(K)
     vals = []
     for red in reduced_potentials(K, taus):
         vol = integrate_m(np.ones(K.grid.spatial_shape), red.omega_tau)
@@ -145,7 +149,7 @@ def residual_pseudo_calabi(K: KahlerData, taus=None) -> ResidualReport:
     notes on the doubled coefficient in the static form.
     """
     taus = default_taus(K) if taus is None else taus
-    lam = lambda_mean(K.sigma)
+    lam = _lambda(K)
     R = descending_scalar(K)
     drift = descent_drift(K)
     resid = np.multiply(2.0, drift.values)
@@ -178,15 +182,10 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     """
     taus = default_taus(K) if taus is None else taus
     ric = cached_ricci_p(K)
-    # one fiber slope of log|V| serves the drift and dd^c log|V|; neither is
-    # kept: the cached dd^c log|V| would add 8-9 MB to lift-kr peak RSS
-    log_v = K.log_v()
-    dl_log_v = K.grid.d_l(log_v.values, 1)
-    g = drift_from_slope(K, dl_log_v)
+    # neither is kept: a cached dd^c log|V| adds 8-9 MB to lift-kr peak RSS
+    g, theta = log_v_terms(K)
     g.values += 1.0
     g.values /= K.vsq.values
-    theta = ddc_p(log_v, dl_log_v)
-    del dl_log_v
     theta += ric
     theta += d_wedge_dc(g, K)
     del g
@@ -208,7 +207,7 @@ def residual_v_soliton(K: KahlerData, f_profile) -> ResidualReport:
 
         Ric(omega) + dd^c( log|V| + f(mu) ) = lambda omega.
     """
-    lam = lambda_mean(K.sigma)
+    lam = _lambda(K)
     combo = K.log_v() + ScalarFieldP(K.grid, f_profile(K.mu.values))
     ric = cached_ricci_p(K)
     theta = ddc_p(combo)
@@ -226,7 +225,7 @@ def residual_v_soliton(K: KahlerData, f_profile) -> ResidualReport:
 
 def _soliton_profile(K):
     """f(mu) = lambda mu^2 / 4, the profile of the round-sphere soliton."""
-    lam = lambda_mean(K.sigma)
+    lam = _lambda(K)
     return lambda m: lam * m * m / 4.0
 
 

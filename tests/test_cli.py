@@ -313,6 +313,25 @@ def test_flow_command_writes_a_uniform_path(tmp_path, kind, dt, t_end):
     assert np.max(np.abs(gaps - gaps[0])) <= 1e-12 * gaps[0]
 
 
+@pytest.mark.parametrize("kind", ["calabi", "pseudo_calabi", "kr"])
+def test_flow_path_is_the_same_bits_on_one_and_two_blas_threads(tmp_path,
+                                                                 kind):
+    # the flows' mode transforms are matrix products, which BLAS may split
+    # over threads; the written path must not depend on how many
+    probe = ("import sys\n"
+             "from kredux.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+    args = ["flow", f"flow_kind={kind}", "n=32", "n_l=33", "margin=4",
+            "flow_t_end=2e-4" if kind == "calabi" else "flow_t_end=4e-3"]
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        run_fresh(probe, *args, "--out", str(out),
+                  env={"OPENBLAS_NUM_THREADS": threads})
+        written.append((out / "path.csv").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_flow_blowup_is_numerical_error(tmp_path, capsys):
     # the radial flows are explicit RK4; at flow_dt = 1e-5 (9.78e-6 once
     # fitted to the sample stride) this one goes non-finite on its third

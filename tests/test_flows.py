@@ -202,6 +202,50 @@ def test_default_step_gives_save_count_samples(run, kw):
     assert path.dt_history == [pytest.approx(0.01 / 16, rel=1e-15)]
 
 
+def _two_axis_potential(grid, amplitude):
+    x1, x2 = np.meshgrid(grid.x1, grid.x2, indexing="ij")
+    return amplitude * (np.cos(2 * np.pi * x1)
+                        + np.sin(2 * np.pi * (x1 + 2 * x2)))
+
+
+def test_torus_poisson_solve_inverts_the_metric_laplacian():
+    grid = kx.torus_grid(17, 9, margin=2)
+    h = 1.0 + 0.5 * _two_axis_potential(grid, 0.5)
+    f = _two_axis_potential(grid, 1.0) ** 2
+    f -= np.mean(f)
+    got = flows._poisson_solve(grid, h, grid.dzbar_dz(f) / h)
+    assert abs(np.mean(got)) <= 1e-15
+    assert np.max(np.abs(got - f)) <= 1e-13 * np.max(np.abs(f))
+
+
+# every transform numpy.fft offers
+FFT_CALLS = ("fft", "ifft", "rfft", "irfft", "hfft", "ihfft", "fft2", "ifft2",
+             "rfft2", "irfft2", "fftn", "ifftn", "rfftn", "irfftn")
+
+
+def test_flows_and_poisson_solve_call_no_fft():
+    from unittest import mock
+
+    grid = kx.torus_grid(16, 9, margin=2)
+    sigma = kx.reference_sigma(grid)
+    psi0 = _two_axis_potential(grid, 1e-3)
+    h = 1.0 + psi0
+    runs = (
+        lambda: kx.calabi_integrate(psi0, sigma, 1e-6, dt=1e-7),
+        lambda: kx.pseudo_calabi_integrate(psi0, sigma, 1e-4, dt=1e-5),
+        lambda: kx.kr_integrate(psi0, sigma, 1e-4, dt=1e-5),
+        lambda: kx.kr_integrate(psi0, sigma, 1e-4, dt=1e-5, normalized=True),
+        lambda: flows._poisson_solve(grid, h, psi0 - np.mean(psi0 * h)))
+    # the first runs build the grid's cached matrices, with the FFT
+    first = [run() for run in runs]
+    with mock.patch.multiple(np.fft, **dict.fromkeys(FFT_CALLS,
+                                                     mock.DEFAULT)) as called:
+        again = [run() for run in runs]
+    assert not any(f.called for f in called.values())
+    for a, b in zip(first, again):
+        assert np.array_equal(getattr(a, "psis", a), getattr(b, "psis", b))
+
+
 def test_flow_path_validation(tg):
     sigma = kx.reference_sigma(tg)
     ts = np.linspace(0, 1, 5)

@@ -95,6 +95,27 @@ def test_v_soliton_fixture_and_controls(cyl, fscyl):
     assert ctrl.linf > 0.1 * ctrl.extra["dominant"]
 
 
+def test_lambda_taken_once_per_structure(monkeypatch):
+    from kredux import statics
+
+    K = kx.cylinder(kx.radial_grid(65, 33, margin=4))
+    calls = []
+
+    def counting(omega):
+        calls.append(omega is K.sigma)
+        return kx.scal_m(omega)
+
+    monkeypatch.setattr(statics, "scal_m", counting)
+    first = statics.RESIDUALS["v_soliton"](K).to_dict()
+    assert calls == [True]
+    # a second equation on the same structure reads the kept value; its
+    # reduced sweep takes scal_m of the reduced metrics only
+    statics.residual_pseudo_calabi(K)
+    assert calls.count(True) == 1
+    assert statics.RESIDUALS["v_soliton"](K).to_dict() == first
+    assert first["extra"]["lambda"] == kx.lambda_mean(K.sigma)
+
+
 # -- reparametrization -----------------------------------------------------------
 
 
@@ -145,8 +166,10 @@ def test_h_canonical_reparametrization_covariance(cyl):
 # Reports of `kredux residual --eq E`, written when the level solve began to
 # bracket each root in one fiber segment and polish it from the segment's
 # secant point; the calabi `l2` (its level profile) and the lifted kr report
-# were rewritten when the time spline became the not-a-knot quintic.  The
-# numbers must not move.
+# were rewritten when the time spline became the not-a-knot quintic, and the
+# lifted kr report again when the flows' state moved from the rfft2 plane to
+# the grid's real Fourier modes (its lift window moved at 1e-13 relative).
+# The numbers must not move.
 RESIDUAL_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "residuals")
 EQUATIONS = ("geodesic", "calabi", "pseudo_calabi", "kr", "v_soliton")
 REL = 1e-13
