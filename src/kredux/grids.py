@@ -182,7 +182,8 @@ def _fourier_modes(n):
     ``q`` in fft order (cosines up to n//2, sines after), and on them the
     eigenvalues -0.25 k^2 of :func:`_fourier_matrices`' 0.25 d^2/dx^2."""
     j = np.arange(n)
-    # the phase 2 pi m i / n with m i reduced mod n, m the mode's frequency
+    # node i's phase 2 pi m i / n in the mode of frequency m, m i reduced
+    # mod n so that the argument stays below 2 pi
     phase = 2.0 * np.pi / n * (np.outer(j, np.minimum(j, n - j)) % n)
     q = np.where(j <= n // 2, np.cos(phase), np.sin(phase))
     q /= np.linalg.norm(q, axis=0)
