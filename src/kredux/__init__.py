@@ -9,7 +9,7 @@ from .errors import (ClassNotFixed, Degenerate, HypothesisViolated,
                      KreduxError, NonConcave, NotConverged, NotPositive,
                      OutOfRange, OutOfWindow, PositivityLost,
                      SolvabilityViolated, StepUnstable)
-from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, TopFormP,
+from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
                      contract_v, d_wedge_dc, ddc_m, ddc_p, grad_pair,
                      integrate_m, jv_apply, wedge_square)
 from .fixtures import (bump, cylinder, perturbed, reference_ricci,

@@ -295,18 +295,6 @@ def _b20_diff(a, b):
 
 
 @dataclass(frozen=True)
-class TopFormP:
-    """Top form on P: coefficient ``t`` of (i dz /\\ dzbar) /\\ dl /\\ dtheta."""
-
-    grid: TestbedGrid
-    t: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t",
-                           _component(self.grid, "t", self.t, float))
-
-
-@dataclass(frozen=True)
 class VContraction:
     """Components of i_V theta for a 2-form theta.
 
@@ -412,8 +400,9 @@ def d_wedge_dc(g_field: ScalarFieldP, K) -> Form11P:
 # ---------------------------------------------------------------------------
 
 
-def wedge_square(theta: Form11P) -> TopFormP:
-    """theta /\\ theta as a top form."""
+def wedge_square(theta: Form11P) -> np.ndarray:
+    """theta /\\ theta as the coefficient of the top form
+    (i dz /\\ dzbar) /\\ dl /\\ dtheta."""
     t = theta.det()
     t *= 2.0
     if theta.b20 is not None:
@@ -421,7 +410,7 @@ def wedge_square(theta: Form11P) -> TopFormP:
         b *= 2.0
         b *= theta.grid.mixed_weight[..., None]
         t += b
-    return TopFormP(theta.grid, t)
+    return t
 
 
 def trace_against(omega: Form11P, theta: Form11P, det=None) -> np.ndarray:
@@ -444,15 +433,8 @@ def trace_against(omega: Form11P, theta: Form11P, det=None) -> np.ndarray:
     return num
 
 
-def contract_v(theta):
-    """Contractions with the circle generator.
-
-    For a 2-form returns the components of i_V theta together with
-    i_{JV} i_V theta; for a top form returns the spatial density eta defined
-    by  i_{JV} i_V theta = 4 eta.
-    """
-    if isinstance(theta, TopFormP):
-        return ScalarFieldP(theta.grid, 0.5 * theta.t)
+def contract_v(theta: Form11P) -> VContraction:
+    """The components of i_V theta of a 2-form theta, with i_{JV} i_V theta."""
     z = -theta.g12
     if theta.b20 is not None:
         z = z - 1j * theta.b20

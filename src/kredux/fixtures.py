@@ -1,6 +1,6 @@
 """Canonical testbed data used across the verification suites, keyed by the
-grid it is given: this module is the one place that maps a testbed to its
-reference data.
+grid it is given.  This module maps a testbed to its reference data; with
+:mod:`kredux.grids`, it is the only one that decides by testbed.
 
 * reference metric: the flat unit-volume torus, or the round metric on CP^1
   (component 1/(1+u)^2 in the radial chart, scalar curvature 2).
@@ -62,6 +62,12 @@ def perturbed(grid: TestbedGrid, amplitude: float) -> KahlerData:
     vals = amplitude * bump(grid)[..., None] * np.exp(-l * l)
     phi = cylinder_potential(grid) + ScalarFieldP(grid, vals)
     return assemble(reference_sigma(grid), phi, 0.0)
+
+
+def battery_fixture(grid: TestbedGrid) -> KahlerData:
+    """The identity battery's fixture: :func:`perturbed` at amplitude 0.02 on
+    the torus, 0.01 in the radial chart."""
+    return perturbed(grid, 0.02 if grid.kind == TORUS else 0.01)
 
 
 def random_resolved_m(grid: TestbedGrid, rng, modes=3, amplitude=1.0) -> ScalarFieldM:

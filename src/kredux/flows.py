@@ -18,7 +18,9 @@ energy increases.  Every time derivative of a path, at any increasing sample
 times, reads its one not-a-knot quintic spline in time (:func:`time_spline`).
 Additive constants are gauge and fixed by the recorded normalization
 convention; with these choices constant-scalar-curvature and Einstein
-fixtures are exact fixed points of the discrete right-hand sides.
+fixtures are exact fixed points of the discrete right-hand sides.  No flow
+branches on the testbed: every spatial operator, the Poisson solve too, is
+the grid's.
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ from .curvature import ricci_coefficient, scal_m
 from .errors import (ClassNotFixed, PositivityLost, SolvabilityViolated,
                      StepUnstable)
 from .fields import Form11M, ScalarFieldM, ddc_m, integrate_m, grad_pair
-from .grids import TORUS
-from .interp import FiberInterp, QuinticSpline
+from .fixtures import reference_ricci
+from .interp import QuinticSpline
 from .reports import ResidualReport
 from .statics import lambda_mean
 
@@ -232,24 +234,6 @@ def calabi_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None
                                    "lambda": lam})
 
 
-def _poisson_solve(grid, h, rhs_vals):
-    """Solve H^{-1} f_{z zbar} = rhs with zero mean for the metric coefficient h."""
-    target = rhs_vals * h  # f_{z zbar} = H * rhs
-    if grid.kind == TORUS:
-        eig = grid.ddbar_eigenvalues.copy()
-        eig[0, 0] = 1.0
-        coeffs = grid.to_modes(target) / eig
-        coeffs[0, 0] = 0.0  # the constant mode
-        out = grid.from_modes(coeffs)
-        return out - np.mean(out)
-    # radial: f_vv = u * H * rhs, two antiderivatives on the uniform v axis,
-    # Neumann ends
-    a1 = FiberInterp(grid.v, grid.u * target).antiderivative()
-    out = FiberInterp(grid.v, a1).antiderivative()
-    w = grid.spatial_quad_weights / (np.pi * grid.u)
-    return out - np.sum(out * w) / np.sum(w)
-
-
 def pseudo_calabi_integrate(psi0, sigma: Form11M, t_end: float,
                             dt: float | None = None, save_count=33) -> FlowPath:
     """Coupled flow: at each stage solve D_psi v = lambda - scal(g_psi) for the
@@ -264,7 +248,8 @@ def pseudo_calabi_integrate(psi0, sigma: Form11M, t_end: float,
         if abs(compat) > _SOLVABILITY_TOL:
             raise SolvabilityViolated(
                 f"int (lambda - scal) dV = {compat:.3e} is not zero")
-        return _poisson_solve(grid, h, target)
+        # H^{-1} f_{z zbar} = target
+        return grid.solve_dzbar_dz(target * h)
 
     return _run_etd(psi0, sigma, t_end, dt, velocity, lambda s: 2.0 * s,
                     "pseudo_calabi", save_count=save_count,
@@ -276,11 +261,11 @@ def kr_integrate(psi0, sigma: Form11M, t_end: float, dt: float | None = None,
                  normalized=False, save_count=33) -> FlowPath:
     """Ricci flow of the potential.
 
-    Unnormalized mode requires the flat-class torus testbed (the class must
-    not move); normalized mode adds +lambda psi and keeps Einstein fixtures
-    fixed.  The velocity is taken mean-zero.
+    Unnormalized mode requires a base whose reference Ricci form vanishes,
+    c1(M) = 0 (the class must not move); normalized mode adds +lambda psi
+    and keeps Einstein fixtures fixed.  The velocity is taken mean-zero.
     """
-    if not normalized and sigma.grid.kind != TORUS:
+    if not normalized and np.any(reference_ricci(sigma.grid).h):
         raise ClassNotFixed(
             "unnormalized Ricci flow moves the class off the torus testbed")
     lam = lambda_mean(sigma) if normalized else 0.0

@@ -6,11 +6,16 @@ Two spatial testbeds are supported:
   z = x1 + i*x2.  Spatial derivatives are spectral: d/dz and d^2/dz dzbar
   apply the real N x N Fourier differentiation matrices of each axis (one
   matrix product per axis, cached per N).  The flows' ETDRK4 state and the
-  Poisson solve take the same d^2/dz dzbar diagonal, on the real Fourier
-  modes of each axis (:meth:`TestbedGrid.to_modes`), cached too.
+  Poisson solve (:meth:`TestbedGrid.solve_dzbar_dz`) take the same
+  d^2/dz dzbar diagonal, on the real Fourier modes of each axis
+  (:meth:`TestbedGrid.to_modes`), cached too.
 * ``radial``: rotationally symmetric data on CP^1 charted by v = log u with
   u = |z|^2, v in [-L_u, L_u].  Spatial derivatives are 4th-order finite
-  differences in v; its modes are the nodes, with eigenvalue 0.
+  differences in v; its modes are the nodes, with eigenvalue 0, and the
+  Poisson solve takes two antiderivatives in v.
+
+Only this module and :mod:`kredux.fixtures` decide by testbed; the others
+ask the grid for its operators and :attr:`TestbedGrid.axes`.
 
 Both carry a fiber axis l = log s (s = |w|^2 on the annulus factor), uniform
 nodes, 4th-order finite differences with one-sided closures of matching order.
@@ -23,6 +28,8 @@ from dataclasses import asdict, dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .interp import FiberInterp
 
 TORUS = "torus"
 RADIAL = "radial"
@@ -311,6 +318,12 @@ class TestbedGrid:
         return np.exp(self.v)
 
     @property
+    def axes(self):
+        """The spatial coordinate axes, one per spatial index: (x1, x2) on
+        the torus, (v,) on the radial testbed."""
+        return (self.x1, self.x2) if self.kind == TORUS else (self.v,)
+
+    @property
     def spatial_shape(self):
         if self.kind == TORUS:
             return (self.n_spatial, self.n_spatial)
@@ -355,6 +368,22 @@ class TestbedGrid:
             return 0.0
         lam = _fourier_modes(self.n_spatial)[1]
         return lam[:, None] + lam[None, :]
+
+    def solve_dzbar_dz(self, target):
+        """The zero-mean f with d^2 f/dz dzbar = ``target``: through the
+        modes on the torus; on the radial testbed by two antiderivatives in
+        v (Neumann ends), less their trapezoid mean in v."""
+        if self.kind == TORUS:
+            eig = self.ddbar_eigenvalues.copy()
+            eig[0, 0] = 1.0
+            coeffs = self.to_modes(target) / eig
+            coeffs[0, 0] = 0.0  # the constant mode
+            out = self.from_modes(coeffs)
+            return out - np.mean(out)
+        a1 = FiberInterp(self.v, self.u * target).antiderivative()
+        out = FiberInterp(self.v, a1).antiderivative()
+        w = self.spatial_quad_weights / (np.pi * self.u)
+        return out - np.sum(out * w) / np.sum(w)
 
     def dz_stripped(self, values):
         """Holomorphic spatial derivative in stripped form.

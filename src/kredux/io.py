@@ -42,7 +42,7 @@ from dataclasses import fields
 import numpy as np
 
 from .fields import Form11M, ScalarFieldM, ScalarFieldP
-from .grids import TORUS, TestbedGrid
+from .grids import TestbedGrid
 from .structure import KahlerData, assemble
 from .flows import FlowPath
 
@@ -100,12 +100,6 @@ def _fmt(a):
     return list(map(_FMT, np.ravel(a).tolist()))
 
 
-def _dump_axes(grid, on_base):
-    """The coordinate axes of a dump, one per index column."""
-    axes = [grid.x1, grid.x2] if grid.kind == TORUS else [grid.v]
-    return axes if on_base else axes + [grid.l]
-
-
 def _slab_columns(axes):
     """The columns that every slab over ``axes`` (the dump axes after the
     first) carries, rows in ``np.indices`` order: an index array per axis,
@@ -142,7 +136,7 @@ def dump_field(field, path):
         raise TypeError(f"cannot dump {type(field).__name__}")
     grid, on_base = field.grid, not isinstance(field, ScalarFieldP)
     values = field.h if isinstance(field, Form11M) else field.values
-    axes = _dump_axes(grid, on_base)
+    axes = grid.axes if on_base else (*grid.axes, grid.l)
     ix, text = _slab_columns(axes[1:])
     template = _row_template("\0", *ix, "\1", *text)
     atomic_write(path, itertools.chain([_header(grid, on_base) + "\n"],
@@ -243,7 +237,7 @@ def load_field(path):
             raise ValueError(f"{path}: header grid: {exc}") from None
         shape = grid.spatial_shape if on_base else grid.p_shape
         _check_length(fh, path, shape, 2 * len(shape) + 1)
-        axes = _dump_axes(grid, on_base)
+        axes = grid.axes if on_base else (*grid.axes, grid.l)
         heads = np.array(_fmt(axes[0]), dtype=bytes)
         ix, text = _slab_columns(axes[1:])
         text = [np.array(t, dtype=bytes) for t in text]
@@ -344,7 +338,7 @@ def save_path(path_obj: FlowPath, outdir):
     dump_field(path_obj.sigma, os.path.join(outdir, "sigma.csv"))
     header = (f"{_PATH_MAGIC}, kind={path_obj.kind}, sigma=sigma.csv, "
               f"N={grid.n_spatial}\n")
-    ix, _ = _slab_columns(_dump_axes(grid, True))
+    ix, _ = _slab_columns(grid.axes)
     template = _row_template("\0", "\1", *ix)
     atomic_write(os.path.join(outdir, "path.csv"),
                  itertools.chain([header], _slabs(template, _fmt(path_obj.ts),
@@ -383,7 +377,7 @@ def load_path(outdir) -> FlowPath:
                                  f"gives {want!r}")
         _check_length(fh, csv_path, shape, len(shape) + 2)
         heads = np.array(_fmt(ts), dtype=bytes)
-        ix, _ = _slab_columns(_dump_axes(grid, True))
+        ix, _ = _slab_columns(grid.axes)
         psis = _read_slabs(fh, csv_path, np.empty(shape),
                            lambda ks: [ks[:, None], heads[ks, None], *ix],
                            "the ts in path_meta.json")

@@ -259,7 +259,7 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     del dl_f
     xi += K.omega
     xi -= d_wedge_dc(g, K)
-    ratio = wedge_square(xi).t
+    ratio = wedge_square(xi)
     del xi
     # omega /\ omega: K.omega has no (2,0) part
     den_p = np.multiply(K.omega_det(), 2.0)

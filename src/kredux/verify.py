@@ -2,6 +2,7 @@
 and the reduced-quantity identities, with refinement slopes.
 
 Shared by the command-line ``verify`` driver and the acceptance suite.
+Every fixture, the battery's too, comes from :mod:`kredux.fixtures`.
 
 A battery pass takes each fiber derivative once.  The slope d_l f of its
 test field serves every check that differentiates f (``ma_reduced`` shares
@@ -23,9 +24,9 @@ from .curvature import (check_moment_ricci_identity, descending_ricci,
                         descending_scalar, laplacian_m, ricci_m)
 from .fields import (ScalarFieldM, ScalarFieldP, contract_v, ddc_p, grad_pair,
                      interior_norms)
-from .fixtures import (cylinder, perturbed, profiled_field,
+from .fixtures import (battery_fixture, cylinder, profiled_field,
                        random_profile_bases, random_resolved_m)
-from .grids import RADIAL, TORUS, TestbedGrid, torus_grid
+from .grids import TestbedGrid, torus_grid
 from .reduction import (check_dcred, check_dertau, default_taus, laplace_reduced,
                         ma_reduced, merge_levels, reduce_form,
                         reduce_scalar, reduced_potentials)
@@ -35,7 +36,6 @@ from .structure import KahlerData, gauge
 
 GATE_RANDOM_FIELDS = 3  # random base fields in part (c) of the gate
 BATTERY_LEVELS = 3  # levels per battery pass
-BATTERY_AMPLITUDE = {TORUS: 0.02, RADIAL: 0.01}  # of the battery's fixture
 
 
 def convention_gate(grid: TestbedGrid | None = None, seed=0) -> ResidualReport:
@@ -174,8 +174,8 @@ def battery_once(K: KahlerData, seed=0, dtau=1e-4, bases=None) -> dict:
 
 def battery_with_slopes(K: KahlerData, seed=0, dtau=1e-4) -> dict:
     """Battery on the randomized fixture ``K``, with the observed order
-    measured against the same fixture on the fiber-halved grid (and doubled
-    derivative step).
+    measured against ``battery_fixture`` on the fiber-halved grid (and
+    doubled derivative step).
 
     ``K``'s grid is the fine point of the pair: refining beyond it
     would push truncation below the stencil roundoff floor, which grows like
@@ -190,9 +190,8 @@ def battery_with_slopes(K: KahlerData, seed=0, dtau=1e-4) -> dict:
     bases = battery_bases(grid, seed)
     # coarse first: the fine pass fills K's cache, which would stay alive
     # beside the coarse fixture
-    coarse = battery_once(
-        perturbed(replace(grid, n_l=half), BATTERY_AMPLITUDE[grid.kind]),
-        seed=seed, dtau=2.0 * dtau, bases=bases)
+    coarse = battery_once(battery_fixture(replace(grid, n_l=half)),
+                          seed=seed, dtau=2.0 * dtau, bases=bases)
     fine = battery_once(K, seed=seed, dtau=dtau, bases=bases)
     return {name: attach_slope(coarse[name], fine[name]) for name in fine}
 
@@ -220,7 +219,7 @@ def run_verify(grid: TestbedGrid, seed=0, dtau=1e-4):
         "closed_form_reductions": closed_form_reductions(grid),
     }
     # built after the cylinder checks, so never alive beside their fixtures
-    K = perturbed(grid, BATTERY_AMPLITUDE[grid.kind])
+    K = battery_fixture(grid)
     reports["gauge_invariance"] = gauge_invariance(K, seed=seed)
     reports.update(battery_with_slopes(K, seed=seed, dtau=dtau))
     failures = []

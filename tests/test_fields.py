@@ -131,10 +131,12 @@ def test_contract_v_zero_fiber_blocks(g):
 
 
 def test_contract_v_top_form_factor(g):
+    # omega /\ omega = |V|^2 sigma on the cylinder; the bound is on t / 2,
+    # the density eta with i_{JV} i_V (omega /\ omega) = 4 eta
     K = kx.cylinder(g)
-    eta = kx.contract_v(kx.wedge_square(K.omega))
-    expect = 0.5 * K.vsq.values * K.sigma.h[..., None]
-    assert np.max(np.abs(eta.values - expect)) < 1e-10
+    t = kx.wedge_square(K.omega)
+    expect = K.vsq.values * K.sigma.h[..., None]
+    assert 0.5 * np.max(np.abs(t - expect)) < 1e-10
 
 
 # -- quadrature -------------------------------------------------------------
@@ -224,16 +226,6 @@ def test_form11p_rejects_non_finite(g, component, bad):
         kx.Form11P(g, **parts)
 
 
-def test_top_form_rejects_non_finite(g):
-    t = np.ones(g.p_shape)
-    assert kx.TopFormP(g, t).t.flags.c_contiguous
-    t[0, 1, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        kx.TopFormP(g, t)
-    with pytest.raises(ValueError, match="shape"):
-        kx.TopFormP(g, np.ones(g.spatial_shape))
-
-
 # -- finiteness checks of the constructors -----------------------------------
 
 def _constructors(g):
@@ -255,8 +247,6 @@ def _constructors(g):
                          "ScalarFieldM contains non-finite values"),
         "Form11M": (lambda a: kx.Form11M(g, a), m, float,
                     "form has non-finite components"),
-        "TopFormP": (lambda a: kx.TopFormP(g, a), p, float,
-                     "t has non-finite components"),
     }
     for name, dtype in (("g11", float), ("g12", complex), ("g22", float),
                         ("b20", complex)):

@@ -10,8 +10,7 @@ import pytest
 import kredux as kx
 from kredux import fixtures, grids
 from kredux.fixtures import profiled_field
-from kredux.verify import (BATTERY_AMPLITUDE, battery_bases,
-                           battery_with_slopes, run_verify)
+from kredux.verify import battery_bases, battery_with_slopes, run_verify
 
 # Reports of run_verify(torus_grid(n=16, n_l=33, margin=4), seed=0), written
 # when the level solve began to bracket each root in one fiber segment and
@@ -90,7 +89,7 @@ def _small_battery_fixture(kind):
         grid = kx.torus_grid(n=16, n_l=33, margin=4)
     else:
         grid = kx.radial_grid(n_u=65, n_l=33, margin=4)
-    return kx.perturbed(grid, BATTERY_AMPLITUDE[grid.kind])
+    return fixtures.battery_fixture(grid)
 
 
 @pytest.mark.parametrize("kind", ["torus", "radial"])
