@@ -22,7 +22,7 @@ import sys
 
 import numpy as np
 
-from .config import RunConfig, _parse_pairs, load_config
+from .config import RunConfig, load_config
 from .errors import KreduxError
 from .fields import ddc_m
 from .fixtures import bump, cylinder, perturbed, reference_sigma
@@ -232,14 +232,16 @@ def main(argv=None) -> int:
     _pin_malloc_policy()
     args, overrides = _build_parser().parse_known_args(argv)
     try:
-        for item in overrides:
+        pairs = {}
+        for item in overrides:  # verbatim: no comment rule, unlike a file
             if "=" not in item or item.startswith("-"):
                 raise ValueError(f"expected key=value override, got {item!r}")
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if overrides:
-            cfg = cfg.updated(_parse_pairs(overrides))
+            key, _, val = item.partition("=")
+            pairs[key.strip()] = val  # RunConfig.updated strips the value
         if args.out:
-            cfg = cfg.updated({"out": args.out})
+            pairs["out"] = args.out
+        cfg = load_config(args.config) if args.config else RunConfig()
+        cfg = cfg.updated(pairs)
         return COMMANDS[args.command](cfg, args)
     except KreduxError as exc:
         print(f"numerical breakdown: {exc}", file=sys.stderr)

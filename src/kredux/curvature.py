@@ -13,7 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
-                     d_wedge_dc, ddc_p, interior_norms, jv_apply,
+                     contract_v, d_wedge_dc, ddc_p, interior_norms, jv_apply,
                      trace_against)
 from .fixtures import reference_ricci, reference_sigma
 from .reports import ResidualReport
@@ -104,22 +104,20 @@ def moment_laplacian(K: KahlerData) -> ScalarFieldP:
     return K.cached("laplacian_mu", lambda: _trace_laplacian(K, K.ddc_mu()))
 
 
-def log_v_terms(K: KahlerData, keys=("drift", "ddc_log_v")):
-    """Those of the drift D mu - JV log|V| and dd^c log|V| named in ``keys``,
-    in order, all from one fiber slope of log|V|; none of them is kept."""
+def log_v_terms(K: KahlerData):
+    """The drift D mu - JV log|V| and dd^c log|V|, in that order, both from
+    one fiber slope of log|V|; neither is kept."""
     moment_laplacian(K)  # kept; built before the slope is held
     log_v = K.log_v()
     dl_log_v = K.grid.d_l(log_v.values, 1)
-    make = {"drift": lambda: moment_laplacian(K) - jv_apply(log_v, dl_log_v),
-            "ddc_log_v": lambda: ddc_p(log_v, dl_log_v)}
-    return [make[key]() for key in keys]
+    return [moment_laplacian(K) - jv_apply(log_v, dl_log_v),
+            ddc_p(log_v, dl_log_v)]
 
 
 def _log_v_terms(K: KahlerData):
-    """:func:`log_v_terms`, kept with ``K``: whichever is not kept yet is
-    built when either is first asked for."""
-    return K.cache_new(("drift", "ddc_log_v"),
-                       lambda keys: log_v_terms(K, keys))
+    """:func:`log_v_terms`, kept with ``K``: both are stored together, when
+    either is first asked for."""
+    return K.cache_new(("drift", "ddc_log_v"), lambda new: log_v_terms(K))
 
 
 def descent_drift(K: KahlerData) -> ScalarFieldP:
@@ -160,8 +158,6 @@ def descending_scalar(K: KahlerData) -> ScalarFieldP:
 
 def check_moment_ricci_identity(K: KahlerData) -> ResidualReport:
     """Residual of  i_V Ric(omega) + d(D mu) = 0  in frame components."""
-    from .fields import contract_v
-
     grid = K.grid
     ric = cached_ricci_p(K)
     dmu = moment_laplacian(K)

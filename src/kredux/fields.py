@@ -19,6 +19,10 @@ Mixed (dz /\ dzetabar) and (2,0) (dz /\ dzeta) components are stored in
 chart the 1/z phase is removed and restored through the grid's mixed weight
 whenever two such components are paired.
 
+Every field (``ScalarFieldP``, ``ScalarFieldM``, ``Form11M``) and ``Form11P``
+component passes one check, ``_checked``, and fields follow one arithmetic
+rule: ``+ - * /`` take a scalar, an array or a same-type field on one grid.
+
 Ownership: an operator writes only into arrays it allocated itself.  It
 allocates each output component once and accumulates into it in place, with
 the same operands in the same order as the plain expression, so the numbers
@@ -34,6 +38,7 @@ same bits; a slope passed in is only read.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,105 +64,81 @@ def _all_finite(a):
 # ---------------------------------------------------------------------------
 
 
+def _checked(values, dtype, shape, owner):
+    """``values`` as a contiguous array of ``dtype``; ValueError naming
+    ``owner`` unless it has ``shape`` and finite entries.  The one check of
+    every field and form component."""
+    a = np.ascontiguousarray(values, dtype=dtype)
+    if a.shape != shape:
+        raise ValueError(f"{owner} values of shape {a.shape} do not match "
+                         f"grid shape {shape}")
+    if not _all_finite(a):
+        raise ValueError(f"{owner} contains non-finite values")
+    return a
+
+
 class _FieldBase:
+    """A checked array on a grid: on the spatial grid when ``on_base``, else
+    on (spatial grid) x (fiber axis).  ``+ - * /`` combine it with a scalar,
+    an array, or a field of its own type on the same grid."""
+
     __slots__ = ("grid", "values")
+    on_base = True
 
     def __init__(self, grid: TestbedGrid, values):
-        values = np.asarray(values, dtype=self._dtype)
-        if values.shape != self._shape(grid):
-            raise ValueError(
-                f"{type(self).__name__} values of shape {values.shape} do not "
-                f"match grid shape {self._shape(grid)}")
-        if not _all_finite(values):
-            raise ValueError(f"{type(self).__name__} contains non-finite values")
         self.grid = grid
-        self.values = values
-
-    _dtype = float
+        self.values = _checked(
+            values, float, grid.spatial_shape if self.on_base else grid.p_shape,
+            type(self).__name__)
 
     def _wrap(self, values):
         return type(self)(self.grid, values)
 
-    def __add__(self, other):
+    def _combine(self, other, op):
         if isinstance(other, _FieldBase):
+            if type(other) is not type(self):
+                raise TypeError(f"cannot combine {type(self).__name__} with "
+                                f"{type(other).__name__}")
             _check_grid(self.grid, other.grid)
-            return self._wrap(self.values + other.values)
-        return self._wrap(self.values + other)
+            other = other.values
+        return self._wrap(op(self.values, other))
+
+    def __add__(self, other):
+        return self._combine(other, operator.add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, _FieldBase):
-            _check_grid(self.grid, other.grid)
-            return self._wrap(self.values - other.values)
-        return self._wrap(self.values - other)
+        return self._combine(other, operator.sub)
 
     def __mul__(self, other):
-        if isinstance(other, _FieldBase):
-            _check_grid(self.grid, other.grid)
-            return self._wrap(self.values * other.values)
-        return self._wrap(self.values * other)
+        return self._combine(other, operator.mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        if isinstance(other, _FieldBase):
-            _check_grid(self.grid, other.grid)
-            return self._wrap(self.values / other.values)
-        return self._wrap(self.values / other)
+        return self._combine(other, operator.truediv)
 
 
 class ScalarFieldP(_FieldBase):
     """Invariant scalar f(x, l) sampled on (spatial grid) x (fiber axis)."""
 
-    def _shape(self, grid):
-        return grid.p_shape
+    on_base = False
 
 
 class ScalarFieldM(_FieldBase):
     """Scalar on the base, sampled on the spatial grid."""
 
-    def _shape(self, grid):
-        return grid.spatial_shape
 
-
-@dataclass(frozen=True)
-class Form11M:
+class Form11M(_FieldBase):
     """Real (1,1)-form on M: coefficient ``h`` of i dz /\\ dzbar."""
 
-    grid: TestbedGrid
-    h: np.ndarray
-
-    def __post_init__(self):
-        h = np.ascontiguousarray(self.h, dtype=float)
-        if h.shape != self.grid.spatial_shape:
-            raise ValueError("component shape does not match grid")
-        if not _all_finite(h):
-            raise ValueError("form has non-finite components")
-        object.__setattr__(self, "h", h)
-
-    def __add__(self, other):
-        _check_grid(self.grid, other.grid)
-        return Form11M(self.grid, self.h + other.h)
-
-    def __mul__(self, a):
-        return Form11M(self.grid, self.h * a)
-
-    __rmul__ = __mul__
+    @property
+    def h(self):
+        return self.values
 
     def is_positive(self):
-        return bool(np.all(self.h > 0))
-
-
-def _component(grid, name, arr, dtype):
-    """A form component as a contiguous array of the grid's P shape, with
-    finite entries."""
-    a = np.ascontiguousarray(arr, dtype=dtype)
-    if a.shape != grid.p_shape:
-        raise ValueError(f"{name} shape does not match grid")
-    if not _all_finite(a):
-        raise ValueError(f"{name} has non-finite components")
-    return a
+        return bool(np.all(self.values > 0))
 
 
 @dataclass(frozen=True)
@@ -177,14 +158,13 @@ class Form11P:
     b20: np.ndarray | None = None
 
     def __post_init__(self):
-        for name, arr, dtype in (("g11", self.g11, float),
-                                 ("g12", self.g12, complex),
-                                 ("g22", self.g22, float)):
-            object.__setattr__(self, name, _component(self.grid, name, arr,
-                                                      dtype))
+        parts = [("g11", float), ("g12", complex), ("g22", float)]
         if self.b20 is not None:
-            object.__setattr__(self, "b20", _component(self.grid, "b20",
-                                                       self.b20, complex))
+            parts.append(("b20", complex))
+        for name, dtype in parts:
+            object.__setattr__(self, name, _checked(
+                getattr(self, name), dtype, self.grid.p_shape,
+                f"Form11P.{name}"))
 
     def __add__(self, other):
         _check_grid(self.grid, other.grid)

@@ -24,9 +24,10 @@ of ``path_meta.json``).  Each row has exactly the format's columns, each slab
 its row count, and nothing follows the last slab; anything else is a
 ``ValueError`` that names the file.  So is a field dump in a structure or
 path directory whose header grid is not the grid of its ``meta.json`` or
-``path_meta.json`` (a base dump's ``Nl=0`` matches any ``n_l``), and a
-``lift_meta.json`` whose ``admissible_taus`` is not a non-empty list of
-finite numbers.
+``path_meta.json`` (a base dump's ``Nl=0`` matches any ``n_l``), and JSON
+that a loader reads which is not: a finite number ``c``; an object
+``normalization`` and a list of finite positive ``dt_history`` (either may be
+absent); a non-empty list of finite ``admissible_taus``.  A bool is no number.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .fields import Form11M, ScalarFieldM, ScalarFieldP
+from .fields import Form11M, ScalarFieldP, _FieldBase
 from .grids import TestbedGrid
 from .structure import KahlerData, assemble
 from .flows import FlowPath
@@ -132,16 +133,15 @@ def _slabs(template, heads, values):
 
 def dump_field(field, path):
     """Write a scalar field or base (1,1)-form component to CSV."""
-    if not isinstance(field, (Form11M, ScalarFieldM, ScalarFieldP)):
+    if not isinstance(field, _FieldBase):
         raise TypeError(f"cannot dump {type(field).__name__}")
-    grid, on_base = field.grid, not isinstance(field, ScalarFieldP)
-    values = field.h if isinstance(field, Form11M) else field.values
+    grid, on_base = field.grid, field.on_base
     axes = grid.axes if on_base else (*grid.axes, grid.l)
     ix, text = _slab_columns(axes[1:])
     template = _row_template("\0", *ix, "\1", *text)
     atomic_write(path, itertools.chain([_header(grid, on_base) + "\n"],
                                        _slabs(template, _fmt(axes[0]),
-                                              values)))
+                                              field.values)))
 
 
 def _parse_header(line, path, magic):
@@ -276,6 +276,14 @@ def _read_meta(path):
     return meta, TestbedGrid(**g)
 
 
+def _finite_number(x):
+    """Whether the JSON value ``x`` is a number, not a bool, and finite."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an integer past the double range
+        return False
+
+
 def _load_on(grid: TestbedGrid, path, meta_path):
     """The values of the field dump ``path``, whose header must give
     ``grid``, the grid of ``meta_path`` (a base dump's ``Nl=0`` stands for
@@ -312,6 +320,8 @@ def save_kahler(K: KahlerData, outdir, meta=None, written=()):
 def load_kahler(outdir) -> KahlerData:
     meta_path = os.path.join(outdir, "meta.json")
     meta, grid = _read_meta(meta_path)
+    if not _finite_number(meta.get("c")):
+        raise ValueError(f"{meta_path}: c is not a finite number")
     sig_vals = _load_on(grid, os.path.join(outdir, "sigma.csv"), meta_path)
     phi_vals = _load_on(grid, os.path.join(outdir, "phi.csv"), meta_path)
     return assemble(Form11M(grid, sig_vals), ScalarFieldP(grid, phi_vals),
@@ -363,6 +373,14 @@ def load_path(outdir) -> FlowPath:
         ts = None
     if ts is None or ts.ndim != 1:
         raise ValueError(f"{meta_path}: ts is not a list of numbers")
+    normalization = meta.get("normalization", {})
+    if not isinstance(normalization, dict):
+        raise ValueError(f"{meta_path}: normalization is not an object")
+    dt_history = meta.get("dt_history", [])
+    if not (isinstance(dt_history, list)
+            and all(_finite_number(dt) and dt > 0 for dt in dt_history)):
+        raise ValueError(f"{meta_path}: dt_history is not a list of finite "
+                         "positive numbers")
     sig_vals = _load_on(grid, os.path.join(outdir, "sigma.csv"), meta_path)
     csv_path = os.path.join(outdir, "path.csv")
     shape = (len(ts),) + grid.spatial_shape
@@ -382,7 +400,7 @@ def load_path(outdir) -> FlowPath:
                            lambda ks: [ks[:, None], heads[ks, None], *ix],
                            "the ts in path_meta.json")
     return FlowPath(grid, Form11M(grid, sig_vals), meta["kind"], ts, psis,
-                    meta.get("normalization", {}), meta.get("dt_history", []))
+                    normalization, dt_history)
 
 
 def load_lift_taus(lift_dir):
@@ -395,8 +413,8 @@ def load_lift_taus(lift_dir):
     with open(path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     taus = meta.get("admissible_taus") if isinstance(meta, dict) else None
-    if not (isinstance(taus, list) and taus and all(
-            type(t) in (int, float) and math.isfinite(t) for t in taus)):
+    if not (isinstance(taus, list) and taus
+            and all(map(_finite_number, taus))):
         raise ValueError(f"{path}: admissible_taus must be a non-empty list "
                          "of finite numbers")
     return np.array(taus, dtype=float)

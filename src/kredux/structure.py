@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPositive
-from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, ddc_m,
-                     ddc_p, jv_apply)
+from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, _FieldBase,
+                     ddc_m, ddc_p, jv_apply)
 from .grids import TestbedGrid
 from .interp import FiberInterp
 
@@ -40,7 +40,7 @@ def _read_only(value):
     attributes of every object in it; returns it.  The grid is not walked."""
     if isinstance(value, np.ndarray):
         value.flags.writeable = False
-    elif isinstance(value, (ScalarFieldP, ScalarFieldM)):
+    elif isinstance(value, _FieldBase):
         value.values.flags.writeable = False
     elif hasattr(value, "__dict__") and not isinstance(value, TestbedGrid):
         for item in vars(value).values():

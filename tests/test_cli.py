@@ -158,6 +158,21 @@ def test_unknown_override_is_input_error(tmp_path):
     assert run(["verify", "bogus_key=1"]) == 3
 
 
+def test_overrides_are_taken_verbatim(tmp_path, monkeypatch, capsys):
+    # a command-line override keeps a '#', which a config file reads as the
+    # start of a comment
+    monkeypatch.chdir(tmp_path)
+    grid = ["testbed=radial", "n=33", "n_l=33"]
+    assert run(["golden", *grid, "out=run#1"]) == 0
+    assert (tmp_path / "run#1" / "golden.json").exists()
+    assert not (tmp_path / "run").exists()
+    with open(tmp_path / "run#1" / "meta.json") as fh:
+        assert json.load(fh)["config"]["out"] == "run#1"
+    assert run(["golden", *grid, "#n=5", "out=other"]) == 3
+    assert "unknown configuration key '#n'" in capsys.readouterr().err
+    assert not (tmp_path / "other").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["root_tol=1e-12"],
     ["--config", "{cfg}"],

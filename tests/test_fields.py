@@ -1,3 +1,4 @@
+import operator
 import re
 
 import numpy as np
@@ -246,12 +247,12 @@ def _constructors(g):
         "ScalarFieldM": (lambda a: ScalarFieldM(g, a), m, float,
                          "ScalarFieldM contains non-finite values"),
         "Form11M": (lambda a: kx.Form11M(g, a), m, float,
-                    "form has non-finite components"),
+                    "Form11M contains non-finite values"),
     }
     for name, dtype in (("g11", float), ("g12", complex), ("g22", float),
                         ("b20", complex)):
         out[f"Form11P.{name}"] = (form11p(name), p, dtype,
-                                  f"{name} has non-finite components")
+                                  f"Form11P.{name} contains non-finite values")
     return out
 
 
@@ -286,3 +287,34 @@ def test_non_finite_entries_raise(name, bad, overflowing):
         view.flat[5] = bad
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build(a)
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+def test_wrong_shape_raises(name):
+    g = kx.torus_grid(n=9, n_l=9)
+    build, shape, dtype, _ = _constructors(g)[name]
+    message = f"{name} values of shape (3,) do not match grid shape {shape}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build(np.ones(3, dtype))
+
+
+# -- the arithmetic rule --------------------------------------------------------
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul,
+                                operator.truediv])
+def test_base_form_and_base_function_do_not_combine(op):
+    g = kx.torus_grid(n=9, n_l=9)
+    form = kx.Form11M(g, np.full(g.spatial_shape, 2.0))
+    func = ScalarFieldM(g, np.full(g.spatial_shape, 4.0))
+    for a, b in ((form, func), (func, form)):
+        with pytest.raises(TypeError, match="cannot combine"):
+            op(a, b)
+    # each combines with its own type, a scalar and an array
+    for field in (form, func):
+        for other in (field, 3.0, np.full(g.spatial_shape, 3.0)):
+            out = op(field, other)
+            assert type(out) is type(field)
+            assert np.array_equal(out.values, op(field.values, other.values
+                                  if other is field else other))
+    assert np.array_equal(form.h, form.values)

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 
 import numpy as np
@@ -257,6 +258,74 @@ def test_load_path_rejects_meta_that_is_not_an_object(tmp_path):
     (bad / "path_meta.json").write_text("[]\n")
     with pytest.raises(ValueError, match="path_meta.json: grid block"):
         load_path(str(bad))
+
+
+# -- the other metadata the loaders read --------------------------------------
+# A structure's c must be a finite number that is not a bool, as the grid
+# block's numbers are; a path's normalization, when present, an object and its
+# dt_history, when present, a list of finite positive numbers.  Anything else
+# is a ValueError naming the file, and the CLI exits 3.
+
+
+def _edit_meta(meta_path, edit):
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    edit(meta)
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda m: m.pop("c"), lambda m: m.update(c=None), lambda m: m.update(c=[0]),
+    lambda m: m.update(c=True), lambda m: m.update(c="0.5"),
+    lambda m: m.update(c=float("inf")), lambda m: m.update(c=10 ** 400)],
+    ids=["missing", "null", "list", "bool", "string", "inf", "huge_int"])
+def test_load_kahler_rejects_malformed_c(tmp_path, capsys, edit):
+    from kredux.cli import main
+
+    d = tmp_path / "lift"
+    save_kahler(kx.cylinder(small_torus()), str(d))
+    _edit_meta(d / "meta.json", edit)
+    message = f"{d / 'meta.json'}: c is not a finite number"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        load_kahler(str(d))
+    assert main(["residual", "--eq", "kr", "--in", str(d),
+                 "--out", str(tmp_path / "res")]) == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(dt_history=5), "dt_history is not a list of finite "
+     "positive numbers"),
+    (lambda m: m.update(dt_history=[1e-4, 0.0]), "dt_history is not a list"),
+    (lambda m: m.update(dt_history=[True]), "dt_history is not a list"),
+    (lambda m: m.update(dt_history=[float("nan")]), "dt_history is not a list"),
+    (lambda m: m.update(normalization=[1]), "normalization is not an object")],
+    ids=["number_dt_history", "zero_step", "bool_step", "nan_step",
+         "list_normalization"])
+def test_load_path_rejects_malformed_history(tmp_path, capsys, edit, message):
+    from kredux.cli import main
+
+    bad = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), bad)
+    _edit_meta(bad / "path_meta.json", edit)
+    message = f"{bad / 'path_meta.json'}: {message}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_path(str(bad))
+    assert main(["lift", "--in", str(bad), "--out", str(tmp_path / "lift")]) == 3
+    assert message in capsys.readouterr().err
+
+
+def test_load_path_takes_absent_or_empty_history(tmp_path):
+    # a FlowPath built through the API saves an empty dt_history
+    d = tmp_path / "path"
+    shutil.copytree(os.path.join(DATA, "path"), d)
+    _edit_meta(d / "path_meta.json", lambda m: m.update(dt_history=[]))
+    assert load_path(str(d)).dt_history == []
+    _edit_meta(d / "path_meta.json",
+               lambda m: (m.pop("dt_history"), m.pop("normalization")))
+    path = load_path(str(d))
+    assert path.dt_history == [] and path.normalization == {}
 
 
 # -- header grids against the meta grid -------------------------------------------
