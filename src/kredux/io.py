@@ -253,10 +253,19 @@ def load_field(path):
 # ---------------------------------------------------------------------------
 
 
+def _finite_number(x):
+    """Whether the JSON value ``x`` is a number, not a bool, and finite."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an integer past the double range
+        return False
+
+
 def _read_meta(path):
     """The JSON object in ``path`` and the grid its ``grid`` block names;
-    ValueError unless that block has exactly the grid's keys and a number
-    (not a bool) for each of them but ``kind``, integral for the counts."""
+    ValueError unless that block has exactly the grid's keys and a finite
+    number (not a bool) for each of them but ``kind``, integral for the
+    counts."""
     with open(path, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
     keys = [f.name for f in fields(TestbedGrid)]
@@ -265,23 +274,14 @@ def _read_meta(path):
         raise ValueError(f"{path}: grid block must have exactly the keys "
                          f"{', '.join(keys)}")
     for key in keys:
-        if key != "kind" and (isinstance(g[key], bool)
-                              or not isinstance(g[key], (int, float))):
+        if key != "kind" and not _finite_number(g[key]):
             raise ValueError(f"{path}: grid block value {key}={g[key]!r} "
-                             "is not a number")
+                             "is not a finite number")
         if (key in ("n_spatial", "n_l", "margin")
                 and isinstance(g[key], float) and not g[key].is_integer()):
             raise ValueError(f"{path}: grid block value {key}={g[key]!r} "
                              "is not an integer")
     return meta, TestbedGrid(**g)
-
-
-def _finite_number(x):
-    """Whether the JSON value ``x`` is a number, not a bool, and finite."""
-    try:
-        return type(x) in (int, float) and math.isfinite(x)
-    except OverflowError:  # an integer past the double range
-        return False
 
 
 def _load_on(grid: TestbedGrid, path, meta_path):

@@ -11,7 +11,8 @@ import pytest
 import kredux as kx
 from kredux.curvature import (_reference_arrays, ddc_log_v, descent_drift,
                               moment_laplacian)
-from kredux.fields import Form11P, ScalarFieldM, ScalarFieldP, trace_against
+from kredux.fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
+                           trace_against)
 from kredux.fixtures import random_resolved_p
 
 from conftest import traced_peak
@@ -164,7 +165,7 @@ def _arrays(value, path):
     """(path, array) for every array reachable from ``value``."""
     if isinstance(value, np.ndarray):
         yield path, value
-    elif isinstance(value, (ScalarFieldM, ScalarFieldP)):
+    elif isinstance(value, (ScalarFieldM, ScalarFieldP, Form11M)):
         yield path, value.values
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):

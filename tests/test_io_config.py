@@ -216,9 +216,9 @@ def _edit_grid(meta_path, edit):
 BAD_GRID = pytest.mark.parametrize("edit", [
     lambda g: g.pop("margin"), lambda g: g.update(spacing=0.1),
     lambda g: g.update(n_l=str(g["n_l"])), lambda g: g.update(margin=True),
-    lambda g: g.update(n_l=9.7)],
+    lambda g: g.update(n_l=9.7), lambda g: g.update(l_u=10 ** 400)],
     ids=["missing_key", "unknown_key", "string_value", "bool_value",
-         "non_integral_value"])
+         "non_integral_value", "huge_value"])
 
 
 @BAD_GRID
