@@ -22,13 +22,18 @@ whenever two such components are paired.
 Every field (``ScalarFieldP``, ``ScalarFieldM``, ``Form11M``) and ``Form11P``
 component passes one check, ``_checked``, and fields follow one arithmetic
 rule: ``+ - * /`` take a scalar, an array or a same-type field on one grid.
+An array or numpy scalar on the left defers to the field, so ``array + field``
+and ``array * field`` are fields, and ``array - field`` and ``array / field``
+raise ``TypeError``.
 
 Ownership: an operator writes only into arrays it allocated itself.  It
 allocates each output component once and accumulates into it in place, with
 the same operands in the same order as the plain expression, so the numbers
-do not depend on how the work is staged.  It never writes into its arguments,
-and arrays a structure keeps (``KahlerData.cached``) are read-only.  In-place
-sums ``theta += other`` are for forms the caller has just built.
+do not depend on how the work is staged.  It never writes into its arguments
+but one: a form the caller has just built, handed to ``d_wedge_dc`` as
+``into``, which takes each component as it is finished.  Arrays a structure
+keeps (``KahlerData.cached``) are read-only.  In-place sums
+``theta += other`` are likewise for forms the caller has just built.
 
 Shared slopes: ``jv_apply`` and ``ddc_p`` (and the checks built on them)
 accept the fiber slope ``d_l f`` of their field as ``dl_f``, so that callers
@@ -83,6 +88,7 @@ class _FieldBase:
     an array, or a field of its own type on the same grid."""
 
     __slots__ = ("grid", "values")
+    __array_ufunc__ = None  # numpy hands ``array op field`` to the field
     on_base = True
 
     def __init__(self, grid: TestbedGrid, values):
@@ -123,15 +129,20 @@ class _FieldBase:
 class ScalarFieldP(_FieldBase):
     """Invariant scalar f(x, l) sampled on (spatial grid) x (fiber axis)."""
 
+    __slots__ = ()
     on_base = False
 
 
 class ScalarFieldM(_FieldBase):
     """Scalar on the base, sampled on the spatial grid."""
 
+    __slots__ = ()
+
 
 class Form11M(_FieldBase):
     """Real (1,1)-form on M: coefficient ``h`` of i dz /\\ dzbar."""
+
+    __slots__ = ()
 
     @property
     def h(self):
@@ -332,7 +343,7 @@ def ddc_p(f: ScalarFieldP, dl_f=None) -> Form11P:
     return Form11P(g, g11, g12, g22)
 
 
-def d_wedge_dc(g_field: ScalarFieldP, K) -> Form11P:
+def d_wedge_dc(g_field: ScalarFieldP, K, into: Form11P | None = None) -> Form11P:
     """The 2-form d(g d^c mu) = dg /\\ d^c mu + g dd^c mu for an invariant g
     and the moment map mu of the structure K, whose dd^c mu is kept.
 
@@ -341,9 +352,27 @@ def d_wedge_dc(g_field: ScalarFieldP, K) -> Form11P:
 
     Carries a (2,0) part whenever the fiber and spatial gradients of g and mu
     fail to be proportional.
+
+    ``into`` may name a form the caller has just built.  Each of g11, g22
+    and g12 is then added into its array as soon as it is finished, and
+    freed before the next is built, and ``into`` plus d(g d^c mu) is
+    returned: the same bits as ``into += d_wedge_dc(g_field, K)``, without
+    the whole form alive beside ``into``.  A read-only ``into`` raises, as
+    ``+=`` does.
     """
     grid = g_field.grid
     _check_grid(grid, K.mu.grid)
+    if into is not None:
+        _check_grid(grid, into.grid)
+    done = {}
+
+    def finish(name, part):
+        if into is None:
+            done[name] = part
+        else:
+            mine = getattr(into, name)
+            mine += part
+
     gv = g_field.values
     neg_dzmu = K.omega.g12
     dlmu = -0.5 * K.vsq.values
@@ -357,11 +386,15 @@ def d_wedge_dc(g_field: ScalarFieldP, K) -> Form11P:
     g11 *= grid.mixed_weight[..., None]
     np.multiply(gv, ddc_mu.g11, out=tmp.real)
     g11 += tmp.real
+    finish("g11", g11)
+    del g11
     # g22 = 2 dlg dlmu + g ddc_mu.g22
     g22 = np.multiply(2.0, dlg)
     g22 *= dlmu
     np.multiply(gv, ddc_mu.g22, out=tmp.real)
     g22 += tmp.real
+    finish("g22", g22)
+    del g22
     # g12 = dzg dlmu + dzmu dlg + g ddc_mu.g12 and
     # b20 = -i (dzg dlmu - dlg dzmu), built in dzg's array
     dzg *= dlmu
@@ -371,8 +404,13 @@ def d_wedge_dc(g_field: ScalarFieldP, K) -> Form11P:
     dzg += tmp
     np.multiply(gv, ddc_mu.g12, out=tmp)
     g12 += tmp
+    del tmp
+    finish("g12", g12)
+    del g12
     b20 = np.multiply(-1j, dzg, out=dzg)
-    return Form11P(grid, g11, g12, g22, b20)
+    if into is None:
+        return Form11P(grid, done["g11"], done["g12"], done["g22"], b20)
+    return into._with_b20(_b20_sum(into.b20, b20))
 
 
 # ---------------------------------------------------------------------------

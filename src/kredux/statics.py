@@ -187,7 +187,7 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     g.values += 1.0
     g.values /= K.vsq.values
     theta += ric
-    theta += d_wedge_dc(g, K)
+    theta = d_wedge_dc(g, K, into=theta)
     del g
     linf, l2 = _form_norms(K, theta)
     del theta

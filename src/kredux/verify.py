@@ -7,7 +7,8 @@ Every fixture, the battery's too, comes from :mod:`kredux.fixtures`.
 A battery pass takes each fiber derivative once.  The slope d_l f of its
 test field serves every check that differentiates f (``ma_reduced`` shares
 the slope of 0.3 f within itself), and is released before the descending
-forms, where the pass peaks.  The structure reads d_l mu off |V|^2 for
+forms, where the pass peaks; they are released in turn before the
+moment-Ricci identity.  The structure reads d_l mu off |V|^2 for
 dd^c mu, and builds the drift and dd^c log|V| from one slope of log|V|.
 The fine and coarse passes share their random input: the coarse fiber
 nodes are the fine ones at even indices, bit for bit, so one draw of the
@@ -135,7 +136,9 @@ def battery_once(K: KahlerData, seed=0, dtau=1e-4, bases=None) -> dict:
     default to :func:`battery_bases` of ``seed``.  Its fiber slope d_l f is
     taken once and serves ``check_dertau``, ``check_dcred`` and
     ``laplace_reduced``; f and its slope are released before the
-    descending forms, where the pass peaks.
+    descending forms, where the pass peaks: that peak holds ``K``'s kept
+    geometry and the descending Ricci form as it is built.  The descending
+    forms are released in turn before ``check_moment_ricci_identity``.
     """
     grid = K.grid
     if bases is None:
@@ -168,6 +171,7 @@ def battery_once(K: KahlerData, seed=0, dtau=1e-4, bases=None) -> dict:
     # reported, not gated: how far the descending form is from reducible
     out["ricci_descent"].extra["angular_leftover"] = max(leftovers)
     out["scal_descent"] = merge_levels("scal_descent", grid, taus, scal_norms)
+    del rho, big_r
     out["moment_ricci"] = check_moment_ricci_identity(K)
     return out
 

@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 import kredux as kx
@@ -86,3 +87,9 @@ def traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return result, peak - entry
+
+
+def field_bytes(grid):
+    """Bytes of one real field on the total space of ``grid``, the unit in
+    which peak-memory bounds are stated."""
+    return np.zeros(grid.p_shape).nbytes

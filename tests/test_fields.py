@@ -318,3 +318,33 @@ def test_base_form_and_base_function_do_not_combine(op):
             assert np.array_equal(out.values, op(field.values, other.values
                                   if other is field else other))
     assert np.array_equal(form.h, form.values)
+
+
+def _field_classes(g):
+    return [(ScalarFieldP, g.p_shape), (ScalarFieldM, g.spatial_shape),
+            (kx.Form11M, g.spatial_shape)]
+
+
+def test_array_on_the_left_defers_to_the_field():
+    # numpy would otherwise broadcast over the field as an object and return
+    # an object array of fields
+    g = kx.torus_grid(n=9, n_l=9)
+    for cls, shape in _field_classes(g):
+        field = cls(g, np.full(shape, 2.0))
+        for left in (np.full(shape, 3.0), np.float64(3.0)):
+            for op in (operator.add, operator.mul):
+                for out in (op(left, field), op(field, left)):
+                    assert type(out) is cls
+                    assert np.array_equal(out.values, op(left, field.values))
+            for op in (operator.sub, operator.truediv):
+                with pytest.raises(TypeError):
+                    op(left, field)
+                out = op(field, left)
+                assert type(out) is cls
+                assert np.array_equal(out.values, op(field.values, left))
+
+
+def test_fields_carry_no_instance_dict():
+    g = kx.torus_grid(n=9, n_l=9)
+    for cls, shape in _field_classes(g):
+        assert not hasattr(cls(g, np.ones(shape)), "__dict__"), cls.__name__
