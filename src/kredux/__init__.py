@@ -10,8 +10,8 @@ from .errors import (ClassNotFixed, Degenerate, HypothesisViolated,
                      OutOfRange, OutOfWindow, PositivityLost,
                      SolvabilityViolated, StepUnstable)
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
-                     contract_v, d_wedge_dc, ddc_m, ddc_p, grad_pair,
-                     integrate_m, jv_apply, wedge_square)
+                     d_wedge_dc, ddc_m, ddc_p, grad_pair, integrate_m,
+                     jv_apply, wedge_square)
 from .fixtures import (bump, cylinder, perturbed, reference_ricci,
                        reference_sigma)
 from .flows import (FlowPath, calabi_energy, calabi_integrate,

@@ -13,8 +13,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
-                     d_wedge_dc, ddc_p, interior_norms, jv_apply,
-                     trace_against)
+                     d_wedge_dc, ddc_p, jv_apply, trace_against)
 from .fixtures import reference_ricci, reference_sigma
 from .reports import ResidualReport
 from .structure import KahlerData
@@ -162,8 +161,7 @@ def check_moment_ricci_identity(K: KahlerData) -> ResidualReport:
     """Residual of  i_V Ric(omega) + d(D mu) = 0  in frame components.
 
     i_V Ric is read off Ric's own components, z = -g12 (- i b20) and
-    l = -g22, as :func:`~kredux.fields.contract_v` gives them, and
-    x + (-y) is taken as x - y, which rounds the same.  Beyond the kept
+    l = -g22, and x + (-y) is taken as x - y, which rounds the same.  Beyond the kept
     Ric and D mu, its peak holds the two residual components and the
     magnitudes, formed in place.
     """
@@ -180,5 +178,5 @@ def check_moment_ricci_identity(K: KahlerData) -> ResidualReport:
     del res_z
     mags *= np.sqrt(grid.mixed_weight[..., None])
     np.maximum(mags, np.abs(res_l, out=res_l), out=mags)
-    linf, l2 = interior_norms(mags, grid.interior_p())
+    linf, l2 = grid.interior_norms(mags)
     return ResidualReport("moment_ricci", grid.meta(), linf, l2)

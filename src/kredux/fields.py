@@ -285,21 +285,6 @@ def _b20_diff(a, b):
     return a - b
 
 
-@dataclass(frozen=True)
-class VContraction:
-    """Components of i_V theta for a 2-form theta.
-
-    ``z`` is the stripped dz-component (the dzbar one is its conjugate) and
-    ``l`` the dl-component; ``vv`` is the full double contraction
-    i_{JV} i_V theta.
-    """
-
-    grid: TestbedGrid
-    z: np.ndarray
-    l: np.ndarray
-    vv: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # derivative operators
 # ---------------------------------------------------------------------------
@@ -451,14 +436,6 @@ def trace_against(omega: Form11P, theta: Form11P, det=None) -> np.ndarray:
     return num
 
 
-def contract_v(theta: Form11P) -> VContraction:
-    """The components of i_V theta of a 2-form theta, with i_{JV} i_V theta."""
-    z = -theta.g12
-    if theta.b20 is not None:
-        z = z - 1j * theta.b20
-    return VContraction(theta.grid, z, -theta.g22, 2.0 * theta.g22)
-
-
 # ---------------------------------------------------------------------------
 # base quadrature and gradients
 # ---------------------------------------------------------------------------
@@ -489,13 +466,3 @@ def grad_pair(f: ScalarFieldM, g: ScalarFieldM, metric: Form11M) -> ScalarFieldM
     val = 2.0 * np.real(df * np.conj(dg)) * grid.mixed_weight / metric.h
     return ScalarFieldM(grid, val)
 
-
-# ---------------------------------------------------------------------------
-# norms
-# ---------------------------------------------------------------------------
-
-
-def interior_norms(values, mask):
-    """(sup, rms) of |values| over a boolean mask."""
-    r = np.abs(np.asarray(values))[mask]
-    return float(np.max(r)), float(np.sqrt(np.mean(r * r)))

@@ -19,6 +19,12 @@ ask the grid for its operators and :attr:`TestbedGrid.axes`.
 
 Both carry a fiber axis l = log s (s = |w|^2 on the annulus factor), uniform
 nodes, 4th-order finite differences with one-sided closures of matching order.
+
+Every residual norm is taken over the grid's interior
+(:meth:`TestbedGrid.interior`), which the grid reads off the array's shape:
+the nodes at least ``margin`` away from each end of the fiber axis and of the
+radial chart, where the one-sided closures do not reach; every torus node is
+interior in space.
 """
 
 from __future__ import annotations
@@ -434,7 +440,7 @@ class TestbedGrid:
         w[-1] *= 0.5
         return np.pi * self.u * w
 
-    # -- interior masks ----------------------------------------------------
+    # -- interior nodes ----------------------------------------------------
 
     def _interior(self, axis, n):
         """Slice of the nodes at least ``margin`` away from both ends of an
@@ -445,24 +451,27 @@ class TestbedGrid:
                              f"{axis} axis of {n} nodes")
         return slice(m, n - m)
 
-    def interior_p(self):
-        """Boolean mask over P nodes away from one-sided stencil boundaries."""
-        fiber = self._interior("fiber", self.n_l)
-        mask = np.zeros(self.p_shape, dtype=bool)
-        if self.kind == TORUS:
-            mask[:, :, fiber] = True
+    def interior(self, values):
+        """The interior nodes of a base or total-space array, as a new 1-D
+        array in C order: every torus node, less ``margin`` nodes at each
+        end of the fiber and radial axes."""
+        values = np.asarray(values)
+        if values.shape == self.p_shape:
+            fiber = (self._interior("fiber", self.n_l),)
+        elif values.shape == self.spatial_shape:
+            fiber = ()
         else:
-            mask[self._interior("radial", self.n_spatial), fiber] = True
-        return mask
+            raise ValueError(f"an array of shape {values.shape} is neither a "
+                             f"base {self.spatial_shape} nor a total-space "
+                             f"{self.p_shape} array")
+        spatial = (...,) if self.kind == TORUS else \
+            (self._interior("radial", self.n_spatial),)
+        return values[spatial + fiber].flatten()
 
-    def interior_m(self):
-        mask = np.zeros(self.spatial_shape, dtype=bool)
-        if self.kind == TORUS:
-            mask[:, :] = True
-        else:
-            mask[self._interior("radial", self.n_spatial)] = True
-        return mask
-
+    def interior_norms(self, values):
+        """(sup, rms) of |values| over :meth:`interior`."""
+        r = np.abs(self.interior(values))
+        return float(np.max(r)), float(np.sqrt(np.mean(r * r)))
 
 def torus_grid(n=32, n_l=129, l_min=-1.2, l_max=1.2, margin=8):
     """Default margin 8: stacked 4th-order fiber stencils carry the one-sided

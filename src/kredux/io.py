@@ -367,12 +367,10 @@ def load_path(outdir) -> FlowPath:
     missing = [k for k in ("kind", "ts") if k not in meta]
     if missing:
         raise ValueError(f"{meta_path}: lacks {', '.join(missing)}")
-    try:
-        ts = np.array(meta["ts"], dtype=float)
-    except (TypeError, ValueError):
-        ts = None
-    if ts is None or ts.ndim != 1:
-        raise ValueError(f"{meta_path}: ts is not a list of numbers")
+    if not (isinstance(meta["ts"], list)
+            and all(map(_finite_number, meta["ts"]))):
+        raise ValueError(f"{meta_path}: ts is not a list of finite numbers")
+    ts = np.array(meta["ts"], dtype=float)
     normalization = meta.get("normalization", {})
     if not isinstance(normalization, dict):
         raise ValueError(f"{meta_path}: normalization is not an object")

@@ -16,8 +16,8 @@ invariant field phi + ((mu - c)/2) l that they reduce once.  ``level_set``
 and ``reduced_potential`` are the one-level forms.  The identity checks take a
 sequence of levels (a scalar is one level): each solves its levels together,
 builds its tau-independent total-space arrays once, evaluates every level,
-and returns one report with the worst norms and each level's sup norm in
-``reduced_by_tau``.
+and returns one report with the worst interior norms and each level's sup
+norm in ``reduced_by_tau``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .curvature import descent_drift, laplacian_m, laplacian_p
 from .errors import Degenerate, NotPositive, OutOfRange
 from .fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP, ddc_m,
-                     d_wedge_dc, ddc_p, interior_norms, jv_apply, wedge_square)
+                     d_wedge_dc, ddc_p, jv_apply, wedge_square)
 from .interp import FiberInterp, FiberWeights
 from .reports import ResidualReport
 from .structure import KahlerData
@@ -187,13 +187,22 @@ def default_taus(K: KahlerData, count=7, shrink=0.25):
 # ---------------------------------------------------------------------------
 
 
-def _m_norms(grid, values):
-    return interior_norms(values, grid.interior_m())
-
-
 def _levels(taus):
     """The levels of a check as a 1-d array; a scalar is one level."""
     return np.atleast_1d(np.asarray(taus, dtype=float))
+
+
+def level_norms(grid, gaps, centred=False):
+    """The interior (linf, l2) of each level's gap, taken about the gap's
+    interior mean when ``centred``."""
+    if centred:
+        gaps = (gap - np.mean(grid.interior(gap)) for gap in gaps)
+    return [grid.interior_norms(gap) for gap in gaps]
+
+
+def sups_by_tau(taus, norms):
+    """[tau, linf] for each level."""
+    return [[float(t), linf] for t, (linf, _) in zip(taus, norms)]
 
 
 def merge_levels(name, grid, taus, norms) -> ResidualReport:
@@ -202,9 +211,9 @@ def merge_levels(name, grid, taus, norms) -> ResidualReport:
     ``norms`` holds one (linf, l2) pair per level; the report carries the
     worst of each and every level's linf in ``reduced_by_tau``.
     """
-    by_tau = [[float(t), linf] for t, (linf, _) in zip(taus, norms)]
     return ResidualReport(name, grid.meta(), max(n[0] for n in norms),
-                          max(n[1] for n in norms), reduced_by_tau=by_tau)
+                          max(n[1] for n in norms),
+                          reduced_by_tau=sups_by_tau(taus, norms))
 
 
 def check_dertau(K: KahlerData, f: ScalarFieldP, taus,
@@ -221,13 +230,10 @@ def check_dertau(K: KahlerData, f: ScalarFieldP, taus,
     g = jv_apply(f, dl_f) / K.vsq
     levels = level_sets(K, np.concatenate([taus + dtau, taus - dtau, taus]))
     n = len(taus)
-    norms = []
-    for up, dn, at in zip(levels[:n], levels[n:2 * n], levels[2 * n:]):
-        lhs = (reduce_scalar(f, up).values
-               - reduce_scalar(f, dn).values) / (2.0 * dtau)
-        rhs = reduce_scalar(g, at)
-        norms.append(_m_norms(grid, lhs - rhs.values))
-    return merge_levels("dertau", grid, taus, norms)
+    gaps = ((reduce_scalar(f, up).values - reduce_scalar(f, dn).values)
+            / (2.0 * dtau) - reduce_scalar(g, at).values
+            for up, dn, at in zip(levels[:n], levels[n:2 * n], levels[2 * n:]))
+    return merge_levels("dertau", grid, taus, level_norms(grid, gaps))
 
 
 def check_dcred(K: KahlerData, f: ScalarFieldP, taus,
@@ -239,13 +245,10 @@ def check_dcred(K: KahlerData, f: ScalarFieldP, taus,
     taus = _levels(taus)
     g = jv_apply(f, dl_f) / K.vsq
     combo = grid.dz_stripped(f.values) + g.values * K.omega.g12  # g12 = -dz mu
-    norms = []
-    for level in level_sets(K, taus):
-        lhs = grid.dz_stripped(reduce_scalar(f, level).values)
-        rhs = level.weights.apply(combo)
-        gap = np.abs(lhs - rhs) * np.sqrt(grid.mixed_weight)
-        norms.append(_m_norms(grid, gap))
-    return merge_levels("dcred", grid, taus, norms)
+    gaps = (np.abs(grid.dz_stripped(reduce_scalar(f, level).values)
+                   - level.weights.apply(combo)) * np.sqrt(grid.mixed_weight)
+            for level in level_sets(K, taus))
+    return merge_levels("dcred", grid, taus, level_norms(grid, gaps))
 
 
 def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
@@ -268,13 +271,10 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     if np.any(np.abs(den_p) <= 1e-14 * np.max(np.abs(den_p))):
         raise Degenerate("total-space volume density vanishes")
     ratio /= den_p
-    norms = []
-    for red in reduced_potentials(K, taus):
-        num_m = red.omega_tau + ddc_m(reduce_scalar(f, red.level))
-        lhs = num_m.h / red.omega_tau.h
-        rhs = red.level.weights.apply(ratio)
-        norms.append(_m_norms(grid, lhs - rhs))
-    return merge_levels("ma_reduced", grid, taus, norms)
+    gaps = ((red.omega_tau + ddc_m(reduce_scalar(f, red.level))).h
+            / red.omega_tau.h - red.level.weights.apply(ratio)
+            for red in reduced_potentials(K, taus))
+    return merge_levels("ma_reduced", grid, taus, level_norms(grid, gaps))
 
 
 def laplace_reduced(K: KahlerData, f: ScalarFieldP, taus,
@@ -290,9 +290,7 @@ def laplace_reduced(K: KahlerData, f: ScalarFieldP, taus,
     rhs_p = (laplacian_p(f, K, dl_f)
              - descent_drift(K) * jvf / K.vsq
              - jv_apply(jvf) / (2.0 * K.vsq))
-    norms = []
-    for red in reduced_potentials(K, taus):
-        lhs = laplacian_m(reduce_scalar(f, red.level), red.omega_tau).values
-        rhs = reduce_scalar(rhs_p, red.level)
-        norms.append(_m_norms(grid, lhs - rhs.values))
-    return merge_levels("laplace_reduced", grid, taus, norms)
+    gaps = (laplacian_m(reduce_scalar(f, red.level), red.omega_tau).values
+            - reduce_scalar(rhs_p, red.level).values
+            for red in reduced_potentials(K, taus))
+    return merge_levels("laplace_reduced", grid, taus, level_norms(grid, gaps))

@@ -16,11 +16,11 @@ import numpy as np
 from .curvature import (cached_ricci_p, descending_scalar, descent_drift,
                         laplacian_m, laplacian_p, log_v_terms, ricci_m, scal_m)
 from .fields import (Form11P, ScalarFieldP, ddc_m, d_wedge_dc, ddc_p,
-                     integrate_m, interior_norms)
+                     integrate_m)
 from .interp import FiberInterp, QuinticSpline
 from .reports import ResidualReport
-from .reduction import (default_taus, level_sets, reduce_scalar,
-                        reduced_potentials)
+from .reduction import (default_taus, level_norms, level_sets, reduce_scalar,
+                        reduced_potentials, sups_by_tau)
 from .structure import KahlerData, assemble
 
 
@@ -65,26 +65,8 @@ def h_canonical(K: KahlerData, taus=None):
 # ---------------------------------------------------------------------------
 
 
-def _p_norms(K, values):
-    return interior_norms(values, K.grid.interior_p())
-
-
 def _form_norms(K, theta: Form11P):
-    return _p_norms(K, theta.max_magnitude())
-
-
-def _sweep(K, taus, at, quantity, centred=False):
-    """[tau, sup |quantity(x)| over interior base nodes] pairs, x running
-    over ``at(K, taus)``; ``centred`` takes the deviation from the interior
-    mean instead."""
-    mask = K.grid.interior_m()
-    out = []
-    for tau, x in zip(taus, at(K, taus)):
-        q = quantity(x)[mask]
-        if centred:
-            q = q - np.mean(q)
-        out.append([float(tau), float(np.max(np.abs(q)))])
-    return out
+    return K.grid.interior_norms(theta.max_magnitude())
 
 
 def _s_field(K) -> ScalarFieldP:
@@ -104,16 +86,17 @@ def residual_geodesic(K: KahlerData, h, taus=None) -> ResidualReport:
     gauge along the family).
     """
     taus = default_taus(K) if taus is None else taus
+    grid = K.grid
     s = _s_field(K)
     ds = laplacian_p(s, K)
     resid = ds.values - h(K.mu.values) * s.values
-    linf, l2 = _p_norms(K, resid)
+    linf, l2 = grid.interior_norms(resid)
     ratio = ds / s
-    by_tau = _sweep(K, taus, level_sets,
-                    lambda lv: reduce_scalar(ratio, lv).values, centred=True)
-    rep = ResidualReport("geodesic", K.grid.meta(), linf, l2,
-                         reduced_by_tau=by_tau)
-    rep.extra["dominant"] = _p_norms(K, s.values)[0]
+    norms = level_norms(grid, (reduce_scalar(ratio, lv).values
+                               for lv in level_sets(K, taus)), centred=True)
+    rep = ResidualReport("geodesic", grid.meta(), linf, l2,
+                         reduced_by_tau=sups_by_tau(taus, norms))
+    rep.extra["dominant"] = grid.interior_norms(s.values)[0]
     return rep
 
 
@@ -131,12 +114,14 @@ def residual_calabi(K: KahlerData, h, taus=None) -> ResidualReport:
     R = descending_scalar(K)
     ell = ScalarFieldP(grid, np.broadcast_to(grid.l, grid.p_shape).copy())
     resid = R.values - ell.values - h(K.mu.values)
-    linf, l2 = _p_norms(K, resid)
-    by_tau = _sweep(K, taus, reduced_potentials,
-                    lambda red: red.l_tau.values - scal_m(red.omega_tau).values,
-                    centred=True)
-    rep = ResidualReport("calabi", grid.meta(), linf, l2, reduced_by_tau=by_tau)
-    rep.extra["dominant"] = max(_p_norms(K, ell.values)[0], _p_norms(K, R.values)[0])
+    linf, l2 = grid.interior_norms(resid)
+    norms = level_norms(grid, (red.l_tau.values - scal_m(red.omega_tau).values
+                               for red in reduced_potentials(K, taus)),
+                        centred=True)
+    rep = ResidualReport("calabi", grid.meta(), linf, l2,
+                         reduced_by_tau=sups_by_tau(taus, norms))
+    rep.extra["dominant"] = max(grid.interior_norms(ell.values)[0],
+                                grid.interior_norms(R.values)[0])
     return rep
 
 
@@ -149,6 +134,7 @@ def residual_pseudo_calabi(K: KahlerData, taus=None) -> ResidualReport:
     notes on the doubled coefficient in the static form.
     """
     taus = default_taus(K) if taus is None else taus
+    grid = K.grid
     lam = _lambda(K)
     R = descending_scalar(K)
     drift = descent_drift(K)
@@ -156,19 +142,20 @@ def residual_pseudo_calabi(K: KahlerData, taus=None) -> ResidualReport:
     resid /= K.vsq.values
     np.add(R.values, resid, out=resid)
     resid -= lam
-    linf, l2 = _p_norms(K, resid)
+    linf, l2 = grid.interior_norms(resid)
     del resid
 
     # reduced identity, evaluated downstairs: the level velocity of the
     # reduced potentials is (1/2) l_tau, so the coupled-flow statement is
     # scal(g_tau) + D_tau((1/2) l_tau) = lambda.
-    by_tau = _sweep(K, taus, reduced_potentials, lambda red: (
+    norms = level_norms(grid, (
         scal_m(red.omega_tau).values
-        + 0.5 * laplacian_m(red.l_tau, red.omega_tau).values - lam))
-    rep = ResidualReport("pseudo_calabi", K.grid.meta(), linf, l2,
-                         reduced_by_tau=by_tau)
+        + 0.5 * laplacian_m(red.l_tau, red.omega_tau).values - lam
+        for red in reduced_potentials(K, taus)))
+    rep = ResidualReport("pseudo_calabi", grid.meta(), linf, l2,
+                         reduced_by_tau=sups_by_tau(taus, norms))
     rep.extra["lambda"] = lam
-    rep.extra["dominant"] = max(_p_norms(K, R.values)[0], abs(lam))
+    rep.extra["dominant"] = max(grid.interior_norms(R.values)[0], abs(lam))
     return rep
 
 
@@ -191,11 +178,12 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
     del g
     linf, l2 = _form_norms(K, theta)
     del theta
-    by_tau = _sweep(K, taus, reduced_potentials, lambda red: (
-        0.5 * ddc_m(red.l_tau) + ricci_m(red.omega_tau)).h)
     grid = K.grid
+    norms = level_norms(grid, ((0.5 * ddc_m(red.l_tau)
+                                + ricci_m(red.omega_tau)).h
+                               for red in reduced_potentials(K, taus)))
     rep = ResidualReport("kr_unnormalized", grid.meta(), linf, l2,
-                         reduced_by_tau=by_tau)
+                         reduced_by_tau=sups_by_tau(taus, norms))
     dominant = d_wedge_dc(ScalarFieldP(grid, 1.0 / K.vsq.values), K)
     dominant += ric
     rep.extra["dominant"] = _form_norms(K, dominant)[0]

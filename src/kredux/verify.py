@@ -23,13 +23,12 @@ import numpy as np
 
 from .curvature import (check_moment_ricci_identity, descending_ricci,
                         descending_scalar, laplacian_m, ricci_m)
-from .fields import (ScalarFieldM, ScalarFieldP, contract_v, ddc_p, grad_pair,
-                     interior_norms)
+from .fields import ScalarFieldM, ScalarFieldP, ddc_p, grad_pair
 from .fixtures import (battery_fixture, cylinder, profiled_field,
                        random_profile_bases, random_resolved_m)
 from .grids import TestbedGrid, torus_grid
 from .reduction import (check_dcred, check_dertau, default_taus, laplace_reduced,
-                        ma_reduced, merge_levels, reduce_form,
+                        level_norms, ma_reduced, merge_levels, reduce_form,
                         reduce_scalar, reduced_potentials)
 from .reports import ResidualReport, attach_slope
 from .structure import KahlerData, gauge
@@ -52,27 +51,25 @@ def convention_gate(grid: TestbedGrid | None = None, seed=0) -> ResidualReport:
     grid = grid or torus_grid(n_l=65)
     rng = np.random.default_rng(seed)
     K = cylinder(grid)
-    mask_p = grid.interior_p()
 
     ell = ScalarFieldP(grid, np.broadcast_to(grid.l, grid.p_shape).copy())
     ddc_ell = ddc_p(ell)
-    part_a = interior_norms(ddc_ell.max_magnitude(), mask_p)[0]
+    part_a = grid.interior_norms(ddc_ell.max_magnitude())[0]
 
-    cv = contract_v(K.omega)
-    part_b = interior_norms(cv.vv - K.vsq.values, mask_p)[0]
-    part_b = max(part_b, interior_norms(cv.vv - 2.0, mask_p)[0])
-    positive = float(np.min(cv.vv[mask_p]))
+    vv = 2.0 * K.omega.g22  # i_{JV} i_V omega
+    part_b = grid.interior_norms(vv - K.vsq.values)[0]
+    part_b = max(part_b, grid.interior_norms(vv - 2.0)[0])
+    positive = float(np.min(grid.interior(vv)))
 
     # amplitude/mode budget keeps e^f itself spectrally resolved
     part_c = 0.0
-    mask_m = grid.interior_m()
     for _ in range(GATE_RANDOM_FIELDS):
         f = random_resolved_m(grid, rng, modes=2, amplitude=0.15)
         ef = ScalarFieldM(grid, np.exp(f.values))
         lhs = laplacian_m(ef, K.sigma).values
         rhs = ef.values * (laplacian_m(f, K.sigma).values
                            + 0.5 * grad_pair(f, f, K.sigma).values)
-        part_c = max(part_c, interior_norms(lhs - rhs, mask_m)[0])
+        part_c = max(part_c, grid.interior_norms(lhs - rhs)[0])
 
     linf = max(part_a, part_b, part_c)
     rep = ResidualReport("convention_gate", grid.meta(), linf, linf)
@@ -155,22 +152,21 @@ def battery_once(K: KahlerData, seed=0, dtau=1e-4, bases=None) -> dict:
 
     rho = descending_ricci(K)
     big_r = descending_scalar(K)
-    mask = grid.interior_m()
-    ric_norms, scal_norms, leftovers = [], [], []
+    ric_gaps, scal_gaps, leftovers = [], [], []
     for red in reduced_potentials(K, taus):
         rho_tau, leftover = reduce_form(rho, red.level)
         leftovers.append(leftover)
         ric = ricci_m(red.omega_tau)
-        gap_ric = np.abs(rho_tau.h - ric.h)
-        ric_norms.append(interior_norms(gap_ric, mask))
+        ric_gaps.append(rho_tau.h - ric.h)
         # scal_m(omega_tau), without computing its Ricci form again
-        gap_scal = np.abs(reduce_scalar(big_r, red.level).values
-                          - ric.h / red.omega_tau.h)
-        scal_norms.append(interior_norms(gap_scal, mask))
-    out["ricci_descent"] = merge_levels("ricci_descent", grid, taus, ric_norms)
+        scal_gaps.append(reduce_scalar(big_r, red.level).values
+                         - ric.h / red.omega_tau.h)
+    out["ricci_descent"] = merge_levels("ricci_descent", grid, taus,
+                                        level_norms(grid, ric_gaps))
     # reported, not gated: how far the descending form is from reducible
     out["ricci_descent"].extra["angular_leftover"] = max(leftovers)
-    out["scal_descent"] = merge_levels("scal_descent", grid, taus, scal_norms)
+    out["scal_descent"] = merge_levels("scal_descent", grid, taus,
+                                       level_norms(grid, scal_gaps))
     del rho, big_r
     out["moment_ricci"] = check_moment_ricci_identity(K)
     return out

@@ -3,7 +3,7 @@ import numpy as np
 import kredux as kx
 from kredux.curvature import (laplacian_m, laplacian_p, ricci_m, ricci_p,
                               scal_m, scal_p)
-from kredux.fields import Form11M, ScalarFieldM, ScalarFieldP, interior_norms
+from kredux.fields import Form11M, ScalarFieldM, ScalarFieldP
 from kredux.fixtures import cylinder_potential
 
 
@@ -82,25 +82,21 @@ def test_laplacian_p_examples(cyl):
     assert np.max(np.abs(laplacian_p(ell, cyl).values)) < 1e-10
     s = ScalarFieldP(grid, np.broadcast_to(np.exp(grid.l), grid.p_shape).copy())
     gap = np.abs(laplacian_p(s, cyl).values - s.values)
-    assert interior_norms(gap, grid.interior_p())[0] < 1e-7
+    assert grid.interior_norms(gap)[0] < 1e-7
     assert np.max(np.abs(laplacian_p(cyl.mu, cyl).values)) < 1e-8
 
 
 def test_ricci_p_products(cyl, fscyl):
-    m = cyl.grid.interior_p()
-    assert interior_norms(ricci_p(cyl).max_magnitude(), m)[0] < 1e-8
+    assert cyl.grid.interior_norms(ricci_p(cyl).max_magnitude())[0] < 1e-8
     ric = ricci_p(fscyl)
     expect = 2.0 * fscyl.sigma.h[..., None]
-    m = fscyl.grid.interior_p()
-    assert interior_norms(ric.g11 - expect, m)[0] < 1e-8
-    assert interior_norms(ric.g22, m)[0] < 1e-8
+    assert fscyl.grid.interior_norms(ric.g11 - expect)[0] < 1e-8
+    assert fscyl.grid.interior_norms(ric.g22)[0] < 1e-8
 
 
 def test_scal_p_products(cyl, fscyl):
-    m = cyl.grid.interior_p()
-    assert interior_norms(scal_p(cyl).values, m)[0] < 1e-8
-    m = fscyl.grid.interior_p()
-    assert interior_norms(scal_p(fscyl).values - 2.0, m)[0] < 1e-8
+    assert cyl.grid.interior_norms(scal_p(cyl).values)[0] < 1e-8
+    assert fscyl.grid.interior_norms(scal_p(fscyl).values - 2.0)[0] < 1e-8
 
 
 def test_descent_products(cyl, fscyl):
@@ -108,16 +104,15 @@ def test_descent_products(cyl, fscyl):
     for K, ric_expect, scal_expect in ((cyl, 0.0, 0.0), (fscyl, None, 2.0)):
         rho = kx.descending_ricci(K)
         big_r = kx.descending_scalar(K)
-        mask = K.grid.interior_m()
         for tau in (-0.3, 0.4):
             level = kx.level_set(K, tau)
             red = kx.reduced_potential(K, tau)
             rho_tau, _ = kx.reduce_form(rho, level)
-            gap = np.abs(rho_tau.h - ricci_m(red.omega_tau).h)
-            assert np.max(gap[mask]) < 1e-6
-            gap2 = np.abs(kx.reduce_scalar(big_r, level).values
-                          - scal_m(red.omega_tau).values)
-            assert np.max(gap2[mask]) < 1e-6
+            gap = rho_tau.h - ricci_m(red.omega_tau).h
+            assert K.grid.interior_norms(gap)[0] < 1e-6
+            gap2 = (kx.reduce_scalar(big_r, level).values
+                    - scal_m(red.omega_tau).values)
+            assert K.grid.interior_norms(gap2)[0] < 1e-6
 
 
 def test_descent_perturbed_converges():
@@ -136,10 +131,9 @@ def test_descent_perturbed_converges():
         level = kx.level_set(K, 0.3)
         red = kx.reduced_potential(K, 0.3)
         rho_tau, _ = kx.reduce_form(rho, level)
-        mask = grid.interior_m()
-        g1 = np.max(np.abs(rho_tau.h - ricci_m(red.omega_tau).h)[mask])
-        g2 = np.max(np.abs(kx.reduce_scalar(big_r, level).values
-                           - scal_m(red.omega_tau).values)[mask])
+        g1 = grid.interior_norms(rho_tau.h - ricci_m(red.omega_tau).h)[0]
+        g2 = grid.interior_norms(kx.reduce_scalar(big_r, level).values
+                                 - scal_m(red.omega_tau).values)[0]
         gaps.append(max(g1, g2))
     assert gaps[1] < 1e-5
     assert np.log2(gaps[0] / gaps[1]) > 2.0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import kredux as kx
-from kredux.fields import ScalarFieldM, ScalarFieldP, interior_norms
+from kredux.fields import ScalarFieldM, ScalarFieldP
 
 
 def p_field(grid, fn):
@@ -38,7 +38,7 @@ def test_differentiate_fiber_exponential_order():
         grid = kx.torus_grid(n=9, n_l=n_l)
         f = p_field(grid, lambda x1, x2, l: np.exp(l))
         gap = np.abs(grid.d_l(f.values, 1) - f.values)
-        errs.append(interior_norms(gap, grid.interior_p())[0])
+        errs.append(grid.interior_norms(gap)[0])
     assert np.log2(errs[0] / errs[1]) >= 3.5
 
 
@@ -80,7 +80,7 @@ def test_ddc_m_radial_log():
     # metric is half of it
     expect = 2.0 / (1.0 + grid.u) ** 2
     gap = np.abs(kx.ddc_m(f).h - expect)
-    assert interior_norms(gap, grid.interior_m())[0] < 1e-6
+    assert grid.interior_norms(gap)[0] < 1e-6
     half = kx.reference_sigma(grid).h
     assert np.max(np.abs(2.0 * half - expect)) < 1e-14
 
@@ -114,24 +114,15 @@ def test_ddc_p_log_fiber_vanishes(g):
 
 # -- contractions -----------------------------------------------------------
 
-def test_contract_v_cylinder(g, ):
+def test_contract_v_cylinder(g):
+    # the double contraction i_{JV} i_V omega = 2 g22 equals JV(mu) = 2
     K = kx.cylinder(g)
-    cv = kx.contract_v(K.omega)
-    assert np.max(np.abs(cv.vv - 2.0)) < 1e-10
-    assert np.max(np.abs(cv.vv - kx.jv_apply(K.mu).values)) < 1e-10
+    vv = 2.0 * K.omega.g22
+    assert np.max(np.abs(vv - 2.0)) < 1e-10
+    assert np.max(np.abs(vv - kx.jv_apply(K.mu).values)) < 1e-10
 
 
-def test_contract_v_zero_fiber_blocks(g):
-    from kredux.fields import Form11P
-
-    theta = Form11P(g, np.random.default_rng(0).normal(size=g.p_shape),
-                    np.zeros(g.p_shape, dtype=complex), np.zeros(g.p_shape))
-    cv = kx.contract_v(theta)
-    assert np.max(np.abs(cv.z)) == 0.0
-    assert np.max(np.abs(cv.l)) == 0.0
-
-
-def test_contract_v_top_form_factor(g):
+def test_wedge_square_top_form_factor(g):
     # omega /\ omega = |V|^2 sigma on the cylinder; the bound is on t / 2,
     # the density eta with i_{JV} i_V (omega /\ omega) = 4 eta
     K = kx.cylinder(g)

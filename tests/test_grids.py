@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -312,8 +313,8 @@ def test_radial_solve_dzbar_dz_inverts_at_fourth_order():
         g = radial_grid(n_u=n, n_l=9, margin=8)
         t = np.exp(-g.v ** 2 / 8.0) * np.cos(g.v) / (1.0 + g.u) ** 2
         f = g.solve_dzbar_dz(t)
-        gap = np.abs(g.dzbar_dz(f) - t)[g.interior_m()]
-        errs.append(np.max(gap) / np.max(np.abs(t)))
+        errs.append(g.interior_norms(g.dzbar_dz(f) - t)[0]
+                    / np.max(np.abs(t)))
         # the trapezoid mean in v
         w = g.spatial_quad_weights / (np.pi * g.u)
         assert abs(np.sum(f * w) / np.sum(w)) <= RADIAL_SOLVE_MEAN
@@ -376,9 +377,23 @@ def test_margin_without_interior_raises_on_use():
     g = Grid("radial", 17, 9, -1.0, 1.0, margin=9)
     with pytest.raises(ValueError, match="margin=9 leaves no interior nodes "
                                          "on the radial axis of 17 nodes"):
-        g.interior_m()
+        g.interior(np.zeros(g.spatial_shape))
+    # the fiber axis is checked first
     with pytest.raises(ValueError, match="on the fiber axis of 9 nodes"):
-        g.interior_p()
+        g.interior_norms(np.zeros(g.p_shape))
     t = torus_grid(n=16, n_l=9, margin=4)
-    assert t.interior_m().all()
-    assert t.interior_p().sum() == 16 * 16
+    assert t.interior(np.ones(t.spatial_shape)).size == 16 * 16
+    assert t.interior(np.ones(t.p_shape)).size == 16 * 16
+
+
+@pytest.mark.parametrize("shape", [(), (17,), (16, 8), (16, 16, 8),
+                                   (9, 16, 16)])
+def test_interior_of_a_wrong_shape_raises(shape):
+    # base and total-space shapes: (16, 16) and (16, 16, 9) on the torus,
+    # (16,) and (16, 9) on the radial testbed
+    for grid in (torus_grid(n=16, n_l=9, margin=4),
+                 radial_grid(n_u=16, n_l=9, margin=4)):
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape} is")):
+            grid.interior(np.zeros(shape))
+        with pytest.raises(ValueError, match="neither a base"):
+            grid.interior_norms(np.zeros(shape))

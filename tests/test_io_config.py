@@ -422,8 +422,15 @@ def test_loaders_reject_headers_their_writer_could_not_give(
     (lambda m: m.pop("ts"), "path_meta.json: lacks ts"),
     (lambda m: m.pop("kind"), "path_meta.json: lacks kind"),
     (lambda m: m.update(ts="0.1"), "path_meta.json: ts is not a list"),
-    (lambda m: m.update(ts=[{"t": 0.0}]), "path_meta.json: ts is not a list")],
-    ids=["missing_ts", "missing_kind", "string_ts", "object_ts"])
+    (lambda m: m.update(ts=[{"t": 0.0}]), "path_meta.json: ts is not a list"),
+    (lambda m: m.update(ts=[str(t) for t in m["ts"]]),
+     "path_meta.json: ts is not a list of finite numbers"),
+    (lambda m: m["ts"].__setitem__(1, True),
+     "path_meta.json: ts is not a list of finite numbers"),
+    (lambda m: m["ts"].__setitem__(1, float("nan")),
+     "path_meta.json: ts is not a list of finite numbers")],
+    ids=["missing_ts", "missing_kind", "string_ts", "object_ts",
+         "string_entries", "bool_entry", "nan_entry"])
 def test_load_path_rejects_meta_without_ts_or_kind(tmp_path, edit, message):
     from kredux.cli import main
 

@@ -1,8 +1,8 @@
 """Randomized properties of the fiber interpolant and its antiderivative, the
 level solve, the quintic spline, the torus spatial derivatives, gauge moves,
-the fixed points of the flows, reduction and lift as inverses, and the round
-trips of configurations, field dumps and grids (hypothesis, derandomized so
-the suite is repeatable)."""
+the fixed points of the flows, reduction and lift as inverses, the round
+trips of configurations, field dumps and grids, and the grid's interior nodes
+(hypothesis, derandomized so the suite is repeatable)."""
 
 import functools
 import math
@@ -27,6 +27,7 @@ from kredux.fields import ScalarFieldM, ScalarFieldP
 from kredux.fixtures import random_resolved_m
 from kredux.interp import FiberInterp, QuinticSpline
 from kredux.io import dump_field, load_field
+from kredux.reduction import level_norms
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=60)
@@ -340,8 +341,7 @@ def test_reduction_and_lift_are_inverse(amplitude, shrink):
     g = lift.data.grid
     mu_k = np.stack([K.mu_interp().at(np.full(g.spatial_shape, l))
                      for l in g.l], axis=-1)
-    gap = np.abs(lift.data.mu.values - mu_k)[g.interior_p()]
-    assert np.max(gap) < LIFT_MU_GAP
+    assert g.interior_norms(lift.data.mu.values - mu_k)[0] < LIFT_MU_GAP
     for tau in kx.admissible_taus(path, lift):
         psi_tau = psis[np.flatnonzero(taus == tau)[0]]
         gap = kx.reduced_potential(lift.data, tau).psi_tau.values - psi_tau
@@ -443,3 +443,39 @@ def test_grid_rebuilds_from_its_meta(kind, n, n_l, l_min, width, l_u, margin,
     back = kx.TestbedGrid(**meta)
     assert back == g
     assert hash(back) == hash(g)
+
+
+def _interior_mask(grid, shape):
+    """The boolean interior masks the grid built before it took slices."""
+    m = grid.margin
+    fiber = (slice(m, grid.n_l - m),) if shape == grid.p_shape else ()
+    radial = slice(m, grid.n_spatial - m)
+    mask = np.zeros(shape, dtype=bool)
+    mask[((...,) if grid.kind == "torus" else (radial,)) + fiber] = True
+    return mask
+
+
+@SETTINGS
+@given(kind=st.sampled_from(["torus", "radial"]), n=st.integers(9, 24),
+       n_l=st.integers(9, 40), margin=st.integers(2, 4), total=st.booleans(),
+       complex_values=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_interior_is_the_mask_selection(kind, n, n_l, margin, total,
+                                        complex_values, seed):
+    grid = kx.TestbedGrid(kind, n, n_l, -1.0, 1.0, margin=margin)
+    shape = grid.p_shape if total else grid.spatial_shape
+    mask = _interior_mask(grid, shape)
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=shape)
+    if complex_values:
+        v = v + 1j * rng.normal(size=shape)
+    got = grid.interior(v)
+    assert not np.shares_memory(got, v)
+    assert got.dtype == v.dtype and got.tobytes() == v[mask].tobytes()
+    # the norms as the boolean selection took them, and about the mean
+    r = np.abs(v)[mask]
+    assert grid.interior_norms(v) == (float(np.max(r)),
+                                      float(np.sqrt(np.mean(r * r))))
+    q = v[mask]
+    r = np.abs(q - np.mean(q))
+    assert level_norms(grid, [v], centred=True) == [
+        (float(np.max(r)), float(np.sqrt(np.mean(r * r))))]
