@@ -473,6 +473,7 @@ class TestbedGrid:
         r = np.abs(self.interior(values))
         return float(np.max(r)), float(np.sqrt(np.mean(r * r)))
 
+
 def torus_grid(n=32, n_l=129, l_min=-1.2, l_max=1.2, margin=8):
     """Default margin 8: stacked 4th-order fiber stencils carry the one-sided
     closure influence about eight rows in, and norms must not see it."""

@@ -205,12 +205,13 @@ def sups_by_tau(taus, norms):
     return [[float(t), linf] for t, (linf, _) in zip(taus, norms)]
 
 
-def merge_levels(name, grid, taus, norms) -> ResidualReport:
+def merge_levels(name, grid, taus, gaps) -> ResidualReport:
     """One report for a check evaluated at several levels.
 
-    ``norms`` holds one (linf, l2) pair per level; the report carries the
-    worst of each and every level's linf in ``reduced_by_tau``.
+    ``gaps`` holds each level's gap; the report carries the worst of the
+    :func:`level_norms` and every level's linf in ``reduced_by_tau``.
     """
+    norms = level_norms(grid, gaps)
     return ResidualReport(name, grid.meta(), max(n[0] for n in norms),
                           max(n[1] for n in norms),
                           reduced_by_tau=sups_by_tau(taus, norms))
@@ -233,7 +234,7 @@ def check_dertau(K: KahlerData, f: ScalarFieldP, taus,
     gaps = ((reduce_scalar(f, up).values - reduce_scalar(f, dn).values)
             / (2.0 * dtau) - reduce_scalar(g, at).values
             for up, dn, at in zip(levels[:n], levels[n:2 * n], levels[2 * n:]))
-    return merge_levels("dertau", grid, taus, level_norms(grid, gaps))
+    return merge_levels("dertau", grid, taus, gaps)
 
 
 def check_dcred(K: KahlerData, f: ScalarFieldP, taus,
@@ -248,7 +249,7 @@ def check_dcred(K: KahlerData, f: ScalarFieldP, taus,
     gaps = (np.abs(grid.dz_stripped(reduce_scalar(f, level).values)
                    - level.weights.apply(combo)) * np.sqrt(grid.mixed_weight)
             for level in level_sets(K, taus))
-    return merge_levels("dcred", grid, taus, level_norms(grid, gaps))
+    return merge_levels("dcred", grid, taus, gaps)
 
 
 def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
@@ -274,7 +275,7 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     gaps = ((red.omega_tau + ddc_m(reduce_scalar(f, red.level))).h
             / red.omega_tau.h - red.level.weights.apply(ratio)
             for red in reduced_potentials(K, taus))
-    return merge_levels("ma_reduced", grid, taus, level_norms(grid, gaps))
+    return merge_levels("ma_reduced", grid, taus, gaps)
 
 
 def laplace_reduced(K: KahlerData, f: ScalarFieldP, taus,
@@ -293,4 +294,4 @@ def laplace_reduced(K: KahlerData, f: ScalarFieldP, taus,
     gaps = (laplacian_m(reduce_scalar(f, red.level), red.omega_tau).values
             - reduce_scalar(rhs_p, red.level).values
             for red in reduced_potentials(K, taus))
-    return merge_levels("laplace_reduced", grid, taus, level_norms(grid, gaps))
+    return merge_levels("laplace_reduced", grid, taus, gaps)

@@ -28,7 +28,7 @@ from .fixtures import (battery_fixture, cylinder, profiled_field,
                        random_profile_bases, random_resolved_m)
 from .grids import TestbedGrid, torus_grid
 from .reduction import (check_dcred, check_dertau, default_taus, laplace_reduced,
-                        level_norms, ma_reduced, merge_levels, reduce_form,
+                        ma_reduced, merge_levels, reduce_form,
                         reduce_scalar, reduced_potentials)
 from .reports import ResidualReport, attach_slope
 from .structure import KahlerData, gauge
@@ -161,12 +161,10 @@ def battery_once(K: KahlerData, seed=0, dtau=1e-4, bases=None) -> dict:
         # scal_m(omega_tau), without computing its Ricci form again
         scal_gaps.append(reduce_scalar(big_r, red.level).values
                          - ric.h / red.omega_tau.h)
-    out["ricci_descent"] = merge_levels("ricci_descent", grid, taus,
-                                        level_norms(grid, ric_gaps))
+    out["ricci_descent"] = merge_levels("ricci_descent", grid, taus, ric_gaps)
     # reported, not gated: how far the descending form is from reducible
     out["ricci_descent"].extra["angular_leftover"] = max(leftovers)
-    out["scal_descent"] = merge_levels("scal_descent", grid, taus,
-                                       level_norms(grid, scal_gaps))
+    out["scal_descent"] = merge_levels("scal_descent", grid, taus, scal_gaps)
     del rho, big_r
     out["moment_ricci"] = check_moment_ricci_identity(K)
     return out

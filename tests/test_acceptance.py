@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 import kredux as kx
-from kredux.fields import ScalarFieldM, ScalarFieldP
 from kredux.statics import constant_profile
 from kredux.verify import (battery_with_slopes, closed_form_reductions,
                            convention_gate, gauge_invariance)

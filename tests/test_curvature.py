@@ -3,7 +3,7 @@ import numpy as np
 import kredux as kx
 from kredux.curvature import (laplacian_m, laplacian_p, ricci_m, ricci_p,
                               scal_m, scal_p)
-from kredux.fields import Form11M, ScalarFieldM, ScalarFieldP
+from kredux.fields import ScalarFieldM, ScalarFieldP
 from kredux.fixtures import cylinder_potential
 
 
