@@ -161,9 +161,9 @@ def check_moment_ricci_identity(K: KahlerData) -> ResidualReport:
     """Residual of  i_V Ric(omega) + d(D mu) = 0  in frame components.
 
     i_V Ric is read off Ric's own components, z = -g12 (- i b20) and
-    l = -g22, and x + (-y) is taken as x - y, which rounds the same.  Beyond the kept
-    Ric and D mu, its peak holds the two residual components and the
-    magnitudes, formed in place.
+    l = -g22, and x + (-y) is taken as x - y, which rounds the same.
+    Beyond the kept Ric and D mu, its peak holds the two residual components
+    and the magnitudes, formed in place.
     """
     grid = K.grid
     ric = cached_ricci_p(K)

@@ -63,7 +63,8 @@ def _sha(data: bytes) -> str:
 def run_command(main, out, argv):
     """Run ``main(argv + ["--out", out])`` and record what it did."""
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
         code = main([*argv, "--out", out])
     files = {}
     for path in sorted(Path(out).rglob("*")):
@@ -99,7 +100,8 @@ def main(argv=None) -> int:
     with open("manifest.json", "w", encoding="utf-8") as fh:
         json.dump({"files": n_files, "commands": records}, fh, indent=1)
         fh.write("\n")
-    print(f"{len(records)} commands, {n_files} files: {root / 'manifest.json'}")
+    print(f"{len(records)} commands, {n_files} files: "
+          f"{root / 'manifest.json'}")
     for line in wrong:
         print(f"unexpected exit code: {line}", file=sys.stderr)
     return 1 if wrong else 0

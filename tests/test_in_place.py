@@ -15,8 +15,8 @@ from kredux.curvature import (_reference_arrays, cached_ricci_p, ddc_log_v,
                               descent_drift, moment_laplacian)
 from kredux.fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
                            trace_against)
-from kredux.grids import TestbedGrid as Grid
 from kredux.fixtures import battery_fixture, random_resolved_p
+from kredux.grids import TestbedGrid as Grid
 from kredux.verify import battery_once
 
 from conftest import field_bytes, traced_peak
