@@ -103,14 +103,16 @@ def moment_laplacian(K: KahlerData) -> ScalarFieldP:
     return K.cached("laplacian_mu", lambda: _trace_laplacian(K, K.ddc_mu()))
 
 
-def log_v_terms(K: KahlerData):
+def log_v_terms(K: KahlerData, into: Form11P | None = None):
     """The drift D mu - JV log|V| and dd^c log|V|, in that order, both from
-    one fiber slope of log|V|; neither is kept."""
+    one fiber slope of log|V|; neither is kept.  Given ``into``, the second
+    is ``into`` plus dd^c log|V|, added in place as by
+    :func:`~kredux.fields.ddc_p`."""
     moment_laplacian(K)  # kept; built before the slope is held
     log_v = K.log_v()
     dl_log_v = K.grid.d_l(log_v.values, 1)
-    return [moment_laplacian(K) - jv_apply(log_v, dl_log_v),
-            ddc_p(log_v, dl_log_v)]
+    ddc_log_v = ddc_p(log_v, dl_log_v, into)
+    return [moment_laplacian(K) - jv_apply(log_v, dl_log_v), ddc_log_v]
 
 
 def _log_v_terms(K: KahlerData):
@@ -137,8 +139,8 @@ def descending_ricci(K: KahlerData) -> Form11P:
         Ric(omega) + dd^c log|V| + d( ((D mu - JV log|V|) / |V|^2) d^c mu ).
 
     Its peak holds the structure's kept forms, the new sum of the first two
-    terms, the scratch of ``d_wedge_dc`` and one component of the third
-    term, which is added into the sum as soon as it is finished.
+    terms and the scratch of ``d_wedge_dc``, which adds the third term into
+    the sum a block of rows at a time.
     """
     g = descent_drift(K) / K.vsq
     return d_wedge_dc(g, K, into=cached_ricci_p(K) + ddc_log_v(K))

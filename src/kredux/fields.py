@@ -30,10 +30,11 @@ Ownership: an operator writes only into arrays it allocated itself.  It
 allocates each output component once and accumulates into it in place, with
 the same operands in the same order as the plain expression, so the numbers
 do not depend on how the work is staged.  It never writes into its arguments
-but one: a form the caller has just built, handed to ``d_wedge_dc`` as
-``into``, which takes each component as it is finished.  Arrays a structure
-keeps (``KahlerData.cached``) are read-only.  In-place sums
-``theta += other`` are likewise for forms the caller has just built.
+but one: a form the caller has just built, handed to ``ddc_p`` or
+``d_wedge_dc`` as ``into``, which takes each component, or block of rows,
+as it is finished.  Arrays a structure keeps (``KahlerData.cached``) are
+read-only.  In-place sums ``theta += other`` are likewise for forms the
+caller has just built.
 
 Shared slopes: ``jv_apply`` and ``ddc_p`` (and the checks built on them)
 accept the fiber slope ``d_l f`` of their field as ``dl_f``, so that callers
@@ -43,6 +44,7 @@ same bits; a slope passed in is only read.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 
@@ -314,18 +316,40 @@ def ddc_m(f, grid=None) -> Form11M:
     return Form11M(grid, 2.0 * grid.dzbar_dz(vals))
 
 
-def ddc_p(f: ScalarFieldP, dl_f=None) -> Form11P:
+def ddc_p(f: ScalarFieldP, dl_f=None, into: Form11P | None = None) -> Form11P:
     """dd^c of an invariant function, in frame components; the fiber block
     uses the dedicated second-derivative stencil.  ``dl_f`` may supply the
-    fiber slope, as for :func:`jv_apply`."""
+    fiber slope, as for :func:`jv_apply`.
+
+    ``into`` may name a form the caller has just built: each of g11, g12
+    and g22 is then added into its array as soon as it is finished, and
+    ``into`` plus dd^c f is returned, as :func:`d_wedge_dc` does.
+    """
     g = f.grid
-    g11 = g.dzbar_dz(f.values)
-    g11 *= 2.0
-    g12 = g.dz_stripped(g.d_l(f.values, 1) if dl_f is None else dl_f)
-    g12 *= 2.0
-    g22 = g.d_l(f.values, 2)
-    g22 *= 2.0
-    return Form11P(g, g11, g12, g22)
+    if into is not None:
+        _check_grid(g, into.grid)
+    done = []
+    for i, take in enumerate((
+            lambda: g.dzbar_dz(f.values),
+            lambda: g.dz_stripped(g.d_l(f.values, 1) if dl_f is None
+                                  else dl_f),
+            lambda: g.d_l(f.values, 2))):
+        part = take()
+        part *= 2.0
+        if into is None:
+            done.append(part)
+        else:
+            mine = into._pure()[i]
+            mine += part
+        del part
+    return Form11P(g, *done) if into is None else into
+
+
+def _row_blocks(shape, size=1 << 12):
+    """Slices along axis 0 that cut an array of ``shape`` into blocks of
+    whole rows, each of about ``size`` elements or one row."""
+    rows = max(1, size // math.prod(shape[1:]))
+    return [slice(i, i + rows) for i in range(0, shape[0], rows)]
 
 
 def d_wedge_dc(g_field: ScalarFieldP, K, into: Form11P | None = None) -> Form11P:
@@ -338,64 +362,64 @@ def d_wedge_dc(g_field: ScalarFieldP, K, into: Form11P | None = None) -> Form11P
     Carries a (2,0) part whenever the fiber and spatial gradients of g and mu
     fail to be proportional.
 
-    ``into`` may name a form the caller has just built.  Each of g11, g22
-    and g12 is then added into its array as soon as it is finished, and
-    freed before the next is built, and ``into`` plus d(g d^c mu) is
-    returned: the same bits as ``into += d_wedge_dc(g_field, K)``, without
-    the whole form alive beside ``into``.  A read-only ``into`` raises, as
-    ``+=`` does.
+    Past the two slopes of g, every component is pointwise, so it is built
+    in blocks of whole rows (``_row_blocks``), d_l mu = -|V|^2/2 included,
+    each block's scratch freed before the next; the (2,0) part is built in
+    the array of dz g.  Beyond the result, the peak holds the slopes (three
+    real fields) and the scratch of the operator taking them, or of one
+    block.
+
+    ``into`` may name a form the caller has just built.  Each block of g11,
+    g12 and g22 is then added into its array, and ``into`` plus
+    d(g d^c mu) is returned: the same bits as
+    ``into += d_wedge_dc(g_field, K)``, without the whole form alive beside
+    ``into``.  A read-only ``into`` raises, as ``+=`` does.
     """
     grid = g_field.grid
     _check_grid(grid, K.mu.grid)
-    if into is not None:
+    shape = grid.p_shape
+    if into is None:
+        parts = (np.empty(shape), np.empty(shape, dtype=complex),
+                 np.empty(shape))
+    else:
         _check_grid(grid, into.grid)
-    done = {}
-
-    def finish(name, part):
-        if into is None:
-            done[name] = part
-        else:
-            mine = getattr(into, name)
-            mine += part
-
+        parts = into.g11, into.g12, into.g22
     gv = g_field.values
     neg_dzmu = K.omega.g12
-    dlmu = -0.5 * K.vsq.values
+    vsq = K.vsq.values
     ddc_mu = K.ddc_mu()
+    wm = grid.mixed_weight[..., None]
     dzg = np.asarray(grid.dz_stripped(gv), dtype=complex)  # real on radial
     dlg = grid.d_l(gv, 1)
-    # g11 = 2 Re(dzg conj(dzmu)) wm + g ddc_mu.g11, scratch in ``tmp``
-    tmp = np.conjugate(neg_dzmu)
-    np.multiply(dzg, tmp, out=tmp)
-    g11 = np.multiply(-2.0, tmp.real)
-    g11 *= grid.mixed_weight[..., None]
-    np.multiply(gv, ddc_mu.g11, out=tmp.real)
-    g11 += tmp.real
-    finish("g11", g11)
-    del g11
-    # g22 = 2 dlg dlmu + g ddc_mu.g22
-    g22 = np.multiply(2.0, dlg)
-    g22 *= dlmu
-    np.multiply(gv, ddc_mu.g22, out=tmp.real)
-    g22 += tmp.real
-    finish("g22", g22)
-    del g22
-    # g12 = dzg dlmu + dzmu dlg + g ddc_mu.g12 and
-    # b20 = -i (dzg dlmu - dlg dzmu), built in dzg's array
-    dzg *= dlmu
-    np.multiply(neg_dzmu, dlg, out=tmp)
-    del dlmu, dlg
-    g12 = dzg - tmp
-    dzg += tmp
-    np.multiply(gv, ddc_mu.g12, out=tmp)
-    g12 += tmp
-    del tmp
-    finish("g12", g12)
-    del g12
-    b20 = np.multiply(-1j, dzg, out=dzg)
+    for s in _row_blocks(shape):
+        g, z, nz = gv[s], dzg[s], neg_dzmu[s]
+        dlmu = np.multiply(-0.5, vsq[s])
+        # g11 = 2 Re(dzg conj(dzmu)) wm + g ddc_mu.g11
+        tmp = np.conjugate(nz)
+        np.multiply(z, tmp, out=tmp)
+        g11 = np.multiply(-2.0, tmp.real)
+        g11 *= wm[s]
+        g11 += g * ddc_mu.g11[s]
+        # g22 = 2 dlg dlmu + g ddc_mu.g22
+        g22 = np.multiply(2.0, dlg[s])
+        g22 *= dlmu
+        g22 += g * ddc_mu.g22[s]
+        # g12 = dzg dlmu + dzmu dlg + g ddc_mu.g12 and
+        # b20 = -i (dzg dlmu - dlg dzmu)
+        z *= dlmu
+        np.multiply(nz, dlg[s], out=tmp)
+        g12 = z - tmp
+        g12 += g * ddc_mu.g12[s]
+        z += tmp
+        np.multiply(-1j, z, out=z)
+        for part, block in zip(parts, (g11, g12, g22)):
+            if into is None:
+                part[s] = block
+            else:
+                part[s] += block
     if into is None:
-        return Form11P(grid, done["g11"], done["g12"], done["g22"], b20)
-    return into._with_b20(_b20_sum(into.b20, b20))
+        return Form11P(grid, *parts, dzg)
+    return into._with_b20(_b20_sum(into.b20, dzg))
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,8 @@ path directory whose header grid is not the grid of its ``meta.json`` or
 ``path_meta.json`` (a base dump's ``Nl=0`` matches any ``n_l``), and JSON
 that a loader reads which is not: a finite number ``c``; an object
 ``normalization`` and a list of finite positive ``dt_history`` (either may be
-absent); a non-empty list of finite ``admissible_taus``.  A bool is no number.
+absent); a non-empty list of finite ``ts`` or ``admissible_taus``.  A bool
+is no number.
 """
 
 from __future__ import annotations
@@ -367,9 +368,10 @@ def load_path(outdir) -> FlowPath:
     missing = [k for k in ("kind", "ts") if k not in meta]
     if missing:
         raise ValueError(f"{meta_path}: lacks {', '.join(missing)}")
-    if not (isinstance(meta["ts"], list)
+    if not (isinstance(meta["ts"], list) and meta["ts"]
             and all(map(_finite_number, meta["ts"]))):
-        raise ValueError(f"{meta_path}: ts is not a list of finite numbers")
+        raise ValueError(f"{meta_path}: ts is not a non-empty list of finite "
+                         "numbers")
     ts = np.array(meta["ts"], dtype=float)
     normalization = meta.get("normalization", {})
     if not isinstance(normalization, dict):

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .curvature import (cached_ricci_p, descending_scalar, descent_drift,
-                        laplacian_m, laplacian_p, log_v_terms, ricci_m, scal_m)
+                        laplacian_m, laplacian_p, log_v_terms, moment_laplacian,
+                        ricci_m, ricci_p, scal_m)
 from .fields import (Form11P, ScalarFieldP, ddc_m, d_wedge_dc, ddc_p,
                      integrate_m)
 from .interp import FiberInterp, QuinticSpline
@@ -166,27 +167,31 @@ def residual_kr(K: KahlerData, taus=None) -> ResidualReport:
             + d( ((D mu - JV log|V| + 1)/|V|^2) d^c mu ) = 0.
 
     Reduced equivalence: || (1/2) dd^c log s_tau + Ric(omega_tau) ||_inf.
+
+    No Ricci form is kept: the residual and then the dominant term
+    Ric(omega) + d(|V|^-2 d^c mu) are each built in a fresh one, into which
+    the other terms are added as they are finished.  Beyond the structure's
+    kept arrays, the peak holds that form, one scalar and the scratch of
+    ``d_wedge_dc`` or of ``ddc_p``.
     """
     taus = default_taus(K) if taus is None else taus
-    ric = cached_ricci_p(K)
-    # neither is kept: a cached dd^c log|V| adds 8-9 MB to lift-kr peak RSS
-    g, theta = log_v_terms(K)
+    grid = K.grid
+    moment_laplacian(K)  # kept; built before the first form is held
+    g, theta = log_v_terms(K, into=ricci_p(K))
     g.values += 1.0
     g.values /= K.vsq.values
-    theta += ric
     theta = d_wedge_dc(g, K, into=theta)
     del g
     linf, l2 = _form_norms(K, theta)
     del theta
-    grid = K.grid
+    dominant = _form_norms(K, d_wedge_dc(
+        ScalarFieldP(grid, 1.0 / K.vsq.values), K, into=ricci_p(K)))[0]
     norms = level_norms(grid, ((0.5 * ddc_m(red.l_tau)
                                 + ricci_m(red.omega_tau)).h
                                for red in reduced_potentials(K, taus)))
     rep = ResidualReport("kr_unnormalized", grid.meta(), linf, l2,
                          reduced_by_tau=sups_by_tau(taus, norms))
-    dominant = d_wedge_dc(ScalarFieldP(grid, 1.0 / K.vsq.values), K)
-    dominant += ric
-    rep.extra["dominant"] = _form_norms(K, dominant)[0]
+    rep.extra["dominant"] = dominant
     return rep
 
 

@@ -10,13 +10,15 @@ import numpy as np
 import pytest
 
 import kredux as kx
-from kredux import curvature, verify
+from kredux import curvature, statics, verify
 from kredux.curvature import (_reference_arrays, cached_ricci_p, ddc_log_v,
-                              descent_drift, moment_laplacian)
+                              descent_drift, log_v_terms, moment_laplacian)
 from kredux.fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
                            trace_against)
 from kredux.fixtures import battery_fixture, random_resolved_p
 from kredux.grids import TestbedGrid as Grid
+from kredux.reduction import level_norms, reduced_potentials, sups_by_tau
+from kredux.reports import ResidualReport
 from kredux.verify import battery_once
 
 from conftest import field_bytes, traced_peak
@@ -123,6 +125,74 @@ def ref_descending_ricci(K):
     g = ScalarFieldP(K.grid, drift / K.vsq.values)
     return ref_add(ref_add(ref_ricci_p(K), ref_ddc_p(log_v)),
                    ref_d_wedge_dc(g, K))
+
+
+def ref_d_wedge_dc_by_component(g_field, K, into=None):
+    """d_wedge_dc as it was built component by component, with the whole
+    fiber slope d_l mu = -0.5 |V|^2 taken at once."""
+    grid = g_field.grid
+    done = {}
+
+    def finish(name, part):
+        if into is None:
+            done[name] = part
+        else:
+            mine = getattr(into, name)
+            mine += part
+
+    gv = g_field.values
+    neg_dzmu = K.omega.g12
+    dlmu = -0.5 * K.vsq.values
+    ddc_mu = K.ddc_mu()
+    dzg = np.asarray(grid.dz_stripped(gv), dtype=complex)
+    dlg = grid.d_l(gv, 1)
+    tmp = np.conjugate(neg_dzmu)
+    np.multiply(dzg, tmp, out=tmp)
+    g11 = np.multiply(-2.0, tmp.real)
+    g11 *= grid.mixed_weight[..., None]
+    np.multiply(gv, ddc_mu.g11, out=tmp.real)
+    g11 += tmp.real
+    finish("g11", g11)
+    g22 = np.multiply(2.0, dlg)
+    g22 *= dlmu
+    np.multiply(gv, ddc_mu.g22, out=tmp.real)
+    g22 += tmp.real
+    finish("g22", g22)
+    dzg *= dlmu
+    np.multiply(neg_dzmu, dlg, out=tmp)
+    g12 = dzg - tmp
+    dzg += tmp
+    np.multiply(gv, ddc_mu.g12, out=tmp)
+    g12 += tmp
+    finish("g12", g12)
+    b20 = np.multiply(-1j, dzg, out=dzg)
+    if into is None:
+        return Form11P(grid, done["g11"], done["g12"], done["g22"], b20)
+    return Form11P(grid, into.g11, into.g12, into.g22,
+                   b20 if into.b20 is None else into.b20 + b20)
+
+
+def ref_residual_kr(K, taus):
+    """residual_kr as it was with the structure's Ricci form kept and the
+    dominant term built whole."""
+    ric = cached_ricci_p(K)
+    g, theta = log_v_terms(K)
+    g.values += 1.0
+    g.values /= K.vsq.values
+    theta += ric
+    theta = ref_d_wedge_dc_by_component(g, K, into=theta)
+    linf, l2 = statics._form_norms(K, theta)
+    grid = K.grid
+    norms = level_norms(grid, ((0.5 * kx.ddc_m(red.l_tau)
+                                + kx.ricci_m(red.omega_tau)).h
+                               for red in reduced_potentials(K, taus)))
+    rep = ResidualReport("kr_unnormalized", grid.meta(), linf, l2,
+                         reduced_by_tau=sups_by_tau(taus, norms))
+    dominant = ref_d_wedge_dc_by_component(
+        ScalarFieldP(grid, 1.0 / K.vsq.values), K)
+    dominant += ric
+    rep.extra["dominant"] = statics._form_norms(K, dominant)[0]
+    return rep
 
 
 # -- fixtures --------------------------------------------------------------------
@@ -297,6 +367,63 @@ def test_d_wedge_dc_into_matches_in_place_sum(K, fields, forms, target):
     assert_unchanged(before, K, h)
 
 
+@pytest.mark.parametrize("target", [None, "pure", "mixed"])
+def test_d_wedge_dc_matches_reference_by_component(K, fields, forms, target):
+    # blocks of rows, and d_l mu a block at a time, give the same bits as
+    # whole components and a whole d_l mu, into a form or into none
+    _, h = fields
+    before = _snapshot(K, h)
+    if target is None:
+        _same_bits(kx.d_wedge_dc(h, K), ref_d_wedge_dc_by_component(h, K))
+    else:
+        want = ref_d_wedge_dc_by_component(h, K, into=_copy(forms[target]))
+        _same_bits(kx.d_wedge_dc(h, K, into=_copy(forms[target])), want)
+    assert_unchanged(before, K, h)
+
+
+@pytest.mark.parametrize("target", ["pure", "mixed"])
+def test_ddc_p_into_matches_in_place_sum(K, fields, forms, target):
+    f, _ = fields
+    dl_f = K.grid.d_l(f.values, 1)
+    want = _copy(forms[target])
+    want += kx.ddc_p(f)
+    before = _snapshot(K, f, dl_f)
+    for slope in (None, dl_f):
+        into = _copy(forms[target])
+        got = kx.ddc_p(f, slope, into=into)
+        _same_bits(got, want)
+        assert got is into
+    assert_unchanged(before, K, f, dl_f)
+    cached = K.ddc_mu()
+    before = _snapshot(cached)
+    with pytest.raises(ValueError):
+        kx.ddc_p(f, into=cached)
+    assert_unchanged(before, cached)
+
+
+def _float_bits(rep):
+    """linf, l2, the reduced sweep and the dominant term, as exact bytes."""
+    floats = [rep.linf, rep.l2, rep.extra["dominant"],
+              *(x for pair in rep.reduced_by_tau for x in pair)]
+    return np.array(floats).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["torus_lift", "radial_fscyl"])
+def test_residual_kr_matches_reference(request, kind, rg):
+    # fresh structures: the reference keeps its Ricci form in the cache
+    if kind == "torus_lift":
+        _, _, lift, taus = request.getfixturevalue("kr_lift")
+        K = kx.assemble(lift.data.sigma, lift.data.phi, lift.data.c)
+    else:
+        K = kx.cylinder(rg)
+        taus = kx.default_taus(K)
+    got = kx.residual_kr(K, taus)
+    assert "ricci_p" not in K._cache  # no Ricci form is kept
+    want = ref_residual_kr(K, taus)
+    assert _float_bits(got) == _float_bits(want)
+    assert got.to_dict() == want.to_dict()
+
+
 def test_d_wedge_dc_into_refuses_a_read_only_form(K, fields):
     for cached in (K.ddc_mu(), cached_ricci_p(K)):
         before = _snapshot(cached)
@@ -362,9 +489,10 @@ def test_residual_kr_and_descent_write_no_input(kind):
 
 def test_residual_kr_peak_memory():
     # a fixed 16x16x65 lift of the kr flow.  Measured on numpy 2.4: the peak
-    # above entry, caches included, is 23.7 real fields (25.1 before
-    # d(g d^c mu) was added into theta component by component, 37.9 before
-    # the operators accumulated in place); the bound leaves about 15 %
+    # above entry, caches included, is 18.0 real fields (23.8 while the
+    # Ricci form was kept and d(g d^c mu) was built component by component,
+    # 37.9 before the operators accumulated in place); the bound leaves
+    # about 15 %
     grid = kx.torus_grid(n=16, n_l=33, margin=4)
     path = kx.kr_integrate(0.01 * kx.bump(grid), kx.reference_sigma(grid),
                            0.1, dt=5e-4)
@@ -373,26 +501,27 @@ def test_residual_kr_peak_memory():
     taus = kx.admissible_taus(shifted, lift)
     K = kx.assemble(lift.data.sigma, lift.data.phi, lift.data.c)
     _, peak = traced_peak(kx.residual_kr, K, taus)
-    assert peak < 27 * field_bytes(K.grid)
+    assert peak < 21 * field_bytes(K.grid)
 
 
 def test_descending_ricci_peak_memory(tg):
-    # the verify fixture at 32x32x129.  Measured on numpy 2.4: 28.1 real
-    # fields above entry, caches included (29.3 before d(g d^c mu) was added
-    # into rho component by component, 35.1 before that); about 10 % margin
+    # the verify fixture at 32x32x129.  Measured on numpy 2.4: 25.1 real
+    # fields above entry, caches included (28.1 while d(g d^c mu) was added
+    # into rho component by component, 29.3 before that, 35.1 before the
+    # operators accumulated in place); about 10 % margin
     K = kx.perturbed(tg, 0.02)
     _, peak = traced_peak(kx.descending_ricci, K)
-    assert peak < 31 * field_bytes(K.grid)
+    assert peak < 28 * field_bytes(K.grid)
 
 
 def test_battery_pass_peak_memory(tg, monkeypatch):
     # one verify battery pass at 32x32x129, after a first pass has filled
     # the grid's own caches, so that the measure does not depend on test
     # order.  Measured on numpy 2.4, in real fields above entry: the peak is
-    # 29.6 (34.7 while the descending forms stayed alive through the
-    # moment-Ricci identity), and 17.6 are live when that identity starts
-    # (24.6 with the descending forms, 7 fields, still held).  Each bound
-    # leaves about 12 %
+    # 27.6 (29.6 while d(g d^c mu) was built component by component, 34.7
+    # while the descending forms stayed alive through the moment-Ricci
+    # identity), and 17.6 are live when that identity starts (24.6 with the
+    # descending forms, 7 fields, still held).  Each bound leaves about 12 %
     fb = field_bytes(tg)
     battery_once(battery_fixture(tg))
     K = battery_fixture(tg)
@@ -409,5 +538,5 @@ def test_battery_pass_peak_memory(tg, monkeypatch):
 
     monkeypatch.setattr(verify, "check_moment_ricci_identity", spy)
     _, peak = traced_peak(battery_pass)
-    assert peak < 33 * fb
+    assert peak < 31 * fb
     assert live[1] - live[0] < 20 * fb
