@@ -345,10 +345,10 @@ def ddc_p(f: ScalarFieldP, dl_f=None, into: Form11P | None = None) -> Form11P:
     return Form11P(g, *done) if into is None else into
 
 
-def _row_blocks(shape, size=1 << 12):
+def _row_blocks(shape):
     """Slices along axis 0 that cut an array of ``shape`` into blocks of
-    whole rows, each of about ``size`` elements or one row."""
-    rows = max(1, size // math.prod(shape[1:]))
+    whole rows, each of about 4096 elements or one row."""
+    rows = max(1, 4096 // math.prod(shape[1:]))
     return [slice(i, i + rows) for i in range(0, shape[0], rows)]
 
 
