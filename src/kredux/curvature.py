@@ -62,8 +62,7 @@ def laplacian_m(f: ScalarFieldM, omega: Form11M) -> ScalarFieldM:
 
 def _trace_laplacian(K: KahlerData, ddc_f: Form11P) -> ScalarFieldP:
     """(1/2) tr(G^{-1} dd^c f), from a given dd^c f."""
-    return ScalarFieldP(K.grid, 0.5 * trace_against(K.omega, ddc_f,
-                                                    K.omega_det()))
+    return ScalarFieldP(K.grid, 0.5 * trace_against(K, ddc_f))
 
 
 def laplacian_p(f: ScalarFieldP, K: KahlerData, dl_f=None) -> ScalarFieldP:
@@ -94,8 +93,7 @@ def cached_ricci_p(K: KahlerData) -> Form11P:
 
 def scal_p(K: KahlerData) -> ScalarFieldP:
     """Scalar curvature of the total-space metric."""
-    return ScalarFieldP(K.grid, trace_against(K.omega, cached_ricci_p(K),
-                                              K.omega_det()))
+    return ScalarFieldP(K.grid, trace_against(K, cached_ricci_p(K)))
 
 
 def moment_laplacian(K: KahlerData) -> ScalarFieldP:

@@ -26,15 +26,15 @@ An array or numpy scalar on the left defers to the field, so ``array + field``
 and ``array * field`` are fields, and ``array - field`` and ``array / field``
 raise ``TypeError``.
 
-Ownership: an operator writes only into arrays it allocated itself.  It
-allocates each output component once and accumulates into it in place, with
-the same operands in the same order as the plain expression, so the numbers
-do not depend on how the work is staged.  It never writes into its arguments
-but one: a form the caller has just built, handed to ``ddc_p`` or
-``d_wedge_dc`` as ``into``, which takes each component, or block of rows,
-as it is finished.  Arrays a structure keeps (``KahlerData.cached``) are
-read-only.  In-place sums ``theta += other`` are likewise for forms the
-caller has just built.
+Ownership: total-space 2-forms are combined one way.  A form is built
+fresh (``ddc_p``, ``ricci_p``, ``theta + other``), and each further term is
+added into it in place, by ``theta += other``, ``ddc_p(..., into=)`` or
+``d_wedge_dc``, which only adds into a form the caller built.  No form is
+subtracted: a term is added negated, the same bits, as IEEE x - y is
+x + (-y).  Each output component is allocated once and accumulated in
+place, in the order of the plain expression, so the numbers do not depend
+on the staging.  No operator writes into an argument but ``into``; arrays a
+structure keeps (``KahlerData.cached``) are read-only.
 
 Shared slopes: ``jv_apply`` and ``ddc_p`` (and the checks built on them)
 accept the fiber slope ``d_l f`` of their field as ``dl_f``, so that callers
@@ -184,11 +184,6 @@ class Form11P:
         return Form11P(self.grid, self.g11 + other.g11, self.g12 + other.g12,
                        self.g22 + other.g22, _b20_sum(self.b20, other.b20))
 
-    def __sub__(self, other):
-        _check_grid(self.grid, other.grid)
-        return Form11P(self.grid, self.g11 - other.g11, self.g12 - other.g12,
-                       self.g22 - other.g22, _b20_diff(self.b20, other.b20))
-
     def __iadd__(self, other):
         """Add ``other`` into this form's g11, g12 and g22, which must be
         arrays the caller allocated, never cached ones.  A b20 is never
@@ -197,13 +192,6 @@ class Form11P:
         for mine, theirs in zip(self._pure(), other._pure()):
             mine += theirs
         return self._with_b20(_b20_sum(self.b20, other.b20))
-
-    def __isub__(self, other):
-        """Subtract ``other`` in place, as ``__iadd__`` adds it."""
-        _check_grid(self.grid, other.grid)
-        for mine, theirs in zip(self._pure(), other._pure()):
-            mine -= theirs
-        return self._with_b20(_b20_diff(self.b20, other.b20))
 
     def _pure(self):
         return self.g11, self.g12, self.g22
@@ -278,15 +266,6 @@ def _b20_sum(a, b):
     return a + b
 
 
-def _b20_diff(a, b):
-    """(2,0) part of a difference; a side without one adds nothing."""
-    if b is None:
-        return a
-    if a is None:
-        return -b
-    return a - b
-
-
 # ---------------------------------------------------------------------------
 # derivative operators
 # ---------------------------------------------------------------------------
@@ -323,7 +302,7 @@ def ddc_p(f: ScalarFieldP, dl_f=None, into: Form11P | None = None) -> Form11P:
 
     ``into`` may name a form the caller has just built: each of g11, g12
     and g22 is then added into its array as soon as it is finished, and
-    ``into`` plus dd^c f is returned, as :func:`d_wedge_dc` does.
+    ``into`` plus dd^c f is returned, as by :func:`d_wedge_dc`.
     """
     g = f.grid
     if into is not None:
@@ -352,9 +331,11 @@ def _row_blocks(shape):
     return [slice(i, i + rows) for i in range(0, shape[0], rows)]
 
 
-def d_wedge_dc(g_field: ScalarFieldP, K, into: Form11P | None = None) -> Form11P:
-    """The 2-form d(g d^c mu) = dg /\\ d^c mu + g dd^c mu for an invariant g
-    and the moment map mu of the structure K, whose dd^c mu is kept.
+def d_wedge_dc(g_field: ScalarFieldP, K, into: Form11P) -> Form11P:
+    """``into`` plus the 2-form d(g d^c mu) = dg /\\ d^c mu + g dd^c mu,
+    added in place into ``into``, a form the caller has just built, for an
+    invariant g and the moment map mu of the structure K, whose dd^c mu is
+    kept.  A read-only ``into`` raises, as ``+=`` does.
 
     The gradient of mu is read off the structure: omega's mixed component is
     -dz mu and |V|^2 = -2 d_l mu, exactly as ``assemble`` builds them.
@@ -363,27 +344,15 @@ def d_wedge_dc(g_field: ScalarFieldP, K, into: Form11P | None = None) -> Form11P
     fail to be proportional.
 
     Past the two slopes of g, every component is pointwise, so it is built
-    in blocks of whole rows (``_row_blocks``), d_l mu = -|V|^2/2 included,
-    each block's scratch freed before the next; the (2,0) part is built in
-    the array of dz g.  Beyond the result, the peak holds the slopes (three
-    real fields) and the scratch of the operator taking them, or of one
-    block.
-
-    ``into`` may name a form the caller has just built.  Each block of g11,
-    g12 and g22 is then added into its array, and ``into`` plus
-    d(g d^c mu) is returned: the same bits as
-    ``into += d_wedge_dc(g_field, K)``, without the whole form alive beside
-    ``into``.  A read-only ``into`` raises, as ``+=`` does.
+    and added into ``into`` in blocks of whole rows (``_row_blocks``),
+    d_l mu = -|V|^2/2 included, each block's scratch freed before the next;
+    the (2,0) part is built in the array of dz g.  Beyond ``into``, the peak
+    holds the slopes (three real fields) and the scratch of the operator
+    taking them, or of one block.
     """
     grid = g_field.grid
     _check_grid(grid, K.mu.grid)
-    shape = grid.p_shape
-    if into is None:
-        parts = (np.empty(shape), np.empty(shape, dtype=complex),
-                 np.empty(shape))
-    else:
-        _check_grid(grid, into.grid)
-        parts = into.g11, into.g12, into.g22
+    _check_grid(grid, into.grid)
     gv = g_field.values
     neg_dzmu = K.omega.g12
     vsq = K.vsq.values
@@ -391,7 +360,7 @@ def d_wedge_dc(g_field: ScalarFieldP, K, into: Form11P | None = None) -> Form11P
     wm = grid.mixed_weight[..., None]
     dzg = np.asarray(grid.dz_stripped(gv), dtype=complex)  # real on radial
     dlg = grid.d_l(gv, 1)
-    for s in _row_blocks(shape):
+    for s in _row_blocks(grid.p_shape):
         g, z, nz = gv[s], dzg[s], neg_dzmu[s]
         dlmu = np.multiply(-0.5, vsq[s])
         # g11 = 2 Re(dzg conj(dzmu)) wm + g ddc_mu.g11
@@ -400,25 +369,21 @@ def d_wedge_dc(g_field: ScalarFieldP, K, into: Form11P | None = None) -> Form11P
         g11 = np.multiply(-2.0, tmp.real)
         g11 *= wm[s]
         g11 += g * ddc_mu.g11[s]
+        into.g11[s] += g11
         # g22 = 2 dlg dlmu + g ddc_mu.g22
         g22 = np.multiply(2.0, dlg[s])
         g22 *= dlmu
         g22 += g * ddc_mu.g22[s]
+        into.g22[s] += g22
         # g12 = dzg dlmu + dzmu dlg + g ddc_mu.g12 and
         # b20 = -i (dzg dlmu - dlg dzmu)
         z *= dlmu
         np.multiply(nz, dlg[s], out=tmp)
         g12 = z - tmp
         g12 += g * ddc_mu.g12[s]
+        into.g12[s] += g12
         z += tmp
         np.multiply(-1j, z, out=z)
-        for part, block in zip(parts, (g11, g12, g22)):
-            if into is None:
-                part[s] = block
-            else:
-                part[s] += block
-    if into is None:
-        return Form11P(grid, *parts, dzg)
     return into._with_b20(_b20_sum(into.b20, dzg))
 
 
@@ -440,14 +405,11 @@ def wedge_square(theta: Form11P) -> np.ndarray:
     return t
 
 
-def trace_against(omega: Form11P, theta: Form11P, det=None) -> np.ndarray:
-    """Metric trace of theta's (1,1)-part against the Hermitian form omega.
-
-    ``det`` may supply ``omega.det()`` when the caller already holds it.
-    """
+def trace_against(K, theta: Form11P) -> np.ndarray:
+    """Metric trace of theta's (1,1)-part against the Kahler form of the
+    structure K, through its kept determinant."""
+    omega, det = K.omega, K.omega_det()
     _check_grid(omega.grid, theta.grid)
-    if det is None:
-        det = omega.det()
     num = omega.g22 * theta.g11
     num += omega.g11 * theta.g22
     # the mixed pairing 2 Re(conj(omega.g12) theta.g12) wm

@@ -258,11 +258,13 @@ def ma_reduced(K: KahlerData, f: ScalarFieldP, taus) -> ResidualReport:
     grid = K.grid
     taus = _levels(taus)
     dl_f = grid.d_l(f.values, 1)
-    g = jv_apply(f, dl_f) / K.vsq
+    # xi = dd^c f + omega + d(-g d^c mu), g = JV(f)/|V|^2 = -2 d_l f/|V|^2
+    minus_g = ScalarFieldP(grid, np.multiply(dl_f, 2.0)) / K.vsq
     xi = ddc_p(f, dl_f)
     del dl_f
     xi += K.omega
-    xi -= d_wedge_dc(g, K)
+    xi = d_wedge_dc(minus_g, K, into=xi)
+    del minus_g
     ratio = wedge_square(xi)
     del xi
     # omega /\ omega: K.omega has no (2,0) part

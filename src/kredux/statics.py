@@ -47,17 +47,22 @@ def _lambda(K: KahlerData) -> float:
 
 def h_canonical(K: KahlerData, taus=None):
     """The unique level profile compatible with the scalar-curvature flow
-    equation on reductions, as a quintic spline through its values at ``taus``
-    (extrapolated by its end pieces beyond them):
+    equation on reductions,
 
-        h(tau) = lambda - (integral of log s_tau dV_tau) / vol.
+        h(tau) = lambda - (integral of log s_tau dV_tau) / vol,
+
+    as the quintic spline through its values at the sorted, distinct ``taus``
+    (extrapolated by its end pieces beyond them); on one level, the constant.
     """
     taus = default_taus(K) if taus is None else np.asarray(taus, dtype=float)
+    taus = np.array(sorted(set(taus.tolist())))  # np.unique imports numpy.ma
     lam = _lambda(K)
     vals = []
     for red in reduced_potentials(K, taus):
         vol = integrate_m(np.ones(K.grid.spatial_shape), red.omega_tau)
         vals.append(lam - integrate_m(red.l_tau, red.omega_tau) / vol)
+    if len(vals) == 1:
+        return constant_profile(vals[0])
     return QuinticSpline(taus, vals)
 
 
@@ -206,7 +211,7 @@ def residual_v_soliton(K: KahlerData, f_profile) -> ResidualReport:
     theta = ddc_p(combo)
     del combo
     theta += ric
-    theta -= lam * K.omega
+    theta += (-lam) * K.omega
     linf, l2 = _form_norms(K, theta)
     del theta
     rep = ResidualReport("v_soliton", K.grid.meta(), linf, l2)

@@ -274,6 +274,21 @@ def test_flow_lift_residual_pipeline(tmp_path):
     assert reduced < 1e-4
 
 
+def test_one_level_lift_gives_every_residual(tmp_path):
+    # a short flow whose lift admits a single level: h_canonical is then the
+    # constant at that level, and every equation runs on the lift
+    flow_dir, lift_dir = str(tmp_path / "flow"), str(tmp_path / "lift")
+    assert run(["flow"] + small_args(tmp_path, n=16, n_l=33, margin=4,
+                                     flow_kind="kr", flow_t_end=0.01,
+                                     flow_amplitude=0.01, out=flow_dir)) == 0
+    assert run(["lift", "--in", flow_dir, "--out", lift_dir, "n_l=65"]) == 0
+    with open(os.path.join(lift_dir, "lift_meta.json")) as fh:
+        assert len(json.load(fh)["admissible_taus"]) == 1
+    for eq in ("calabi", "kr", "geodesic", "pseudo_calabi"):
+        assert run(["residual", "--eq", eq, "--in", lift_dir,
+                    "--out", str(tmp_path / f"res_{eq}")]) == 0, eq
+
+
 def test_residual_fixture_commands(tmp_path):
     code = run(["residual", "--eq", "v_soliton"]
                + small_args(tmp_path, testbed="radial", n=257, n_l=33,

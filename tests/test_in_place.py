@@ -19,7 +19,8 @@ from kredux.fixtures import battery_fixture, random_resolved_p
 from kredux.grids import TestbedGrid as Grid
 from kredux.reduction import level_norms, reduced_potentials, sups_by_tau
 from kredux.reports import ResidualReport
-from kredux.verify import battery_once
+from kredux.verify import (BATTERY_LEVELS, battery_bases, battery_once,
+                           profiled_field)
 
 from conftest import field_bytes, traced_peak
 
@@ -213,12 +214,18 @@ def fields(K):
     return [random_resolved_p(K.grid, rng, amplitude=0.3) for _ in range(2)]
 
 
+def _zero_form(grid):
+    return Form11P(grid, np.zeros(grid.p_shape),
+                   np.zeros(grid.p_shape, dtype=complex), np.zeros(grid.p_shape))
+
+
 @pytest.fixture(scope="module")
 def forms(K, fields):
     """Two forms without a (2,0) part and two with one."""
     f, h = fields
     return {"pure": kx.ddc_p(f), "pure2": kx.ddc_p(h),
-            "mixed": kx.d_wedge_dc(f, K), "mixed2": kx.d_wedge_dc(h, K)}
+            "mixed": kx.d_wedge_dc(f, K, into=_zero_form(K.grid)),
+            "mixed2": kx.d_wedge_dc(h, K, into=_zero_form(K.grid))}
 
 
 def assert_forms_equal(got, want):
@@ -275,15 +282,16 @@ PAIRS = [("pure", "pure2"), ("pure", "mixed"), ("mixed", "pure"),
 
 @pytest.mark.parametrize("left,right", PAIRS)
 def test_sum_and_difference_match_reference(forms, left, right):
+    # no form is subtracted: a difference is the sum with the negated form,
+    # the same bits since IEEE x - y is x + (-y)
     a, b = forms[left], forms[right]
     before = _snapshot(a, b)
     assert_forms_equal(a + b, ref_add(a, b))
-    assert_forms_equal(a - b, ref_sub(a, b))
     acc = _copy(a)
     acc += b
     assert_forms_equal(acc, ref_add(a, b))
     acc = _copy(a)
-    acc -= b
+    acc += (-1.0) * b
     assert_forms_equal(acc, ref_sub(a, b))
     assert_unchanged(before, a, b)
 
@@ -304,8 +312,7 @@ def test_pointwise_algebra_matches_reference(K, forms, name):
     assert np.array_equal(form.max_magnitude(), ref_max_magnitude(form))
     assert np.array_equal(kx.wedge_square(form), ref_wedge_square(form))
     want = ref_trace_against(K.omega, form)
-    assert np.array_equal(trace_against(K.omega, form), want)
-    assert np.array_equal(trace_against(K.omega, form, K.omega_det()), want)
+    assert np.array_equal(trace_against(K, form), want)
     assert_unchanged(before, form)
 
 
@@ -313,7 +320,8 @@ def test_derivative_forms_match_reference(K, fields):
     f, h = fields
     before = _snapshot(K, f, h)
     assert_forms_equal(kx.ddc_p(f), ref_ddc_p(f))
-    assert_forms_equal(kx.d_wedge_dc(h, K), ref_d_wedge_dc(h, K))
+    assert_forms_equal(kx.d_wedge_dc(h, K, into=_zero_form(K.grid)),
+                       ref_d_wedge_dc(h, K))
     assert_forms_equal(kx.ricci_p(K), ref_ricci_p(K))
     assert_unchanged(before, K, f, h)
 
@@ -357,7 +365,7 @@ def test_descending_ricci_matches_reference():
 def test_d_wedge_dc_into_matches_in_place_sum(K, fields, forms, target):
     _, h = fields
     want = _copy(forms[target])
-    want += kx.d_wedge_dc(h, K)
+    want += ref_d_wedge_dc_by_component(h, K)
     into = _copy(forms[target])
     before = _snapshot(K, h)
     got = kx.d_wedge_dc(h, K, into=into)
@@ -367,17 +375,14 @@ def test_d_wedge_dc_into_matches_in_place_sum(K, fields, forms, target):
     assert_unchanged(before, K, h)
 
 
-@pytest.mark.parametrize("target", [None, "pure", "mixed"])
+@pytest.mark.parametrize("target", ["pure", "mixed"])
 def test_d_wedge_dc_matches_reference_by_component(K, fields, forms, target):
     # blocks of rows, and d_l mu a block at a time, give the same bits as
-    # whole components and a whole d_l mu, into a form or into none
+    # whole components and a whole d_l mu
     _, h = fields
     before = _snapshot(K, h)
-    if target is None:
-        _same_bits(kx.d_wedge_dc(h, K), ref_d_wedge_dc_by_component(h, K))
-    else:
-        want = ref_d_wedge_dc_by_component(h, K, into=_copy(forms[target]))
-        _same_bits(kx.d_wedge_dc(h, K, into=_copy(forms[target])), want)
+    want = ref_d_wedge_dc_by_component(h, K, into=_copy(forms[target]))
+    _same_bits(kx.d_wedge_dc(h, K, into=_copy(forms[target])), want)
     assert_unchanged(before, K, h)
 
 
@@ -512,6 +517,19 @@ def test_descending_ricci_peak_memory(tg):
     K = kx.perturbed(tg, 0.02)
     _, peak = traced_peak(kx.descending_ricci, K)
     assert peak < 28 * field_bytes(K.grid)
+
+
+def test_ma_reduced_peak_memory(tg):
+    # the battery's ma_reduced at 32x32x129, after a first call has filled
+    # the structure's caches.  Measured on numpy 2.4: 9.03 real fields above
+    # entry (13.25 while the whole d(g d^c mu) form was built beside xi and
+    # then subtracted); about 14 % margin
+    K = battery_fixture(tg)
+    f = 0.3 * profiled_field(tg, battery_bases(tg, 0), amplitude=0.3)
+    taus = kx.default_taus(K, count=BATTERY_LEVELS, shrink=0.3)
+    kx.ma_reduced(K, f, taus)
+    _, peak = traced_peak(kx.ma_reduced, K, f, taus)
+    assert peak < 10.3 * field_bytes(tg)
 
 
 def test_battery_pass_peak_memory(tg, monkeypatch):

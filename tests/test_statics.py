@@ -46,6 +46,19 @@ def test_h_canonical_gauge_invariance(tg, cyl):
     assert np.max(np.abs(h1(taus) - h2(taus))) < 1e-9
 
 
+def test_h_canonical_takes_sorted_distinct_levels(cyl):
+    # the spline is built on the sorted, distinct levels; a single level
+    # gives the constant at its value
+    taus = np.linspace(-0.4, 0.4, 5)
+    h = kx.h_canonical(cyl, taus)
+    assert np.array_equal(kx.h_canonical(cyl, taus[::-1])(taus), h(taus))
+    assert np.array_equal(kx.h_canonical(cyl, np.repeat(taus, 2))(taus),
+                          h(taus))
+    one = kx.h_canonical(cyl, taus[3:4])
+    assert np.all(one(taus) == one(taus[3]))
+    assert abs(one(taus[3]) - h(taus[3])) < 1e-12
+
+
 # -- static residuals on the closed-form fixtures ------------------------------
 
 

@@ -231,7 +231,7 @@ def test_ddc_mu_computed_once_per_structure(small, monkeypatch):
     kx.check_moment_ricci_identity(small)
     kx.ma_reduced(small, g, 0.1)
     kx.residual_kr(small, taus=[0.1])
-    kx.d_wedge_dc(g, small)
+    kx.d_wedge_dc(g, small, into=kx.ddc_p(g))
     assert calls == [small.mu]
     assert np.array_equal(small.ddc_mu().g12, kx.ddc_p(small.mu).g12)
 
