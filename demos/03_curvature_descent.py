@@ -12,8 +12,8 @@ from kredux.curvature import ricci_m, scal_m
 grid = kx.torus_grid(n=16, n_l=129)
 K = kx.perturbed(grid, 0.02)
 
-rho = kx.descending_ricci(K)
-big_r = kx.descending_scalar(K)
+# the three from one Ricci form: rho, R and the contraction identity's report
+rho, big_r, rep = kx.descending_forms(K, identity=True)
 
 print("descent of curvature quantities (perturbed cylinder):")
 for tau in (-0.4, 0.0, 0.4):
@@ -26,7 +26,6 @@ for tau in (-0.4, 0.0, 0.4):
     print(f"  tau = {tau:+.1f}: Ricci gap {ric_gap:.2e}, "
           f"scalar gap {scal_gap:.2e}, angular leftover {angular:.2e}")
 
-rep = kx.check_moment_ricci_identity(K)
 print(f"\ncontraction identity i_V Ric + d(Laplacian of mu) = 0: {rep.linf:.2e}")
 
 print("\nscalar integral is a class invariant (independent of the level):")

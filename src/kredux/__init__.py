@@ -2,9 +2,9 @@
 product total space, their reductions, and the geometric flows the family of
 reduced metrics traces out."""
 
-from .curvature import (check_moment_ricci_identity, descending_ricci,
-                        descending_scalar, laplacian_m, laplacian_p, ricci_m,
-                        ricci_p, scal_m, scal_p)
+from .curvature import (check_moment_ricci_identity, descending_forms,
+                        descending_ricci, descending_scalar, laplacian_m,
+                        laplacian_p, ricci_m, ricci_p, scal_m, scal_p)
 from .errors import (ClassNotFixed, Degenerate, HypothesisViolated,
                      KreduxError, NonConcave, NotConverged, NotPositive,
                      OutOfRange, OutOfWindow, PositivityLost,

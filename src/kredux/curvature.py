@@ -86,14 +86,9 @@ def ricci_p(K: KahlerData) -> Form11P:
     return ric
 
 
-def cached_ricci_p(K: KahlerData) -> Form11P:
-    """:func:`ricci_p`, computed once per structure."""
-    return K.cached("ricci_p", lambda: ricci_p(K))
-
-
 def scal_p(K: KahlerData) -> ScalarFieldP:
-    """Scalar curvature of the total-space metric."""
-    return ScalarFieldP(K.grid, trace_against(K, cached_ricci_p(K)))
+    """Scalar curvature of the total-space metric, from a fresh Ricci form."""
+    return ScalarFieldP(K.grid, trace_against(K, ricci_p(K)))
 
 
 def moment_laplacian(K: KahlerData) -> ScalarFieldP:
@@ -101,73 +96,57 @@ def moment_laplacian(K: KahlerData) -> ScalarFieldP:
     return K.cached("laplacian_mu", lambda: _trace_laplacian(K, K.ddc_mu()))
 
 
+def log_v(K: KahlerData) -> ScalarFieldP:
+    """log |V| = log(|V|^2)/2, built fresh: no structure keeps it."""
+    return ScalarFieldP(K.grid, 0.5 * np.log(K.vsq.values))
+
+
+def _drift(K: KahlerData, log_v_field, dl_log_v) -> ScalarFieldP:
+    """D mu - JV log|V|, from the fiber slope of log|V|."""
+    return moment_laplacian(K) - jv_apply(log_v_field, dl_log_v)
+
+
+def _log_v_slope(K: KahlerData, log_v_field) -> np.ndarray:
+    """d_l log|V|, the one fiber slope of log|V|, kept with ``K``."""
+    return K.cached("dl_log_v", lambda: K.grid.d_l(log_v_field.values, 1))
+
+
 def log_v_terms(K: KahlerData, into: Form11P | None = None):
     """The drift D mu - JV log|V| and dd^c log|V|, in that order, both from
-    one fiber slope of log|V|; neither is kept.  Given ``into``, the second
-    is ``into`` plus dd^c log|V|, added in place as by
-    :func:`~kredux.fields.ddc_p`."""
+    one fiber slope of log|V| taken here; neither is kept, nor is the slope.
+    Given ``into``, the second is ``into`` plus dd^c log|V|, added in place
+    as by :func:`~kredux.fields.ddc_p`."""
     moment_laplacian(K)  # kept; built before the slope is held
-    log_v = K.log_v()
-    dl_log_v = K.grid.d_l(log_v.values, 1)
-    ddc_log_v = ddc_p(log_v, dl_log_v, into)
-    return [moment_laplacian(K) - jv_apply(log_v, dl_log_v), ddc_log_v]
-
-
-def _log_v_terms(K: KahlerData):
-    """:func:`log_v_terms`, kept with ``K``: both are stored together, when
-    either is first asked for."""
-    return K.cache_new(("drift", "ddc_log_v"), lambda new: log_v_terms(K))
+    lv = log_v(K)
+    dl_log_v = K.grid.d_l(lv.values, 1)
+    ddc_log_v = ddc_p(lv, dl_log_v, into)
+    return [_drift(K, lv, dl_log_v), ddc_log_v]
 
 
 def descent_drift(K: KahlerData) -> ScalarFieldP:
     """The drift D mu - JV log|V| of the descending forms, computed once per
-    structure, with :func:`ddc_log_v`."""
-    return _log_v_terms(K)[0]
+    structure, from the kept fiber slope of log|V|."""
+    def build():
+        moment_laplacian(K)  # kept; built before log|V| is held
+        lv = log_v(K)
+        return _drift(K, lv, _log_v_slope(K, lv))
+    return K.cached("drift", build)
 
 
-def ddc_log_v(K: KahlerData) -> Form11P:
-    """dd^c log|V|, computed once per structure, with :func:`descent_drift`."""
-    return _log_v_terms(K)[1]
-
-
-def descending_ricci(K: KahlerData) -> Form11P:
-    """The 2-form upstairs whose reduction is the Ricci form of every
-    reduced metric:
-
-        Ric(omega) + dd^c log|V| + d( ((D mu - JV log|V|) / |V|^2) d^c mu ).
-
-    Its peak holds the structure's kept forms, the new sum of the first two
-    terms and the scratch of ``d_wedge_dc``, which adds the third term into
-    the sum a block of rows at a time.
-    """
-    g = descent_drift(K) / K.vsq
-    return d_wedge_dc(g, K, into=cached_ricci_p(K) + ddc_log_v(K))
-
-
-def descending_scalar(K: KahlerData) -> ScalarFieldP:
-    """The scalar upstairs that reduces to scal of every reduced metric:
-
-        scal(g) + 2 D log|V| + (2/|V|^2) (D mu - JV log|V|)^2
-                + JV(D mu - JV log|V|) / |V|^2.
-    """
-    drift = descent_drift(K)
-    return (scal_p(K)
-            + 2.0 * _trace_laplacian(K, ddc_log_v(K))
-            + 2.0 * drift * drift / K.vsq
-            + jv_apply(drift) / K.vsq)
-
-
-def check_moment_ricci_identity(K: KahlerData) -> ResidualReport:
-    """Residual of  i_V Ric(omega) + d(D mu) = 0  in frame components.
+def check_moment_ricci_identity(K: KahlerData,
+                                ric: Form11P | None = None) -> ResidualReport:
+    """Residual of  i_V Ric(omega) + d(D mu) = 0  in frame components, read
+    off ``ric``, a Ricci form of ``K``, which is built fresh when not given.
 
     i_V Ric is read off Ric's own components, z = -g12 (- i b20) and
     l = -g22, and x + (-y) is taken as x - y, which rounds the same.
-    Beyond the kept Ric and D mu, its peak holds the two residual components
-    and the magnitudes, formed in place.
+    Beyond the Ricci form and the kept D mu, its peak holds the two
+    residual components and the magnitudes, formed in place.
     """
     grid = K.grid
-    ric = cached_ricci_p(K)
-    dmu = moment_laplacian(K)
+    dmu = moment_laplacian(K)  # kept; built before the form is held
+    if ric is None:
+        ric = ricci_p(K)
     res_z = np.negative(ric.g12)
     if ric.b20 is not None:
         res_z -= 1j * ric.b20
@@ -180,3 +159,76 @@ def check_moment_ricci_identity(K: KahlerData) -> ResidualReport:
     np.maximum(mags, np.abs(res_l, out=res_l), out=mags)
     linf, l2 = grid.interior_norms(mags)
     return ResidualReport("moment_ricci", grid.meta(), linf, l2)
+
+
+def descending_forms(K: KahlerData, form=True, scalar=True, identity=False):
+    """The descending Ricci form rho, the descending scalar R and the report
+    of :func:`check_moment_ricci_identity`, each when asked for (else None),
+    all from one fresh Ricci form; the one builder of rho and R.
+
+        rho = Ric(omega) + dd^c log|V| + d( (drift / |V|^2) d^c mu ),
+        R   = scal(g) + 2 D log|V| + (2/|V|^2) drift^2 + JV(drift) / |V|^2,
+
+    with drift = D mu - JV log|V| (:func:`descent_drift`).  Only the drift
+    and the fiber slope of log|V| it is built from are kept with ``K``; in
+    order, the Ricci form is built, the identity read off it, its trace
+    taken; dd^c log|V| is built from the kept slope and traced, then added
+    into the Ricci form; R is formed in place, and d(g d^c mu) is added into
+    the form by ``d_wedge_dc``.  Each step takes the operations, in their
+    order, of the expressions above, so the bits do not depend on what is
+    asked for.  The peak holds ``K``'s kept geometry, the form, R, and the
+    scratch of one step.
+    """
+    rho = big_r = report = None
+    grid, vsq = K.grid, K.vsq.values
+    drift = descent_drift(K)  # kept; built before any form is held
+    ric = ricci_p(K)
+    if identity:
+        report = check_moment_ricci_identity(K, ric)
+    if scalar:
+        r = trace_against(K, ric)
+    lv = log_v(K)
+    ddc_log_v = ddc_p(lv, _log_v_slope(K, lv))
+    del lv
+    if scalar:
+        part = _trace_laplacian(K, ddc_log_v).values
+        part *= 2.0
+        r += part
+    if form:
+        ric += ddc_log_v
+    del ddc_log_v
+    if scalar:
+        part = np.multiply(2.0, drift.values)
+        part *= drift.values
+        part /= vsq
+        r += part
+        part = jv_apply(drift).values
+        part /= vsq
+        r += part
+        del part
+        big_r = ScalarFieldP(grid, r)
+    if form:
+        rho = d_wedge_dc(drift / K.vsq, K, into=ric)
+    return rho, big_r, report
+
+
+def descending_ricci(K: KahlerData) -> Form11P:
+    """The 2-form upstairs whose reduction is the Ricci form of every
+    reduced metric:
+
+        Ric(omega) + dd^c log|V| + d( ((D mu - JV log|V|) / |V|^2) d^c mu ),
+
+    built by :func:`descending_forms` in a fresh Ricci form.
+    """
+    return descending_forms(K, scalar=False)[0]
+
+
+def descending_scalar(K: KahlerData) -> ScalarFieldP:
+    """The scalar upstairs that reduces to scal of every reduced metric:
+
+        scal(g) + 2 D log|V| + (2/|V|^2) (D mu - JV log|V|)^2
+                + JV(D mu - JV log|V|) / |V|^2,
+
+    built by :func:`descending_forms`.
+    """
+    return descending_forms(K, form=False)[1]

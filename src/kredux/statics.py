@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .curvature import (cached_ricci_p, descending_scalar, descent_drift,
-                        laplacian_m, laplacian_p, log_v_terms, moment_laplacian,
+from .curvature import (descending_scalar, descent_drift, laplacian_m,
+                        laplacian_p, log_v, log_v_terms, moment_laplacian,
                         ricci_m, ricci_p, scal_m)
 from .fields import (Form11P, ScalarFieldP, ddc_m, d_wedge_dc, ddc_p,
                      integrate_m)
@@ -206,18 +206,17 @@ def residual_v_soliton(K: KahlerData, f_profile) -> ResidualReport:
         Ric(omega) + dd^c( log|V| + f(mu) ) = lambda omega.
     """
     lam = _lambda(K)
-    combo = K.log_v() + ScalarFieldP(K.grid, f_profile(K.mu.values))
-    ric = cached_ricci_p(K)
-    theta = ddc_p(combo)
-    del combo
-    theta += ric
+    ric = ricci_p(K)
+    ric_norm = _form_norms(K, ric)[0]
+    combo = log_v(K) + ScalarFieldP(K.grid, f_profile(K.mu.values))
+    theta = ddc_p(combo, into=ric)
+    del combo, ric
     theta += (-lam) * K.omega
     linf, l2 = _form_norms(K, theta)
     del theta
     rep = ResidualReport("v_soliton", K.grid.meta(), linf, l2)
     rep.extra["lambda"] = lam
-    rep.extra["dominant"] = max(_form_norms(K, lam * K.omega)[0],
-                                _form_norms(K, ric)[0])
+    rep.extra["dominant"] = max(_form_norms(K, lam * K.omega)[0], ric_norm)
     return rep
 
 

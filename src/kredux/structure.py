@@ -91,11 +91,6 @@ class KahlerData:
         return self.cached("mu_interp",
                            lambda: FiberInterp(self.grid.l, self.mu.values))
 
-    def log_v(self) -> ScalarFieldP:
-        """log |V| = log(vsq)/2."""
-        return self.cached("log_v", lambda: ScalarFieldP(
-            self.grid, 0.5 * np.log(self.vsq.values)))
-
     def ddc_mu(self) -> Form11P:
         """dd^c mu, kept for the descending forms and D mu.  Its fiber slope
         is read off |V|^2 = -2 d_l mu: halving is exact, so ``-0.5 * vsq``

@@ -21,8 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .curvature import (check_moment_ricci_identity, descending_ricci,
-                        descending_scalar, laplacian_m, ricci_m)
+from .curvature import descending_forms, laplacian_m, ricci_m
 from .fields import ScalarFieldM, ScalarFieldP, ddc_p, grad_pair
 from .fixtures import (battery_fixture, cylinder, profiled_field,
                        random_profile_bases, random_resolved_m)
@@ -150,8 +149,7 @@ def battery_once(K: KahlerData, seed=0, dtau=1e-4, bases=None) -> dict:
            "laplace_reduced": laplace_reduced(K, f, taus, dl_f=dl_f)}
     del f, dl_f
 
-    rho = descending_ricci(K)
-    big_r = descending_scalar(K)
+    rho, big_r, moment_ricci = descending_forms(K, identity=True)
     ric_gaps, scal_gaps, leftovers = [], [], []
     for red in reduced_potentials(K, taus):
         rho_tau, leftover = reduce_form(rho, red.level)
@@ -166,7 +164,7 @@ def battery_once(K: KahlerData, seed=0, dtau=1e-4, bases=None) -> dict:
     out["ricci_descent"].extra["angular_leftover"] = max(leftovers)
     out["scal_descent"] = merge_levels("scal_descent", grid, taus, scal_gaps)
     del rho, big_r
-    out["moment_ricci"] = check_moment_ricci_identity(K)
+    out["moment_ricci"] = moment_ricci
     return out
 
 

@@ -11,8 +11,8 @@ import pytest
 
 import kredux as kx
 from kredux import curvature, statics, verify
-from kredux.curvature import (_reference_arrays, cached_ricci_p, ddc_log_v,
-                              descent_drift, log_v_terms, moment_laplacian)
+from kredux.curvature import (_reference_arrays, descent_drift, log_v,
+                              log_v_terms, moment_laplacian)
 from kredux.fields import (Form11M, Form11P, ScalarFieldM, ScalarFieldP,
                            trace_against)
 from kredux.fixtures import battery_fixture, random_resolved_p
@@ -119,13 +119,26 @@ def ref_ricci_p(K):
                    ddc.g12 * -0.5, ddc.g22 * -0.5)
 
 
-def ref_descending_ricci(K):
+def ref_log_v_and_drift(K):
     log_v = ScalarFieldP(K.grid, 0.5 * np.log(K.vsq.values))
     d_mu = 0.5 * ref_trace_against(K.omega, ref_ddc_p(K.mu))
-    drift = d_mu - -2.0 * K.grid.d_l(log_v.values, 1)
+    return log_v, d_mu - -2.0 * K.grid.d_l(log_v.values, 1)
+
+
+def ref_descending_ricci(K):
+    log_v, drift = ref_log_v_and_drift(K)
     g = ScalarFieldP(K.grid, drift / K.vsq.values)
     return ref_add(ref_add(ref_ricci_p(K), ref_ddc_p(log_v)),
                    ref_d_wedge_dc(g, K))
+
+
+def ref_descending_scalar(K):
+    log_v, drift = ref_log_v_and_drift(K)
+    vsq = K.vsq.values
+    return (ref_trace_against(K.omega, ref_ricci_p(K))
+            + 2.0 * (0.5 * ref_trace_against(K.omega, ref_ddc_p(log_v)))
+            + 2.0 * drift * drift / vsq
+            + -2.0 * K.grid.d_l(drift, 1) / vsq)
 
 
 def ref_d_wedge_dc_by_component(g_field, K, into=None):
@@ -176,7 +189,7 @@ def ref_d_wedge_dc_by_component(g_field, K, into=None):
 def ref_residual_kr(K, taus):
     """residual_kr as it was with the structure's Ricci form kept and the
     dominant term built whole."""
-    ric = cached_ricci_p(K)
+    ric = kx.ricci_p(K)
     g, theta = log_v_terms(K)
     g.values += 1.0
     g.values /= K.vsq.values
@@ -348,17 +361,54 @@ def test_given_fiber_slope_gives_the_same_bits(K, fields):
     assert kx.check_dertau(K, f, taus, 1e-4, dl_f).to_dict() == \
         kx.check_dertau(K, f, taus, 1e-4).to_dict()
     assert_unchanged(before, K, f, dl_f)
-    # the structure's own shared slopes
+    # the structure's own shared slopes: the kept one of log|V| among them
     _same_bits(K.ddc_mu(), ref_ddc_p(K.mu))
-    log_v = K.log_v()
-    _same_bits(moment_laplacian(K) - kx.jv_apply(log_v), descent_drift(K))
-    _same_bits(ddc_log_v(K), ref_ddc_p(log_v))
+    lv = log_v(K)
+    _same_bits(moment_laplacian(K) - kx.jv_apply(lv), descent_drift(K))
+    assert K._cache["dl_log_v"].tobytes() == K.grid.d_l(lv.values, 1).tobytes()
+    drift, ddc_lv = log_v_terms(K)
+    _same_bits(drift, descent_drift(K))
+    _same_bits(ddc_lv, ref_ddc_p(lv))
 
 
 def test_descending_ricci_matches_reference():
     for K in (kx.perturbed(kx.torus_grid(16, 33, margin=4), 0.02),
               kx.perturbed(kx.radial_grid(65, 33, margin=4), 0.01)):
         assert_forms_equal(kx.descending_ricci(K), ref_descending_ricci(K))
+
+
+def _fresh(kind):
+    if kind == "torus":
+        return kx.perturbed(kx.torus_grid(16, 33, margin=4), 0.02)
+    return kx.perturbed(kx.radial_grid(65, 33, margin=4), 0.01)
+
+
+def ref_moment_ricci(K):
+    """check_moment_ricci_identity as it was, on the kept Ricci form."""
+    linf, l2 = K.grid.interior_norms(
+        ref_moment_ricci_magnitudes(K, ref_ricci_p(K)))
+    return ResidualReport("moment_ricci", K.grid.meta(), linf, l2)
+
+
+@pytest.mark.parametrize("kind", ["torus", "radial"])
+def test_descending_forms_match_reference(kind):
+    # each form alone on a fresh structure, and the three together from one
+    # Ricci form on a structure whose drift and slope are kept already
+    want_rho = ref_descending_ricci(_fresh(kind))
+    want_r = ref_descending_scalar(_fresh(kind))
+    want_rep = ref_moment_ricci(_fresh(kind))
+    assert_forms_equal(kx.descending_ricci(_fresh(kind)), want_rho)
+    r = kx.descending_scalar(_fresh(kind))
+    assert r.values.tobytes() == want_r.tobytes()
+    rep = kx.check_moment_ricci_identity(_fresh(kind))
+    assert (rep.linf, rep.l2) == (want_rep.linf, want_rep.l2)
+    assert rep.to_dict() == want_rep.to_dict()
+    K = _fresh(kind)
+    descent_drift(K)
+    rho, big_r, rep = kx.descending_forms(K, identity=True)
+    assert_forms_equal(rho, want_rho)
+    assert big_r.values.tobytes() == want_r.tobytes()
+    assert (rep.linf, rep.l2) == (want_rep.linf, want_rep.l2)
 
 
 @pytest.mark.parametrize("target", ["pure", "mixed"])
@@ -430,7 +480,7 @@ def test_residual_kr_matches_reference(request, kind, rg):
 
 
 def test_d_wedge_dc_into_refuses_a_read_only_form(K, fields):
-    for cached in (K.ddc_mu(), cached_ricci_p(K)):
+    for cached in (K.ddc_mu(),):
         before = _snapshot(cached)
         with pytest.raises(ValueError):
             kx.d_wedge_dc(fields[0], K, into=cached)
@@ -453,7 +503,7 @@ def ref_moment_ricci_magnitudes(K, ric):
 @pytest.mark.parametrize("ric", ["ricci", "mixed"])
 def test_moment_ricci_identity_matches_reference(K, forms, monkeypatch, ric):
     # "mixed" stands in for Ric with a form that has a (2,0) part
-    form = cached_ricci_p(K) if ric == "ricci" else forms["mixed"]
+    form = kx.ricci_p(K) if ric == "ricci" else forms["mixed"]
     seen = []
     real = Grid.interior_norms
 
@@ -461,7 +511,7 @@ def test_moment_ricci_identity_matches_reference(K, forms, monkeypatch, ric):
         seen.append(values.copy())
         return real(grid, values)
 
-    monkeypatch.setattr(curvature, "cached_ricci_p", lambda K: form)
+    monkeypatch.setattr(curvature, "ricci_p", lambda K: form)
     monkeypatch.setattr(Grid, "interior_norms", norms)
     rep = kx.check_moment_ricci_identity(K)
     want = ref_moment_ricci_magnitudes(K, form)
@@ -510,13 +560,14 @@ def test_residual_kr_peak_memory():
 
 
 def test_descending_ricci_peak_memory(tg):
-    # the verify fixture at 32x32x129.  Measured on numpy 2.4: 25.1 real
-    # fields above entry, caches included (28.1 while d(g d^c mu) was added
-    # into rho component by component, 29.3 before that, 35.1 before the
-    # operators accumulated in place); about 10 % margin
+    # the verify fixture at 32x32x129.  Measured on numpy 2.4: 18.0 real
+    # fields above entry, caches included (25.1 while the structure kept
+    # its Ricci form, dd^c log|V| and log|V|, 28.1 while d(g d^c mu) was
+    # added into rho component by component, 35.1 before the operators
+    # accumulated in place); about 11 % margin
     K = kx.perturbed(tg, 0.02)
     _, peak = traced_peak(kx.descending_ricci, K)
-    assert peak < 28 * field_bytes(K.grid)
+    assert peak < 20 * field_bytes(K.grid)
 
 
 def test_ma_reduced_peak_memory(tg):
@@ -536,25 +587,48 @@ def test_battery_pass_peak_memory(tg, monkeypatch):
     # one verify battery pass at 32x32x129, after a first pass has filled
     # the grid's own caches, so that the measure does not depend on test
     # order.  Measured on numpy 2.4, in real fields above entry: the peak is
-    # 27.6 (29.6 while d(g d^c mu) was built component by component, 34.7
-    # while the descending forms stayed alive through the moment-Ricci
-    # identity), and 17.6 are live when that identity starts (24.6 with the
-    # descending forms, 7 fields, still held).  Each bound leaves about 12 %
+    # 21.6 (27.6 while the structure kept its Ricci form, dd^c log|V| and
+    # log|V|, 29.6 while d(g d^c mu) was built component by component), and
+    # 13.6 are live when the moment-Ricci identity is read off the fresh
+    # Ricci form (17.6 when it read the kept one, after the descending
+    # forms).  Each bound leaves about 11 %
     fb = field_bytes(tg)
     battery_once(battery_fixture(tg))
     K = battery_fixture(tg)
     live = []
-    check = verify.check_moment_ricci_identity
+    check = curvature.check_moment_ricci_identity
 
-    def spy(K):
+    def spy(K, ric):
         live.append(tracemalloc.get_traced_memory()[0])
-        return check(K)
+        return check(K, ric)
 
     def battery_pass():
         live.append(tracemalloc.get_traced_memory()[0])
         return battery_once(K)
 
-    monkeypatch.setattr(verify, "check_moment_ricci_identity", spy)
+    monkeypatch.setattr(curvature, "check_moment_ricci_identity", spy)
     _, peak = traced_peak(battery_pass)
-    assert peak < 31 * fb
-    assert live[1] - live[0] < 20 * fb
+    assert peak < 24 * fb
+    assert live[1] - live[0] < 15 * fb
+
+
+def test_battery_pass_keeps_eight_fields(tg):
+    # after a pass the structure keeps dd^c mu (4 real fields), omega's
+    # determinant, D mu, the drift and the fiber slope of log|V| (16 while
+    # it kept the Ricci form, dd^c log|V| and log|V| too); mu's
+    # interpolant holds a view of mu, no memory of its own
+    K = battery_fixture(tg)
+    battery_once(K)
+    kept = [a for key, value in K._cache.items() if isinstance(key, str)
+            for _, a in _arrays(value, key) if a.base is None]
+    assert sum(a.nbytes for a in kept) <= 8 * field_bytes(tg)
+    assert {"ricci_p", "ddc_log_v", "log_v"}.isdisjoint(K._cache)
+
+
+def test_run_verify_peak_memory(tg):
+    # kredux verify at 32x32x129, from a fresh interpreter's caches or warm
+    # ones.  Measured on numpy 2.4: 29.6 real fields above entry in a fresh
+    # interpreter (35.6 while the structure kept the ingredients of the
+    # descending forms); about 6 % margin
+    _, peak = traced_peak(verify.run_verify, tg, 1)
+    assert peak < 31.5 * field_bytes(tg)

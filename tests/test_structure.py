@@ -173,10 +173,10 @@ def _arrays(value):
 
 
 def test_cached_geometry_is_read_only(small):
-    from kredux.curvature import cached_ricci_p, descent_drift, moment_laplacian
+    from kredux.curvature import descent_drift, moment_laplacian
 
-    derived = [cached_ricci_p(small), moment_laplacian(small), small.log_v(),
-               descent_drift(small), small.omega_det(),
+    derived = [descent_drift(small), moment_laplacian(small),
+               small._cache["dl_log_v"], small.omega_det(),
                kx.level_set(small, 0.2), kx.reduced_potential(small, 0.2),
                small.ddc_mu()]
     for value in derived:
@@ -187,32 +187,53 @@ def test_cached_geometry_is_read_only(small):
             with pytest.raises(ValueError):
                 a[...] = 0.0
     # asking again returns the stored object, not a recomputation
-    assert cached_ricci_p(small) is derived[0]
-    assert kx.level_set(small, 0.2) is derived[5]
-    assert kx.reduced_potential(small, 0.2).l_tau is derived[5].l_tau
-    # the public operator still hands out a fresh, writable form
+    assert descent_drift(small) is derived[0]
+    assert kx.level_set(small, 0.2) is derived[4]
+    assert kx.reduced_potential(small, 0.2).l_tau is derived[4].l_tau
+    # no Ricci form is kept: each call hands out a fresh, writable one
     fresh = kx.ricci_p(small)
-    assert fresh is not derived[0] and fresh.g11.flags.writeable
-    assert np.array_equal(fresh.g11, derived[0].g11)
+    kx.descending_forms(small, identity=True)
+    assert "ricci_p" not in small._cache and fresh.g11.flags.writeable
+    again = kx.ricci_p(small)
+    assert again is not fresh and np.array_equal(again.g11, fresh.g11)
 
 
-def test_ricci_p_computed_once_per_structure(small, monkeypatch):
-    import kredux.curvature as curvature
+def _per_pass(monkeypatch, name, counts):
+    """Run a battery pass and each residual command's equation on one
+    structure K, and how many calls of ``name`` (from ``curvature`` or
+    ``statics``) each made for which ``counts(K, args)`` holds, by name of
+    the run."""
+    from kredux import curvature, statics, verify
 
+    grid = kx.torus_grid(n=16, n_l=33, margin=4)
+    K = kx.fixtures.battery_fixture(grid)
     calls = []
-    real = curvature.ricci_p
+    real = getattr(curvature, name)
 
-    def counting(K):
-        calls.append(K)
-        return real(K)
+    def counting(*args, **kwargs):
+        calls.append(counts(K, args))
+        return real(*args, **kwargs)
 
-    monkeypatch.setattr(curvature, "ricci_p", counting)
-    kx.descending_ricci(small)
-    kx.descending_scalar(small)
-    kx.check_moment_ricci_identity(small)
-    kx.residual_kr(small, taus=[0.1])
-    kx.residual_v_soliton(small, kx.constant_profile(0.0))
-    assert calls == [small]
+    for module in (curvature, statics):
+        monkeypatch.setattr(module, name, counting)
+    runs = {"battery": lambda: verify.battery_once(K)}
+    for eq in statics.RESIDUALS:
+        runs[eq] = lambda eq=eq: statics.RESIDUALS[eq](K, taus=[0.1])
+    seen = {}
+    for run_name, run in runs.items():
+        del calls[:]
+        run()
+        seen[run_name] = sum(calls)
+    return seen
+
+
+def test_ricci_p_computed_once_per_pass(monkeypatch):
+    # one fresh Ricci form per battery pass and per residual command; the
+    # kr residual builds the residual and its dominant term in two, as it
+    # did while the structure kept one
+    seen = _per_pass(monkeypatch, "ricci_p", lambda K, args: 1)
+    assert seen == {"battery": 1, "geodesic": 0, "calabi": 1,
+                    "pseudo_calabi": 1, "kr": 2, "v_soliton": 1}
 
 
 def test_ddc_mu_computed_once_per_structure(small, monkeypatch):
@@ -249,22 +270,18 @@ def test_halved_vsq_is_the_moment_map_slope(kind, n_l):
         assert (-0.5 * K.vsq.values).tobytes() == want.tobytes()
 
 
-def test_ddc_log_v_computed_once_per_structure(small, monkeypatch):
+def test_ddc_log_v_computed_once_per_pass(monkeypatch):
+    # dd^c log|V| is built once by each battery pass and each residual
+    # command that reads it; no structure keeps it.  v_soliton's one
+    # dd^c(log|V| + f(mu)) counts: its f = lambda mu^2 / 4 is 0 here
     import kredux.curvature as curvature
 
-    log_v = small.log_v()
-    calls = []
-    real = curvature.ddc_p
+    def is_log_v(K, args):
+        return np.array_equal(args[0].values, curvature.log_v(K).values)
 
-    def counting(f, *args):
-        calls.append(f is log_v)
-        return real(f, *args)
-
-    monkeypatch.setattr(curvature, "ddc_p", counting)
-    kx.descending_ricci(small)
-    kx.descending_scalar(small)
-    kx.descending_ricci(small)
-    assert calls.count(True) == 1
+    seen = _per_pass(monkeypatch, "ddc_p", is_log_v)
+    assert seen == {"battery": 1, "geodesic": 0, "calabi": 1,
+                    "pseudo_calabi": 1, "kr": 1, "v_soliton": 1}
 
 
 def test_level_set_solved_once_per_level(small, monkeypatch):
@@ -305,14 +322,14 @@ def test_sweeps_solve_their_levels_together(small, monkeypatch):
 
 
 def test_gauge_starts_with_fresh_cache(small):
-    from kredux.curvature import cached_ricci_p
+    from kredux.curvature import descent_drift
 
-    ric = cached_ricci_p(small)
+    drift = descent_drift(small)
     kx.level_set(small, 0.2)
     u = ScalarFieldM(small.grid, np.zeros(small.grid.spatial_shape))
     K2 = kx.gauge(small, u, 1.0, small.c)
     assert K2._cache == {}
-    ric2 = cached_ricci_p(K2)
-    assert ric2 is not ric
-    assert np.max(np.abs(ric2.g11 - ric.g11)) < 1e-9
-    assert cached_ricci_p(small) is ric
+    drift2 = descent_drift(K2)
+    assert drift2 is not drift
+    assert np.max(np.abs(drift2.values - drift.values)) < 1e-9
+    assert descent_drift(small) is drift
