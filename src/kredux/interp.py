@@ -76,8 +76,9 @@ class FiberWeights:
             seg = np.clip(np.searchsorted(l_nodes, pts, side="right") - 1,
                           0, n - 2)
             idx = _window(seg, n)
-        self.idx = idx
-        d = pts[:, None] - l_nodes[self.idx]
+        # each window's entries, as flat indices into a C-ordered field
+        self.flat = idx + n * np.arange(idx.shape[0])[:, None]
+        d = pts[:, None] - l_nodes[idx]
         h = (l_nodes[-1] - l_nodes[0]) / (n - 1)
         self.hit = np.abs(d) < 1e-13 * max(h, 1e-30)
         self.on_node = self.hit.any(axis=1)
@@ -86,9 +87,10 @@ class FiberWeights:
         self.denom = np.where(self.on_node, 1.0, np.sum(self.c, axis=1))
 
     def window(self, values):
-        """Each node's window of ``values`` (fiber axis last)."""
-        rows = np.arange(self.idx.shape[0])[:, None]
-        return values.reshape(-1, values.shape[-1])[rows, self.idx]
+        """Each node's window of ``values`` (fiber axis last), gathered
+        through one flat index; a strided view, such as the real part of a
+        complex field, is read in place."""
+        return values.reshape(-1)[self.flat]
 
     def value(self, fj):
         """The interpolant of the windows ``fj`` at each node's point."""

@@ -166,7 +166,7 @@ def _arrays(value):
         return [value.h]
     if isinstance(value, kx.LevelSet):
         w = value.weights
-        return [value.l_tau.values, value.missing, w.idx, w.hit, w.on_node,
+        return [value.l_tau.values, value.missing, w.flat, w.hit, w.on_node,
                 w.d, w.c, w.denom]
     return (_arrays(value.l_tau) + _arrays(value.psi_tau)
             + _arrays(value.omega_tau))
