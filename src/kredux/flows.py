@@ -133,7 +133,8 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
     each stage's metric is ``grid.dzbar_dz`` of its psi.  ``dt=None`` takes
     one step per sample.  Each state is evaluated once, as the monitor probe
     and, on acceptance, the next step's first stage, whose psi is the saved
-    sample.  A non-finite candidate raises StepUnstable, an h that is not
+    sample; sample 0 too is the psi of a stage, ``psi0`` on the modes and
+    back.  A non-finite candidate raises StepUnstable, an h that is not
     positive everywhere PositivityLost.  An increase of
     ``energy_fn(velocity, h)`` beyond tolerance halves the step (at most
     ``_MAX_HALVINGS`` times) and retries without accepting.
@@ -147,7 +148,6 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
         v = velocity(h, psi)
         return grid.to_modes(v) - lin * state, psi, v, h
 
-    psi = np.array(psi0, dtype=float, copy=True)
     dt = dt if dt is not None else t_end / (save_count - 1)
     steps = t_end / dt if dt > 0 else math.inf  # dt may underflow to 0
     if steps > MAX_FLOW_STEPS:
@@ -160,9 +160,9 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
     n_steps = int(np.ceil(n_steps / save_stride)) * save_stride
     dt = t_end / n_steps
 
-    ts, samples, dt_history = [0.0], [psi], [dt]
+    ts, samples, dt_history = [], [], [dt]
     halvings, step, t = 0, 0, 0.0
-    cand, energy_prev = grid.to_modes(psi), np.inf
+    cand, energy_prev = grid.to_modes(np.asarray(psi0, dtype=float)), np.inf
     e, e2, q, f1, f2, f3 = _etd_weights(lin, dt)
     while True:
         n_cand, psi, v, h = stage(cand)
@@ -181,7 +181,7 @@ def _run_etd(psi0, sigma, t_end, dt, velocity, rate, kind, save_count=33,
             e, e2, q, f1, f2, f3 = _etd_weights(lin, dt)
         else:
             state, n_u, energy_prev = cand, n_cand, energy
-            if step and step % save_stride == 0:
+            if step % save_stride == 0:
                 ts.append(t)
                 samples.append(psi)
             if step == n_steps:

@@ -36,6 +36,27 @@ def test_calabi_energy_monotone(calabi_path):
     assert es[-1] < es[0]
 
 
+def test_monitored_energy_is_each_samples_energy(tg, monkeypatch):
+    # the monitor evaluates every sample, sample 0 included, so C6 checks
+    # the energies the monitor enforced; sample 0 used to be psi0 itself,
+    # whose energy differs in the last bits from that of psi0 on the modes
+    # and back, the state the integrator stepped from
+    seen = []
+    real = flows._calabi_energy
+
+    def recording(*args):
+        seen.append(real(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(flows, "_calabi_energy", recording)
+    sigma = kx.reference_sigma(tg)
+    path = kx.calabi_integrate(3e-4 * kx.bump(tg), sigma, 0.004)
+    monitored = list(seen)
+    assert len(monitored) == path.n_samples == 33
+    for k in range(path.n_samples):
+        assert kx.calabi_energy(sigma, path.psis[k]) == monitored[k], k
+
+
 def test_calabi_scal_sup_decreases(calabi_path):
     from kredux.curvature import scal_m
 

@@ -181,7 +181,9 @@ def test_h_canonical_reparametrization_covariance(cyl):
 # secant point; the calabi `l2` (its level profile) and the lifted kr report
 # were rewritten when the time spline became the not-a-knot quintic, and the
 # lifted kr report again when the flows' state moved from the rfft2 plane to
-# the grid's real Fourier modes (its lift window moved at 1e-13 relative).
+# the grid's real Fourier modes (its lift window moved at 1e-13 relative),
+# and when a flow's sample 0 became the psi its first stage evaluates
+# (psi0 on the modes and back; the window moved at 8e-14 relative).
 # The numbers must not move.
 RESIDUAL_GOLDEN = os.path.join(os.path.dirname(__file__), "data", "residuals")
 EQUATIONS = ("geodesic", "calabi", "pseudo_calabi", "kr", "v_soliton")
