@@ -4,6 +4,12 @@ Curvature on the total space is computed relative to the analytic product
 reference (flat or round base times the standard cylinder) through the ratio
 of top-form densities, so that reference fixtures are curvature-exact and no
 raw determinant is differentiated twice without a smooth baseline.
+
+No Ricci form is kept with a structure: every caller builds a fresh one,
+and :func:`descending_forms` builds the descending Ricci form, the
+descending scalar and the moment-Ricci report from a single one.  Of the
+terms of the descending forms, only the drift D mu - JV log|V| and the
+fiber slope of log|V| it is built from are kept.
 """
 
 from __future__ import annotations
@@ -164,20 +170,18 @@ def check_moment_ricci_identity(K: KahlerData,
 def descending_forms(K: KahlerData, form=True, scalar=True, identity=False):
     """The descending Ricci form rho, the descending scalar R and the report
     of :func:`check_moment_ricci_identity`, each when asked for (else None),
-    all from one fresh Ricci form; the one builder of rho and R.
+    from one fresh Ricci form:
 
         rho = Ric(omega) + dd^c log|V| + d( (drift / |V|^2) d^c mu ),
         R   = scal(g) + 2 D log|V| + (2/|V|^2) drift^2 + JV(drift) / |V|^2,
 
-    with drift = D mu - JV log|V| (:func:`descent_drift`).  Only the drift
-    and the fiber slope of log|V| it is built from are kept with ``K``; in
-    order, the Ricci form is built, the identity read off it, its trace
-    taken; dd^c log|V| is built from the kept slope and traced, then added
-    into the Ricci form; R is formed in place, and d(g d^c mu) is added into
-    the form by ``d_wedge_dc``.  Each step takes the operations, in their
-    order, of the expressions above, so the bits do not depend on what is
-    asked for.  The peak holds ``K``'s kept geometry, the form, R, and the
-    scratch of one step.
+    drift = D mu - JV log|V| (:func:`descent_drift`).  In order: the report
+    is read off the Ricci form and its trace taken; dd^c log|V|, built from
+    the kept slope of log|V|, is traced and then added into the Ricci form;
+    R is summed, and d(g d^c mu) is added into the form by ``d_wedge_dc``.
+    Each sum takes the operations of the expressions above in their order,
+    so the bits do not depend on what is asked for.  Beyond ``K``'s kept
+    geometry, the peak holds the form, R and the scratch of one step.
     """
     rho = big_r = report = None
     grid, vsq = K.grid, K.vsq.values

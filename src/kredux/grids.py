@@ -206,14 +206,13 @@ def _fourier_modes(n):
     return out
 
 
-def _along0(m, f, out=None):
+def _along0(m, f):
     """``m`` applied along spatial axis 0 of a torus field, to the
     differences from the axis's first node, so a field constant along the
-    axis gives exact zeros; returns the product, in ``out`` when given, and
-    the differences, whose buffer :func:`_along1` reuses."""
+    axis gives exact zeros; returns the product and the differences, whose
+    buffer :func:`_along1` reuses."""
     d = f - f[:1]
-    flat = None if out is None else out.reshape(len(f), -1)
-    return np.matmul(m, d.reshape(len(f), -1), out=flat).reshape(f.shape), d
+    return np.matmul(m, d.reshape(len(f), -1)).reshape(f.shape), d
 
 
 def _along1(m, f, diffs, out=None):
@@ -402,11 +401,13 @@ class TestbedGrid:
         if self.kind == TORUS:
             d1, _ = _fourier_matrices(self.n_spatial)
             f = np.asarray(values, dtype=float)
+            along0, diffs = _along0(d1, f)
             out = np.empty(f.shape, dtype=complex)
-            # each product goes straight into its part of ``out``: no third
-            # field beside the differences
-            _, diffs = _along0(d1, f, out=out.real)
-            np.negative(_along1(d1, f, diffs, out=out.imag), out=out.imag)
+            out.real = along0
+            # the axis-1 product reuses the axis-0 product's buffer: fresh
+            # pages per call are what 3-D fields cost under glibc's default
+            # malloc policy
+            np.negative(_along1(d1, f, diffs, out=along0), out=out.imag)
             return out
         return self.d_v(values, 1)
 

@@ -204,6 +204,9 @@ def residual_v_soliton(K: KahlerData, f_profile) -> ResidualReport:
     """Frame-component residual of the soliton-type static equation
 
         Ric(omega) + dd^c( log|V| + f(mu) ) = lambda omega.
+
+    Ric(omega) is built fresh and its norm, part of the dominant term, taken
+    first; the other terms are then added into it.
     """
     lam = _lambda(K)
     ric = ricci_p(K)

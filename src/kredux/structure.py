@@ -52,9 +52,11 @@ def _read_only(value):
 class KahlerData:
     """Immutable bundle (sigma, phi, c) with derived omega, mu, |V|^2.
 
-    Geometry derived from the structure alone (curvature, the moment-map
-    Laplacian, level sets, ...) is computed on first use and kept, read-only,
-    in ``_cache``; quantities that also depend on another field are not.
+    Geometry derived from the structure alone that more than one check
+    reads (dd^c mu, the moment-map Laplacian, the descent drift, level
+    sets, ...; not the Ricci form) is computed on first use and kept,
+    read-only, in ``_cache``; quantities that also depend on another field
+    are not.
     """
 
     grid: TestbedGrid

@@ -7,9 +7,10 @@ Every fixture, the battery's too, comes from :mod:`kredux.fixtures`.
 A battery pass takes each fiber derivative once.  The slope d_l f of its
 test field serves every check that differentiates f (``ma_reduced`` shares
 the slope of 0.3 f within itself), and is released before the descending
-forms, where the pass peaks; they are released in turn before the
-moment-Ricci identity.  The structure reads d_l mu off |V|^2 for
-dd^c mu, and builds the drift and dd^c log|V| from one slope of log|V|.
+forms, where the pass peaks.  Those forms and the moment-Ricci report come
+from one fresh Ricci form (``descending_forms``).  The structure reads
+d_l mu off |V|^2 for dd^c mu, and keeps one slope of log|V|, from which
+the drift and each pass's dd^c log|V| are built.
 The fine and coarse passes share their random input: the coarse fiber
 nodes are the fine ones at even indices, bit for bit, so one draw of the
 test field's base fields serves both, and each pass builds its own f.
@@ -133,8 +134,10 @@ def battery_once(K: KahlerData, seed=0, dtau=1e-4, bases=None) -> dict:
     taken once and serves ``check_dertau``, ``check_dcred`` and
     ``laplace_reduced``; f and its slope are released before the
     descending forms, where the pass peaks: that peak holds ``K``'s kept
-    geometry and the descending Ricci form as it is built.  The descending
-    forms are released in turn before ``check_moment_ricci_identity``.
+    geometry, the descending scalar and the descending Ricci form as it is
+    built.  The moment-Ricci report is read off the same fresh Ricci form
+    first, and stored after the descent reports, which keeps the reports'
+    order.
     """
     grid = K.grid
     if bases is None:
@@ -163,7 +166,6 @@ def battery_once(K: KahlerData, seed=0, dtau=1e-4, bases=None) -> dict:
     # reported, not gated: how far the descending form is from reducible
     out["ricci_descent"].extra["angular_leftover"] = max(leftovers)
     out["scal_descent"] = merge_levels("scal_descent", grid, taus, scal_gaps)
-    del rho, big_r
     out["moment_ricci"] = moment_ricci
     return out
 
